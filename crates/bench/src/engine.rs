@@ -1500,41 +1500,41 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // dependence witness against the columnar trace and check complement
     // safety (codes WP0008-WP0011) over the pixel and syscall slices of
     // all six sessions. Slices and forward passes are memoized above, so
-    // this stage measures exactly the certifier sweeps. Diagnostics are
-    // pre-sorted and jobs render in a fixed order, so the artifact bytes
-    // do not depend on the thread count.
+    // this stage measures exactly the certifier sweeps: one per session,
+    // certifying both of its slices against shared last-writer shadows.
+    // Diagnostics are pre-sorted and jobs render in a fixed order, so the
+    // artifact bytes do not depend on the thread count.
     let certify_view = opts.certify_slices.then(|| {
         let t = Instant::now();
-        let jobs: Vec<(SessionKey, bool)> = sessions
-            .iter()
-            .flat_map(|k| [(*k, false), (*k, true)])
-            .collect();
         type CertifyRow = (String, u64, u64, u64, Vec<wasteprof_checker::Diag>);
-        let results: Vec<CertifyRow> = jobs
+        let results: Vec<CertifyRow> = sessions
             .par_iter()
-            .map(|&(k, syscall)| {
+            .map(|&k| {
                 let session = store.session(k);
                 let forward = store.forward_for(k);
-                let (criteria, result) = if syscall {
-                    (syscall_criteria(&session.trace), store.syscall_slice_for(k))
-                } else {
-                    (pixel_criteria(&session.trace), store.pixel_slice_for(k))
-                };
-                let diags =
-                    wasteprof_checker::certify(&session.trace, &forward, &criteria, &result);
-                let rows = result.witness().map_or(0, |w| w.len() as u64);
-                (
-                    format!(
-                        "{} [{}]",
-                        k.label(),
-                        if syscall { "syscall" } else { "pixel" }
-                    ),
-                    result.considered(),
-                    rows,
-                    session.trace.storage_bytes(),
-                    diags,
-                )
+                let trace = &session.trace;
+                let (pixel, syscall) = (pixel_criteria(trace), syscall_criteria(trace));
+                let slices = [store.pixel_slice_for(k), store.syscall_slice_for(k)];
+                let jobs = [(&pixel, &*slices[0]), (&syscall, &*slices[1])];
+                let diags = wasteprof_checker::certify_all(trace, &forward, &jobs);
+                ["pixel", "syscall"]
+                    .into_iter()
+                    .zip(slices)
+                    .zip(diags)
+                    .map(|((kind, result), diags)| {
+                        (
+                            format!("{} [{kind}]", k.label()),
+                            result.considered(),
+                            result.witness().map_or(0, |w| w.len() as u64),
+                            trace.storage_bytes(),
+                            diags,
+                        )
+                    })
+                    .collect::<Vec<_>>()
             })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
             .collect();
         let mut out = String::from(
             "Slice certification: dependence-witness replay + complement\n\

@@ -1,5 +1,5 @@
-//! Independent slice certifier: one forward sweep that re-checks a
-//! backward slice against the trace it came from.
+//! Independent slice certifier: one forward sweep that re-checks backward
+//! slices against the trace they came from.
 //!
 //! The slicer emits a dependence witness (see `wasteprof-slicer`'s
 //! `Witnesses`): one row per slice member naming the live fact the member
@@ -10,7 +10,10 @@
 //! style as the race detector — and shares no code with the backward
 //! walk, so a bug in the slicer's liveness machinery cannot hide itself.
 //! [`certify_streamed`] runs the identical sweep from a `WPTRACE2` reader
-//! without ever holding the whole trace in memory.
+//! without ever holding the whole trace in memory, and [`certify_all`]
+//! certifies several slices of one trace in a single sweep: the
+//! last-writer shadows and call stacks are criterion-independent, so they
+//! are built once and every slice's checks read them at their own points.
 //!
 //! Two properties are checked:
 //!
@@ -30,9 +33,10 @@
 //!
 //! Together these imply slice soundness: every value flowing into the
 //! criteria is produced inside the slice, and every member has a checked
-//! reason to be there. Bookkeeping defects — missing table, row counts
-//! disagreeing with the slice population, rows whose member is not in the
-//! bitmap — report [`Code::CertifyMismatch`].
+//! reason to be there. Bookkeeping defects — missing table, a slice
+//! longer than the trace, row counts disagreeing with the slice
+//! population, rows whose member is not in the bitmap — report
+//! [`Code::CertifyMismatch`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -106,6 +110,11 @@ impl MemShadow {
             if end > lo {
                 let stop = end.min(hi);
                 f(at, stop, Some(wr));
+                // One span covers the whole query (the common case for
+                // cell-granular operands): no second probe.
+                if stop == hi {
+                    return;
+                }
                 at = stop;
             }
         }
@@ -126,8 +135,48 @@ impl MemShadow {
     }
 }
 
-/// Static facts about one instruction of interest (a witness member or
-/// consumer), captured when the forward sweep passes its position.
+/// Criterion-independent sweep state: the byte and register last-writer
+/// shadows and the dynamic call stacks. Built once per sweep and read by
+/// every job's checks.
+struct Shadows {
+    mem: MemShadow,
+    regs: Vec<[Option<u32>; 16]>,
+    stacks: Vec<Vec<u32>>,
+}
+
+impl Shadows {
+    fn new() -> Shadows {
+        Shadows {
+            mem: MemShadow::default(),
+            regs: vec![[None; 16]; 256],
+            stacks: vec![Vec::new(); 256],
+        }
+    }
+
+    /// Instruction `idx`'s writes become the last writers.
+    fn apply_writes(&mut self, cur: &ColumnCursor<'_>, idx: usize, ti: usize) {
+        for &wr in cur.mem_writes(idx) {
+            self.mem.write(wr.start().raw(), wr.end().raw(), idx as u32);
+        }
+        for r in cur.reg_writes(idx).iter() {
+            self.regs[ti][r.index()] = Some(idx as u32);
+        }
+    }
+
+    /// Dynamic call stack maintenance for instruction `idx`.
+    fn track_calls(&mut self, cur: &ColumnCursor<'_>, idx: usize, ti: usize) {
+        match cur.kind(idx) {
+            InstrKind::Call { .. } => self.stacks[ti].push(idx as u32),
+            InstrKind::Ret => {
+                self.stacks[ti].pop();
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Static facts about one slice member, captured when the forward sweep
+/// passes its position.
 ///
 /// Edge checks at a consumer need the member side's thread, location, and
 /// opcode class — positions an out-of-core sweep has already evicted. Since
@@ -161,60 +210,71 @@ impl fmt::Display for Consumer {
     }
 }
 
-/// Sweep state shared by the edge and complement checks. Fed forward one
-/// [`ColumnCursor`] window at a time — the whole-trace cursor in
-/// [`certify`], bounded disk chunks in [`certify_streamed`] — so it never
-/// needs random access outside the current window.
-struct Certifier<'a> {
+/// One slice's side of a sweep: its witness rows grouped by consumer, its
+/// criteria, and the member meta captured so far. Fed forward one
+/// [`ColumnCursor`] window at a time, so it never needs random access
+/// outside the current window.
+struct Job<'a> {
     w: &'a Witnesses,
-    deps: &'a ControlDeps,
     items: &'a [SlicingCriterion],
     result: &'a SliceResult,
-    /// Considered prefix length: the sweep covers `0..n`.
+    /// The slice bitmap, one bit per position.
+    words: &'a [u64],
+    /// Considered prefix length: the job's checks cover `0..n`.
     n: usize,
-    /// Valid row indices sorted by `(consumer, is_criterion, row)`.
+    /// Valid row indices in `(consumer, is_criterion, row)` order.
     by_consumer: Vec<u32>,
-    /// Members whose own reads entered the live sets, sorted.
+    cons_cur: usize,
+    /// The decoded row at `by_consumer[cons_cur]`: each row is decoded
+    /// once, when it reaches the head.
+    head: Option<WitnessRow>,
+    /// [`consumer_key`] of `head`, `u64::MAX` past the end: every position
+    /// compares against it.
+    cons_key: u64,
+    /// Members whose own reads entered the live sets, strictly increasing.
     gen_members: Vec<u32>,
+    gen_cur: usize,
+    /// Set while the position being swept is one of `gen_members`: its
+    /// reads await the complement check shared by every such job.
+    genned_here: bool,
     /// Positions of `include_instr` criteria inside the prefix, sorted.
     include_crit: Vec<u32>,
-    /// Sorted, deduplicated member/consumer positions needing meta.
-    interesting: Vec<u32>,
-    /// Meta of `interesting[..meta.len()]`: the positions the sweep has
-    /// passed, captured in order.
-    meta: Vec<MemberMeta>,
-    mem: MemShadow,
-    regs: Vec<[Option<u32>; 16]>,
-    stacks: Vec<Vec<u32>>,
-    cons_cur: usize,
-    /// [`consumer_key`] of `by_consumer[cons_cur]`, `u64::MAX` past the
-    /// end: every position compares against it without decoding a row.
-    cons_key: u64,
-    gen_cur: usize,
     crit_cur: usize,
+    /// `rank_base[i]`: members in `words[..i]`.
+    rank_base: Vec<u32>,
+    /// Meta of the members the sweep has passed, in position order: the
+    /// member at `pos` owns `meta[rank(pos)]`.
+    meta: Vec<MemberMeta>,
     out: Vec<Diag>,
 }
 
-impl Certifier<'_> {
+impl Job<'_> {
     fn member(&self, idx: u32) -> bool {
         self.result.contains(TracePos(idx as u64))
     }
 
-    /// Pops the row at the head of `by_consumer`.
-    fn next_consumer_row(&mut self) -> WitnessRow {
-        let row = self.w.row(self.by_consumer[self.cons_cur] as usize);
-        self.cons_cur += 1;
-        self.cons_key = self
-            .by_consumer
-            .get(self.cons_cur)
-            .map_or(u64::MAX, |&i| consumer_key(&self.w.row(i as usize)));
-        row
+    /// Members strictly before `pos`.
+    fn rank(&self, pos: usize) -> usize {
+        let below = self.words[pos / 64] & ((1u64 << (pos % 64)) - 1);
+        self.rank_base[pos / 64] as usize + below.count_ones() as usize
     }
 
-    /// The captured meta of `pos`, if the sweep has passed it.
+    /// The captured meta of member `pos`, if the sweep has passed it.
+    /// Rows reaching a check have members inside the bitmap.
     fn meta_of(&self, pos: u32) -> Option<MemberMeta> {
-        let i = self.interesting.binary_search(&pos).ok()?;
-        self.meta.get(i).copied()
+        self.meta.get(self.rank(pos as usize)).copied()
+    }
+
+    /// Pops the head row.
+    fn next_consumer_row(&mut self) -> WitnessRow {
+        let row = self.head.expect("cons_key names a head row");
+        self.cons_cur += 1;
+        self.head = self
+            .by_consumer
+            .get(self.cons_cur)
+            .map(|&i| self.w.row(i as usize));
+        self.cons_key = self.head.as_ref().map_or(u64::MAX, consumer_key);
+        row
     }
 
     /// Checks one witness row at its consumer position (the index the
@@ -225,10 +285,15 @@ impl Certifier<'_> {
     /// the backward walk's event order). Structural rows check the CDG,
     /// the dynamic call stack, or the criteria list, reading the member
     /// side from the captured [`MemberMeta`].
-    fn check_edge(&mut self, row: &WitnessRow, cur: &ColumnCursor<'_>) {
+    fn check_edge(
+        &mut self,
+        row: &WitnessRow,
+        cur: &ColumnCursor<'_>,
+        deps: &ControlDeps,
+        sh: &Shadows,
+    ) {
         let m = row.member.index();
         let c = row.consumer.index();
-        let mm = self.meta_of(m as u32);
         match row.kind {
             WitnessKind::Mem => {
                 if row.fact_lo >= row.fact_hi {
@@ -240,7 +305,7 @@ impl Certifier<'_> {
                     return;
                 }
                 let mut bad: Option<(u64, u64, Option<u32>)> = None;
-                self.mem.for_range(row.fact_lo, row.fact_hi, |lo, hi, wr| {
+                sh.mem.for_range(row.fact_lo, row.fact_hi, |lo, hi, wr| {
                     if bad.is_none() && wr != Some(m as u32) {
                         bad = Some((lo, hi, wr));
                     }
@@ -273,7 +338,7 @@ impl Certifier<'_> {
                 }
                 let tid_c = cur.tid(c);
                 let ti = tid_c.index();
-                if let Some(mm) = mm {
+                if let Some(mm) = self.meta_of(m as u32) {
                     if mm.tid != tid_c {
                         self.out.push(Diag::at(
                             Code::CertifyStaleDef,
@@ -286,8 +351,8 @@ impl Certifier<'_> {
                         return;
                     }
                 }
-                if self.regs[ti][ri] != Some(m as u32) {
-                    let actual = match self.regs[ti][ri] {
+                if sh.regs[ti][ri] != Some(m as u32) {
+                    let actual = match sh.regs[ti][ri] {
                         Some(w) => format!("{}", TracePos(w as u64)),
                         None => "never written".to_owned(),
                     };
@@ -304,14 +369,11 @@ impl Certifier<'_> {
             }
             WitnessKind::Control => {
                 let ok = m < c
-                    && mm.is_some_and(|mm| {
+                    && self.meta_of(m as u32).is_some_and(|mm| {
                         mm.is_branch
                             && mm.tid == cur.tid(c)
                             && mm.func == cur.func(c)
-                            && self
-                                .deps
-                                .controllers(cur.func(c), cur.pc(c))
-                                .contains(&mm.pc)
+                            && deps.controllers(cur.func(c), cur.pc(c)).contains(&mm.pc)
                     });
                 if !ok {
                     self.out.push(Diag::at(
@@ -327,8 +389,10 @@ impl Certifier<'_> {
             WitnessKind::Call => {
                 let ti = cur.tid(c).index();
                 let ok = m < c
-                    && mm.is_some_and(|mm| mm.is_call && mm.tid == cur.tid(c))
-                    && self.stacks[ti].last() == Some(&(m as u32));
+                    && self
+                        .meta_of(m as u32)
+                        .is_some_and(|mm| mm.is_call && mm.tid == cur.tid(c))
+                    && sh.stacks[ti].last() == Some(&(m as u32));
                 if !ok {
                     self.out.push(Diag::at(
                         Code::CertifyBadEdge,
@@ -357,24 +421,22 @@ impl Certifier<'_> {
         }
     }
 
-    /// Complement safety for one consumed byte range: every last writer
-    /// must be a slice member or nonexistent.
-    fn check_mem_complement(&mut self, lo: u64, hi: u64, by: Consumer) {
-        let (result, out) = (self.result, &mut self.out);
-        self.mem.for_range(lo, hi, |s, e, wr| match wr {
-            Some(w) if !result.contains(TracePos(w as u64)) => out.push(Diag::at(
+    /// Reports a non-slice last writer `wr` of `[lo, hi)`.
+    fn check_mem_writer(&mut self, lo: u64, hi: u64, wr: Option<u32>, by: Consumer) {
+        match wr {
+            Some(w) if !self.member(w) => self.out.push(Diag::at(
                 Code::CertifyLiveLeak,
                 w as usize,
-                format!("non-slice write to {s:#x}..{e:#x} read by {by}"),
+                format!("non-slice write to {lo:#x}..{hi:#x} read by {by}"),
             )),
             _ => {}
-        });
+        }
     }
 
     /// Complement safety for registers consumed on thread `ti`.
-    fn check_reg_complement(&mut self, ti: usize, regs: RegSet, by: Consumer) {
+    fn check_reg_complement(&mut self, sh: &Shadows, ti: usize, regs: RegSet, by: Consumer) {
         for r in regs.iter() {
-            if let Some(wr) = self.regs[ti][r.index()] {
+            if let Some(wr) = sh.regs[ti][r.index()] {
                 if !self.member(wr) {
                     self.out.push(Diag::at(
                         Code::CertifyLiveLeak,
@@ -386,90 +448,81 @@ impl Certifier<'_> {
         }
     }
 
-    /// Advances the sweep over one cursor window, running every check
-    /// whose position falls inside it.
-    fn feed(&mut self, cur: &ColumnCursor<'_>) {
-        for idx in cur.lo()..cur.hi() {
-            let ti = cur.tid(idx).index();
-
-            // 0. Capture member/consumer meta the edge checks will need
-            // once the window has moved past this position.
-            if self
-                .interesting
-                .get(self.meta.len())
-                .is_some_and(|&p| p as usize == idx)
-            {
-                let kind = cur.kind(idx);
-                self.meta.push(MemberMeta {
-                    tid: cur.tid(idx),
-                    func: cur.func(idx),
-                    pc: cur.pc(idx),
-                    is_branch: kind.is_branch(),
-                    is_call: matches!(kind, InstrKind::Call { .. }),
-                });
-            }
-
-            // 1. Edges whose consumer is the member at `idx`: the member's
-            // reads happen before its writes, so check against the shadows
-            // as they stand.
-            while self.cons_key == (idx as u64) << 1 {
-                let row = self.next_consumer_row();
-                self.check_edge(&row, cur);
-            }
-
-            // 2. Complement safety for members whose reads entered the live
-            // sets: their last writers must be members (or nothing).
-            if self.gen_cur < self.gen_members.len()
-                && self.gen_members[self.gen_cur] as usize == idx
-            {
-                self.gen_cur += 1;
-                let by = Consumer::Member(idx);
-                for &rd in cur.mem_reads(idx) {
-                    self.check_mem_complement(rd.start().raw(), rd.end().raw(), by);
-                }
-                self.check_reg_complement(ti, cur.reg_reads(idx), by);
-            }
-
-            // 3. The instruction's own writes become the last writers.
-            for &wr in cur.mem_writes(idx) {
-                self.mem.write(wr.start().raw(), wr.end().raw(), idx as u32);
-            }
-            for r in cur.reg_writes(idx).iter() {
-                self.regs[ti][r.index()] = Some(idx as u32);
-            }
-
-            // 4. Edges whose consumer is a criterion anchored here: criteria
-            // observe state after the anchor executes.
-            while self.cons_key >> 1 == idx as u64 {
-                let row = self.next_consumer_row();
-                self.check_edge(&row, cur);
-            }
-
-            // 5. Complement safety for the criteria themselves.
-            let items = self.items;
-            while let Some(c) = items.get(self.crit_cur).filter(|c| c.pos.index() == idx) {
-                self.crit_cur += 1;
-                let by = Consumer::Criterion(c.pos);
-                for &range in &c.mem {
-                    self.check_mem_complement(range.start().raw(), range.end().raw(), by);
-                }
-                self.check_reg_complement(ti, c.regs, by);
-            }
-
-            // 6. Dynamic call stack maintenance.
-            match cur.kind(idx) {
-                InstrKind::Call { .. } => self.stacks[ti].push(idx as u32),
-                InstrKind::Ret => {
-                    self.stacks[ti].pop();
-                }
-                _ => {}
-            }
+    /// The job's checks at `idx` that precede the position's writes:
+    /// member meta capture and member-consumer edges. Flags
+    /// [`Job::genned_here`] when `idx` is a gen member, whose complement
+    /// check the sweep runs next, shared by every flagged job.
+    fn before_writes(
+        &mut self,
+        idx: usize,
+        cur: &ColumnCursor<'_>,
+        deps: &ControlDeps,
+        sh: &Shadows,
+    ) -> bool {
+        if idx >= self.n {
+            return false;
         }
+        // 0. Capture member meta the edge checks will need once the
+        // window has moved past this position.
+        if self.words[idx / 64] >> (idx % 64) & 1 != 0 {
+            let kind = cur.kind(idx);
+            self.meta.push(MemberMeta {
+                tid: cur.tid(idx),
+                func: cur.func(idx),
+                pc: cur.pc(idx),
+                is_branch: kind.is_branch(),
+                is_call: matches!(kind, InstrKind::Call { .. }),
+            });
+        }
+
+        // 1. Edges whose consumer is the member at `idx`: the member's
+        // reads happen before its writes, so check against the shadows
+        // as they stand.
+        while self.cons_key == (idx as u64) << 1 {
+            let row = self.next_consumer_row();
+            self.check_edge(&row, cur, deps, sh);
+        }
+
+        if self.gen_members.get(self.gen_cur) == Some(&(idx as u32)) {
+            self.gen_cur += 1;
+            self.genned_here = true;
+        }
+        self.genned_here
     }
 
-    fn finish(mut self) -> Vec<Diag> {
-        sort_diags(&mut self.out);
-        self.out
+    /// The job's checks at `idx` that follow the position's writes:
+    /// criterion-consumer edges and the criteria's own complement safety
+    /// (criteria observe state after the anchor executes).
+    fn after_writes(
+        &mut self,
+        idx: usize,
+        cur: &ColumnCursor<'_>,
+        deps: &ControlDeps,
+        sh: &Shadows,
+        ti: usize,
+    ) {
+        if idx >= self.n {
+            return;
+        }
+        // 4. Edges whose consumer is a criterion anchored here.
+        while self.cons_key >> 1 == idx as u64 {
+            let row = self.next_consumer_row();
+            self.check_edge(&row, cur, deps, sh);
+        }
+
+        // 5. Complement safety for the criteria themselves.
+        let items = self.items;
+        while let Some(c) = items.get(self.crit_cur).filter(|c| c.pos.index() == idx) {
+            self.crit_cur += 1;
+            let by = Consumer::Criterion(c.pos);
+            for &range in &c.mem {
+                sh.mem
+                    .for_range(range.start().raw(), range.end().raw(), |s, e, wr| {
+                        self.check_mem_writer(s, e, wr, by)
+                    });
+            }
+            self.check_reg_complement(sh, ti, c.regs, by);
+        }
     }
 }
 
@@ -479,37 +532,33 @@ fn consumer_key(row: &WitnessRow) -> u64 {
     row.consumer.0 << 1 | row.consumer_is_criterion as u64
 }
 
-/// Builds the sweep state from the witness table, or returns the
-/// diagnostics directly when there is no table to sweep.
-fn prepare<'a>(
-    forward: &'a ForwardPass,
-    criteria: &'a Criteria,
-    result: &'a SliceResult,
-) -> Result<Certifier<'a>, Vec<Diag>> {
-    let mut out = Vec::new();
-    let n = result.considered() as usize;
+/// Radix digit width of [`radix_by_consumer`]: 2048 buckets, two passes
+/// for traces of up to 4M instructions.
+const DIGIT_BITS: u32 = 11;
 
-    let Some(w) = result.witness() else {
-        out.push(Diag::at_end(
-            Code::CertifyMismatch,
-            "slice carries no witness table".to_owned(),
-        ));
-        return Err(out);
-    };
-    if w.len() as u64 != result.slice_count() {
-        out.push(Diag::at_end(
-            Code::CertifyMismatch,
-            format!(
-                "witness has {} rows for {} slice members",
-                w.len(),
-                result.slice_count()
-            ),
-        ));
-    }
-
-    // Row sanity: positions inside the considered prefix, members in the
-    // slice bitmap. Defective rows are reported and left out of the sweep.
-    let mut valid: Vec<u32> = Vec::with_capacity(w.len());
+/// The sweep's view of a witness table: its valid rows grouped by
+/// consumer, and the members whose reads entered the live sets (strictly
+/// increasing). Rows with positions outside the considered prefix `0..n`
+/// or members outside the slice bitmap are reported into `out` and left
+/// out of the sweep.
+///
+/// Rows are grouped in ascending consumer position and, at one position,
+/// member-consumer rows before criterion-consumer rows, each in row order
+/// — exactly the `(consumer << 1 | is_criterion, row)` order — in linear
+/// time: the sanity pass lays the valid rows out as `consumer << 32 | row`
+/// keys, member-consumer rows first, and a stable radix sort on the
+/// consumer ([`radix_by_consumer`]) finishes the order.
+fn index_rows(
+    w: &Witnesses,
+    n: usize,
+    result: &SliceResult,
+    out: &mut Vec<Diag>,
+) -> (Vec<u32>, Vec<u32>) {
+    // Member-consumer keys fill from the front, criterion-consumer keys
+    // from the back (reversed below), each in row order.
+    let mut keys = vec![0u64; w.len()];
+    let (mut front, mut back) = (0, w.len());
+    let mut gen_members: Vec<u32> = Vec::new();
     for (i, row) in w.rows().enumerate() {
         if row.member.index() >= n || row.consumer.index() >= n {
             out.push(Diag::at_end(
@@ -526,72 +575,253 @@ fn prepare<'a>(
                 format!("witness row for {} which is not in the slice", row.member),
             ));
         } else {
-            valid.push(i as u32);
+            let key = row.consumer.0 << 32 | i as u64;
+            if row.consumer_is_criterion {
+                back -= 1;
+                keys[back] = key;
+            } else {
+                keys[front] = key;
+                front += 1;
+            }
+            if row.genned_reads {
+                gen_members.push(row.member.0 as u32);
+            }
         }
     }
+    keys[back..].reverse();
+    let crit_rows = keys.len() - back;
+    keys.copy_within(back.., front);
+    keys.truncate(front + crit_rows);
+    // Honest tables are member-sorted and duplicate-free already; a
+    // mutated table is sorted so the sweep cursor stays correct on it too.
+    if !gen_members.windows(2).all(|p| p[0] < p[1]) {
+        gen_members.sort_unstable();
+        gen_members.dedup();
+    }
+    (radix_by_consumer(keys, n), gen_members)
+}
 
-    // Rows grouped by consumer; at one position, member-consumer rows
-    // sort before criterion-consumer rows (checked before / after the
-    // position's own writes respectively). Keys are decoded once, not per
-    // comparison.
-    let mut keys: Vec<(u64, u32)> = valid
-        .iter()
-        .map(|&i| (consumer_key(&w.row(i as usize)), i))
-        .collect();
-    keys.sort_unstable();
-    let cons_key = keys.first().map_or(u64::MAX, |k| k.0);
-    let by_consumer: Vec<u32> = keys.into_iter().map(|(_, i)| i).collect();
-    // Members whose own reads entered the live sets. Honest tables are
-    // member-sorted and duplicate-free already; sorting defensively keeps
-    // the sweep cursor correct on mutated tables too.
-    let mut gen_members: Vec<u32> = valid
-        .iter()
-        .map(|&i| w.row(i as usize))
-        .filter(|r| r.genned_reads)
-        .map(|r| r.member.0 as u32)
-        .collect();
-    gen_members.sort_unstable();
-    gen_members.dedup();
+/// Sorts `keys` — `consumer << 32 | row`, consumers below `n` — by
+/// consumer with a stable LSD radix sort and returns the row indices. The
+/// transient is two keys, 16 bytes, per row.
+fn radix_by_consumer(keys: Vec<u64>, n: usize) -> Vec<u32> {
+    let mut src = keys;
+    let mut dst = vec![0u64; src.len()];
+    // Consumers are `u32` positions: at most 32 significant bits.
+    let bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).min(32);
+    let mask = (1u64 << DIGIT_BITS) - 1;
+    let mut shift = 32;
+    while shift < 32 + bits {
+        let mut at = [0usize; 1 << DIGIT_BITS];
+        for &e in &src {
+            at[(e >> shift & mask) as usize] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &e in &src {
+            let d = (e >> shift & mask) as usize;
+            dst[at[d]] = e;
+            at[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        shift += DIGIT_BITS;
+    }
+    drop(dst);
+    src.into_iter().map(|e| e as u32).collect()
+}
+
+/// Builds one job's sweep state from its witness table, or returns the
+/// job's diagnostics directly when there is nothing to sweep.
+fn prepare<'a>(
+    trace_len: usize,
+    criteria: &'a Criteria,
+    result: &'a SliceResult,
+) -> Result<Job<'a>, Vec<Diag>> {
+    let n = result.considered() as usize;
+    if n > trace_len {
+        return Err(vec![Diag::at_end(
+            Code::CertifyMismatch,
+            format!("slice considers {n} instructions, trace has {trace_len}"),
+        )]);
+    }
+    let Some(w) = result.witness() else {
+        return Err(vec![Diag::at_end(
+            Code::CertifyMismatch,
+            "slice carries no witness table".to_owned(),
+        )]);
+    };
+    let mut out = Vec::new();
+    if w.len() as u64 != result.slice_count() {
+        out.push(Diag::at_end(
+            Code::CertifyMismatch,
+            format!(
+                "witness has {} rows for {} slice members",
+                w.len(),
+                result.slice_count()
+            ),
+        ));
+    }
+
+    let (by_consumer, gen_members) = index_rows(w, n, result, &mut out);
+    let head = by_consumer.first().map(|&i| w.row(i as usize));
     let include_crit: Vec<u32> = criteria
         .items()
         .iter()
         .filter(|c| c.include_instr && c.pos.index() < n)
         .map(|c| c.pos.0 as u32)
         .collect();
-    // Positions the edge checks need static facts for, once the sweep
-    // window has moved on: every valid row's member and consumer.
-    let mut interesting: Vec<u32> = valid
+    let words = result.bitmap_words();
+    let mut members = 0u32;
+    let rank_base = words
         .iter()
-        .flat_map(|&i| {
-            let r = w.row(i as usize);
-            [r.member.0 as u32, r.consumer.0 as u32]
+        .map(|w| {
+            let base = members;
+            members += w.count_ones();
+            base
         })
         .collect();
-    interesting.sort_unstable();
-    interesting.dedup();
 
-    Ok(Certifier {
+    Ok(Job {
         w,
-        deps: forward.control_deps(),
+        // Criteria with positions beyond the considered prefix never match
+        // an `idx` below `n` and are skipped, mirroring the slicer.
         items: criteria.items(),
         result,
+        words,
         n,
         by_consumer,
-        gen_members,
-        include_crit,
-        meta: Vec::with_capacity(interesting.len()),
-        interesting,
-        mem: MemShadow::default(),
-        regs: vec![[None; 16]; 256],
-        stacks: vec![Vec::new(); 256],
         cons_cur: 0,
-        cons_key,
+        cons_key: head.as_ref().map_or(u64::MAX, consumer_key),
+        head,
+        gen_members,
         gen_cur: 0,
-        // Criteria with positions beyond the considered prefix never match
-        // an `idx` and are skipped, mirroring the slicer.
+        genned_here: false,
+        include_crit,
         crit_cur: 0,
+        rank_base,
+        meta: Vec::with_capacity(result.slice_count() as usize),
         out,
     })
+}
+
+/// One forward sweep certifying several slices of the same trace: the
+/// shared [`Shadows`] advance once per position, and every job runs its
+/// checks at today's points of the single-slice sweep around them.
+struct Sweep<'a> {
+    deps: &'a ControlDeps,
+    shadows: Shadows,
+    /// Per input job: its sweep state, or the diagnostics that stopped it
+    /// before the sweep.
+    jobs: Vec<Result<Job<'a>, Vec<Diag>>>,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(
+        forward: &'a ForwardPass,
+        trace_len: usize,
+        jobs: &[(&'a Criteria, &'a SliceResult)],
+    ) -> Sweep<'a> {
+        Sweep {
+            deps: forward.control_deps(),
+            shadows: Shadows::new(),
+            jobs: jobs
+                .iter()
+                .map(|&(criteria, result)| prepare(trace_len, criteria, result))
+                .collect(),
+        }
+    }
+
+    /// Positions the sweep must cover: the longest swept prefix.
+    fn len(&self) -> usize {
+        self.jobs.iter().flatten().map(|j| j.n).max().unwrap_or(0)
+    }
+
+    /// Advances the sweep over one cursor window, running every check
+    /// whose position falls inside it.
+    fn feed(&mut self, cur: &ColumnCursor<'_>) {
+        let Sweep {
+            deps,
+            shadows: sh,
+            jobs,
+        } = self;
+        for idx in cur.lo()..cur.hi() {
+            let ti = cur.tid(idx).index();
+
+            // 0–1. Meta capture and member-consumer edges, per job.
+            let mut genned = false;
+            for job in jobs.iter_mut().flatten() {
+                genned |= job.before_writes(idx, cur, deps, sh);
+            }
+
+            // 2. Complement safety for a member whose reads entered the
+            // live sets: its last writers must be members (or nothing).
+            // One shadow probe per read serves every job it is a gen
+            // member of.
+            if genned {
+                let by = Consumer::Member(idx);
+                for &rd in cur.mem_reads(idx) {
+                    sh.mem
+                        .for_range(rd.start().raw(), rd.end().raw(), |s, e, wr| {
+                            for job in jobs.iter_mut().flatten().filter(|j| j.genned_here) {
+                                job.check_mem_writer(s, e, wr, by);
+                            }
+                        });
+                }
+                for job in jobs.iter_mut().flatten().filter(|j| j.genned_here) {
+                    job.check_reg_complement(sh, ti, cur.reg_reads(idx), by);
+                    job.genned_here = false;
+                }
+            }
+
+            // 3. The instruction's own writes become the last writers.
+            sh.apply_writes(cur, idx, ti);
+
+            // 4–5. Criterion-consumer edges and criteria complement.
+            for job in jobs.iter_mut().flatten() {
+                job.after_writes(idx, cur, deps, sh, ti);
+            }
+
+            // 6. Dynamic call stack maintenance.
+            sh.track_calls(cur, idx, ti);
+        }
+    }
+
+    /// Each input job's diagnostics, in canonical sorted order.
+    fn finish(self) -> Vec<Vec<Diag>> {
+        self.jobs
+            .into_iter()
+            .map(|job| {
+                let mut out = job.map_or_else(|out| out, |job| job.out);
+                sort_diags(&mut out);
+                out
+            })
+            .collect()
+    }
+}
+
+/// Certifies several slices of `trace` in one forward sweep. Each job is
+/// a `(criteria, slice)` pair whose slice carries a witness table; jobs
+/// may consider different prefixes. Returns each job's diagnostics, in
+/// job order and canonical sorted order — exactly what [`certify`] would
+/// return for that job alone. The last-writer shadows and call stacks
+/// are built once for all jobs, so certifying a session's pixel and
+/// syscall slices together costs one shadow sweep, not two.
+///
+/// `forward` must be the forward pass the slices were built from (the
+/// control-dependence edges are checked against its recovered CDG).
+pub fn certify_all(
+    trace: &Trace,
+    forward: &ForwardPass,
+    jobs: &[(&Criteria, &SliceResult)],
+) -> Vec<Vec<Diag>> {
+    let mut sweep = Sweep::new(forward, trace.len(), jobs);
+    let n = sweep.len();
+    if n > 0 {
+        sweep.feed(&trace.columns().cursor(0, n));
+    }
+    sweep.finish()
 }
 
 /// Certifies `result` — a slice of `trace` under `criteria`, carrying a
@@ -606,39 +836,89 @@ pub fn certify(
     criteria: &Criteria,
     result: &SliceResult,
 ) -> Vec<Diag> {
-    match prepare(forward, criteria, result) {
-        Err(out) => out,
-        Ok(mut c) => {
-            let n = c.n;
-            c.feed(&trace.columns().cursor(0, n));
-            c.finish()
-        }
-    }
+    let mut out = certify_all(trace, forward, &[(criteria, result)]);
+    out.pop().expect("one job, one result")
 }
 
 /// Out-of-core variant of [`certify`]: the same forward sweep fed from a
 /// [`TraceReader`]'s segment stream, holding only the reader's bounded
-/// chunk window (plus per-position meta for witness rows) in memory.
+/// chunk window (plus per-member meta) in memory.
 pub fn certify_streamed<R: Read + Seek>(
     reader: &mut TraceReader<R>,
     forward: &ForwardPass,
     criteria: &Criteria,
     result: &SliceResult,
 ) -> Result<Vec<Diag>, TraceIoError> {
-    match prepare(forward, criteria, result) {
-        Err(out) => Ok(out),
-        Ok(mut c) => {
-            let n = c.n;
-            reader.stream_range(0, n, |cur| c.feed(cur))?;
-            Ok(c.finish())
-        }
-    }
+    let mut sweep = Sweep::new(forward, reader.len(), &[(criteria, result)]);
+    let n = sweep.len();
+    reader.stream_range(0, n, |cur| sweep.feed(cur))?;
+    Ok(sweep.finish().pop().expect("one job, one result"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use wasteprof_slicer::{pixel_criteria, slice, SliceOptions};
+    use wasteprof_trace::{site, Recorder, Region, ThreadKind};
+
+    /// A one-thread trace whose pixel slice has `width` rows consumed by
+    /// one compute (it reads `width` cells, each written separately) and
+    /// `width` criterion-consumer rows (the marker reads a tile written a
+    /// cell at a time).
+    fn fan_in(width: usize) -> Trace {
+        let mut rec = Recorder::new();
+        rec.spawn_thread(ThreadKind::Main, "main_root");
+        let cells: Vec<_> = (0..width).map(|_| rec.alloc_cell(Region::Heap)).collect();
+        let tile = rec.alloc(Region::PixelTile, 8 * width as u32);
+        for &c in &cells {
+            rec.compute(site!(), &[], &[c.into()]);
+        }
+        let reads: Vec<_> = cells.iter().map(|&c| c.into()).collect();
+        for i in 0..width as u32 {
+            rec.compute(site!(), &reads, &[tile.slice(8 * i, 8)]);
+        }
+        rec.marker(site!(), tile);
+        rec.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The grouping orders a shuffled table's valid rows exactly as a
+        /// comparison sort on `(consumer << 1 | is_criterion, row)` does,
+        /// leaving out a row whose member left the bitmap.
+        #[test]
+        fn grouping_matches_a_comparison_sort(width in 1..9usize, seed in any::<u64>()) {
+            let trace = fan_in(width);
+            let fwd = ForwardPass::build(&trace);
+            let opts = SliceOptions { witness: true, ..Default::default() };
+            let mut result = slice(&trace, &fwd, &pixel_criteria(&trace), &opts);
+            let mut rows: Vec<WitnessRow> = result.witness().unwrap().rows().collect();
+            let mut state = seed | 1;
+            for i in (1..rows.len()).rev() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                rows.swap(i, (state % (i as u64 + 1)) as usize);
+            }
+            result.remove_member(rows[seed as usize % rows.len()].member);
+            result.set_witness(Some(Witnesses::from_rows(rows)));
+            let w = result.witness().unwrap();
+            let n = result.considered() as usize;
+
+            let mut want: Vec<(u64, u32)> = w
+                .rows()
+                .enumerate()
+                .filter(|(_, r)| result.contains(r.member))
+                .map(|(i, r)| (consumer_key(&r), i as u32))
+                .collect();
+            want.sort_unstable();
+            let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
+            let (order, _) = index_rows(w, n, &result, &mut Vec::new());
+            prop_assert_eq!(order, want);
+        }
+    }
 
     /// Reference model of [`MemShadow::write`]: split at both edges,
     /// collect the doomed keys, remove them — no fast paths.

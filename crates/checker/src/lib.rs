@@ -28,7 +28,8 @@
 //!   slicer's dependence witness forward over the columns, verifying that
 //!   every witness edge is a real def→use (or CDG/call-stack edge) and
 //!   that no non-slice instruction feeds a value into the slice
-//!   (`WP0008…WP0011`);
+//!   (`WP0008…WP0011`); [`certify_all`] certifies several slices of one
+//!   trace in a single shared sweep;
 //! - [`dead_writes`] runs the `WP0012` dead-producer-write lint, the
 //!   simplest waste category the paper motivates.
 
@@ -39,7 +40,7 @@ pub mod lints;
 pub mod mutate;
 pub mod race;
 
-pub use certify::{certify, certify_streamed};
+pub use certify::{certify, certify_all, certify_streamed};
 pub use diag::{render_json, render_text, sort_diags, Code, Diag};
 pub use lint::{Ctx, Lint, LintBattery, Registry};
 pub use lints::{

@@ -1,13 +1,19 @@
 //! Differential certifier tests: witnessed slices of every canonical
-//! session must certify clean at segment counts 1 and 8, and every
-//! [`SliceMutation`] must trigger exactly its own certifier code.
+//! session must certify clean at segment counts 1 and 8, alone and in one
+//! shared sweep, and every [`SliceMutation`] must trigger exactly its own
+//! certifier code — in its own job only when it shares a sweep.
+
+use std::io::Cursor;
+use std::sync::OnceLock;
 
 use wasteprof_browser::Session;
-use wasteprof_checker::{certify, render_text, Code, SliceMutation, TraceMutator};
+use wasteprof_checker::{
+    certify, certify_all, certify_streamed, render_text, Code, Diag, SliceMutation, TraceMutator,
+};
 use wasteprof_slicer::{
     pixel_criteria, slice, syscall_criteria, Criteria, ForwardPass, SliceOptions, SliceResult,
 };
-use wasteprof_trace::Trace;
+use wasteprof_trace::{write_trace2, Trace, TraceReader};
 use wasteprof_workloads::Benchmark;
 
 /// The six canonical engine sessions (four loads + two browse phases).
@@ -55,25 +61,92 @@ fn certify_clean(
     result
 }
 
+/// Every canonical slice certifies clean at K=1 and K=8, and one shared
+/// sweep over a session's pixel and syscall slices reports exactly what
+/// two separate certifications do. On Bing, the load-prefix slice shares
+/// a sweep with the full pixel slice: jobs with different considered
+/// prefixes.
 #[test]
 fn canonical_slices_certify_clean_at_one_and_eight_segments() {
     for (label, session) in canonical_sessions() {
-        let fwd = ForwardPass::build(&session.trace);
-        for (kind, criteria) in [
-            ("pixel", pixel_criteria(&session.trace)),
-            ("syscall", syscall_criteria(&session.trace)),
-        ] {
-            let label = format!("{label} [{kind}]");
-            // K=1 emits the witness in lockstep with the backward walk;
-            // K=8 replays it over the stitched bitmap. Same table.
-            let [k1, k8] =
-                [1, 8].map(|k| certify_clean(&label, &session.trace, &fwd, &criteria, k));
-            assert!(
-                k1 == k8,
-                "{label}: lockstep (K=1) and replayed (K=8) witnessed slices differ"
+        let trace = &session.trace;
+        let fwd = ForwardPass::build(trace);
+        let (pixel, syscall) = (pixel_criteria(trace), syscall_criteria(trace));
+        let [pixel_slice, syscall_slice] =
+            [("pixel", &pixel), ("syscall", &syscall)].map(|(kind, criteria)| {
+                let label = format!("{label} [{kind}]");
+                // K=1 emits the witness in lockstep with the backward walk;
+                // K=8 replays it over the stitched bitmap. Same table.
+                let [k1, k8] = [1, 8].map(|k| certify_clean(&label, trace, &fwd, criteria, k));
+                assert!(
+                    k1 == k8,
+                    "{label}: lockstep (K=1) and replayed (K=8) witnessed slices differ"
+                );
+                k1
+            });
+
+        let jobs = [(&pixel, &pixel_slice), (&syscall, &syscall_slice)];
+        let separate: Vec<Vec<Diag>> = jobs
+            .iter()
+            .map(|&(c, r)| certify(trace, &fwd, c, r))
+            .collect();
+        assert_eq!(
+            certify_all(trace, &fwd, &jobs),
+            separate,
+            "{label}: the shared sweep disagrees with separate certifications"
+        );
+
+        if label == Benchmark::Bing.label() {
+            let prefix_criteria = pixel.truncated(session.load_end);
+            let bounded = SliceOptions {
+                end: Some(session.load_end),
+                ..witnessed(1)
+            };
+            let prefix = slice(trace, &fwd, &prefix_criteria, &bounded);
+            assert!(prefix.considered() < pixel_slice.considered());
+            let diags = certify_all(
+                trace,
+                &fwd,
+                &[(&prefix_criteria, &prefix), (&pixel, &pixel_slice)],
+            );
+            assert_eq!(
+                diags,
+                [Vec::new(), Vec::new()],
+                "{label}: load-prefix and full pixel slices in one sweep"
             );
         }
     }
+}
+
+/// AmazonMobile's forward pass and witnessed (K=1) pixel and syscall
+/// slices, built once for every test that corrupts or re-pairs them.
+struct Fixture {
+    session: Session,
+    fwd: ForwardPass,
+    pixel: Criteria,
+    syscall: Criteria,
+    pixel_slice: SliceResult,
+    syscall_slice: SliceResult,
+}
+
+fn amazon_mobile() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let session = Benchmark::AmazonMobile.run();
+        let trace = &session.trace;
+        let fwd = ForwardPass::build(trace);
+        let (pixel, syscall) = (pixel_criteria(trace), syscall_criteria(trace));
+        let pixel_slice = slice(trace, &fwd, &pixel, &witnessed(1));
+        let syscall_slice = slice(trace, &fwd, &syscall, &witnessed(1));
+        Fixture {
+            session,
+            fwd,
+            pixel,
+            syscall,
+            pixel_slice,
+            syscall_slice,
+        }
+    })
 }
 
 /// The full rendered diagnostics each mutation produces on the
@@ -99,16 +172,14 @@ fn pinned_text(m: SliceMutation) -> &'static str {
 
 #[test]
 fn each_slice_mutation_triggers_exactly_its_certifier_code() {
-    let session = Benchmark::AmazonMobile.run();
-    let fwd = ForwardPass::build(&session.trace);
-    let criteria = pixel_criteria(&session.trace);
-    let result = slice(&session.trace, &fwd, &criteria, &witnessed(1));
-    let mutator = TraceMutator::new(&session.trace);
+    let f = amazon_mobile();
+    let trace = &f.session.trace;
+    let mutator = TraceMutator::new(trace);
     for m in SliceMutation::ALL {
         let mutated = mutator
-            .apply_slice(m, &result)
+            .apply_slice(m, &f.pixel_slice)
             .unwrap_or_else(|| panic!("{}: no injection site found", m.name()));
-        let diags = certify(&session.trace, &fwd, &criteria, &mutated);
+        let diags = certify(trace, &f.fwd, &f.pixel, &mutated);
         // Messages are formatted lazily (only when a check fails); their
         // rendered bytes are part of the certifier's contract.
         assert_eq!(
@@ -134,13 +205,78 @@ fn each_slice_mutation_triggers_exactly_its_certifier_code() {
     }
 }
 
+/// A corrupted slice sharing a sweep with a clean one fires in its own
+/// job only, with the text it renders alone, whichever job comes first.
+#[test]
+fn a_slice_mutation_fires_only_in_its_own_job_of_a_shared_sweep() {
+    let f = amazon_mobile();
+    let trace = &f.session.trace;
+    let mutator = TraceMutator::new(trace);
+    for m in SliceMutation::ALL {
+        let name = m.name();
+        let pixel = mutator.apply_slice(m, &f.pixel_slice).unwrap();
+        let clean = (&f.syscall, &f.syscall_slice);
+        let [a, b] = two(certify_all(trace, &f.fwd, &[(&f.pixel, &pixel), clean]));
+        assert_eq!(
+            render_text(&a),
+            pinned_text(m),
+            "{name}: mutated job, first"
+        );
+        assert!(b.is_empty(), "{name}: clean job, second: {b:?}");
+        let [b, a] = two(certify_all(trace, &f.fwd, &[clean, (&f.pixel, &pixel)]));
+        assert_eq!(
+            render_text(&a),
+            pinned_text(m),
+            "{name}: mutated job, second"
+        );
+        assert!(b.is_empty(), "{name}: clean job, first: {b:?}");
+
+        let syscall = mutator.apply_slice(m, &f.syscall_slice).unwrap();
+        let alone = certify(trace, &f.fwd, &f.syscall, &syscall);
+        assert!(alone.iter().all(|d| d.code == m.expected_code()) && !alone.is_empty());
+        let [p, s] = two(certify_all(
+            trace,
+            &f.fwd,
+            &[(&f.pixel, &f.pixel_slice), (&f.syscall, &syscall)],
+        ));
+        assert!(p.is_empty(), "{name}: clean pixel job: {p:?}");
+        assert_eq!(s, alone, "{name}: mutated syscall job");
+    }
+}
+
+fn two(diags: Vec<Vec<Diag>>) -> [Vec<Diag>; 2] {
+    diags.try_into().expect("two jobs, two results")
+}
+
+/// A slice certified against a shorter trace than it considers is one
+/// bookkeeping mismatch, in memory and out of core — not a panic, and no
+/// sweep past the end of the trace.
+#[test]
+fn slice_longer_than_its_trace_is_one_mismatch() {
+    let f = amazon_mobile();
+    let full = f.session.trace.len();
+    let half = f.session.trace.prefix(full / 2);
+    let expected = format!(
+        "WP0011 @end: slice considers {full} instructions, trace has {} \
+         (witness bookkeeping mismatch)\n",
+        half.len()
+    );
+    let diags = certify(&half, &f.fwd, &f.pixel, &f.pixel_slice);
+    assert_eq!(render_text(&diags), expected, "in memory");
+
+    let mut bytes = Vec::new();
+    write_trace2(&mut bytes, &half).unwrap();
+    let mut reader = TraceReader::open(Cursor::new(bytes)).unwrap();
+    let diags = certify_streamed(&mut reader, &f.fwd, &f.pixel, &f.pixel_slice).unwrap();
+    assert_eq!(render_text(&diags), expected, "streamed");
+}
+
 #[test]
 fn unwitnessed_slice_reports_mismatch() {
-    let session = Benchmark::AmazonMobile.run();
-    let fwd = ForwardPass::build(&session.trace);
-    let criteria = pixel_criteria(&session.trace);
-    let result = slice(&session.trace, &fwd, &criteria, &SliceOptions::default());
-    let diags = certify(&session.trace, &fwd, &criteria, &result);
+    let f = amazon_mobile();
+    let trace = &f.session.trace;
+    let result = slice(trace, &f.fwd, &f.pixel, &SliceOptions::default());
+    let diags = certify(trace, &f.fwd, &f.pixel, &result);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].code, Code::CertifyMismatch);
 }

@@ -9,9 +9,64 @@
 
 use proptest::prelude::*;
 use wasteprof_browser::Sched;
-use wasteprof_checker::{certify, verify, Mutation, SliceMutation, TraceMutator};
-use wasteprof_slicer::{pixel_criteria, slice, ForwardPass, SliceOptions};
-use wasteprof_trace::{site, Recorder, Region, ThreadKind};
+use wasteprof_checker::{certify, render_text, verify, Mutation, SliceMutation, TraceMutator};
+use wasteprof_slicer::{pixel_criteria, slice, ForwardPass, SliceOptions, SliceResult, Witnesses};
+use wasteprof_trace::{site, Recorder, Region, ThreadKind, Trace};
+
+/// A random cross-thread task chain: each hop `(worker, weight)` posts a
+/// task to a worker through the scheduler's lock hand-off, touches the
+/// shared cell there, and posts back to main; the chain feeds a pixel
+/// tile. The pixel slice threads through the hand-offs, so its witness
+/// carries mem, reg, control, and call edges across threads.
+fn task_chain(hops: &[(u8, u32)]) -> Trace {
+    let mut rec = Recorder::new();
+    let main = rec.spawn_thread(ThreadKind::Main, "main_root");
+    let workers = [
+        rec.spawn_thread(ThreadKind::Compositor, "comp_root"),
+        rec.spawn_thread(ThreadKind::Raster(0), "raster_root"),
+        rec.spawn_thread(ThreadKind::Io, "io_root"),
+    ];
+    rec.switch_to(main);
+    let mut sched = Sched::new(&mut rec, 4);
+    let shared = rec.alloc_cell(Region::Heap);
+    let input = rec.alloc(Region::Input, 64);
+    let tile = rec.alloc(Region::PixelTile, 64);
+    let work = rec.intern_func("worker::Work");
+
+    // Producer bytes: write the input buffer once, consume it once.
+    rec.compute(site!(), &[], &[input]);
+    rec.compute(site!(), &[input], &[shared.into()]);
+    // Random task chain: every hop crosses threads through the
+    // scheduler's lock hand-off, touching the shared cell on both
+    // sides — ordered, so race-free.
+    for &(w, weight) in hops {
+        sched.post_task(&mut rec, workers[w as usize]);
+        rec.in_func(site!(), work, |rec| {
+            rec.compute_weighted(site!(), &[shared.into()], &[shared.into()], weight);
+        });
+        sched.post_task(&mut rec, main);
+    }
+    rec.compute(site!(), &[shared.into()], &[tile]);
+    rec.marker(site!(), tile);
+    sched.ipc_send(&mut rec, &[tile], 2);
+    rec.finish()
+}
+
+/// `result` with its witness rows in a seeded random order.
+fn shuffled_rows(result: &SliceResult, seed: u64) -> SliceResult {
+    let mut rows: Vec<_> = result.witness().expect("witnessed").rows().collect();
+    let mut state = seed | 1;
+    for i in (1..rows.len()).rev() {
+        // xorshift64: a fixed, dependency-free Fisher-Yates source.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        rows.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    let mut out = result.clone();
+    out.set_witness(Some(Witnesses::from_rows(rows)));
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -21,37 +76,7 @@ proptest! {
         hops in proptest::collection::vec((0..3u8, 1..4u32), 4..16),
         mutation_sel in 0..7usize,
     ) {
-        let mut rec = Recorder::new();
-        let main = rec.spawn_thread(ThreadKind::Main, "main_root");
-        let workers = [
-            rec.spawn_thread(ThreadKind::Compositor, "comp_root"),
-            rec.spawn_thread(ThreadKind::Raster(0), "raster_root"),
-            rec.spawn_thread(ThreadKind::Io, "io_root"),
-        ];
-        rec.switch_to(main);
-        let mut sched = Sched::new(&mut rec, 4);
-        let shared = rec.alloc_cell(Region::Heap);
-        let input = rec.alloc(Region::Input, 64);
-        let tile = rec.alloc(Region::PixelTile, 64);
-        let work = rec.intern_func("worker::Work");
-
-        // Producer bytes: write the input buffer once, consume it once.
-        rec.compute(site!(), &[], &[input]);
-        rec.compute(site!(), &[input], &[shared.into()]);
-        // Random task chain: every hop crosses threads through the
-        // scheduler's lock hand-off, touching the shared cell on both
-        // sides — ordered, so race-free.
-        for &(w, weight) in &hops {
-            sched.post_task(&mut rec, workers[w as usize]);
-            rec.in_func(site!(), work, |rec| {
-                rec.compute_weighted(site!(), &[shared.into()], &[shared.into()], weight);
-            });
-            sched.post_task(&mut rec, main);
-        }
-        rec.compute(site!(), &[shared.into()], &[tile]);
-        rec.marker(site!(), tile);
-        sched.ipc_send(&mut rec, &[tile], 2);
-        let trace = rec.finish();
+        let trace = task_chain(&hops);
 
         let clean = verify(&trace);
         prop_assert!(
@@ -85,37 +110,7 @@ proptest! {
         hops in proptest::collection::vec((0..3u8, 1..4u32), 4..16),
         mutation_sel in 0..3usize,
     ) {
-        // Same task-chain shape as above: the pixel slice threads through
-        // the scheduler hand-offs, so the witness carries mem, reg,
-        // control, and call edges across threads.
-        let mut rec = Recorder::new();
-        let main = rec.spawn_thread(ThreadKind::Main, "main_root");
-        let workers = [
-            rec.spawn_thread(ThreadKind::Compositor, "comp_root"),
-            rec.spawn_thread(ThreadKind::Raster(0), "raster_root"),
-            rec.spawn_thread(ThreadKind::Io, "io_root"),
-        ];
-        rec.switch_to(main);
-        let mut sched = Sched::new(&mut rec, 4);
-        let shared = rec.alloc_cell(Region::Heap);
-        let input = rec.alloc(Region::Input, 64);
-        let tile = rec.alloc(Region::PixelTile, 64);
-        let work = rec.intern_func("worker::Work");
-
-        rec.compute(site!(), &[], &[input]);
-        rec.compute(site!(), &[input], &[shared.into()]);
-        for &(w, weight) in &hops {
-            sched.post_task(&mut rec, workers[w as usize]);
-            rec.in_func(site!(), work, |rec| {
-                rec.compute_weighted(site!(), &[shared.into()], &[shared.into()], weight);
-            });
-            sched.post_task(&mut rec, main);
-        }
-        rec.compute(site!(), &[shared.into()], &[tile]);
-        rec.marker(site!(), tile);
-        sched.ipc_send(&mut rec, &[tile], 2);
-        let trace = rec.finish();
-
+        let trace = task_chain(&hops);
         let fwd = ForwardPass::build(&trace);
         let criteria = pixel_criteria(&trace);
         let opts = SliceOptions { witness: true, ..Default::default() };
@@ -143,6 +138,35 @@ proptest! {
                     m.name(),
                     d
                 );
+            }
+        }
+    }
+
+    /// Certification does not depend on the witness table's row order:
+    /// rows rebuilt in a random permutation — consumers no longer grouped,
+    /// gen members no longer increasing — render byte-identical
+    /// diagnostics, clean and under every slice mutation.
+    #[test]
+    fn witness_row_order_does_not_change_certification(
+        hops in proptest::collection::vec((0..3u8, 1..4u32), 4..16),
+        seed in any::<u64>(),
+    ) {
+        let trace = task_chain(&hops);
+        let fwd = ForwardPass::build(&trace);
+        let criteria = pixel_criteria(&trace);
+        let opts = SliceOptions { witness: true, ..Default::default() };
+        let result = slice(&trace, &fwd, &criteria, &opts);
+        let mutator = TraceMutator::new(&trace);
+        let variants = std::iter::once(("clean", Some(result.clone()))).chain(
+            SliceMutation::ALL.map(|m| (m.name(), mutator.apply_slice(m, &result))),
+        );
+        for (name, variant) in variants {
+            prop_assert!(variant.is_some(), "{}: no injection site found", name);
+            if let Some(variant) = variant {
+                let want = render_text(&certify(&trace, &fwd, &criteria, &variant));
+                let shuffled = shuffled_rows(&variant, seed);
+                let got = render_text(&certify(&trace, &fwd, &criteria, &shuffled));
+                prop_assert_eq!(got, want, "{}: row order changed the diagnostics", name);
             }
         }
     }

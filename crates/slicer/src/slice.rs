@@ -200,6 +200,14 @@ impl SliceResult {
         idx < self.considered as usize && self.bitmap[idx / 64] & (1 << (idx % 64)) != 0
     }
 
+    /// The membership bitmap as 64-bit words: bit `i % 64` of word
+    /// `i / 64` is set when position `i` is in the slice. Bits at or past
+    /// [`SliceResult::considered`] are clear. A read-only view for
+    /// consumers that walk or rank members a word at a time.
+    pub fn bitmap_words(&self) -> &[u64] {
+        &self.bitmap
+    }
+
     /// Number of instructions in the slice.
     pub fn slice_count(&self) -> u64 {
         self.slice_count

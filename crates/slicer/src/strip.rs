@@ -14,15 +14,13 @@
 //! That is faithful to machine-level slicing (the paper's §III slices the
 //! real allocator the same way) but it is the wrong ground truth for
 //! judging a *source-level* analyzer, which reasons about object values,
-//! not allocator metadata. [`strip_allocator_deps`] rebuilds the trace
-//! with every cursor-cell operand dropped, cutting the ribbon while
+//! not allocator metadata. [`strip_allocator_deps`] copies the trace and
+//! drops every cursor-cell operand in place, cutting the ribbon while
 //! keeping the allocator instructions themselves (their cost still
 //! counts; only the artificial dependence goes). The result is the
 //! referee's pixel-slice ground truth.
 
-use std::collections::HashSet;
-
-use wasteprof_trace::{AddrRange, Columns, Trace};
+use wasteprof_trace::{AddrRange, Trace};
 
 /// The recorder's allocator frame name (see `Recorder::note_alloc`).
 pub const ALLOCATOR_FN: &str = "base::allocator::PartitionAlloc::Alloc";
@@ -38,41 +36,21 @@ pub fn strip_allocator_deps(trace: &Trace) -> Trace {
     let Some(alloc_fid) = trace.functions().get(ALLOCATOR_FN) else {
         return trace.clone();
     };
-    let mut cursor: HashSet<AddrRange> = HashSet::new();
+    // One cursor cell per allocating thread: a handful of ranges, binary
+    // searched per operand rather than hashed.
+    let key = |r: &AddrRange| (r.start().raw(), r.end().raw());
+    let mut cursor: Vec<(u64, u64)> = Vec::new();
     for i in 0..cols.len() {
         if cols.func(i) == alloc_fid {
-            for w in cols.mem_writes(i) {
-                cursor.insert(*w);
-            }
+            cursor.extend(cols.mem_writes(i).iter().map(key));
         }
     }
-    let mut out = Columns::default();
-    for i in 0..cols.len() {
-        let reads: Vec<AddrRange> = cols
-            .mem_reads(i)
-            .iter()
-            .filter(|r| !cursor.contains(r))
-            .copied()
-            .collect();
-        let writes: Vec<AddrRange> = cols
-            .mem_writes(i)
-            .iter()
-            .filter(|r| !cursor.contains(r))
-            .copied()
-            .collect();
-        out.push(
-            cols.tid(i),
-            cols.func(i),
-            cols.pc(i),
-            cols.kind(i),
-            cols.reg_reads(i),
-            cols.reg_writes(i),
-            &reads,
-            &writes,
-        );
-    }
+    cursor.sort_unstable();
+    cursor.dedup();
+    let mut cols = cols.clone();
+    cols.retain_mem_ops(|r| cursor.binary_search(&key(r)).is_err());
     Trace::from_parts(
-        out,
+        cols,
         trace.functions().clone(),
         trace.threads().clone(),
         trace.markers().to_vec(),
@@ -85,6 +63,74 @@ mod tests {
 
     use super::*;
     use crate::{pixel_criteria, slice, ForwardPass, SliceOptions};
+    use std::collections::HashSet;
+    use wasteprof_trace::Columns;
+    use wasteprof_workloads::Benchmark;
+
+    /// Reference model of [`strip_allocator_deps`]: rebuild the trace one
+    /// instruction at a time through [`Columns::push`], keeping only the
+    /// non-cursor operands.
+    fn strip_by_rebuild(trace: &Trace) -> Trace {
+        let cols = trace.columns();
+        let Some(alloc_fid) = trace.functions().get(ALLOCATOR_FN) else {
+            return trace.clone();
+        };
+        let mut cursor: HashSet<AddrRange> = HashSet::new();
+        for i in 0..cols.len() {
+            if cols.func(i) == alloc_fid {
+                cursor.extend(cols.mem_writes(i));
+            }
+        }
+        let mut out = Columns::default();
+        for i in 0..cols.len() {
+            let keep = |ops: &[AddrRange]| -> Vec<AddrRange> {
+                ops.iter()
+                    .filter(|r| !cursor.contains(r))
+                    .copied()
+                    .collect()
+            };
+            out.push(
+                cols.tid(i),
+                cols.func(i),
+                cols.pc(i),
+                cols.kind(i),
+                cols.reg_reads(i),
+                cols.reg_writes(i),
+                &keep(cols.mem_reads(i)),
+                &keep(cols.mem_writes(i)),
+            );
+        }
+        Trace::from_parts(
+            out,
+            trace.functions().clone(),
+            trace.threads().clone(),
+            trace.markers().to_vec(),
+        )
+    }
+
+    /// The in-place strip leaves exactly the columns the per-instruction
+    /// rebuild produces, on every canonical engine session (the four
+    /// loads and the two browse phases).
+    #[test]
+    fn in_place_strip_matches_rebuild_on_canonical_sessions() {
+        let sessions = Benchmark::ALL
+            .iter()
+            .map(|b| b.run())
+            .chain([Benchmark::AmazonDesktop, Benchmark::GoogleMaps].map(|b| b.run_with_browse()));
+        for session in sessions {
+            let trace = &session.trace;
+            let (fast, reference) = (strip_allocator_deps(trace), strip_by_rebuild(trace));
+            assert!(
+                fast.columns().arena_len() < trace.columns().arena_len(),
+                "canonical sessions trace their allocations"
+            );
+            assert!(
+                fast.columns() == reference.columns(),
+                "in-place strip differs from the rebuild"
+            );
+            assert_eq!(fast.markers(), reference.markers());
+        }
+    }
 
     #[test]
     fn untraced_allocations_leave_the_trace_unchanged() {

@@ -17,10 +17,11 @@
 //!   site whose stores were never read back. Claims the session never
 //!   executed are excluded from the precision denominator. Missed ground
 //!   truth is split into two classes: sites the analyzer *modeled and
-//!   proved live* ([`UnitReport::live_stores`]) are **fundamental**
-//!   misses — a sound flow-insensitive-heap analysis must keep them
-//!   (e.g. a read in a branch the dynamic run skipped) — while sites the
-//!   analyzer never modeled are implementation **weaknesses**.
+//!   proved live* ([`UnitReport::live_stores`](crate::UnitReport::live_stores))
+//!   are **fundamental** misses — a sound flow-insensitive-heap analysis
+//!   must keep them (e.g. a read in a branch the dynamic run skipped) —
+//!   while sites the analyzer never modeled are implementation
+//!   **weaknesses**.
 //! * **static waste (WP0104 ∪ WP0105)** — no soundness class on the
 //!   metric itself: precision is the fraction of executed claims whose
 //!   self instructions stay entirely outside the dynamic slice, recall

@@ -48,7 +48,7 @@ pub(crate) fn kind_to_tag(kind: InstrKind) -> (u8, u32) {
 ///
 /// Every column has exactly one entry per instruction; `arena` holds all
 /// operand ranges back to back, addressed through the `mem` column.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Columns {
     /// Opcode-class tag (same values as the trace wire format).
     kinds: Vec<u8>,
@@ -153,6 +153,36 @@ impl Columns {
             nreads: reads.len() as u16,
             nwrites: writes.len() as u16,
         });
+    }
+
+    /// Drops every memory operand `keep` rejects, on every instruction,
+    /// in one in-place pass over the operand arena. The surviving ranges
+    /// keep their order (reads before writes, instruction by instruction),
+    /// so the result equals pushing each instruction again with only its
+    /// kept operands — without rebuilding any other column.
+    pub fn retain_mem_ops(&mut self, mut keep: impl FnMut(&AddrRange) -> bool) {
+        // Every store lays its operands out in instruction order, so the
+        // write cursor never overtakes the instruction being read.
+        let mut at = 0;
+        for m in &mut self.mem {
+            let (start, nreads) = (m.start as usize, m.nreads as usize);
+            let first = at;
+            let mut kept = [0u16; 2];
+            for j in 0..nreads + m.nwrites as usize {
+                let range = self.arena[start + j];
+                if keep(&range) {
+                    self.arena[at] = range;
+                    at += 1;
+                    kept[usize::from(j >= nreads)] += 1;
+                }
+            }
+            *m = MemOpsRef {
+                start: first as u32,
+                nreads: kept[0],
+                nwrites: kept[1],
+            };
+        }
+        self.arena.truncate(at);
     }
 
     /// Opcode class of instruction `idx`.

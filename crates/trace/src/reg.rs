@@ -167,9 +167,17 @@ impl RegSet {
         self.0 &= !other.0;
     }
 
-    /// Iterates over members in encoding order.
+    /// Iterates over members in encoding order, one step per member: the
+    /// lowest set bit is taken and cleared rather than testing all sixteen.
     pub fn iter(self) -> impl Iterator<Item = Reg> {
-        Reg::ALL.into_iter().filter(move |r| self.contains(*r))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let r = Reg::from_index(bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                r
+            })
+        })
     }
 
     /// Raw 16-bit mask (for serialization).
@@ -247,6 +255,15 @@ mod tests {
     fn bits_roundtrip() {
         let a = RegSet::of(&[Reg::Rdi, Reg::R15]);
         assert_eq!(RegSet::from_bits(a.bits()), a);
+    }
+
+    #[test]
+    fn iter_is_every_member_in_encoding_order() {
+        for bits in 0..=u16::MAX {
+            let s = RegSet::from_bits(bits);
+            let all: Vec<Reg> = Reg::ALL.into_iter().filter(|&r| s.contains(r)).collect();
+            assert_eq!(s.iter().collect::<Vec<_>>(), all, "{bits:#06x}");
+        }
     }
 
     #[test]

@@ -34,6 +34,11 @@ echo "== full workspace tests (includes the ~2 min engine determinism run) =="
 # so skip its (process-wide, env-var-owning) test here.
 cargo test -q --workspace -- --skip segmented_slices_match_sequential_on_all_benchmarks
 
+echo "== wpbench test suite (seeded inputs, statistics, compare, smoke runs) =="
+# wpbench is a package of its own (crates/bench/src/bin/wpbench), so the
+# workspace test run above does not build it.
+cargo test --release --offline --manifest-path crates/bench/src/bin/wpbench/Cargo.toml
+
 echo "== segment-parallel slicer differential (all benchmarks, 4 threads) =="
 RAYON_NUM_THREADS=4 cargo test -q -p wasteprof-bench --test segment_differential
 
@@ -46,8 +51,10 @@ trap 'rm -f "$smoke_trace"' EXIT
 target/release/trace_tool export amazon_mobile "$smoke_trace"
 target/release/trace_tool check "$smoke_trace"
 
-echo "== certifier smoke (witnessed slice certifies clean) =="
-target/release/trace_tool certify "$smoke_trace"
+echo "== certifier smoke (witnessed slices certify clean) =="
+for crit in pixels syscalls; do
+    target/release/trace_tool certify "$smoke_trace" --criteria "$crit"
+done
 
 echo "== out-of-core smoke (convert, streamed slice identical, streamed certify) =="
 trap 'rm -f "$smoke_trace" "$smoke_trace.2"' EXIT
@@ -151,6 +158,15 @@ echo "== fused bench artifact sanity (results/BENCH_8.json) =="
 jq -e '.identical and .totals.speedup > 1
        and .streamed.fused_decode.skipped_stream_bytes > 0' \
     results/BENCH_8.json >/dev/null
+
+echo "== certify bench artifact sanity (results/BENCH_13.json) =="
+# The committed seed-paired benchmark of the shared certify sweep: no
+# failed check on either side of any workload, and the paper workload's
+# wall time not regressed.
+jq -e '(.workloads | length == 4)
+       and all(.workloads[]; .failed.parent == 0 and .failed.change == 0)
+       and .workloads.paper.metrics.wall_s.verdict != "regressed"' \
+    results/BENCH_13.json >/dev/null
 
 echo "== rustdoc (no warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
