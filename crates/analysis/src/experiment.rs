@@ -141,19 +141,10 @@ impl ThreadRow {
     }
 }
 
-/// Builds the Table II rows: `All` first, then the important threads in the
+/// Builds the Table II rows from a trace's thread table (resident or a
+/// `WPTRACE2` footer's): `All` first, then the important threads in the
 /// paper's order (Main, Compositor, Rasterizer 1..n).
-pub fn thread_rows(trace: &Trace, result: &SliceResult) -> Vec<ThreadRow> {
-    thread_rows_from(trace.threads(), result)
-}
-
-/// [`thread_rows`] from a bare thread table — the out-of-core path has a
-/// `WPTRACE2` footer (and thus a [`ThreadTable`](wasteprof_trace::ThreadTable)) but never a full
-/// in-memory [`Trace`].
-pub fn thread_rows_from(
-    threads: &wasteprof_trace::ThreadTable,
-    result: &SliceResult,
-) -> Vec<ThreadRow> {
+pub fn thread_rows(threads: &wasteprof_trace::ThreadTable, result: &SliceResult) -> Vec<ThreadRow> {
     let mut rows = vec![ThreadRow {
         label: "All".to_owned(),
         slice: result.slice_count(),
@@ -221,7 +212,7 @@ mod tests {
             &pixel_criteria(&session.trace),
             &SliceOptions::default(),
         );
-        let rows = thread_rows(&session.trace, &r);
+        let rows = thread_rows(session.trace.threads(), &r);
         assert_eq!(rows[0].label, "All");
         assert_eq!(rows[1].label, "Main");
         assert_eq!(rows[2].label, "Compositor");

@@ -33,7 +33,7 @@ mod waste;
 pub use category::{Category, CategoryAnalysis, CategoryBreakdown};
 pub use experiment::{
     format_count, pixel_slice_of, pixel_slice_with, run_benchmark, syscall_slice_of,
-    syscall_slice_with, thread_rows, thread_rows_from, BenchmarkRun, SharedBenchmarkRun, ThreadRow,
+    syscall_slice_with, thread_rows, BenchmarkRun, SharedBenchmarkRun, ThreadRow,
 };
 pub use frames::{FrameAnalysis, FrameProfile};
 pub use render::{ascii_chart, bar_chart, to_csv, TextTable};

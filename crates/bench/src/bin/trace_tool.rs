@@ -10,9 +10,11 @@
 //! 1 with findings, 2 on usage errors.
 //!
 //! `convert` re-encodes a WPTRACE1 file into the chunked, per-column
-//! compressed WPTRACE2 tier; `slice`/`check`/`certify --out-of-core`
-//! then run entirely from that file through [`TraceReader`]'s bounded
-//! chunk window — the whole trace never lives in memory.
+//! compressed WPTRACE2 tier; `slice`/`check`/`certify`/`analyze
+//! --out-of-core` then run entirely from that file through
+//! [`TraceReader`]'s bounded chunk window — the whole trace never lives in
+//! memory. Each of those subcommands is one body generic over
+//! [`ColumnSource`]; `--out-of-core` only picks which source it opens.
 //!
 //! `static` needs no trace at all: it runs the wasteprof-staticjs
 //! interprocedural analyzer (codes WP0101-WP0106) over a benchmark's
@@ -21,20 +23,20 @@
 //! `static --referee` runs that scoring inline against the site's
 //! canonical session and the allocator-stripped pixel slice.
 
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::Path;
 
-use wasteprof_analysis::{format_count, thread_rows, thread_rows_from, FrameAnalysis, TextTable};
-use wasteprof_checker::{DeadWriteLint, Registry};
+use wasteprof_analysis::{format_count, thread_rows, FrameAnalysis, TextTable, ThreadRow};
+use wasteprof_checker::{DeadWriteLint, Diag, Registry};
 use wasteprof_slicer::{
     pixel_criteria, pixel_criteria_streamed, slice, slice_streamed, strip_allocator_deps,
-    syscall_criteria, syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SliceResult,
-    SummaryCache,
+    syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SliceResult, SummaryCache,
 };
 use wasteprof_trace::{
-    read_trace, write_trace, write_trace2, AnalysisDriver, Trace, TraceIoError, TracePos,
-    TraceReader,
+    read_trace, write_trace, write_trace2, AnalysisDriver, ColumnSource, Trace, TraceIoError,
+    TracePos, TraceReader,
 };
 use wasteprof_workloads::{bing_frames, Benchmark};
 
@@ -101,32 +103,31 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Opens `path` and decodes it with `read`; exits 1 on any I/O or format
+/// error.
+fn open<T>(path: &str, read: impl FnOnce(BufReader<File>) -> Result<T, TraceIoError>) -> T {
+    let file = File::open(path).unwrap_or_else(|e| {
+        eprintln!("cannot open {path}: {e}");
+        std::process::exit(1);
+    });
+    read(BufReader::new(file)).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// Loads a `WPTRACE1` file into memory.
 fn load(path: &str) -> Trace {
-    let file = File::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    read_trace(&mut BufReader::new(file)).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    })
+    open(path, |mut r| read_trace(&mut r))
 }
 
-/// Opens a `WPTRACE2` file for streaming; exits 1 on any I/O or format
-/// error, like [`load`] does for the in-memory tier.
+/// Opens a `WPTRACE2` file for streaming.
 fn open_reader(path: &str) -> TraceReader<BufReader<File>> {
-    let file = File::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    TraceReader::open(BufReader::new(file)).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    })
+    open(path, TraceReader::open)
 }
 
-/// Exits 1 with a message when a streamed pass fails mid-trace.
-fn stream_ok<T>(res: Result<T, TraceIoError>) -> T {
+/// Exits 1 with a message when a pass over the source fails mid-trace.
+fn stream_ok<T, E: Display>(res: Result<T, E>) -> T {
     res.unwrap_or_else(|e| {
         eprintln!("stream error: {e}");
         std::process::exit(1);
@@ -254,24 +255,79 @@ fn referee_text(r: &wasteprof_staticjs::RefereeReport, per_function: bool) -> St
     out
 }
 
-/// Computes the streamed slice: forward pass, criteria, and backward
-/// slice all driven from the reader's bounded chunk window.
-fn slice_out_of_core(
-    reader: &mut TraceReader<BufReader<File>>,
-    syscalls: bool,
-    options: &SliceOptions,
-) -> SliceResult {
-    let forward = stream_ok(ForwardPass::build_streamed(reader));
-    let criteria = streamed_criteria(reader, syscalls);
-    stream_ok(slice_streamed(reader, &forward, &criteria, options))
+/// The pixel or syscall criteria of `src`.
+fn criteria_of<S: ColumnSource>(src: &mut S, syscalls: bool) -> Criteria
+where
+    S::Error: Display,
+{
+    if syscalls {
+        stream_ok(syscall_criteria_streamed(src))
+    } else {
+        pixel_criteria_streamed(src)
+    }
 }
 
-fn streamed_criteria(reader: &mut TraceReader<BufReader<File>>, syscalls: bool) -> Criteria {
-    if syscalls {
-        stream_ok(syscall_criteria_streamed(reader))
-    } else {
-        pixel_criteria_streamed(reader)
-    }
+/// `slice`: forward pass, criteria and backward slice, or the incremental
+/// slice through `cache`, plus the Table II rows.
+fn slice_source<S: ColumnSource>(
+    src: &mut S,
+    syscalls: bool,
+    opts: &SliceOptions,
+    cache: Option<&mut SummaryCache>,
+) -> (SliceResult, Vec<ThreadRow>)
+where
+    S::Error: Display,
+{
+    let result = match cache {
+        Some(cache) => {
+            let criteria = criteria_of(src, syscalls);
+            stream_ok(cache.slice_streamed(src, &criteria, opts))
+        }
+        None => {
+            let forward = stream_ok(ForwardPass::build_streamed(src));
+            let criteria = criteria_of(src, syscalls);
+            stream_ok(slice_streamed(src, &forward, &criteria, opts))
+        }
+    };
+    let rows = thread_rows(src.threads(), &result);
+    (result, rows)
+}
+
+/// `check`: the verifier battery's diagnostics and the instruction count.
+fn check_source<S: ColumnSource>(src: &mut S) -> (Vec<Diag>, u64)
+where
+    S::Error: Display,
+{
+    let diags = stream_ok(wasteprof_checker::verify_streamed(src));
+    (diags, src.len() as u64)
+}
+
+/// `analyze`: one fused sweep of the registered analyses; returns the
+/// instruction count.
+fn analyze_source<S: ColumnSource>(src: &mut S, driver: &mut AnalysisDriver<'_>) -> u64
+where
+    S::Error: Display,
+{
+    stream_ok(driver.run_streamed(src));
+    src.len() as u64
+}
+
+/// `certify`: a witnessed slice and its certifier diagnostics.
+fn certify_source<S: ColumnSource>(
+    src: &mut S,
+    syscalls: bool,
+    opts: &SliceOptions,
+) -> (SliceResult, Vec<Diag>)
+where
+    S::Error: Display,
+{
+    let forward = stream_ok(ForwardPass::build_streamed(src));
+    let criteria = criteria_of(src, syscalls);
+    let result = stream_ok(slice_streamed(src, &forward, &criteria, opts));
+    let diags = stream_ok(wasteprof_checker::certify_streamed(
+        src, &forward, &criteria, &result,
+    ));
+    (result, diags)
 }
 
 /// Parses the value of `--criteria`; returns `true` for syscalls.
@@ -461,28 +517,16 @@ fn main() {
                 segments,
                 ..Default::default()
             };
-            let (result, rows) = if incremental {
-                let mut cache = match &cache_dir {
-                    Some(dir) => SummaryCache::load(Path::new(dir), CACHE_BUDGET),
-                    None => SummaryCache::new(),
-                };
-                let (result, rows) = if out_of_core {
-                    let mut reader = open_reader(path);
-                    let criteria = streamed_criteria(&mut reader, syscalls);
-                    let result = stream_ok(cache.slice_streamed(&mut reader, &criteria, &opts));
-                    let rows = thread_rows_from(reader.threads(), &result);
-                    (result, rows)
-                } else {
-                    let trace = load(path);
-                    let criteria = if syscalls {
-                        syscall_criteria(&trace)
-                    } else {
-                        pixel_criteria(&trace)
-                    };
-                    let result = cache.slice(&trace, &criteria, &opts);
-                    let rows = thread_rows(&trace, &result);
-                    (result, rows)
-                };
+            let mut cache = incremental.then(|| match &cache_dir {
+                Some(dir) => SummaryCache::load(Path::new(dir), CACHE_BUDGET),
+                None => SummaryCache::new(),
+            });
+            let (result, rows) = if out_of_core {
+                slice_source(&mut open_reader(path), syscalls, &opts, cache.as_mut())
+            } else {
+                slice_source(&mut &load(path), syscalls, &opts, cache.as_mut())
+            };
+            if let Some(cache) = &cache {
                 // Stats go to stderr so stdout stays diffable against a
                 // from-scratch slice.
                 let s = cache.stats();
@@ -501,24 +545,7 @@ fn main() {
                         std::process::exit(1);
                     }
                 }
-                (result, rows)
-            } else if out_of_core {
-                let mut reader = open_reader(path);
-                let result = slice_out_of_core(&mut reader, syscalls, &opts);
-                let rows = thread_rows_from(reader.threads(), &result);
-                (result, rows)
-            } else {
-                let trace = load(path);
-                let forward = ForwardPass::build(&trace);
-                let criteria = if syscalls {
-                    syscall_criteria(&trace)
-                } else {
-                    pixel_criteria(&trace)
-                };
-                let result = slice(&trace, &forward, &criteria, &opts);
-                let rows = thread_rows(&trace, &result);
-                (result, rows)
-            };
+            }
             println!(
                 "{} criteria; slice = {} of {} instructions ({:.1}%)\n",
                 if syscalls { "syscall" } else { "pixel" },
@@ -557,12 +584,9 @@ fn main() {
                 }
             }
             let (mut diags, instrs) = if out_of_core {
-                let mut reader = open_reader(path);
-                let diags = stream_ok(wasteprof_checker::verify_streamed(&mut reader));
-                (diags, reader.len() as u64)
+                check_source(&mut open_reader(path))
             } else {
-                let trace = load(path);
-                (wasteprof_checker::verify(&trace), trace.len() as u64)
+                check_source(&mut &load(path))
             };
             let total = diags.len();
             if let Some(cap) = max_diags {
@@ -714,8 +738,7 @@ fn main() {
             }
             let instrs = if out_of_core {
                 let mut reader = open_reader(path);
-                stream_ok(driver.run_streamed(&mut reader));
-                drop(driver);
+                let instrs = analyze_source(&mut reader, &mut driver);
                 let s = reader.decode_stats();
                 // Selective decoding is the point of the fused streamed
                 // pass; stderr keeps stdout diffable against in-memory.
@@ -725,13 +748,11 @@ fn main() {
                     format_count(s.decoded_stream_bytes),
                     format_count(s.skipped_stream_bytes)
                 );
-                reader.len() as u64
+                instrs
             } else {
-                let trace = load(path);
-                driver.run(&trace);
-                drop(driver);
-                trace.len() as u64
+                analyze_source(&mut &load(path), &mut driver)
             };
+            drop(driver);
             let mut diags = lint_battery.map(|mut b| b.take_diags()).unwrap_or_default();
             diags.extend(dead_battery.map(|mut b| b.take_diags()).unwrap_or_default());
             wasteprof_checker::sort_diags(&mut diags);
@@ -813,28 +834,9 @@ fn main() {
                 ..Default::default()
             };
             let (result, diags) = if out_of_core {
-                let mut reader = open_reader(path);
-                let forward = stream_ok(ForwardPass::build_streamed(&mut reader));
-                let criteria = streamed_criteria(&mut reader, syscalls);
-                let result = stream_ok(slice_streamed(&mut reader, &forward, &criteria, &opts));
-                let diags = stream_ok(wasteprof_checker::certify_streamed(
-                    &mut reader,
-                    &forward,
-                    &criteria,
-                    &result,
-                ));
-                (result, diags)
+                certify_source(&mut open_reader(path), syscalls, &opts)
             } else {
-                let trace = load(path);
-                let forward = ForwardPass::build(&trace);
-                let criteria = if syscalls {
-                    syscall_criteria(&trace)
-                } else {
-                    pixel_criteria(&trace)
-                };
-                let result = slice(&trace, &forward, &criteria, &opts);
-                let diags = wasteprof_checker::certify(&trace, &forward, &criteria, &result);
-                (result, diags)
+                certify_source(&mut &load(path), syscalls, &opts)
             };
             if json {
                 println!("{}", wasteprof_checker::render_json(&diags));

@@ -496,7 +496,7 @@ pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
     let mut comparison = String::new();
     for benchmark in Benchmark::ALL {
         let run = store.benchmark_run(benchmark, both);
-        let rows = thread_rows(&run.session.trace, &run.pixel);
+        let rows = thread_rows(run.session.trace.threads(), &run.pixel);
         let mut table = TextTable::new(vec!["Threads", "Pixels slice", "Total instructions"]);
         for r in &rows {
             table.row(vec![

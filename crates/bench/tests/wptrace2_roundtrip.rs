@@ -5,7 +5,7 @@
 
 use std::io::Cursor;
 
-use wasteprof_trace::{write_trace2, Trace, TraceReader};
+use wasteprof_trace::{write_trace2, ColumnSource, Trace, TraceReader};
 use wasteprof_workloads::Benchmark;
 
 fn assert_roundtrip(label: &str, trace: &Trace) {

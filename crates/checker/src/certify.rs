@@ -9,11 +9,12 @@
 //! packed columns — no `Instr` materialization, the same streaming
 //! style as the race detector — and shares no code with the backward
 //! walk, so a bug in the slicer's liveness machinery cannot hide itself.
-//! [`certify_streamed`] runs the identical sweep from a `WPTRACE2` reader
-//! without ever holding the whole trace in memory, and [`certify_all`]
-//! certifies several slices of one trace in a single sweep: the
-//! last-writer shadows and call stacks are criterion-independent, so they
-//! are built once and every slice's checks read them at their own points.
+//! The sweep is written once over a `ColumnSource`: [`certify_streamed`]
+//! runs it from a `WPTRACE2` reader without ever holding the whole trace
+//! in memory, and [`certify_all`] certifies several slices of one trace
+//! in a single sweep: the last-writer shadows and call stacks are
+//! criterion-independent, so they are built once and every slice's
+//! checks read them at their own points.
 //!
 //! Two properties are checked:
 //!
@@ -40,15 +41,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{Read, Seek};
 
 use wasteprof_slicer::{
     ControlDeps, Criteria, ForwardPass, SliceResult, SlicingCriterion, WitnessKind, WitnessRow,
     Witnesses,
 };
 use wasteprof_trace::{
-    ColumnCursor, FuncId, InstrKind, Pc, RegSet, ThreadId, Trace, TraceIoError, TracePos,
-    TraceReader,
+    ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, RegSet, ThreadId, Trace, TracePos,
 };
 
 use crate::diag::{sort_diags, Code, Diag};
@@ -816,12 +815,22 @@ pub fn certify_all(
     forward: &ForwardPass,
     jobs: &[(&Criteria, &SliceResult)],
 ) -> Vec<Vec<Diag>> {
-    let mut sweep = Sweep::new(forward, trace.len(), jobs);
+    let Ok(out) = sweep(&mut { trace }, forward, jobs);
+    out
+}
+
+/// [`certify_all`] over any [`ColumnSource`]: the one sweep body. A
+/// `WPTRACE2` reader holds only its bounded chunk window (plus per-member
+/// meta) in memory.
+fn sweep<S: ColumnSource>(
+    src: &mut S,
+    forward: &ForwardPass,
+    jobs: &[(&Criteria, &SliceResult)],
+) -> Result<Vec<Vec<Diag>>, S::Error> {
+    let mut sweep = Sweep::new(forward, src.len(), jobs);
     let n = sweep.len();
-    if n > 0 {
-        sweep.feed(&trace.columns().cursor(0, n));
-    }
-    sweep.finish()
+    src.stream_range(0, n, |cur| sweep.feed(cur))?;
+    Ok(sweep.finish())
 }
 
 /// Certifies `result` — a slice of `trace` under `criteria`, carrying a
@@ -836,23 +845,23 @@ pub fn certify(
     criteria: &Criteria,
     result: &SliceResult,
 ) -> Vec<Diag> {
-    let mut out = certify_all(trace, forward, &[(criteria, result)]);
-    out.pop().expect("one job, one result")
+    let Ok(diags) = certify_streamed(&mut { trace }, forward, criteria, result);
+    diags
 }
 
-/// Out-of-core variant of [`certify`]: the same forward sweep fed from a
-/// [`TraceReader`]'s segment stream, holding only the reader's bounded
-/// chunk window (plus per-member meta) in memory.
-pub fn certify_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
+/// [`certify`] over any [`ColumnSource`].
+///
+/// # Errors
+///
+/// Any read or decode error of the source.
+pub fn certify_streamed<S: ColumnSource>(
+    src: &mut S,
     forward: &ForwardPass,
     criteria: &Criteria,
     result: &SliceResult,
-) -> Result<Vec<Diag>, TraceIoError> {
-    let mut sweep = Sweep::new(forward, reader.len(), &[(criteria, result)]);
-    let n = sweep.len();
-    reader.stream_range(0, n, |cur| sweep.feed(cur))?;
-    Ok(sweep.finish().pop().expect("one job, one result"))
+) -> Result<Vec<Diag>, S::Error> {
+    let mut out = sweep(src, forward, &[(criteria, result)])?;
+    Ok(out.pop().expect("one job, one result"))
 }
 
 #[cfg(test)]

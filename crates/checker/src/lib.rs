@@ -50,15 +50,15 @@ pub use lints::{
 pub use mutate::{Mutation, SliceMutation, TraceMutator};
 pub use race::{RaceLint, LOCK_SYMBOL};
 
-use std::io::{Read, Seek};
-use wasteprof_trace::{Trace, TraceIoError, TraceReader};
+use wasteprof_trace::{ColumnSource, Trace};
 
 /// Runs the default lint battery (race detector + six well-formedness
 /// lints) over `trace`, returning diagnostics in canonical sorted order.
 /// An empty result means the trace is well-formed and race-free under
 /// the checker's happens-before model.
 pub fn verify(trace: &Trace) -> Vec<Diag> {
-    Registry::with_default_lints().run(trace)
+    let Ok(diags) = verify_streamed(&mut { trace });
+    diags
 }
 
 /// Runs only the `WP0012` dead-write lint over `trace`: writes to
@@ -67,26 +67,27 @@ pub fn verify(trace: &Trace) -> Vec<Diag> {
 /// battery because dead writes are a waste *metric*, not a malformation —
 /// well-formed sessions legitimately contain them.
 pub fn dead_writes(trace: &Trace) -> Vec<Diag> {
-    let mut r = Registry::new();
-    r.register(Box::new(DeadWriteLint::default()));
-    r.run(trace)
+    let Ok(diags) = dead_writes_streamed(&mut { trace });
+    diags
 }
 
-/// Out-of-core variant of [`verify`]: runs the same default battery from a
-/// `WPTRACE2` [`TraceReader`]'s segment stream, holding only the reader's
-/// bounded chunk window in memory.
-pub fn verify_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-) -> Result<Vec<Diag>, TraceIoError> {
-    Registry::with_default_lints().run_streamed(reader)
+/// [`verify`] over any [`ColumnSource`]; a `WPTRACE2` reader holds only
+/// its bounded chunk window in memory.
+///
+/// # Errors
+///
+/// Any read or decode error of the source.
+pub fn verify_streamed<S: ColumnSource>(src: &mut S) -> Result<Vec<Diag>, S::Error> {
+    Registry::with_default_lints().run_streamed(src)
 }
 
-/// Out-of-core variant of [`dead_writes`], streaming from a `WPTRACE2`
-/// [`TraceReader`].
-pub fn dead_writes_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-) -> Result<Vec<Diag>, TraceIoError> {
+/// [`dead_writes`] over any [`ColumnSource`].
+///
+/// # Errors
+///
+/// Any read or decode error of the source.
+pub fn dead_writes_streamed<S: ColumnSource>(src: &mut S) -> Result<Vec<Diag>, S::Error> {
     let mut r = Registry::new();
     r.register(Box::new(DeadWriteLint::default()));
-    r.run_streamed(reader)
+    r.run_streamed(src)
 }

@@ -15,24 +15,22 @@
 //! in one driver and sweeps each trace once. The lint context [`Ctx`] *is*
 //! [`wasteprof_trace::AnalysisCtx`] — lints and external analyses read the
 //! trace through one vocabulary — and each lint declares a
-//! [`Subscription`] naming the columns it reads, so a streamed run
-//! ([`Registry::run_streamed`]) decodes only the subscribed column streams
-//! and skips the rest (the verify battery reads everything except register
-//! bitsets).
+//! [`Subscription`] naming the columns it reads, so a run from a
+//! `WPTRACE2` reader decodes only the subscribed column streams and skips
+//! the rest (the verify battery reads everything except register bitsets).
 //!
-//! The cursor indirection is what makes the battery out-of-core capable:
-//! [`Registry::run`] hands every lint one cursor spanning the whole
-//! in-memory trace, while [`Registry::run_streamed`] replays the same
-//! callbacks chunk by chunk from a [`TraceReader`], holding only the
-//! reader's bounded window in memory. Lints therefore must only touch
-//! `ctx.cols` at the *current* instruction index (or indices inside the
-//! cursor's window) — end-of-trace reporting works from state captured
-//! during the sweep, not by random access back into the columns.
-
-use std::io::{Read, Seek};
+//! The battery is written once, against [`ColumnSource`]:
+//! [`Registry::run_streamed`] is the body, and [`Registry::run`] is its
+//! resident wrapper. A resident trace arrives as one window, a
+//! `WPTRACE2` reader as one window per chunk, holding only its bounded
+//! chunk window in memory. Lints therefore must only touch `ctx.cols` at
+//! the *current* instruction index (or indices inside the cursor's
+//! window), and `begin`/`finish` see an empty cursor on every source —
+//! end-of-trace reporting works from state captured during the sweep,
+//! not by random access back into the columns.
 
 use wasteprof_trace::{
-    AnalysisDriver, ColumnMask, Subscription, Trace, TraceAnalysis, TraceIoError, TraceReader,
+    AnalysisDriver, ColumnMask, ColumnSource, Subscription, Trace, TraceAnalysis,
 };
 
 use crate::diag::{sort_diags, Diag};
@@ -136,30 +134,23 @@ impl Registry {
     /// Runs every registered lint over the trace in one streaming sweep
     /// and returns the diagnostics in canonical sorted order.
     pub fn run(&mut self, trace: &Trace) -> Vec<Diag> {
-        let mut battery = self.as_analysis("lints");
-        let mut driver = AnalysisDriver::new();
-        driver.register(&mut battery);
-        driver.run(trace);
-        drop(driver);
-        battery.take_diags()
+        let Ok(diags) = self.run_streamed(&mut { trace });
+        diags
     }
 
-    /// Out-of-core variant of [`Registry::run`]: drives the same lint
-    /// battery over a [`TraceReader`]'s segment stream, holding only the
-    /// reader's bounded chunk window in memory. The reader's decode mask
-    /// is narrowed to the battery's subscription union for the duration,
-    /// so unsubscribed column streams are skipped, not decompressed.
-    /// `begin` and `finish` see an empty cursor (but the real tables and
-    /// `total`); `on_instr` sees a cursor over the chunk containing the
-    /// current index.
-    pub fn run_streamed<R: Read + Seek>(
-        &mut self,
-        reader: &mut TraceReader<R>,
-    ) -> Result<Vec<Diag>, TraceIoError> {
+    /// [`Registry::run`] over any [`ColumnSource`]: the battery is one
+    /// analysis of an [`AnalysisDriver`] sweep, so a `WPTRACE2` reader
+    /// holds only its bounded chunk window and decodes only the
+    /// battery's subscription union.
+    ///
+    /// # Errors
+    ///
+    /// Any read or decode error of the source.
+    pub fn run_streamed<S: ColumnSource>(&mut self, src: &mut S) -> Result<Vec<Diag>, S::Error> {
         let mut battery = self.as_analysis("lints");
         let mut driver = AnalysisDriver::new();
         driver.register(&mut battery);
-        let swept = driver.run_streamed(reader);
+        let swept = driver.run_streamed(src);
         drop(driver);
         swept?;
         Ok(battery.take_diags())

@@ -9,11 +9,8 @@
 //! execution of the function.
 
 use std::collections::HashMap;
-use std::io::{Read, Seek};
 
-use wasteprof_trace::{
-    ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TraceReader,
-};
+use wasteprof_trace::{ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, ThreadId, Trace};
 
 /// Index of a node within one function's CFG.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -133,10 +130,7 @@ struct Frame {
 }
 
 /// Incremental [`CfgSet`] construction: the trace-folding state of
-/// [`CfgSet::build`], lifted out so the same pass can be driven either by
-/// one cursor over an in-memory trace or by a sequence of streamed chunk
-/// cursors. Both drivers execute the identical per-instruction step, so
-/// the resulting CFGs are equal by construction.
+/// [`CfgSet::build`], fed window by window from any [`ColumnSource`].
 /// `Clone` lets the incremental engine checkpoint the fold mid-trace: a
 /// cloned builder resumes from a segment boundary, so appending a frame
 /// re-folds only the new tail. Edge insertion is first-observation-order
@@ -201,24 +195,20 @@ impl CfgSet {
     /// frames still open at the end of the trace are closed with an edge to
     /// the virtual exit so every observed node reaches it.
     pub fn build(trace: &Trace) -> Self {
-        let mut b = CfgBuilder::new();
-        b.feed(&trace.columns().cursor(0, trace.len()));
-        b.finish()
+        let Ok(set) = CfgSet::build_streamed(&mut { trace });
+        set
     }
 
-    /// Builds the CFG set from a `WPTRACE2` stream without materializing
-    /// the trace: chunks are decoded one bounded window at a time.
+    /// [`CfgSet::build`] over any [`ColumnSource`]: a `WPTRACE2` reader
+    /// feeds the fold one bounded chunk window at a time.
     ///
     /// # Errors
     ///
-    /// Any chunk decode or read error from the underlying
-    /// [`TraceReader`].
-    pub fn build_streamed<R: Read + Seek>(
-        reader: &mut TraceReader<R>,
-    ) -> Result<Self, TraceIoError> {
+    /// Any read or decode error of the source.
+    pub fn build_streamed<S: ColumnSource>(src: &mut S) -> Result<Self, S::Error> {
         let mut b = CfgBuilder::new();
-        let n = reader.len();
-        reader.stream_range(0, n, |cur| b.feed(cur))?;
+        let n = src.len();
+        src.stream_range(0, n, |cur| b.feed(cur))?;
         Ok(b.finish())
     }
 

@@ -10,8 +10,7 @@
 //!   audio). This slice is by construction a superset of the pixel slice
 //!   whenever the framebuffer is handed to the display through a syscall.
 
-use std::io::{Read, Seek};
-use wasteprof_trace::{AddrRange, InstrKind, RegSet, Trace, TraceIoError, TracePos, TraceReader};
+use wasteprof_trace::{AddrRange, ColumnSource, InstrKind, RegSet, Trace, TracePos};
 
 /// One slicing criterion: at `pos`, the given memory ranges and registers
 /// are declared *necessary*.
@@ -97,19 +96,13 @@ impl FromIterator<SlicingCriterion> for Criteria {
 /// Every marker is a point where a tile buffer contains final display pixel
 /// values; the criterion makes that buffer live there.
 pub fn pixel_criteria(trace: &Trace) -> Criteria {
-    trace
-        .markers()
-        .iter()
-        .map(|m| SlicingCriterion::mem_at(m.pos, vec![m.tile]))
-        .collect()
+    pixel_criteria_streamed(&trace)
 }
 
-/// Streamed variant of [`pixel_criteria`] over a [`TraceReader`].
-///
-/// Markers live in the footer, so this needs no segment reads at all.
-pub fn pixel_criteria_streamed<R: Read + Seek>(reader: &TraceReader<R>) -> Criteria {
-    reader
-        .markers()
+/// [`pixel_criteria`] over any [`ColumnSource`]. Markers live in a
+/// `WPTRACE2` footer, so a reader needs no segment reads at all.
+pub fn pixel_criteria_streamed<S: ColumnSource>(src: &S) -> Criteria {
+    src.markers()
         .iter()
         .map(|m| SlicingCriterion::mem_at(m.pos, vec![m.tile]))
         .collect()
@@ -123,32 +116,20 @@ pub fn pixel_criteria_streamed<R: Read + Seek>(reader: &TraceReader<R>) -> Crite
 /// become live if something downstream that is already necessary reads
 /// them.
 pub fn syscall_criteria(trace: &Trace) -> Criteria {
-    let mut items = Vec::new();
-    let cols = trace.columns();
-    for idx in 0..cols.len() {
-        if let InstrKind::Syscall { nr } = cols.kind(idx) {
-            if !nr.is_output() {
-                continue;
-            }
-            items.push(SlicingCriterion {
-                pos: TracePos(idx as u64),
-                mem: cols.mem_reads(idx).to_vec(),
-                regs: cols.reg_reads(idx),
-                include_instr: true,
-            });
-        }
-    }
-    Criteria::new(items)
+    let Ok(criteria) = syscall_criteria_streamed(&mut { trace });
+    criteria
 }
 
-/// Streamed variant of [`syscall_criteria`]: one forward pass over the
-/// reader's segments, holding only the bounded chunk window in memory.
-pub fn syscall_criteria_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-) -> Result<Criteria, TraceIoError> {
+/// [`syscall_criteria`] over any [`ColumnSource`]: one forward pass,
+/// holding only a reader's bounded chunk window in memory.
+///
+/// # Errors
+///
+/// Any read or decode error of the source.
+pub fn syscall_criteria_streamed<S: ColumnSource>(src: &mut S) -> Result<Criteria, S::Error> {
     let mut items = Vec::new();
-    let n = reader.len();
-    reader.stream_range(0, n, |cur| {
+    let n = src.len();
+    src.stream_range(0, n, |cur| {
         for idx in cur.lo()..cur.hi() {
             if let InstrKind::Syscall { nr } = cur.kind(idx) {
                 if !nr.is_output() {

@@ -50,15 +50,14 @@
 //! the driver falls back to [`crate::slice`] wholesale.
 
 use std::collections::HashMap;
-use std::io::{Read, Seek};
 use std::path::Path;
 use std::sync::Arc;
 
 use rayon::prelude::*;
 use wasteprof_trace::compress::{put_varint, ByteReader};
 use wasteprof_trace::{
-    segment_content_hash, Addr, AddrRange, ColumnCursor, Columns, FuncId, Pc, RegSet, ThreadId,
-    Trace, TraceIoError, TraceReader, SEGMENT_LEN,
+    segment_content_hash, Addr, AddrRange, ColumnCursor, ColumnSource, ContentHasher, FuncId, Pc,
+    RangeJob, RegSet, ThreadId, Trace, TraceIoError, SEGMENT_LEN,
 };
 
 use crate::cdg::{ControlDeps, PendingTransfer};
@@ -69,7 +68,7 @@ use crate::parallel::{
     assemble, stitch, BoundaryState, Cond, Finalizer, Node, RegCell, Replay, SegFinal, SegFrames,
     SegSummary, StructuralScan, Summarizer, NTHREADS,
 };
-use crate::slice::{considered_prefix, ForwardPass, SliceOptions, SliceResult};
+use crate::slice::{considered_prefix, timeline_interval, ForwardPass, SliceOptions, SliceResult};
 
 /// Default byte budget for cached summaries (~256 MiB).
 const DEFAULT_BUDGET: u64 = 256 << 20;
@@ -305,47 +304,6 @@ impl SegmentHashes {
     }
 }
 
-/// Per-bound segment hashes for a considered prefix of `n` rows: complete
-/// segments come from `hashes` when available, anything else (the final
-/// partial segment, or a truncated view) is hashed ad hoc.
-fn bound_hashes(cols: &Columns, hashes: Option<&SegmentHashes>, bounds: &[usize]) -> Vec<[u64; 2]> {
-    let nsegs = bounds.len() - 1;
-    (0..nsegs)
-        .map(|i| {
-            let (lo, hi) = (bounds[i], bounds[i + 1]);
-            match hashes {
-                Some(h) if hi - lo == SEGMENT_LEN && hi <= h.full.len() * SEGMENT_LEN => h.full[i],
-                _ => segment_content_hash(cols, lo, hi),
-            }
-        })
-        .collect()
-}
-
-/// Reads per-bound segment hashes straight from a WPTRACE2 footer.
-/// Returns `None` when the chunk layout does not align with the fixed
-/// [`SEGMENT_LEN`] grid (an early flush, e.g. an arena overflow, can
-/// shorten a chunk) — the streamed driver then falls back.
-fn reader_seg_hashes<R: Read + Seek>(
-    reader: &TraceReader<R>,
-    bounds: &[usize],
-) -> Option<Vec<[u64; 2]>> {
-    let nsegs = bounds.len() - 1;
-    if reader.n_chunks() < nsegs {
-        return None;
-    }
-    let mut out = Vec::with_capacity(nsegs);
-    for i in 0..nsegs {
-        let meta = reader.chunk_meta(i);
-        if meta.first_instr != bounds[i] as u64
-            || meta.n_instr != (bounds[i + 1] - bounds[i]) as u64
-        {
-            return None;
-        }
-        out.push(meta.content_hash);
-    }
-    Some(out)
-}
-
 // ---------------------------------------------------------------------
 // Cache state
 // ---------------------------------------------------------------------
@@ -515,7 +473,8 @@ impl SummaryCache {
         criteria: &Criteria,
         options: &SliceOptions,
     ) -> SliceResult {
-        self.run_resident(trace, None, criteria, options)
+        let Ok(result) = self.slice_streamed(&mut { trace }, criteria, options);
+        result
     }
 
     /// [`slice`](SummaryCache::slice) with precomputed segment hashes,
@@ -534,25 +493,27 @@ impl SummaryCache {
             hashes.len(),
             trace.len()
         );
-        self.run_resident(trace, Some(hashes), criteria, options)
+        let Ok(result) = self.run(&mut { trace }, &hashes.full, criteria, options);
+        result
     }
 
-    /// Incremental slicing over a `WPTRACE2` stream: segment hashes come
-    /// from the footer (no content scan at all), summaries are computed
-    /// one segment at a time through the reader's bounded window.
-    /// Byte-identical to [`crate::slice_streamed`].
+    /// [`slice`](SummaryCache::slice) over any [`ColumnSource`].
+    /// Complete-segment hashes come from the source when it stores them
+    /// (a `WPTRACE2` footer), so a reader pays no content scan for them,
+    /// and misses are summarized one segment at a time through its
+    /// bounded window. Byte-identical to [`crate::slice_streamed`].
     ///
     /// # Errors
     ///
-    /// Any chunk decode or read error from the underlying
-    /// [`TraceReader`].
-    pub fn slice_streamed<R: Read + Seek>(
+    /// Any read or decode error of the source.
+    pub fn slice_streamed<S: ColumnSource>(
         &mut self,
-        reader: &mut TraceReader<R>,
+        src: &mut S,
         criteria: &Criteria,
         options: &SliceOptions,
-    ) -> Result<SliceResult, TraceIoError> {
-        self.run_streamed(reader, criteria, options)
+    ) -> Result<SliceResult, S::Error> {
+        let known = src.stored_segment_hashes();
+        self.run(src, &known, criteria, options)
     }
 
     // -- internals ----------------------------------------------------
@@ -622,12 +583,12 @@ impl SummaryCache {
     /// Returns `stacks_at` (`stacks_at[i]` = open stacks at
     /// `bounds[i + 1]`, as phase 1 consumes them) or `None` if the trace
     /// carries branch write effects.
-    fn structural(
+    fn structural<E>(
         &mut self,
         bounds: &[usize],
         chains: &[[u64; 2]],
-        feed: impl FnOnce(usize, &mut StructuralScan) -> Result<(), TraceIoError>,
-    ) -> Result<Option<Vec<Vec<Vec<FuncId>>>>, TraceIoError> {
+        feed: impl FnOnce(usize, &mut StructuralScan) -> Result<(), E>,
+    ) -> Result<Option<Vec<Vec<Vec<FuncId>>>>, E> {
         let nsegs = bounds.len() - 1;
         let rj = self.struct_resume_point(chains, nsegs);
         let stacks = if rj == 0 {
@@ -664,12 +625,12 @@ impl SummaryCache {
 
     /// Builds the forward pass over `[0, n)` from the deepest valid CFG
     /// checkpoint, storing fresh checkpoints along the re-fed tail.
-    fn forward(
+    fn forward<E>(
         &mut self,
         bounds: &[usize],
         chains: &[[u64; 2]],
-        mut feed: impl FnMut(usize, usize, &mut CfgBuilder) -> Result<(), TraceIoError>,
-    ) -> Result<Arc<ForwardPass>, TraceIoError> {
+        mut feed: impl FnMut(usize, usize, &mut CfgBuilder) -> Result<(), E>,
+    ) -> Result<Arc<ForwardPass>, E> {
         let nsegs = bounds.len() - 1;
         let n = bounds[nsegs];
         if let Some((mn, mc, fwd)) = &self.fwd_memo {
@@ -713,83 +674,94 @@ impl SummaryCache {
         Ok(fwd)
     }
 
-    fn run_resident(
+    /// The one incremental body. `known[i]` is the content hash of the
+    /// complete segment `i` when the caller already has it (a
+    /// [`SegmentHashes`], or the source's stored hashes); every other
+    /// segment — the partial last one included — is hashed from the
+    /// source.
+    fn run<S: ColumnSource>(
         &mut self,
-        trace: &Trace,
-        hashes: Option<&SegmentHashes>,
+        src: &mut S,
+        known: &[[u64; 2]],
         criteria: &Criteria,
         options: &SliceOptions,
-    ) -> SliceResult {
+    ) -> Result<SliceResult, S::Error> {
         self.tick += 1;
-        let n = considered_prefix(trace.len(), options);
-        let cols = trace.columns();
+        let n = considered_prefix(src.len(), options);
         let nsegs = n.div_ceil(SEGMENT_LEN);
-        if n == 0 || nsegs <= 1 {
-            let fwd = ForwardPass::build(trace);
-            return crate::slice::slice(trace, &fwd, criteria, options);
+        if nsegs <= 1 {
+            let fwd = ForwardPass::build_streamed(src)?;
+            return crate::slice::slice_streamed(src, &fwd, criteria, options);
         }
         let bounds: Vec<usize> = (0..nsegs).map(|i| i * SEGMENT_LEN).chain([n]).collect();
-        let seg_hashes = bound_hashes(cols, hashes, &bounds);
+        let mut seg_hashes = Vec::with_capacity(nsegs);
+        for (i, w) in bounds.windows(2).enumerate() {
+            let hash = match known.get(i) {
+                Some(&h) if w[1] - w[0] == SEGMENT_LEN => h,
+                _ => {
+                    let mut h = ContentHasher::new();
+                    src.stream_range(w[0], w[1], |cur| h.fold(cur))?;
+                    h.finish((w[1] - w[0]) as u64)
+                }
+            };
+            seg_hashes.push(hash);
+        }
         let chains = prefix_chains(&seg_hashes);
 
-        let stacks_at = self
-            .structural(&bounds, &chains, |from, scan| {
-                scan.feed(&cols.cursor(from, n));
-                Ok(())
-            })
-            .expect("resident feed is infallible");
-        let stacks_at = match stacks_at {
-            Some(s) => s,
-            None => {
-                let fwd = ForwardPass::build(trace);
-                return crate::slice::slice(trace, &fwd, criteria, options);
-            }
+        let stacks_at = self.structural(&bounds, &chains, |from, scan| {
+            src.stream_range(from, n, |cur| scan.feed(cur))
+        })?;
+        let Some(stacks_at) = stacks_at else {
+            let fwd = ForwardPass::build_streamed(src)?;
+            return crate::slice::slice_streamed(src, &fwd, criteria, options);
         };
 
         // A truncating `end` would make the checkpointed CFGs diverge
         // from the full-trace ones the reference path uses; take the
         // plain build there (frames never truncate).
-        let forward = if n == trace.len() {
+        let forward = if n == src.len() {
             self.forward(&bounds, &chains, |lo, hi, b| {
-                b.feed(&cols.cursor(lo, hi));
-                Ok(())
-            })
-            .expect("resident feed is infallible")
+                src.stream_range(lo, hi, |cur| b.feed(cur))
+            })?
         } else {
-            Arc::new(ForwardPass::build(trace))
+            Arc::new(ForwardPass::build_streamed(src)?)
         };
-
-        let plan = self.phase1_plan(&seg_hashes, &stacks_at, criteria, options, &bounds);
         let deps = forward.control_deps();
 
-        // Phase 1: cache lookups, then parallel summarization of misses.
+        // Phase 1: cache lookups, then one summarize job per miss.
+        let plan = self.phase1_plan(&seg_hashes, &stacks_at, criteria, options, &bounds);
         let mut summaries: Vec<Option<SegSummary>> = Vec::with_capacity(nsegs);
         let mut dhashes: Vec<[u64; 2]> = vec![[0; 2]; nsegs];
-        let mut miss_idx: Vec<usize> = Vec::new();
+        let mut misses: Vec<usize> = Vec::new();
         for (ki, p) in plan.iter().enumerate() {
-            if let Some(hit) = self.lookup(p, deps) {
-                dhashes[ki] = hit.1;
-                summaries.push(Some(hit.0));
+            if let Some((sum, dh)) = self.lookup(p, deps) {
+                dhashes[ki] = dh;
+                summaries.push(Some(sum));
             } else {
                 summaries.push(None);
-                miss_idx.push(ki);
+                misses.push(ki);
             }
         }
         let items = criteria.items();
-        type MissResult = (usize, Option<(SegSummary, Vec<(u32, u32)>)>);
-        let computed: Vec<MissResult> = miss_idx
-            .par_iter()
-            .map(|&ki| {
-                let p = &plan[ki];
-                let cur = cols.cursor(p.lo, p.hi);
-                let mut s =
-                    Summarizer::new(p.lo, p.hi, deps, &items[p.c0..p.c1], stacks_at[ki].clone());
-                s.feed(&cur);
-                (ki, s.finish().map(|sum| (sum, segment_sites(&cur))))
-            })
+        let ranges: Vec<(usize, usize)> = misses
+            .iter()
+            .map(|&ki| (plan[ki].lo, plan[ki].hi))
             .collect();
+        let computed = src.run_jobs(&ranges, |j| {
+            let (ki, p) = (misses[j], &plan[misses[j]]);
+            MissJob {
+                summarizer: Summarizer::new(
+                    p.lo,
+                    p.hi,
+                    deps,
+                    &items[p.c0..p.c1],
+                    stacks_at[ki].clone(),
+                ),
+                sites: Vec::new(),
+            }
+        })?;
         let mut overflow = false;
-        for (ki, r) in computed {
+        for (&ki, r) in misses.iter().zip(computed) {
             match r {
                 None => overflow = true,
                 Some((sum, sites)) => {
@@ -804,7 +776,7 @@ impl SummaryCache {
             // A segment outgrew the node budget; the reference path
             // handles this case itself (and stays byte-identical).
             self.stats.bytes_held = self.bytes_held;
-            return crate::slice::slice(trace, &forward, criteria, options);
+            return crate::slice::slice_streamed(src, &forward, criteria, options);
         }
         let mut summaries: Vec<SegSummary> = summaries
             .into_iter()
@@ -829,169 +801,30 @@ impl SummaryCache {
         // reusable when the globals in its key (notably `n` itself)
         // match — appends recompute every segment here, but re-slicing
         // the same session state (the analyst's query loop) is free.
-        let interval = if options.timeline_interval == 0 {
-            ((n as u64) / 1000).max(1)
-        } else {
-            options.timeline_interval
-        };
-        let nfuncs = trace.functions().len();
+        let interval = timeline_interval(options, n);
+        let nfuncs = src.functions().len();
+        let tracked = options.tracked_thread;
         let fkeys: Vec<[u64; 2]> = (0..nsegs)
-            .map(|i| {
-                final_key(
-                    skeys[i],
-                    replays[i].lo,
-                    n,
-                    interval,
-                    nfuncs,
-                    options.tracked_thread,
-                )
-            })
+            .map(|i| final_key(skeys[i], replays[i].lo, n, interval, nfuncs, tracked))
             .collect();
         let mut finals: Vec<Option<SegFinal>> =
             fkeys.iter().map(|&k| self.final_lookup(k)).collect();
-        let fresh: Vec<(usize, SegFinal)> = finals
+        let fresh: Vec<usize> = (0..nsegs).filter(|&i| finals[i].is_none()).collect();
+        let ranges: Vec<(usize, usize)> = fresh
             .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_none())
-            .map(|(i, _)| i)
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&i| {
-                let r = &replays[i];
-                let mut f = Finalizer::new(r, n, nfuncs, interval, options.tracked_thread);
-                f.feed(&cols.cursor(r.lo, r.hi));
-                (i, f.finish())
-            })
+            .map(|&i| (replays[i].lo, replays[i].hi))
             .collect();
-        for (i, f) in fresh {
+        let computed = src.run_jobs(&ranges, |j| {
+            Finalizer::new(&replays[fresh[j]], n, nfuncs, interval, tracked)
+        })?;
+        for (&i, f) in fresh.iter().zip(computed) {
             self.final_store(fkeys[i], f.clone());
             finals[i] = Some(f);
         }
         let finals: Vec<SegFinal> = finals.into_iter().map(|f| f.expect("finalized")).collect();
         let mut result = assemble(n, nfuncs, &replays, finals);
         if options.witness {
-            result.witness = Some(crate::witness::emit(trace, deps, criteria, &result));
-        }
-        self.stats.bytes_held = self.bytes_held;
-        result
-    }
-
-    fn run_streamed<R: Read + Seek>(
-        &mut self,
-        reader: &mut TraceReader<R>,
-        criteria: &Criteria,
-        options: &SliceOptions,
-    ) -> Result<SliceResult, TraceIoError> {
-        self.tick += 1;
-        let n = considered_prefix(reader.len(), options);
-        let nsegs = n.div_ceil(SEGMENT_LEN);
-        let bounds: Vec<usize> = (0..nsegs).map(|i| i * SEGMENT_LEN).chain([n]).collect();
-        // Footer hashes only line up when nothing forced an early chunk
-        // flush and no `end` truncation is in play; otherwise stream the
-        // reference path (which is what the cache accelerates anyway).
-        let aligned = if n == reader.len() && n > 0 && nsegs > 1 {
-            reader_seg_hashes(reader, &bounds)
-        } else {
-            None
-        };
-        let seg_hashes = match aligned {
-            Some(h) => h,
-            None => {
-                let fwd = ForwardPass::build_streamed(reader)?;
-                return crate::slice::slice_streamed(reader, &fwd, criteria, options);
-            }
-        };
-        let chains = prefix_chains(&seg_hashes);
-
-        let stacks_at = self.structural(&bounds, &chains, |from, scan| {
-            reader.stream_range(from, n, |cur| scan.feed(cur))
-        })?;
-        let stacks_at = match stacks_at {
-            Some(s) => s,
-            None => {
-                let fwd = ForwardPass::build_streamed(reader)?;
-                return crate::slice::slice_streamed(reader, &fwd, criteria, options);
-            }
-        };
-        let forward = self.forward(&bounds, &chains, |lo, hi, b| {
-            reader.stream_range(lo, hi, |cur| b.feed(cur))
-        })?;
-        let deps = forward.control_deps();
-
-        let plan = self.phase1_plan(&seg_hashes, &stacks_at, criteria, options, &bounds);
-        let items = criteria.items();
-        let mut summaries: Vec<SegSummary> = Vec::with_capacity(nsegs);
-        let mut dhashes: Vec<[u64; 2]> = vec![[0; 2]; nsegs];
-        let mut overflow = false;
-        for (ki, p) in plan.iter().enumerate() {
-            if let Some((sum, dh)) = self.lookup(p, deps) {
-                dhashes[ki] = dh;
-                summaries.push(sum);
-                continue;
-            }
-            let mut s =
-                Summarizer::new(p.lo, p.hi, deps, &items[p.c0..p.c1], stacks_at[ki].clone());
-            let mut sites: Vec<(u32, u32)> = Vec::new();
-            reader.stream_range_rev(p.lo, p.hi, |cur| {
-                collect_sites(cur, &mut sites);
-                s.feed(cur)
-            })?;
-            match s.finish() {
-                None => {
-                    overflow = true;
-                    break;
-                }
-                Some(sum) => {
-                    sites.sort_unstable();
-                    sites.dedup();
-                    let dh = deps_hash(deps, &sites);
-                    dhashes[ki] = dh;
-                    self.store_miss(p.key, &sum, sites, dh);
-                    summaries.push(sum);
-                }
-            }
-        }
-        if overflow {
-            self.stats.bytes_held = self.bytes_held;
-            return crate::slice::slice_streamed(reader, &forward, criteria, options);
-        }
-
-        let skeys = self.stitch_keys(&plan, &seg_hashes, &dhashes, options);
-        let mut state = BoundaryState::initial(&stacks_at[nsegs - 1]);
-        let mut replays: Vec<Replay> = Vec::with_capacity(nsegs);
-        for i in (0..nsegs).rev() {
-            let sum = summaries.pop().expect("one summary per segment");
-            let (next, replay) = self.stitch_step(skeys[i], sum, state);
-            state = next;
-            replays.push(replay);
-        }
-        replays.reverse();
-        self.prune_stitch_memo();
-
-        let interval = if options.timeline_interval == 0 {
-            ((n as u64) / 1000).max(1)
-        } else {
-            options.timeline_interval
-        };
-        let nfuncs = reader.functions().len();
-        let mut finals: Vec<SegFinal> = Vec::with_capacity(nsegs);
-        for (i, r) in replays.iter().enumerate() {
-            let fk = final_key(skeys[i], r.lo, n, interval, nfuncs, options.tracked_thread);
-            if let Some(f) = self.final_lookup(fk) {
-                finals.push(f);
-                continue;
-            }
-            let mut f = Finalizer::new(r, n, nfuncs, interval, options.tracked_thread);
-            reader.stream_range_rev(r.lo, r.hi, |cur| f.feed(cur))?;
-            let f = f.finish();
-            self.final_store(fk, f.clone());
-            finals.push(f);
-        }
-        let mut result = assemble(n, nfuncs, &replays, finals);
-        if options.witness {
-            result.witness = Some(crate::witness::emit_streamed(
-                reader, deps, criteria, &result,
-            )?);
+            result.witness = Some(crate::witness::emit(src, deps, criteria, &result)?);
         }
         self.stats.bytes_held = self.bytes_held;
         Ok(result)
@@ -1234,17 +1067,28 @@ fn prefix_chains(seg_hashes: &[[u64; 2]]) -> Vec<[u64; 2]> {
     chains
 }
 
-fn segment_sites(cur: &ColumnCursor<'_>) -> Vec<(u32, u32)> {
-    let mut sites = Vec::new();
-    collect_sites(cur, &mut sites);
-    sites.sort_unstable();
-    sites.dedup();
-    sites
+/// One cache miss of phase 1: the segment's summary plus its sorted
+/// unique static sites, the domain of its deps hash.
+struct MissJob<'a> {
+    summarizer: Summarizer<'a>,
+    sites: Vec<(u32, u32)>,
 }
 
-fn collect_sites(cur: &ColumnCursor<'_>, sites: &mut Vec<(u32, u32)>) {
-    for idx in cur.lo()..cur.hi() {
-        sites.push((cur.func(idx).index() as u32, cur.pc(idx).0));
+impl RangeJob for MissJob<'_> {
+    type Output = Option<(SegSummary, Vec<(u32, u32)>)>;
+
+    fn feed(&mut self, cur: &ColumnCursor<'_>) {
+        for idx in cur.lo()..cur.hi() {
+            self.sites
+                .push((cur.func(idx).index() as u32, cur.pc(idx).0));
+        }
+        self.summarizer.feed(cur);
+    }
+
+    fn finish(mut self) -> Self::Output {
+        self.sites.sort_unstable();
+        self.sites.dedup();
+        Some((self.summarizer.finish()?, self.sites))
     }
 }
 

@@ -40,19 +40,16 @@
 //! consumes, never kills" symmetry depends on it, so it is checked).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{Read, Seek};
 
-use rayon::prelude::*;
 use wasteprof_trace::{
-    AddrRange, ColumnCursor, Columns, FuncId, InstrKind, Pc, RegSet, ThreadId, Trace, TraceIoError,
-    TraceReader,
+    AddrRange, ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, RangeJob, RegSet, ThreadId,
 };
 
 use crate::cdg::{ControlDeps, PendKey, PendingTransfer};
 use crate::criteria::{Criteria, SlicingCriterion};
 use crate::live::{for_run_chunks, AddrSet};
 use crate::slice::{
-    considered_len, considered_prefix, FibBuild, ForwardPass, SliceOptions, SliceResult,
+    considered_prefix, timeline_interval, FibBuild, ForwardPass, SliceOptions, SliceResult,
     TimelinePoint,
 };
 
@@ -216,124 +213,20 @@ pub(crate) struct SegFinal {
 /// Runs the segment-parallel pass with `k` requested segments. Returns
 /// `None` when the pass declines (degenerate segmentation, branch write
 /// effects, or a summary outgrowing its node budget); the caller falls
-/// back to the sequential walk.
-pub(crate) fn run(
-    trace: &Trace,
+/// back to the sequential walk. Summaries and replays are independent
+/// per-segment jobs: parallel over a resident trace, one at a time
+/// through a reader's chunk window — the result is the same.
+pub(crate) fn run<S: ColumnSource>(
+    src: &mut S,
     forward: &ForwardPass,
     criteria: &Criteria,
     options: &SliceOptions,
     k: usize,
-) -> Option<SliceResult> {
-    let n = considered_len(trace, options);
+) -> Result<Option<SliceResult>, S::Error> {
+    let n = considered_prefix(src.len(), options);
     // 64-aligned boundaries: segment bitmaps never share a word.
     let seg = n.div_ceil(k).div_ceil(64) * 64;
     if seg == 0 {
-        return None;
-    }
-    let nsegs = n.div_ceil(seg);
-    if nsegs <= 1 {
-        return None;
-    }
-    let bounds: Vec<usize> = (0..nsegs).map(|i| i * seg).chain([n]).collect();
-    let cols = trace.columns();
-    let (mut stacks, branch_writes) = structural_scan(cols, n, &bounds);
-    if branch_writes {
-        return None;
-    }
-    let init = BoundaryState::initial(&stacks[nsegs - 1]);
-
-    let deps = forward.control_deps();
-    let items = criteria.items();
-    let interval = if options.timeline_interval == 0 {
-        ((n as u64) / 1000).max(1)
-    } else {
-        options.timeline_interval
-    };
-    let tracked = options.tracked_thread;
-
-    struct Job {
-        lo: usize,
-        hi: usize,
-        bnd: Vec<Vec<FuncId>>,
-        ci: (usize, usize),
-    }
-    let jobs: Vec<Job> = (0..nsegs)
-        .map(|ki| {
-            let (lo, hi) = (bounds[ki], bounds[ki + 1]);
-            Job {
-                lo,
-                hi,
-                bnd: std::mem::take(&mut stacks[ki]),
-                ci: (
-                    items.partition_point(|c| c.pos.index() < lo),
-                    items.partition_point(|c| c.pos.index() < hi),
-                ),
-            }
-        })
-        .collect();
-
-    // Phase 1: parallel symbolic summaries.
-    let summaries: Vec<Option<SegSummary>> = jobs
-        .par_iter()
-        .map(|job| {
-            let mut s = Summarizer::new(
-                job.lo,
-                job.hi,
-                deps,
-                &items[job.ci.0..job.ci.1],
-                job.bnd.clone(),
-            );
-            s.feed(&trace.columns().cursor(job.lo, job.hi));
-            s.finish()
-        })
-        .collect();
-    let mut summaries: Vec<SegSummary> = {
-        let mut v = Vec::with_capacity(nsegs);
-        for s in summaries {
-            v.push(s?);
-        }
-        v
-    };
-
-    // Phase 2: sequential stitch from the trace end.
-    let mut state = init;
-    let mut replays: Vec<Replay> = Vec::with_capacity(nsegs);
-    while let Some(sum) = summaries.pop() {
-        let (next, replay) = stitch(sum, &state);
-        state = next;
-        replays.push(replay);
-    }
-    replays.reverse();
-
-    // Phase 3: parallel replay, then a sequential suffix-sum merge.
-    let nfuncs = trace.functions().len();
-    let finals: Vec<SegFinal> = replays
-        .par_iter()
-        .map(|r| {
-            let mut f = Finalizer::new(r, n, nfuncs, interval, tracked);
-            f.feed(&trace.columns().cursor(r.lo, r.hi));
-            f.finish()
-        })
-        .collect();
-
-    Some(assemble(n, nfuncs, &replays, finals))
-}
-
-/// Streamed counterpart of [`run`]: identical summarize → stitch → replay
-/// structure, but segments are scanned one at a time through the reader's
-/// bounded chunk window instead of in parallel over a resident trace. The
-/// result is byte-identical to [`run`] (and hence to the sequential walk);
-/// only the scheduling differs.
-pub(crate) fn run_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-    forward: &ForwardPass,
-    criteria: &Criteria,
-    options: &SliceOptions,
-    k: usize,
-) -> Result<Option<SliceResult>, TraceIoError> {
-    let n = considered_prefix(reader.len(), options);
-    let seg = n.div_ceil(k).div_ceil(64) * 64;
-    if seg == 0 {
         return Ok(None);
     }
     let nsegs = n.div_ceil(seg);
@@ -341,9 +234,10 @@ pub(crate) fn run_streamed<R: Read + Seek>(
         return Ok(None);
     }
     let bounds: Vec<usize> = (0..nsegs).map(|i| i * seg).chain([n]).collect();
+    let ranges: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
     let mut scan = StructuralScan::new(&bounds);
-    reader.stream_range(0, n, |cur| scan.feed(cur))?;
-    let (mut stacks, branch_writes) = scan.finish();
+    src.stream_range(0, n, |cur| scan.feed(cur))?;
+    let (stacks, branch_writes) = scan.finish();
     if branch_writes {
         return Ok(None);
     }
@@ -351,32 +245,17 @@ pub(crate) fn run_streamed<R: Read + Seek>(
 
     let deps = forward.control_deps();
     let items = criteria.items();
-    let interval = if options.timeline_interval == 0 {
-        ((n as u64) / 1000).max(1)
-    } else {
-        options.timeline_interval
-    };
-    let tracked = options.tracked_thread;
 
-    // Phase 1: one segment at a time, each fed backward from disk chunks.
-    let mut summaries: Vec<SegSummary> = Vec::with_capacity(nsegs);
-    for ki in 0..nsegs {
-        let (lo, hi) = (bounds[ki], bounds[ki + 1]);
+    // Phase 1: symbolic summaries, one job per segment.
+    let summaries = src.run_jobs(&ranges, |ki| {
+        let (lo, hi) = ranges[ki];
         let c0 = items.partition_point(|c| c.pos.index() < lo);
         let c1 = items.partition_point(|c| c.pos.index() < hi);
-        let mut s = Summarizer::new(
-            lo,
-            hi,
-            deps,
-            &items[c0..c1],
-            std::mem::take(&mut stacks[ki]),
-        );
-        reader.stream_range_rev(lo, hi, |cur| s.feed(cur))?;
-        match s.finish() {
-            Some(sum) => summaries.push(sum),
-            None => return Ok(None),
-        }
-    }
+        Summarizer::new(lo, hi, deps, &items[c0..c1], stacks[ki].clone())
+    })?;
+    let Some(mut summaries) = summaries.into_iter().collect::<Option<Vec<SegSummary>>>() else {
+        return Ok(None);
+    };
 
     // Phase 2: sequential stitch from the trace end (no trace access).
     let mut state = init;
@@ -388,18 +267,17 @@ pub(crate) fn run_streamed<R: Read + Seek>(
     }
     replays.reverse();
 
-    // Phase 3: streamed replay, then the shared merge.
-    let nfuncs = reader.functions().len();
-    let mut finals: Vec<SegFinal> = Vec::with_capacity(nsegs);
-    for r in &replays {
-        let mut f = Finalizer::new(r, n, nfuncs, interval, tracked);
-        reader.stream_range_rev(r.lo, r.hi, |cur| f.feed(cur))?;
-        finals.push(f.finish());
-    }
+    // Phase 3: replay jobs, then a sequential suffix-sum merge.
+    let nfuncs = src.functions().len();
+    let interval = timeline_interval(options, n);
+    let tracked = options.tracked_thread;
+    let finals = src.run_jobs(&ranges, |i| {
+        Finalizer::new(&replays[i], n, nfuncs, interval, tracked)
+    })?;
     Ok(Some(assemble(n, nfuncs, &replays, finals)))
 }
 
-/// The suffix-sum merge shared by [`run`] and [`run_streamed`]: copies the
+/// The suffix-sum merge shared by [`run`] and the incremental cache: copies the
 /// per-segment bitmaps into place (boundaries are 64-aligned, so words
 /// never straddle segments), sums the counters, and rebuilds the global
 /// cumulative timeline from per-segment local counts.
@@ -469,8 +347,7 @@ pub(crate) fn assemble(
 /// Phase 0: one cheap forward walk capturing, at every segment boundary,
 /// each thread's open-call stack (the backward pass's frame stack at that
 /// point is exactly this, built from `Ret`s/`Call`s). Also verifies that
-/// no branch carries write effects. Cursor-fed so the walk works equally
-/// over a resident trace or a sequence of streamed disk chunks.
+/// no branch carries write effects. Fed forward windows of any source.
 pub(crate) struct StructuralScan {
     bounds: Vec<usize>,
     stacks: Vec<Vec<FuncId>>,
@@ -481,13 +358,7 @@ pub(crate) struct StructuralScan {
 
 impl StructuralScan {
     pub(crate) fn new(bounds: &[usize]) -> Self {
-        StructuralScan {
-            bounds: bounds.to_vec(),
-            stacks: vec![Vec::new(); NTHREADS],
-            out: Vec::with_capacity(bounds.len().saturating_sub(1)),
-            bi: 1,
-            branch_writes: false,
-        }
+        StructuralScan::resume(bounds, vec![Vec::new(); NTHREADS], false)
     }
 
     /// Resumes a scan from a checkpoint: the open-call stacks and
@@ -533,13 +404,6 @@ impl StructuralScan {
         }
         (self.out, self.branch_writes)
     }
-}
-
-#[allow(clippy::type_complexity)]
-fn structural_scan(cols: &Columns, n: usize, bounds: &[usize]) -> (Vec<Vec<Vec<FuncId>>>, bool) {
-    let mut scan = StructuralScan::new(bounds);
-    scan.feed(&cols.cursor(0, n));
-    scan.finish()
 }
 
 /// The symbolic backward scan of one segment (phase 1). Mirrors the
@@ -943,11 +807,16 @@ impl<'a> Summarizer<'a> {
         }
         acc
     }
+}
 
-    /// Feeds one backward window of the segment (a whole resident segment
-    /// or one streamed disk chunk). Windows must arrive in descending
-    /// index order, together covering exactly `[self.lo, self.hi)`.
-    pub(crate) fn feed(&mut self, cur: &ColumnCursor<'_>) {
+impl RangeJob for Summarizer<'_> {
+    /// `None` when the segment outgrew its node budget.
+    type Output = Option<SegSummary>;
+
+    /// Feeds one backward window of the segment. Windows must arrive in
+    /// descending index order, together covering exactly
+    /// `[self.lo, self.hi)`.
+    fn feed(&mut self, cur: &ColumnCursor<'_>) {
         for idx in cur.rev_indices() {
             if self.overflow {
                 return;
@@ -1079,7 +948,7 @@ impl<'a> Summarizer<'a> {
         }
     }
 
-    pub(crate) fn finish(self) -> Option<SegSummary> {
+    fn finish(self) -> Option<SegSummary> {
         if self.overflow {
             return None;
         }
@@ -1221,8 +1090,8 @@ pub(crate) fn stitch(sum: SegSummary, st: &BoundaryState) -> (BoundaryState, Rep
 /// Phase 3: resolves one segment's membership bitmap and recomputes its
 /// stats and timeline checkpoints. Checkpoints land where the sequential
 /// countdown would put them: global positions with
-/// `(n - idx) % interval == 0`, plus `idx == 0`. Cursor-fed (descending
-/// windows) for the same resident-or-streamed duality as [`Summarizer`].
+/// `(n - idx) % interval == 0`, plus `idx == 0`. Fed descending windows,
+/// like [`Summarizer`].
 pub(crate) struct Finalizer {
     lo: usize,
     bitmap: Vec<u64>,
@@ -1268,8 +1137,12 @@ impl Finalizer {
             tracked,
         }
     }
+}
 
-    pub(crate) fn feed(&mut self, cur: &ColumnCursor<'_>) {
+impl RangeJob for Finalizer {
+    type Output = SegFinal;
+
+    fn feed(&mut self, cur: &ColumnCursor<'_>) {
         for idx in cur.rev_indices() {
             let tid = cur.tid(idx);
             let func = cur.func(idx);
@@ -1303,7 +1176,7 @@ impl Finalizer {
         }
     }
 
-    pub(crate) fn finish(self) -> SegFinal {
+    fn finish(self) -> SegFinal {
         SegFinal {
             bitmap: self.bitmap,
             slice_count: self.slice_count,
@@ -1321,7 +1194,7 @@ mod tests {
     use super::*;
     use crate::criteria::{pixel_criteria, SlicingCriterion};
     use crate::slice::slice;
-    use wasteprof_trace::{site, Recorder, Reg, Region, ThreadKind, TracePos};
+    use wasteprof_trace::{site, Recorder, Reg, Region, ThreadKind, Trace, TracePos};
 
     /// Asserts that the segment-parallel pass produces a byte-identical
     /// [`SliceResult`] for several segment counts, calling `run` directly
@@ -1334,8 +1207,8 @@ mod tests {
         };
         let seq = slice(trace, &fwd, criteria, &seq_opts);
         for k in [2, 3, 8] {
-            let par = run(trace, &fwd, criteria, opts, k)
-                .expect("parallel pass declined on an eligible trace");
+            let Ok(par) = run(&mut { trace }, &fwd, criteria, opts, k);
+            let par = par.expect("parallel pass declined on an eligible trace");
             assert_eq!(par, seq, "segment count {k} diverged from sequential");
         }
     }
@@ -1482,15 +1355,15 @@ mod tests {
         rec.compute(site!(), &[], &[a.into()]);
         let trace = rec.finish();
         let fwd = ForwardPass::build(&trace);
+        let Ok(par) = run(
+            &mut &trace,
+            &fwd,
+            &Criteria::default(),
+            &SliceOptions::default(),
+            8,
+        );
         assert!(
-            run(
-                &trace,
-                &fwd,
-                &Criteria::default(),
-                &SliceOptions::default(),
-                8
-            )
-            .is_none(),
+            par.is_none(),
             "sub-segment traces must fall back to the sequential walk"
         );
     }

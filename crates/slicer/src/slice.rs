@@ -11,10 +11,9 @@
 //! instruction of their dynamic callee did.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{Read, Seek};
 
 use wasteprof_trace::{
-    ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TracePos, TraceReader,
+    ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, ThreadId, Trace, TracePos,
 };
 
 use crate::cdg::ControlDeps;
@@ -35,24 +34,20 @@ pub struct ForwardPass {
 impl ForwardPass {
     /// Runs the forward pass over `trace`.
     pub fn build(trace: &Trace) -> Self {
-        let cfgs = CfgSet::build(trace);
-        let deps = ControlDeps::compute(&cfgs);
-        ForwardPass { cfgs, deps }
+        let Ok(pass) = ForwardPass::build_streamed(&mut { trace });
+        pass
     }
 
-    /// Runs the forward pass over a `WPTRACE2` stream without ever holding
-    /// the whole trace: the CFG fold consumes one bounded chunk at a time,
-    /// and the control-dependence relation is a function of the CFGs alone.
+    /// Runs the forward pass over any [`ColumnSource`]: the CFG fold
+    /// consumes one window at a time (a `WPTRACE2` reader never holds the
+    /// whole trace), and the control-dependence relation is a function
+    /// of the CFGs alone.
     ///
     /// # Errors
     ///
-    /// Any chunk decode or read error from the underlying [`TraceReader`].
-    pub fn build_streamed<R: Read + Seek>(
-        reader: &mut TraceReader<R>,
-    ) -> Result<Self, TraceIoError> {
-        let cfgs = CfgSet::build_streamed(reader)?;
-        let deps = ControlDeps::compute(&cfgs);
-        Ok(ForwardPass { cfgs, deps })
+    /// Any read or decode error of the source.
+    pub fn build_streamed<S: ColumnSource>(src: &mut S) -> Result<Self, S::Error> {
+        Ok(ForwardPass::from_cfgs(CfgSet::build_streamed(src)?))
     }
 
     /// The reconstructed CFGs.
@@ -338,39 +333,8 @@ pub fn slice(
     criteria: &Criteria,
     options: &SliceOptions,
 ) -> SliceResult {
-    let n = considered_len(trace, options);
-    let k = effective_segments(options.segments, n);
-    let mut result = None;
-    if k > 1 {
-        // The segment-parallel pass bails out (rarely — see
-        // `parallel::run`) when a segment's symbolic state outgrows its
-        // budget; the sequential walk is always the reference fallback.
-        result = crate::parallel::run(trace, forward, criteria, options, k);
-    }
-    match result {
-        Some(mut result) => {
-            if options.witness {
-                // The witness is a pure function of (trace, criteria,
-                // bitmap): replaying it over the stitched bitmap yields the
-                // table the sequential walk emits in lockstep.
-                result.witness = Some(crate::witness::emit(
-                    trace,
-                    forward.control_deps(),
-                    criteria,
-                    &result,
-                ));
-            }
-            result
-        }
-        None => {
-            let mut bw = Backward::new(trace.functions().len(), forward, criteria, options, n);
-            let cur = trace.columns().cursor(0, n);
-            bw.prescan(&cur);
-            bw.seal_frames();
-            bw.feed(&cur);
-            bw.finish()
-        }
-    }
+    let Ok(result) = slice_streamed(&mut { trace }, forward, criteria, options);
+    result
 }
 
 /// Forward pre-scan over one window: pushes each call onto its thread's
@@ -390,32 +354,36 @@ pub(crate) fn prescan_open_calls(open: &mut [Vec<FuncId>], cur: &ColumnCursor<'_
     }
 }
 
-/// Runs the backward pass over a `WPTRACE2` stream, never holding more
-/// than a bounded window of decoded chunks: the exact per-instruction
-/// steps of [`slice()`] driven by streamed cursors instead of one in-memory
-/// cursor, so the result is byte-identical to the in-memory path at any
-/// segment count.
+/// [`slice()`] over any [`ColumnSource`]. A `WPTRACE2` reader never
+/// holds more than a bounded window of decoded chunks; the result is
+/// byte-identical to the resident one at any segment count.
 ///
 /// # Errors
 ///
-/// Any chunk decode or read error from the underlying [`TraceReader`].
-pub fn slice_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
+/// Any read or decode error of the source.
+pub fn slice_streamed<S: ColumnSource>(
+    src: &mut S,
     forward: &ForwardPass,
     criteria: &Criteria,
     options: &SliceOptions,
-) -> Result<SliceResult, TraceIoError> {
-    let n = considered_prefix(reader.len(), options);
+) -> Result<SliceResult, S::Error> {
+    let n = considered_prefix(src.len(), options);
     let k = effective_segments(options.segments, n);
     let mut result = None;
     if k > 1 {
-        result = crate::parallel::run_streamed(reader, forward, criteria, options, k)?;
+        // The segment-parallel pass bails out (rarely — see
+        // `parallel::run`) when a segment's symbolic state outgrows its
+        // budget; the sequential walk is always the reference fallback.
+        result = crate::parallel::run(src, forward, criteria, options, k)?;
     }
     match result {
         Some(mut result) => {
             if options.witness {
-                result.witness = Some(crate::witness::emit_streamed(
-                    reader,
+                // The witness is a pure function of (trace, criteria,
+                // bitmap): replaying it over the stitched bitmap yields the
+                // table the sequential walk emits in lockstep.
+                result.witness = Some(crate::witness::emit(
+                    src,
                     forward.control_deps(),
                     criteria,
                     &result,
@@ -424,26 +392,31 @@ pub fn slice_streamed<R: Read + Seek>(
             Ok(result)
         }
         None => {
-            // One forward and one backward decode sweep: a witness, if
-            // requested, is emitted chunk by chunk in lockstep.
-            let mut bw = Backward::new(reader.functions().len(), forward, criteria, options, n);
-            reader.stream_range(0, n, |cur| bw.prescan(cur))?;
+            // One forward and one backward sweep: a witness, if
+            // requested, is emitted window by window in lockstep.
+            let mut bw = Backward::new(src.functions().len(), forward, criteria, options, n);
+            src.stream_range(0, n, |cur| bw.prescan(cur))?;
             bw.seal_frames();
-            reader.stream_range_rev(0, n, |cur| bw.feed(cur))?;
+            src.stream_range_rev(0, n, |cur| bw.feed(cur))?;
             Ok(bw.finish())
         }
     }
 }
 
 /// Number of instructions the pass will consider (`[0, end]` clamped to
-/// the trace).
-pub(crate) fn considered_len(trace: &Trace, options: &SliceOptions) -> usize {
-    considered_prefix(trace.len(), options)
-}
-
-/// [`considered_len`] for callers that only know the trace length.
+/// a trace of `len` instructions).
 pub(crate) fn considered_prefix(len: usize, options: &SliceOptions) -> usize {
     options.end.map(|e| (e.index() + 1).min(len)).unwrap_or(len)
+}
+
+/// The checkpoint interval of a pass over `n` instructions:
+/// [`SliceOptions::timeline_interval`], or ~1000 points when it is `0`.
+pub(crate) fn timeline_interval(options: &SliceOptions, n: usize) -> u64 {
+    if options.timeline_interval == 0 {
+        ((n as u64) / 1000).max(1)
+    } else {
+        options.timeline_interval
+    }
 }
 
 /// Resolves the requested segment count against the trace length and the
@@ -521,9 +494,8 @@ struct Frame {
 }
 
 /// The sequential backward walk, restructured around [`Backward::feed`]
-/// so the same per-instruction step runs over either one in-memory cursor
-/// or a sequence of streamed chunk cursors — results are identical by
-/// construction. Protocol: [`Backward::prescan`] forward over the whole
+/// so the per-instruction step runs over the windows of any
+/// [`ColumnSource`]. Protocol: [`Backward::prescan`] forward over the whole
 /// considered range, [`Backward::seal_frames`], then [`Backward::feed`]
 /// backward (last window first), then [`Backward::finish`]. With
 /// [`SliceOptions::witness`] on, each step also drives a witness
@@ -561,11 +533,7 @@ impl<'a> Backward<'a> {
         options: &SliceOptions,
         n: usize,
     ) -> Self {
-        let interval = if options.timeline_interval == 0 {
-            ((n as u64) / 1000).max(1)
-        } else {
-            options.timeline_interval
-        };
+        let interval = timeline_interval(options, n);
         let emitter = options
             .witness
             .then(|| Emitter::new(forward.control_deps(), criteria, n, 0));

@@ -25,11 +25,8 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Seek};
 
-use wasteprof_trace::{
-    ColumnCursor, FuncId, InstrKind, Pc, ThreadId, Trace, TraceIoError, TracePos, TraceReader,
-};
+use wasteprof_trace::{ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, ThreadId, TracePos};
 
 use crate::cdg::ControlDeps;
 use crate::criteria::{Criteria, SlicingCriterion};
@@ -287,9 +284,9 @@ struct WFrame {
     any_slice: Option<u32>,
 }
 
-/// Witness emission, restructured around [`Emitter::feed`] so the same
-/// per-instruction step runs over one in-memory cursor or a sequence of
-/// streamed chunk cursors. Protocol mirrors the backward walk's:
+/// Witness emission, restructured around [`Emitter::feed`] so the
+/// per-instruction step runs over the windows of any source. Protocol
+/// mirrors the backward walk's:
 /// [`prescan_open_calls`] forward, `seal_frames`, `feed` backward (last
 /// window first), `finish`.
 ///
@@ -299,7 +296,7 @@ struct WFrame {
 /// sequential walk drives an emitter in lockstep, over each window right
 /// after its own step (`slice::Backward`); only paths whose bitmap comes
 /// from elsewhere — segment-parallel stitching, the summary cache —
-/// replay over the finished bitmap ([`emit`], [`emit_streamed`]). Either
+/// replay over the finished bitmap ([`emit`]). Either
 /// way the table is a pure function of `(trace, criteria, bitmap)`.
 pub(crate) struct Emitter<'a> {
     deps: &'a ControlDeps,
@@ -567,36 +564,18 @@ impl<'a> Emitter<'a> {
 /// Replays the member mutations of the backward walk over the final
 /// bitmap of `result` and returns its witness table: the driver for
 /// bitmaps that did not come from the sequential walk.
-pub(crate) fn emit(
-    trace: &Trace,
+pub(crate) fn emit<S: ColumnSource>(
+    src: &mut S,
     deps: &ControlDeps,
     criteria: &Criteria,
     result: &SliceResult,
-) -> Witnesses {
-    let n = result.considered() as usize;
-    let cur = trace.columns().cursor(0, n);
-    let mut open = vec![Vec::new(); 256];
-    prescan_open_calls(&mut open, &cur);
-    let mut em = Emitter::new(deps, criteria, n, result.slice_count() as usize);
-    em.seal_frames(&open);
-    em.feed(&cur, &result.bitmap);
-    em.finish(result.slice_count())
-}
-
-/// [`emit`] driven by streamed chunk cursors: identical rows, bounded
-/// memory.
-pub(crate) fn emit_streamed<R: Read + Seek>(
-    reader: &mut TraceReader<R>,
-    deps: &ControlDeps,
-    criteria: &Criteria,
-    result: &SliceResult,
-) -> Result<Witnesses, TraceIoError> {
+) -> Result<Witnesses, S::Error> {
     let n = result.considered() as usize;
     let mut open = vec![Vec::new(); 256];
-    reader.stream_range(0, n, |cur| prescan_open_calls(&mut open, cur))?;
+    src.stream_range(0, n, |cur| prescan_open_calls(&mut open, cur))?;
     let mut em = Emitter::new(deps, criteria, n, result.slice_count() as usize);
     em.seal_frames(&open);
-    reader.stream_range_rev(0, n, |cur| em.feed(cur, &result.bitmap))?;
+    src.stream_range_rev(0, n, |cur| em.feed(cur, &result.bitmap))?;
     Ok(em.finish(result.slice_count()))
 }
 
@@ -606,7 +585,7 @@ mod tests {
     use crate::criteria::pixel_criteria;
     use crate::slice::{slice, ForwardPass, SliceOptions};
     use proptest::prelude::*;
-    use wasteprof_trace::{site, Recorder, Region, ThreadKind};
+    use wasteprof_trace::{site, Recorder, Region, ThreadKind, Trace};
 
     /// Reference model of [`FactMap`]: split at both edges, collect the
     /// doomed keys, remove them — no fast paths.

@@ -237,6 +237,43 @@ fn streamed_incremental_matches_resident() {
 }
 
 #[test]
+fn streamed_truncated_query_uses_the_cache() {
+    let (trace, carry) = record_blocks(&[[0, 1], [2, 3], [4, 5]]);
+    let end = 2 * SEGMENT_LEN + 100;
+    // Criteria of the considered prefix: the carry is live at `end`.
+    let criteria = criteria_for(&trace.prefix(end + 1), carry);
+    let opts = SliceOptions {
+        end: Some(TracePos(end as u64)),
+        witness: true,
+        ..Default::default()
+    };
+    let mut resident = SummaryCache::new();
+    let want = resident.slice(&trace, &criteria, &opts);
+    assert_eq!(want, reference(&trace, &criteria, &opts));
+    assert!(want.slice_count() > 0, "the prefix slice is nontrivial");
+
+    let mut buf = Vec::new();
+    write_trace2(&mut buf, &trace).expect("serialize WPTRACE2");
+    let mut reader = TraceReader::open(Cursor::new(buf)).expect("open trace");
+    let mut streamed = SummaryCache::new();
+    let got = streamed
+        .slice_streamed(&mut reader, &criteria, &opts)
+        .expect("streamed incremental slice");
+    assert_eq!(got, want);
+    assert_eq!(streamed.stats(), resident.stats());
+
+    // A warm re-query of the truncated prefix is served by the cache.
+    streamed.reset_stats();
+    let again = streamed
+        .slice_streamed(&mut reader, &criteria, &opts)
+        .expect("streamed incremental slice");
+    assert_eq!(again, want);
+    let s = streamed.stats();
+    assert_eq!(s.misses, 0, "a warm re-query recomputes nothing: {s:?}");
+    assert_eq!(s.hits, 3, "every prefix segment hits: {s:?}");
+}
+
+#[test]
 fn tiny_budget_evicts_but_stays_exact() {
     let (trace, carry) = record_blocks(&[[0, 1], [2, 3]]);
     let criteria = criteria_for(&trace, carry);

@@ -10,8 +10,8 @@
 //!   reads as a [`Subscription`] — a [`ColumnMask`] over the per-column
 //!   streams plus optional derived events (call/ret frames, syscalls);
 //! * an [`AnalysisDriver`] fuses any set of registered analyses into ONE
-//!   sweep, in memory over packed [`Columns`] or streamed from a
-//!   `WPTRACE2` [`TraceReader`];
+//!   sweep over any [`ColumnSource`]: packed in-memory [`Columns`] or a
+//!   `WPTRACE2` [`TraceReader`](crate::TraceReader)'s chunk stream;
 //! * on the streamed path the driver narrows the reader's decode mask to
 //!   the union of all subscriptions, so column streams nobody subscribed
 //!   to are *skipped, not decompressed* (see
@@ -23,13 +23,10 @@
 //! analysis diverges from its in-memory run — exactly what the
 //! differential tests compare to catch it.
 
-use std::io::{Read, Seek};
-
 use crate::columns::{ColumnCursor, Columns};
 use crate::func::{FuncId, FunctionRegistry};
 use crate::instr::InstrKind;
-use crate::io::TraceIoError;
-use crate::reader::TraceReader;
+use crate::source::ColumnSource;
 use crate::syscall::Syscall;
 use crate::thread::ThreadTable;
 use crate::trace::{MarkerRecord, Trace};
@@ -153,8 +150,8 @@ pub struct AnalysisCtx<'a> {
     /// The marker (tile-log) records.
     pub markers: &'a [MarkerRecord],
     /// Cursor over the packed columns. During per-instruction callbacks it
-    /// always contains the current index; during `begin`/`finish` of a
-    /// streamed run it may be empty.
+    /// always contains the current index; during `begin`/`finish` it is
+    /// empty.
     pub cols: ColumnCursor<'a>,
     /// Total instruction count of the trace under analysis. Unlike the
     /// cursor bounds, this is valid in every callback.
@@ -305,85 +302,54 @@ impl<'d> AnalysisDriver<'d> {
     }
 
     /// Runs every registered analysis over the in-memory trace in one
-    /// fused sweep.
+    /// fused sweep: [`AnalysisDriver::run_streamed`] over a resident
+    /// source.
     pub fn run(&mut self, trace: &Trace) {
+        let Ok(()) = self.run_streamed(&mut { trace });
+    }
+
+    /// Runs every registered analysis in one fused sweep over any
+    /// [`ColumnSource`]. A `WPTRACE2` reader holds only its bounded chunk
+    /// window in memory and *decodes selectively*: for the sweep its
+    /// decode mask is narrowed to the subscription union, so column
+    /// streams nobody subscribed to are skipped instead of decompressed.
+    /// The previous mask is restored before returning.
+    ///
+    /// `begin` and `finish` see an empty cursor (but the real tables and
+    /// `total`) on every source; per-instruction callbacks see a cursor
+    /// over the window containing the current index.
+    ///
+    /// # Errors
+    ///
+    /// Any read or decode error of the source.
+    pub fn run_streamed<S: ColumnSource>(&mut self, src: &mut S) -> Result<(), S::Error> {
         let subs = self.sub_index();
-        let total = trace.columns().len();
-        let ctx = AnalysisCtx {
-            funcs: trace.functions(),
-            threads: trace.threads(),
-            markers: trace.markers(),
-            cols: trace.columns().cursor(0, total),
+        // The source is borrowed mutably while it streams, so the
+        // callbacks read owned copies of its (footer-sized) tables.
+        let funcs = src.functions().clone();
+        let threads = src.threads().clone();
+        let markers = src.markers().to_vec();
+        let total = src.len();
+        let empty = Columns::default();
+        let edge = AnalysisCtx {
+            funcs: &funcs,
+            threads: &threads,
+            markers: &markers,
+            cols: empty.cursor(0, 0),
             total,
         };
         for a in &mut self.analyses {
-            a.begin(&ctx);
+            a.begin(&edge);
         }
-        self.sweep(&ctx, &subs);
-        for a in &mut self.analyses {
-            a.finish(&ctx);
-        }
-    }
-
-    /// Out-of-core variant of [`AnalysisDriver::run`]: drives the fused
-    /// sweep from a `WPTRACE2` [`TraceReader`]'s segment stream, holding
-    /// only the reader's bounded chunk window in memory — and *selectively
-    /// decoding* it: before streaming, the reader's decode mask is
-    /// narrowed to the subscription union, so column streams nobody
-    /// subscribed to are skipped instead of decompressed. The previous
-    /// mask is restored before returning.
-    ///
-    /// `begin` and `finish` see an empty cursor (but the real tables and
-    /// `total`); per-instruction callbacks see a cursor over the chunk
-    /// containing the current index.
-    pub fn run_streamed<R: Read + Seek>(
-        &mut self,
-        reader: &mut TraceReader<R>,
-    ) -> Result<(), TraceIoError> {
-        let subs = self.sub_index();
-        let funcs = reader.functions().clone();
-        let threads = reader.threads().clone();
-        let markers = reader.markers().to_vec();
-        let total = reader.len();
-        let empty = Columns::default();
-        {
-            let ctx = AnalysisCtx {
-                funcs: &funcs,
-                threads: &threads,
-                markers: &markers,
-                cols: empty.cursor(0, 0),
-                total,
-            };
-            for a in &mut self.analyses {
-                a.begin(&ctx);
-            }
-        }
-        let prev_mask = reader.decode_mask();
-        reader.set_decode_mask(self.subscription().effective_columns());
-        let swept = reader.stream_range(0, total, |cur| {
-            let ctx = AnalysisCtx {
-                funcs: &funcs,
-                threads: &threads,
-                markers: &markers,
-                cols: *cur,
-                total,
-            };
-            // Rebind the window: `sweep` walks the cursor's own bounds.
-            self.sweep(&ctx, &subs);
+        let prev_mask = src.swap_decode_mask(self.subscription().effective_columns());
+        // `sweep` walks each window's own bounds.
+        let swept = src.stream_range(0, total, |cur| {
+            self.sweep(&AnalysisCtx { cols: *cur, ..edge }, &subs)
         });
-        reader.set_decode_mask(prev_mask);
+        src.swap_decode_mask(prev_mask);
         swept?;
-        {
-            let ctx = AnalysisCtx {
-                funcs: &funcs,
-                threads: &threads,
-                markers: &markers,
-                cols: empty.cursor(0, 0),
-                total,
-            };
-            for a in &mut self.analyses {
-                a.finish(&ctx);
-            }
+        for a in &mut self.analyses {
+            a.finish(&edge);
         }
         Ok(())
     }
@@ -393,6 +359,7 @@ impl<'d> AnalysisDriver<'d> {
 mod tests {
     use super::*;
     use crate::addr::Region;
+    use crate::reader::TraceReader;
     use crate::recorder::Recorder;
     use crate::site;
     use crate::thread::ThreadKind;
@@ -575,7 +542,7 @@ mod tests {
         }
         assert_eq!(mem.counts, streamed.counts);
         assert_eq!(
-            reader.decode_mask(),
+            reader.swap_decode_mask(ColumnMask::ALL),
             ColumnMask::ALL,
             "driver restores the reader's mask"
         );

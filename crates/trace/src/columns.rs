@@ -262,13 +262,7 @@ impl Columns {
     ///
     /// Panics if `lo > hi` or `hi` exceeds the trace length.
     pub fn cursor(&self, lo: usize, hi: usize) -> ColumnCursor<'_> {
-        assert!(lo <= hi && hi <= self.len(), "segment out of bounds");
-        ColumnCursor {
-            cols: self,
-            base: 0,
-            lo,
-            hi,
-        }
+        self.cursor_at(0, lo, hi)
     }
 
     /// A cursor whose *global* indices `[lo, hi)` map onto this store with
@@ -454,6 +448,11 @@ impl<'a> ColumnCursor<'a> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.lo == self.hi
+    }
+
+    /// The physical store and the window's `[lo, hi)` in its indices.
+    pub(crate) fn physical(&self) -> (&'a Columns, usize, usize) {
+        (self.cols, self.lo - self.base, self.hi - self.base)
     }
 
     /// Global indices of the segment in backward (slicing) order.

@@ -10,8 +10,8 @@
 //! * [`TraceReader::chunk`] decodes one segment into a physical
 //!   [`Columns`] store and caches at most [`MAX_CACHED_CHUNKS`] of them,
 //!   so peak memory is `O(segment_len)`, never `O(trace_len)`.
-//! * [`TraceReader::chunk_cursor`] presents a decoded chunk at its true
-//!   global instruction range via [`Columns::cursor_at`], so streamed
+//! * As a [`ColumnSource`], the reader presents each decoded chunk at its
+//!   true global instruction range via [`Columns::cursor_at`], so streamed
 //!   passes index it with exactly the positions an in-memory pass would
 //!   use — results are identical by construction.
 //!
@@ -36,6 +36,7 @@ use crate::segment::{
     decode_segment_masked, encode_segment, segment_content_hash, SegmentMeta, MAGIC2,
     MAX_SEGMENT_INSTRS, SEGMENT_LEN, TRAILER2,
 };
+use crate::source::{ColumnSource, RangeJob};
 use crate::thread::{ThreadId, ThreadTable};
 use crate::trace::{MarkerRecord, Trace};
 
@@ -535,28 +536,6 @@ impl<R: Read + Seek> TraceReader<R> {
         })
     }
 
-    /// Column groups [`TraceReader::chunk`] currently decodes.
-    pub fn decode_mask(&self) -> ColumnMask {
-        self.decode_mask
-    }
-
-    /// Narrows (or restores) the column groups [`TraceReader::chunk`]
-    /// decodes. Streams outside `mask` are skipped through their block
-    /// length prefixes instead of decompressed, and come back as default
-    /// values — callers must only read the columns in `mask` (this is the
-    /// [`crate::analysis::Subscription`] contract, enforced there by the
-    /// fused driver's union).
-    ///
-    /// Under any mask other than [`ColumnMask::ALL`] the footer's
-    /// per-segment content hash — which covers every column — cannot be
-    /// recomputed, so the end-to-end integrity check is skipped; block
-    /// framing and per-value domain checks on the decoded columns still
-    /// apply. Cached chunks are tagged with their decode mask, so
-    /// narrowing then widening never serves default-filled columns.
-    pub fn set_decode_mask(&mut self, mask: ColumnMask) {
-        self.decode_mask = mask;
-    }
-
     /// Cumulative decode accounting since `open` (or the last
     /// [`TraceReader::reset_decode_stats`]).
     pub fn decode_stats(&self) -> DecodeStats {
@@ -566,31 +545,6 @@ impl<R: Read + Seek> TraceReader<R> {
     /// Zeroes the decode accounting, so a benchmark can meter one pass.
     pub fn reset_decode_stats(&mut self) {
         self.stats = DecodeStats::default();
-    }
-
-    /// Number of dynamic instructions in the trace.
-    pub fn len(&self) -> usize {
-        usize::try_from(self.total).expect("trace length fits usize on this platform")
-    }
-
-    /// True if the trace has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// The symbol table, rebuilt from the footer.
-    pub fn functions(&self) -> &FunctionRegistry {
-        &self.funcs
-    }
-
-    /// The thread table, rebuilt from the footer.
-    pub fn threads(&self) -> &ThreadTable {
-        &self.threads
-    }
-
-    /// Pixel-buffer marker records, in trace order.
-    pub fn markers(&self) -> &[MarkerRecord] {
-        &self.markers
     }
 
     /// Number of on-disk segments.
@@ -654,7 +608,7 @@ impl<R: Read + Seek> TraceReader<R> {
         // here instead of silently corrupting downstream analyses. It
         // covers every column, so it is only checkable on a full decode;
         // a narrowed mask trades it for skipping (see
-        // [`TraceReader::set_decode_mask`]).
+        // [`ColumnSource::swap_decode_mask`]).
         if self.decode_mask == ColumnMask::ALL {
             let got = segment_content_hash(&cols, 0, cols.len());
             if got != meta.content_hash {
@@ -671,77 +625,18 @@ impl<R: Read + Seek> TraceReader<R> {
         Ok(&self.cache[0].2)
     }
 
-    /// Decodes chunk `i` and presents it at its global instruction range:
-    /// the cursor's indices are true trace positions, exactly as an
-    /// in-memory [`Columns::cursor`] over the same range would accept.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceReader::chunk`].
-    pub fn chunk_cursor(&mut self, i: usize) -> Result<ColumnCursor<'_>, TraceIoError> {
+    /// Chunk `i` at its global instruction range, clipped to `[lo, hi)`:
+    /// one window of [`ColumnSource::stream_range`].
+    fn clipped_chunk(
+        &mut self,
+        i: usize,
+        lo: usize,
+        hi: usize,
+    ) -> Result<ColumnCursor<'_>, TraceIoError> {
         let first = self.segs[i].first_instr as usize;
         let n = self.segs[i].n_instr as usize;
         let cols = self.chunk(i)?;
-        Ok(cols.cursor_at(first, first, first + n))
-    }
-
-    /// Streams the half-open global range `[lo, hi)` forward through `f`,
-    /// one clipped chunk cursor at a time.
-    ///
-    /// Each cursor's indices are true trace positions; consecutive cursors
-    /// tile `[lo, hi)` exactly, so a forward pass that only touches the
-    /// current index sees the same values an in-memory cursor over the
-    /// whole range would serve.
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceReader::chunk`].
-    pub fn stream_range(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        mut f: impl FnMut(&ColumnCursor<'_>),
-    ) -> Result<(), TraceIoError> {
-        if lo >= hi {
-            return Ok(());
-        }
-        let (c0, c1) = (self.chunk_of(lo), self.chunk_of(hi - 1));
-        for i in c0..=c1 {
-            let first = self.segs[i].first_instr as usize;
-            let n = self.segs[i].n_instr as usize;
-            let cols = self.chunk(i)?;
-            let cur = cols.cursor_at(first, lo.max(first), hi.min(first + n));
-            f(&cur);
-        }
-        Ok(())
-    }
-
-    /// Streams the half-open global range `[lo, hi)` **backward** through
-    /// `f`: the last chunk's clipped cursor first. Backward passes walk
-    /// each cursor's indices in reverse themselves (e.g. via
-    /// [`ColumnCursor::rev_indices`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`TraceReader::chunk`].
-    pub fn stream_range_rev(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        mut f: impl FnMut(&ColumnCursor<'_>),
-    ) -> Result<(), TraceIoError> {
-        if lo >= hi {
-            return Ok(());
-        }
-        let (c0, c1) = (self.chunk_of(lo), self.chunk_of(hi - 1));
-        for i in (c0..=c1).rev() {
-            let first = self.segs[i].first_instr as usize;
-            let n = self.segs[i].n_instr as usize;
-            let cols = self.chunk(i)?;
-            let cur = cols.cursor_at(first, lo.max(first), hi.min(first + n));
-            f(&cur);
-        }
-        Ok(())
+        Ok(cols.cursor_at(first, lo.max(first), hi.min(first + n)))
     }
 
     /// Materializes the whole trace in memory (for `convert`/`inspect` on
@@ -774,11 +669,106 @@ impl<R: Read + Seek> TraceReader<R> {
     }
 }
 
+/// The tables come from the footer; rows stream through the reader's
+/// bounded chunk window.
+impl<R: Read + Seek> ColumnSource for TraceReader<R> {
+    type Error = TraceIoError;
+
+    fn len(&self) -> usize {
+        usize::try_from(self.total).expect("trace length fits usize on this platform")
+    }
+
+    fn functions(&self) -> &FunctionRegistry {
+        &self.funcs
+    }
+
+    fn threads(&self) -> &ThreadTable {
+        &self.threads
+    }
+
+    fn markers(&self) -> &[MarkerRecord] {
+        &self.markers
+    }
+
+    fn stream_range(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        mut f: impl FnMut(&ColumnCursor<'_>),
+    ) -> Result<(), TraceIoError> {
+        if lo >= hi {
+            return Ok(());
+        }
+        for i in self.chunk_of(lo)..=self.chunk_of(hi - 1) {
+            f(&self.clipped_chunk(i, lo, hi)?);
+        }
+        Ok(())
+    }
+
+    fn stream_range_rev(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        mut f: impl FnMut(&ColumnCursor<'_>),
+    ) -> Result<(), TraceIoError> {
+        if lo >= hi {
+            return Ok(());
+        }
+        for i in (self.chunk_of(lo)..=self.chunk_of(hi - 1)).rev() {
+            f(&self.clipped_chunk(i, lo, hi)?);
+        }
+        Ok(())
+    }
+
+    fn run_jobs<J: RangeJob>(
+        &mut self,
+        ranges: &[(usize, usize)],
+        start: impl Fn(usize) -> J + Sync,
+    ) -> Result<Vec<J::Output>, TraceIoError> {
+        let mut out = Vec::with_capacity(ranges.len());
+        for (i, &(lo, hi)) in ranges.iter().enumerate() {
+            let mut job = start(i);
+            self.stream_range_rev(lo, hi, |cur| job.feed(cur))?;
+            out.push(job.finish());
+        }
+        Ok(out)
+    }
+
+    /// Narrows (or restores) the column groups [`TraceReader::chunk`]
+    /// decodes. Streams outside `mask` are skipped through their block
+    /// length prefixes instead of decompressed, and come back as default
+    /// values.
+    ///
+    /// Under any mask other than [`ColumnMask::ALL`] the footer's
+    /// per-segment content hash — which covers every column — cannot be
+    /// recomputed, so the end-to-end integrity check is skipped; block
+    /// framing and per-value domain checks on the decoded columns still
+    /// apply. Cached chunks are tagged with their decode mask, so
+    /// narrowing then widening never serves default-filled columns.
+    fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask {
+        std::mem::replace(&mut self.decode_mask, mask)
+    }
+
+    /// The footer's hashes of the leading chunks that sit exactly on the
+    /// [`SEGMENT_LEN`] grid. An early flush (e.g. an arena overflow) can
+    /// shorten a chunk; the segments from there on are not stored.
+    fn stored_segment_hashes(&self) -> Vec<[u64; 2]> {
+        (0..self.n_chunks())
+            .map(|i| (i, self.chunk_meta(i)))
+            .take_while(|(i, m)| {
+                m.first_instr == (i * SEGMENT_LEN) as u64 && m.n_instr == SEGMENT_LEN as u64
+            })
+            .map(|(_, m)| m.content_hash)
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
     use crate::site;
+    use crate::source::ColumnSource;
     use crate::syscall::Syscall;
     use crate::thread::ThreadKind;
     use crate::Region;
@@ -877,7 +867,7 @@ mod tests {
         assert_eq!(rd.markers(), t.markers());
         // Cursor-based access at global positions.
         for i in 0..rd.n_chunks() {
-            let cur = rd.chunk_cursor(i).unwrap();
+            let cur = rd.clipped_chunk(i, 0, usize::MAX).unwrap();
             for idx in cur.lo()..cur.hi() {
                 assert_eq!(cur.instr(idx), t.instr(TracePos(idx as u64)));
             }
@@ -1020,8 +1010,7 @@ mod tests {
         let mut rd = TraceReader::open(Cursor::new(buf)).unwrap();
 
         // Narrow decode: tids real, everything else skipped.
-        rd.set_decode_mask(ColumnMask::TIDS);
-        assert_eq!(rd.decode_mask(), ColumnMask::TIDS);
+        assert_eq!(rd.swap_decode_mask(ColumnMask::TIDS), ColumnMask::ALL);
         {
             let cols = rd.chunk(0).unwrap();
             for idx in 0..cols.len() {
@@ -1034,13 +1023,13 @@ mod tests {
 
         // Widening re-decodes rather than serving the default-filled copy,
         // and the full decode re-enables the content-hash check.
-        rd.set_decode_mask(ColumnMask::ALL);
-        let cur = rd.chunk_cursor(0).unwrap();
+        rd.swap_decode_mask(ColumnMask::ALL);
+        let cur = rd.clipped_chunk(0, 0, usize::MAX).unwrap();
         assert_eq!(cur.instr(0), t.instr(TracePos(0)));
         assert_eq!(rd.decode_stats().chunks_decoded, 2);
 
         // A full-mask cached chunk covers any narrower request.
-        rd.set_decode_mask(ColumnMask::TIDS);
+        rd.swap_decode_mask(ColumnMask::TIDS);
         rd.chunk(0).unwrap();
         assert_eq!(rd.decode_stats().chunks_decoded, 2, "cache hit expected");
         rd.reset_decode_stats();

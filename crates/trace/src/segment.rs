@@ -34,7 +34,7 @@
 
 use crate::addr::{Addr, AddrRange};
 use crate::analysis::ColumnMask;
-use crate::columns::{Columns, MemOpsRef};
+use crate::columns::{ColumnCursor, Columns, MemOpsRef};
 use crate::compress::{decode_stream, encode_stream, skip_stream, unzigzag, zigzag, ByteReader};
 use crate::io::TraceIoError;
 use crate::syscall::Syscall;
@@ -122,13 +122,14 @@ impl ContentHasher {
         }
     }
 
-    /// Folds the instruction rows `[lo, hi)` of `cols` (physical indices)
-    /// into the digest. Every field the slicer can observe is hashed —
-    /// kind tag and payload, thread, function, pc, both register bitsets,
-    /// and each memory operand's start and length — but nothing
-    /// positional, so the digest is invariant under relocating the rows
-    /// to a different trace offset.
-    pub fn fold(&mut self, cols: &Columns, lo: usize, hi: usize) {
+    /// Folds the rows of one cursor window into the digest. Every field
+    /// the slicer can observe is hashed — kind tag and payload, thread,
+    /// function, pc, both register bitsets, and each memory operand's
+    /// start and length — but nothing positional, so the digest is
+    /// invariant under relocating the rows to a different trace offset,
+    /// and a range folded window by window hashes as one resident fold.
+    pub fn fold(&mut self, cur: &ColumnCursor<'_>) {
+        let (cols, lo, hi) = cur.physical();
         for idx in lo..hi {
             let (tag, data) = cols.raw_kind(idx);
             self.word(u64::from(tag) | u64::from(data) << 8);
@@ -170,7 +171,7 @@ impl Default for ContentHasher {
 /// slicer-visible field difference perturbs it.
 pub fn segment_content_hash(cols: &Columns, lo: usize, hi: usize) -> [u64; 2] {
     let mut h = ContentHasher::new();
-    h.fold(cols, lo, hi);
+    h.fold(&cols.cursor(lo, hi));
     h.finish((hi - lo) as u64)
 }
 
@@ -809,10 +810,12 @@ mod tests {
             segment_content_hash(&rebased, 0, 128)
         );
 
-        // Streaming fold over split ranges matches the one-shot hash.
+        // Streaming fold over split windows — the second one a decoded
+        // chunk presented at its trace positions — matches the one-shot
+        // hash.
         let mut h = ContentHasher::new();
-        h.fold(&cols, 64, 100);
-        h.fold(&cols, 100, 192);
+        h.fold(&cols.cursor(64, 100));
+        h.fold(&rebased.cursor_at(64, 100, 192));
         assert_eq!(h.finish(128), segment_content_hash(&cols, 64, 192));
 
         // Every slicer-visible field of a single row perturbs the digest:

@@ -10,8 +10,8 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use wasteprof_trace::{
-    read_trace, write_trace, write_trace2, Pc, Recorder, Reg, RegSet, Region, Syscall, ThreadKind,
-    TraceReader,
+    read_trace, write_trace, write_trace2, ColumnSource, Pc, Recorder, Reg, RegSet, Region,
+    Syscall, ThreadKind, TraceReader,
 };
 
 /// One random emission step.

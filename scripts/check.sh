@@ -56,19 +56,25 @@ for crit in pixels syscalls; do
     target/release/trace_tool certify "$smoke_trace" --criteria "$crit"
 done
 
-echo "== out-of-core smoke (convert, streamed slice identical, streamed certify) =="
-trap 'rm -f "$smoke_trace" "$smoke_trace.2"' EXIT
+echo "== out-of-core smoke (convert; streamed slice, check, certify identical) =="
+trap 'rm -f "$smoke_trace" "$smoke_trace".*' EXIT
 target/release/trace_tool convert "$smoke_trace" "$smoke_trace.2"
 diff <(target/release/trace_tool slice "$smoke_trace") \
     <(target/release/trace_tool slice "$smoke_trace.2" --out-of-core)
 diff <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls) \
     <(target/release/trace_tool slice "$smoke_trace.2" --criteria syscalls --out-of-core)
-target/release/trace_tool check "$smoke_trace.2" --out-of-core
-target/release/trace_tool certify "$smoke_trace.2" --segments 8 --out-of-core
+# Each streamed run must exit 0 (run directly, so `set -e` sees its
+# status) and print exactly what the in-memory run prints.
+target/release/trace_tool check "$smoke_trace.2" --out-of-core >"$smoke_trace.out"
+diff <(target/release/trace_tool check "$smoke_trace") "$smoke_trace.out"
+target/release/trace_tool certify "$smoke_trace.2" --segments 8 --out-of-core >"$smoke_trace.out"
+diff <(target/release/trace_tool certify "$smoke_trace") "$smoke_trace.out"
 # One segment drives the sequential walk, which emits the witness in
 # lockstep chunk by chunk instead of replaying it.
 for crit in pixels syscalls; do
-    target/release/trace_tool certify "$smoke_trace.2" --segments 1 --out-of-core --criteria "$crit"
+    target/release/trace_tool certify "$smoke_trace.2" --segments 1 --out-of-core --criteria "$crit" \
+        >"$smoke_trace.out"
+    diff <(target/release/trace_tool certify "$smoke_trace" --criteria "$crit") "$smoke_trace.out"
 done
 
 echo "== fused analyze smoke (subset selection, in-memory vs streamed identical) =="
@@ -86,12 +92,17 @@ fi
 
 echo "== incremental smoke (two frames, cached slice identical, warm hits) =="
 smoke_cache=$(mktemp -d /tmp/wasteprof-cache-XXXXXX)
-trap 'rm -f "$smoke_trace" "$smoke_trace.2" "$smoke_trace".f*; rm -rf "$smoke_cache"' EXIT
+trap 'rm -f "$smoke_trace" "$smoke_trace".*; rm -rf "$smoke_cache"' EXIT
 target/release/trace_tool export bing "$smoke_trace" --frames 2
 for f in 0 1; do
     diff <(target/release/trace_tool slice "$smoke_trace.f$f") \
         <(target/release/trace_tool slice "$smoke_trace.f$f" --incremental --cache-dir "$smoke_cache")
 done
+# The same cached slice streamed out of core from the WPTRACE2 file.
+target/release/trace_tool convert "$smoke_trace.f1" "$smoke_trace.f1.2"
+target/release/trace_tool slice "$smoke_trace.f1.2" --incremental --out-of-core \
+    >"$smoke_cache/out-of-core"
+diff <(target/release/trace_tool slice "$smoke_trace.f1") "$smoke_cache/out-of-core"
 # Re-slicing the last frame against the persisted cache must be warm:
 # every segment summary comes back from disk, zero recomputed.
 target/release/trace_tool slice "$smoke_trace.f1" --incremental --cache-dir "$smoke_cache" \
@@ -106,7 +117,7 @@ echo "== static analyzer smoke (all sites, json, exit codes, determinism) =="
 # The ahead-of-time analyzer runs on every canonical site; findings exit
 # 1 and render as parseable WP01xx diagnostics; reruns are byte-identical.
 static_out=$(mktemp -d /tmp/wasteprof-static-XXXXXX)
-trap 'rm -f "$smoke_trace" "$smoke_trace.2" "$smoke_trace".f*; rm -rf "$smoke_cache" "$static_out"' EXIT
+trap 'rm -f "$smoke_trace" "$smoke_trace".*; rm -rf "$smoke_cache" "$static_out"' EXIT
 for site in amazon_desktop amazon_mobile maps bing; do
     rc=0
     target/release/trace_tool static "$site" --json >"$static_out/$site.json" || rc=$?

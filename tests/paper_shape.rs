@@ -11,7 +11,7 @@ use wasteprof::workloads::Benchmark;
 #[test]
 fn amazon_mobile_matches_paper_shape() {
     let run = run_benchmark(Benchmark::AmazonMobile, false);
-    let rows = thread_rows(&run.session.trace, &run.pixel);
+    let rows = thread_rows(run.session.trace.threads(), &run.pixel);
     let pct = |label: &str| {
         rows.iter()
             .find(|r| r.label == label)
