@@ -9,12 +9,13 @@
 //! independent certifier (codes WP0008-WP0011). Both exit 0 when clean,
 //! 1 with findings, 2 on usage errors.
 //!
-//! `convert` re-encodes a WPTRACE1 file into the chunked, per-column
-//! compressed WPTRACE2 tier; `slice`/`check`/`certify`/`analyze
-//! --out-of-core` then run entirely from that file through
-//! [`TraceReader`]'s bounded chunk window — the whole trace never lives in
-//! memory. Each of those subcommands is one body generic over
-//! [`ColumnSource`]; `--out-of-core` only picks which source it opens.
+//! `export` writes the chunked, per-column compressed WPTRACE2 format,
+//! the only one the tool reads. `slice`/`check`/`certify`/`analyze` load
+//! the file into memory by default; with `--out-of-core` they run
+//! entirely from it through [`TraceReader`]'s bounded chunk window — the
+//! whole trace never lives in memory. Each of those subcommands is one
+//! body generic over [`ColumnSource`]; `--out-of-core` only picks which
+//! source it opens.
 //!
 //! `static` needs no trace at all: it runs the wasteprof-staticjs
 //! interprocedural analyzer (codes WP0101-WP0106) over a benchmark's
@@ -35,8 +36,7 @@ use wasteprof_slicer::{
     syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SliceResult, SummaryCache,
 };
 use wasteprof_trace::{
-    read_trace, write_trace, write_trace2, AnalysisDriver, ColumnSource, Trace, TraceIoError,
-    TracePos, TraceReader,
+    write_trace2, AnalysisDriver, ColumnSource, Trace, TraceIoError, TracePos, TraceReader,
 };
 use wasteprof_workloads::{bing_frames, Benchmark};
 
@@ -49,7 +49,6 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  \
          trace_tool export  <amazon_desktop|amazon_mobile|maps|bing> <file> [--frames N]\n  \
-         trace_tool convert <in.wptrace> <out.wptrace2>\n  \
          trace_tool inspect <file> [--head N]\n  \
          trace_tool slice   <file> [shared flags] [--incremental] [--cache-dir DIR | --no-cache]\n  \
          trace_tool check   <file> [--json] [--max-diags N] [--out-of-core]\n  \
@@ -57,11 +56,11 @@ fn usage() -> ! {
          trace_tool static  <amazon_desktop|amazon_mobile|maps|bing> [--json] [--referee [--per-function]]\n  \
          trace_tool certify <file> [shared flags] [--json]\n\n\
          shared flags:\n  \
-         flag                  slice  check  certify  convert   meaning\n  \
-         --criteria p|s        yes    -      yes      -         pixels (default) or syscalls\n  \
-         --segments K          yes    -      yes      -         parallel slice segments (0 = auto)\n  \
-         --out-of-core         yes    yes    yes      (output)  stream a WPTRACE2 file from `convert`\n  \
-         --json                -      yes    yes      -         machine-readable diagnostics\n\n\
+         flag                  slice  check  certify  meaning\n  \
+         --criteria p|s        yes    -      yes      pixels (default) or syscalls\n  \
+         --segments K          yes    -      yes      parallel slice segments (0 = auto)\n  \
+         --out-of-core         yes    yes    yes      stream the file instead of loading it\n  \
+         --json                -      yes    yes      machine-readable diagnostics\n\n\
          incremental slicing (`slice` only):\n  \
          --incremental         slice through the segment-summary cache; output is\n  \
                                byte-identical to a from-scratch slice, cache stats\n  \
@@ -97,7 +96,7 @@ fn usage() -> ! {
          calls, waste}}. Without --referee, --json emits the bare diags\n  \
          array.\n\n\
          `export --frames N` (bing only) records an N-frame browse session and\n  \
-         writes one WPTRACE1 file per frame: <file>.f0 ... <file>.f{{N-1}}.\n\n\
+         writes one trace file per frame: <file>.f0 ... <file>.f{{N-1}}.\n\n\
          exit codes: 0 clean / success, 1 findings or I/O error, 2 usage error"
     );
     std::process::exit(2);
@@ -116,14 +115,31 @@ fn open<T>(path: &str, read: impl FnOnce(BufReader<File>) -> Result<T, TraceIoEr
     })
 }
 
-/// Loads a `WPTRACE1` file into memory.
+/// Loads a trace file into memory.
 fn load(path: &str) -> Trace {
-    open(path, |mut r| read_trace(&mut r))
+    open(path, |r| TraceReader::open(r)?.read_to_trace())
 }
 
 /// Opens a `WPTRACE2` file for streaming.
 fn open_reader(path: &str) -> TraceReader<BufReader<File>> {
     open(path, TraceReader::open)
+}
+
+/// Creates the output file `path`; exits 1 if it cannot.
+fn create(path: &str) -> BufWriter<File> {
+    let file = File::create(path).unwrap_or_else(|e| {
+        eprintln!("cannot create {path}: {e}");
+        std::process::exit(1);
+    });
+    BufWriter::new(file)
+}
+
+/// Writes `trace` to `w` (created for `path`); exits 1 if it cannot.
+fn write(mut w: BufWriter<File>, path: &str, trace: &Trace) {
+    write_trace2(&mut w, trace).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
 }
 
 /// Exits 1 with a message when a pass over the source fails mid-trace.
@@ -371,56 +387,34 @@ fn main() {
                 if benchmark != Benchmark::Bing {
                     usage();
                 }
+                let outs: Vec<(String, BufWriter<File>)> = (0..n)
+                    .map(|k| {
+                        let out = format!("{path}.f{k}");
+                        let w = create(&out);
+                        (out, w)
+                    })
+                    .collect();
                 eprintln!("running {} ({n} frames)...", benchmark.label());
                 let fs = bing_frames(n);
-                for k in 0..fs.frames() {
+                for (k, (out, w)) in outs.into_iter().enumerate() {
                     let frame = fs.frame_trace(k);
-                    let out = format!("{path}.f{k}");
-                    let file = File::create(&out).expect("create output file");
-                    write_trace(&mut BufWriter::new(file), &frame).expect("serialize");
+                    write(w, &out, &frame);
                     println!(
                         "wrote {} instructions to {out}",
                         format_count(frame.len() as u64)
                     );
                 }
             } else {
+                let w = create(path);
                 eprintln!("running {}...", benchmark.label());
                 let session = benchmark.run();
-                let file = File::create(path).expect("create output file");
-                write_trace(&mut BufWriter::new(file), &session.trace).expect("serialize");
+                write(w, path, &session.trace);
                 println!(
                     "wrote {} instructions ({} markers) to {path}",
                     format_count(session.trace.len() as u64),
                     session.trace.markers().len()
                 );
             }
-        }
-        Some("convert") => {
-            let (Some(input), Some(output)) = (args.get(1), args.get(2)) else {
-                usage()
-            };
-            if args.len() > 3 {
-                usage();
-            }
-            let trace = load(input);
-            let file = File::create(output).unwrap_or_else(|e| {
-                eprintln!("cannot create {output}: {e}");
-                std::process::exit(1);
-            });
-            let mut w = BufWriter::new(file);
-            let stats = write_trace2(&mut w, &trace).unwrap_or_else(|e| {
-                eprintln!("cannot write {output}: {e}");
-                std::process::exit(1);
-            });
-            println!(
-                "wrote {} instructions in {} segments to {output}\n\
-                 file: {} bytes; payload: {} bytes ({:.2} bytes/instr compressed)",
-                format_count(stats.instrs),
-                format_count(stats.segments),
-                format_count(stats.file_bytes),
-                format_count(stats.payload_bytes),
-                stats.bytes_per_instr()
-            );
         }
         Some("inspect") => {
             let Some(path) = args.get(1) else { usage() };
@@ -447,12 +441,9 @@ fn main() {
                 h.ops, h.loads, h.stores, h.branches, h.calls, h.syscalls
             );
             println!("\nper thread:");
+            let counts = trace.per_thread_counts();
             for info in trace.threads().iter() {
-                let count = trace
-                    .per_thread_counts()
-                    .get(&info.id())
-                    .copied()
-                    .unwrap_or(0);
+                let count = counts.get(&info.id()).copied().unwrap_or(0);
                 println!("  {:<14} {:>10}", info.name(), format_count(count));
             }
             println!("\ntop functions by instruction count:");

@@ -20,12 +20,13 @@
 //!   throughput, rendered into `results/perf.txt` and
 //!   `results/bench_engine.json`.
 //!
-//! Each experiment is a *view* over the store ([`table1`], [`table2`],
-//! [`fig2`], [`fig4`], [`fig5`], [`bing_backslice`], [`ablations`]): it
-//! reads shared artifacts, does only its unique extra work (e.g. the
-//! ablation configuration runs), and returns its text output plus the
-//! files it wants written. The standalone binaries are thin wrappers that
-//! build a store, evaluate one view, and save it.
+//! Each experiment is a *view* over the store (Table I, Table II, the
+//! waste cross, Figures 2, 4 and 5, the §V-A Bing back-slice, the
+//! ablations, and the check/certify/static reports): it reads shared
+//! artifacts, does only its unique extra work (e.g. the ablation
+//! configuration runs), and returns its text output plus the files it
+//! wants written. [`run`] evaluates every view; `run_all` prints them and
+//! saves their files into `results/`.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -123,27 +124,23 @@ pub struct SessionStore {
 impl SessionStore {
     /// Creates an empty store; nothing is computed until asked for.
     /// Slices use automatic segmentation (`SliceOptions::segments == 0`),
-    /// which is right when the caller computes one slice at a time — a
-    /// standalone view binary gives the whole thread budget to the slicer.
+    /// which is right when the caller computes one slice at a time, and
+    /// emit no dependence witness.
     pub fn new() -> Self {
         SessionStore::default()
     }
 
     /// A store whose slices are capped at `segments` parallel segments
-    /// each. The engine uses this to route the thread budget: when it fans
+    /// each, with dependence-witness emission switched on or off for
+    /// every slice it computes.
+    ///
+    /// The engine uses the cap to route the thread budget: when it fans
     /// many slice jobs across the pool at once (store-level parallelism),
     /// each individual slice gets `threads / jobs` segments (slice-level
     /// parallelism) so the two layers multiply to the pool size instead of
     /// oversubscribing it. Segmented results are identical to sequential
-    /// ones, so this is purely a scheduling choice.
-    pub fn with_slice_segments(segments: usize) -> Self {
-        SessionStore::with_slice_config(segments, false)
-    }
-
-    /// Like [`SessionStore::with_slice_segments`], with dependence-witness
-    /// emission switched on or off for every slice the store computes.
-    /// The engine turns witnesses on so the certify stage can re-check
-    /// each slice; standalone view binaries leave them off.
+    /// ones, so this is purely a scheduling choice. The engine also turns
+    /// witnesses on, so its certify stage can re-check each slice.
     pub fn with_slice_config(segments: usize, witness: bool) -> Self {
         SessionStore {
             slice_segments: segments,
@@ -344,52 +341,18 @@ impl SessionStore {
     }
 }
 
-/// Per-experiment options, routed explicitly to the views that understand
-/// them (the old child-process harness passed a stray `both` argument to
-/// every binary and only `table2` happened to parse it).
-#[derive(Debug, Clone)]
-pub struct EngineOptions {
-    /// Table II: also compute the syscall-criteria slices and append the
-    /// §V pixel-vs-syscall comparison.
-    pub table2_criteria_both: bool,
-    /// Run the trace verifier (race detector + well-formedness lints)
-    /// over every session before the experiments consume it, emitting
-    /// `results/check.txt`.
-    pub verify_traces: bool,
-    /// Emit dependence witnesses on every slice and run the independent
-    /// certifier over the pixel and syscall slices of all six sessions,
-    /// emitting `results/certify.txt`.
-    pub certify_slices: bool,
-    /// Drive the incremental slicing tier (the content-addressed
-    /// [`SummaryCache`]) over this many Bing browse frames plus one
-    /// steady-state re-slice, reporting reuse counters as an engine
-    /// stage in `perf.txt` / `bench_engine.json`. `0` disables the
-    /// stage. This produces no `results/` artifact, so the determinism
-    /// contract is untouched.
-    pub incremental_frames: usize,
-    /// Run the ahead-of-time static analyzer over every benchmark's
-    /// scripts and referee its predictions against each session's
-    /// execution witness and pixel slice, emitting
-    /// `results/static_vs_dynamic.txt`.
-    pub static_referee: bool,
-}
+/// Options of an engine run, made with `EngineOptions::default()`. There
+/// are none: every run computes every experiment, so [`run`] always
+/// produces the same views.
+#[derive(Debug, Clone, Default)]
+pub struct EngineOptions {}
 
-impl Default for EngineOptions {
-    /// `run_all` defaults: the full Table II including the §V comparison,
-    /// with every trace verified and every slice certified.
-    fn default() -> Self {
-        EngineOptions {
-            table2_criteria_both: true,
-            verify_traces: true,
-            certify_slices: true,
-            incremental_frames: 3,
-            static_referee: true,
-        }
-    }
-}
+/// Bing browse frames the incremental stage drives through the
+/// content-addressed [`SummaryCache`], plus one steady-state re-slice.
+const INCREMENTAL_FRAMES: usize = 3;
 
-/// One experiment's evaluated output: what the standalone binary prints,
-/// plus the files it saves into `results/`.
+/// One experiment's evaluated output: what `run_all` prints for it, plus
+/// the files it saves into `results/`.
 #[derive(Debug, Clone)]
 pub struct View {
     /// Experiment name (`table1`, `fig4`, ...).
@@ -416,7 +379,7 @@ impl View {
 }
 
 /// Table I: unused JavaScript and CSS code bytes (load vs load+browse).
-pub fn table1(store: &SessionStore) -> View {
+fn table1(store: &SessionStore) -> View {
     // The paper's Table I covers Amazon (desktop), Bing, and Google Maps.
     let sites = [
         Benchmark::AmazonDesktop,
@@ -484,9 +447,9 @@ pub fn table1(store: &SessionStore) -> View {
     View::new("table1", out, artifacts)
 }
 
-/// Table II: pixel-slice statistics per thread for all four benchmarks.
-pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
-    let both = opts.table2_criteria_both;
+/// Table II: pixel-slice statistics per thread for all four benchmarks,
+/// plus the §V pixel-vs-syscall comparison.
+fn table2(store: &SessionStore) -> View {
     let mut out = String::new();
     out.push_str("Table II: Slicing statistics of pixel-based approach for all\n");
     out.push_str("instructions and important threads.\n");
@@ -495,7 +458,7 @@ pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
 
     let mut comparison = String::new();
     for benchmark in Benchmark::ALL {
-        let run = store.benchmark_run(benchmark, both);
+        let run = store.benchmark_run(benchmark, true);
         let rows = thread_rows(run.session.trace.threads(), &run.pixel);
         let mut table = TextTable::new(vec!["Threads", "Pixels slice", "Total instructions"]);
         for r in &rows {
@@ -511,50 +474,30 @@ pub fn table2(store: &SessionStore, opts: &EngineOptions) -> View {
             table.render()
         ));
 
-        if let Some(sys) = &run.syscall {
-            comparison.push_str(&format!(
-                "{:<32} pixel slice {:>5.1}%   syscall slice {:>5.1}%\n",
-                benchmark.label(),
-                run.pixel.fraction() * 100.0,
-                sys.fraction() * 100.0,
-            ));
-        }
+        let sys = run.syscall.as_ref().expect("syscall slice requested");
+        comparison.push_str(&format!(
+            "{:<32} pixel slice {:>5.1}%   syscall slice {:>5.1}%\n",
+            benchmark.label(),
+            run.pixel.fraction() * 100.0,
+            sys.fraction() * 100.0,
+        ));
     }
-    if !comparison.is_empty() {
-        out.push_str(
-            "\nPixel-based vs syscall-based criteria (paper: \"slicing based on\n\
-             either pixels buffer or system calls leads to almost the same\n\
-             slice\"):\n\n",
-        );
-        out.push_str(&comparison);
-    }
+    out.push_str(
+        "\nPixel-based vs syscall-based criteria (paper: \"slicing based on\n\
+         either pixels buffer or system calls leads to almost the same\n\
+         slice\"):\n\n",
+    );
+    out.push_str(&comparison);
     let artifacts = vec![("table2.txt".to_owned(), out.clone())];
     View::new("table2", out, artifacts)
 }
 
 /// Figure 2 buckets: resolution of the main-thread utilization series.
-pub const FIG2_BUCKETS: usize = 120;
+const FIG2_BUCKETS: usize = 120;
 
-/// Figure 2: main-thread CPU utilization while browsing amazon.com.
-///
-/// Standalone entry point: computes the utilization series with a solo
-/// driver run. The engine computes the same series in its fused `analyze`
-/// sweep and calls [`fig2_from`] instead.
-pub fn fig2(store: &SessionStore) -> View {
-    let session = store.browse_session(Benchmark::AmazonDesktop);
-    let main_tid = session
-        .trace
-        .threads()
-        .find(ThreadKind::Main)
-        .expect("main thread");
-    let series =
-        UtilizationSeries::compute(&session.trace, &session.idle_spans, main_tid, FIG2_BUCKETS);
-    fig2_from(store, &series)
-}
-
-/// Renders Figure 2 from an already-computed utilization series (the
-/// engine's fused `analyze` stage produces it; [`fig2`] computes it solo).
-pub fn fig2_from(store: &SessionStore, series: &UtilizationSeries) -> View {
+/// Figure 2: main-thread CPU utilization while browsing amazon.com,
+/// rendered from the series the fused `analyze` stage computes.
+fn fig2_from(store: &SessionStore, series: &UtilizationSeries) -> View {
     let session = store.browse_session(Benchmark::AmazonDesktop);
     let mut out = String::new();
     out.push_str("Figure 2: CPU utilization by the main thread of the tab process\n");
@@ -595,7 +538,7 @@ pub fn fig2_from(store: &SessionStore, series: &UtilizationSeries) -> View {
 }
 
 /// Figure 4: slicing percentage over the backward pass.
-pub fn fig4(store: &SessionStore) -> View {
+fn fig4(store: &SessionStore) -> View {
     let mut out = String::new();
     out.push_str("Figure 4: slicing percentage over the backward pass.\n");
     out.push_str("x = 0: page loaded / session done; right edge: URL entered.\n\n");
@@ -658,29 +601,14 @@ pub fn fig4(store: &SessionStore) -> View {
     View::new("fig4", out, artifacts)
 }
 
-/// Figure 5: categorization of potentially unnecessary computations.
-///
-/// Standalone entry point: computes each benchmark's breakdown with a
-/// solo driver run. The engine computes the same breakdowns in its fused
-/// `analyze` sweep and calls [`fig5_from`] instead.
-pub fn fig5(store: &SessionStore) -> View {
-    let breakdowns: Vec<CategoryBreakdown> = Benchmark::ALL
-        .iter()
-        .map(|&b| {
-            let run = store.benchmark_run(b, false);
-            CategoryBreakdown::compute(&run.session.trace, &run.pixel)
-        })
-        .collect();
-    fig5_from(&breakdowns)
-}
-
-/// Renders Figure 5 from already-computed breakdowns, one per benchmark
-/// in [`Benchmark::ALL`] order.
+/// Figure 5: categorization of potentially unnecessary computations,
+/// rendered from the fused `analyze` stage's breakdowns, one per
+/// benchmark in [`Benchmark::ALL`] order.
 ///
 /// # Panics
 ///
 /// Panics if `breakdowns.len() != Benchmark::ALL.len()`.
-pub fn fig5_from(breakdowns: &[CategoryBreakdown]) -> View {
+fn fig5_from(breakdowns: &[CategoryBreakdown]) -> View {
     assert_eq!(breakdowns.len(), Benchmark::ALL.len());
     let mut out = String::new();
     out.push_str("Figure 5: categorization of potentially unnecessary computations\n");
@@ -725,29 +653,14 @@ pub fn fig5_from(breakdowns: &[CategoryBreakdown]) -> View {
 }
 
 /// Table II × Figure 5: per-thread-role namespace categorization of the
-/// non-slice instructions in every benchmark's base session.
-///
-/// Standalone entry point: computes each breakdown with a solo driver
-/// run. The engine computes the same breakdowns in its fused `analyze`
-/// sweep and calls [`table2_waste_from`] instead.
-pub fn table2_waste(store: &SessionStore) -> View {
-    let breakdowns: Vec<WasteBreakdown> = Benchmark::ALL
-        .iter()
-        .map(|&b| {
-            let run = store.benchmark_run(b, false);
-            WasteBreakdown::compute(&run.session.trace, &run.pixel)
-        })
-        .collect();
-    table2_waste_from(&breakdowns)
-}
-
-/// Renders the waste cross-table from already-computed breakdowns, one
-/// per benchmark in [`Benchmark::ALL`] order.
+/// non-slice instructions in every benchmark's base session, rendered from
+/// the fused `analyze` stage's breakdowns, one per benchmark in
+/// [`Benchmark::ALL`] order.
 ///
 /// # Panics
 ///
 /// Panics if `breakdowns.len() != Benchmark::ALL.len()`.
-pub fn table2_waste_from(breakdowns: &[WasteBreakdown]) -> View {
+fn table2_waste_from(breakdowns: &[WasteBreakdown]) -> View {
     assert_eq!(breakdowns.len(), Benchmark::ALL.len());
     let mut out = String::new();
     out.push_str("Table II x Figure 5: namespace categorization of potentially\n");
@@ -765,7 +678,7 @@ pub fn table2_waste_from(breakdowns: &[WasteBreakdown]) -> View {
 }
 
 /// §V-A: the Bing load-time slice vs the full-session slice.
-pub fn bing_backslice(store: &SessionStore) -> View {
+fn bing_backslice(store: &SessionStore) -> View {
     let session = store.base_session(Benchmark::Bing);
     let trace = &session.trace;
     let load_end = session.load_end;
@@ -998,7 +911,7 @@ fn ablate_backing_stores(segments: usize) -> (String, u64) {
 /// studies in parallel, and the multi-configuration studies fanning their
 /// own runs too. Output ordering stays fixed: every parallel collect is
 /// order-preserving and the studies are concatenated 1→4.
-pub fn ablations(store: &SessionStore) -> View {
+fn ablations(store: &SessionStore) -> View {
     // Route the remaining thread budget to the private slices: with eight
     // config runs in flight, each slice gets threads/8 segments (min 1),
     // so session-level and slice-level parallelism compose instead of
@@ -1081,7 +994,8 @@ pub struct EngineReport {
     /// the key every memoized slice (and summary-cache entry) was
     /// computed under.
     pub slice_fingerprint: u64,
-    /// Summary-cache counters from the incremental stage, when it ran.
+    /// Summary-cache counters from the incremental stage. Always `Some`:
+    /// the stage runs on every engine run.
     pub incremental: Option<CacheStats>,
 }
 
@@ -1214,25 +1128,34 @@ const ENGINE_SESSIONS: [SessionKey; 6] = [
 /// Emission (printing, file writes) is left to the caller so it happens
 /// sequentially in a fixed order: the artifact bytes are identical no
 /// matter how many threads computed them.
-pub fn run(opts: &EngineOptions) -> EngineReport {
+pub fn run(_opts: &EngineOptions) -> EngineReport {
+    // The independent slicing runs of stage 3: pixel and syscall slices of
+    // every base session (Table II and its §V comparison), the §V-A
+    // bounded Bing slice, and pixel and syscall slices of the two distinct
+    // browse sessions, which the certifier re-checks.
+    #[derive(Clone, Copy)]
+    enum SliceJob {
+        Pixel(SessionKey),
+        Syscall(SessionKey),
+        BingLoadPrefix,
+    }
+    let base = Benchmark::ALL.map(SessionKey::Base);
+    let mut jobs: Vec<SliceJob> = base.iter().map(|k| SliceJob::Pixel(*k)).collect();
+    jobs.extend(base.iter().map(|k| SliceJob::Syscall(*k)));
+    jobs.push(SliceJob::BingLoadPrefix);
+    for b in [Benchmark::AmazonDesktop, Benchmark::GoogleMaps] {
+        jobs.push(SliceJob::Pixel(SessionKey::Browse(b)));
+        jobs.push(SliceJob::Syscall(SessionKey::Browse(b)));
+    }
     // Thread-budget routing between store-level and slice-level
-    // parallelism: the slices stage fans `slice_jobs` concurrent slicing
-    // runs, so each run gets `threads / slice_jobs` segments and the two
-    // layers multiply to (at most) the pool size. With more jobs than
-    // threads this degenerates to 1 segment per slice — exactly the
-    // sequential per-slice path, scheduled across jobs.
-    let slice_jobs = Benchmark::ALL.len()
-        + if opts.table2_criteria_both {
-            Benchmark::ALL.len()
-        } else {
-            0
-        }
-        + 1
-        + if opts.certify_slices { 4 } else { 0 };
-    let store = SessionStore::with_slice_config(
-        (rayon::current_num_threads() / slice_jobs).max(1),
-        opts.certify_slices,
-    );
+    // parallelism: the slices stage fans `jobs.len()` concurrent slicing
+    // runs, so each run gets `threads / jobs` segments and the two layers
+    // multiply to (at most) the pool size. With more jobs than threads
+    // this degenerates to 1 segment per slice — exactly the sequential
+    // per-slice path, scheduled across jobs. Every slice carries its
+    // dependence witness for the certify stage.
+    let store =
+        SessionStore::with_slice_config((rayon::current_num_threads() / jobs.len()).max(1), true);
     let started = Instant::now();
     let mut stages = Vec::new();
 
@@ -1254,20 +1177,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         wall: t.elapsed(),
     });
 
-    // Stage 2: one forward pass per base session, plus the two distinct
-    // browse sessions when the certifier will need their slices.
-    let mut forward_keys: Vec<SessionKey> = Benchmark::ALL
-        .iter()
-        .map(|b| SessionKey::Base(*b))
-        .collect();
-    if opts.certify_slices {
-        forward_keys.extend([
-            SessionKey::Browse(Benchmark::AmazonDesktop),
-            SessionKey::Browse(Benchmark::GoogleMaps),
-        ]);
-    }
+    // Stage 2: one forward pass per session.
     let t = Instant::now();
-    let work: Vec<(u64, u64)> = forward_keys
+    let work: Vec<(u64, u64)> = sessions
         .par_iter()
         .map(|k| {
             store.forward_for(*k);
@@ -1277,51 +1189,20 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         .collect();
     stages.push(StageReport {
         name: "forward",
-        items: forward_keys.len(),
+        items: sessions.len(),
         instructions: work.iter().map(|w| w.0).sum(),
         trace_bytes: work.iter().map(|w| w.1).sum(),
         wall: t.elapsed(),
     });
 
-    // Stage 3: independent slicing runs — pixel everywhere, syscall when
-    // Table II wants the §V comparison, the §V-A bounded Bing slice, and
-    // the browse-session slices the certifier will re-check.
-    #[derive(Clone, Copy)]
-    enum SliceJob {
-        Pixel(Benchmark),
-        Syscall(Benchmark),
-        BrowsePixel(Benchmark),
-        BrowseSyscall(Benchmark),
-        BingLoadPrefix,
-    }
-    let mut jobs: Vec<SliceJob> = Benchmark::ALL.iter().map(|b| SliceJob::Pixel(*b)).collect();
-    if opts.table2_criteria_both {
-        jobs.extend(Benchmark::ALL.iter().map(|b| SliceJob::Syscall(*b)));
-    }
-    jobs.push(SliceJob::BingLoadPrefix);
-    if opts.certify_slices {
-        for b in [Benchmark::AmazonDesktop, Benchmark::GoogleMaps] {
-            jobs.push(SliceJob::BrowsePixel(b));
-            jobs.push(SliceJob::BrowseSyscall(b));
-        }
-    }
+    // Stage 3: the slicing runs listed above.
     let t = Instant::now();
     let work: Vec<(u64, u64)> = jobs
         .par_iter()
         .map(|job| {
-            let (considered, key) = match job {
-                SliceJob::Pixel(b) => (store.pixel_slice(*b).considered(), SessionKey::Base(*b)),
-                SliceJob::Syscall(b) => {
-                    (store.syscall_slice(*b).considered(), SessionKey::Base(*b))
-                }
-                SliceJob::BrowsePixel(b) => {
-                    let key = SessionKey::Browse(*b);
-                    (store.pixel_slice_for(key).considered(), key)
-                }
-                SliceJob::BrowseSyscall(b) => {
-                    let key = SessionKey::Browse(*b);
-                    (store.syscall_slice_for(key).considered(), key)
-                }
+            let (considered, key) = match *job {
+                SliceJob::Pixel(k) => (store.pixel_slice_for(k).considered(), k),
+                SliceJob::Syscall(k) => (store.syscall_slice_for(k).considered(), k),
                 SliceJob::BingLoadPrefix => (
                     store.bing_load_prefix_slice().considered(),
                     SessionKey::Base(Benchmark::Bing),
@@ -1340,15 +1221,15 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
 
     // Stage 3½: one *fused* analysis sweep per session. A single
     // [`AnalysisDriver`] carries the verifier lint battery (WP0001-WP0007)
-    // and the WP0012 dead-write metric (when `verify_traces` is on)
-    // together with the per-instruction figure computations: Figure 5
-    // categories and the Table II × Figure 5 waste cross for every base
-    // session, Figure 2 utilization for the browse session it plots. Each
-    // trace is walked once for all of them instead of once per consumer.
-    // Fused results are identical to solo runs — the driver dispatches
-    // each analysis independently and lint batteries sort their own
-    // diagnostics — so `check.txt` and the figure artifacts keep their
-    // bytes (the `fused_matches_solo` tests pin this).
+    // and the WP0012 dead-write metric together with the per-instruction
+    // figure computations: Figure 5 categories and the Table II × Figure 5
+    // waste cross for every base session, Figure 2 utilization for the
+    // browse session it plots. Each trace is walked once for all of them
+    // instead of once per consumer. Fused results are identical to solo
+    // runs — the driver dispatches each analysis independently and lint
+    // batteries sort their own diagnostics — so `check.txt` and the figure
+    // artifacts keep their bytes (the `fused_differential` proptest pins
+    // this).
     struct AnalyzeRow {
         label: String,
         len: u64,
@@ -1365,12 +1246,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         .map(|k| {
             let session = store.session(*k);
             let trace = &session.trace;
-            let mut verify_reg = opts.verify_traces.then(Registry::with_default_lints);
-            let mut dead_reg = opts.verify_traces.then(|| {
-                let mut r = Registry::new();
-                r.register(Box::new(DeadWriteLint::default()));
-                r
-            });
+            let mut verify_reg = Registry::with_default_lints();
+            let mut dead_reg = Registry::new();
+            dead_reg.register(Box::new(DeadWriteLint::default()));
             // Base sessions own the canonical pixel slice (memoized by the
             // slices stage above), which the category and waste analyses
             // classify against; the browse sessions have no slice-derived
@@ -1386,15 +1264,11 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
                     let main = trace.threads().find(ThreadKind::Main).expect("main thread");
                     UtilizationAnalysis::new(session.idle_spans.clone(), main, FIG2_BUCKETS)
                 });
-            let mut verify_battery = verify_reg.as_mut().map(|r| r.as_analysis("verify"));
-            let mut dead_battery = dead_reg.as_mut().map(|r| r.as_analysis("dead-writes"));
+            let mut verify_battery = verify_reg.as_analysis("verify");
+            let mut dead_battery = dead_reg.as_analysis("dead-writes");
             let mut driver = AnalysisDriver::new();
-            if let Some(a) = verify_battery.as_mut() {
-                driver.register(a);
-            }
-            if let Some(a) = dead_battery.as_mut() {
-                driver.register(a);
-            }
+            driver.register(&mut verify_battery);
+            driver.register(&mut dead_battery);
             if let Some(a) = category.as_mut() {
                 driver.register(a);
             }
@@ -1410,10 +1284,8 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
                 label: k.label(),
                 len: trace.len() as u64,
                 bytes: trace.storage_bytes(),
-                diags: verify_battery
-                    .map(|mut b| b.take_diags())
-                    .unwrap_or_default(),
-                dead: dead_battery.map(|mut b| b.take_diags().len()).unwrap_or(0),
+                diags: verify_battery.take_diags(),
+                dead: dead_battery.take_diags().len(),
                 category: category.map(CategoryAnalysis::into_breakdown),
                 waste: waste.map(WasteAnalysis::into_breakdown),
                 utilization: utilization.map(UtilizationAnalysis::into_series),
@@ -1431,7 +1303,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // The verifier report (`results/check.txt`): same bytes as the old
     // dedicated check stage — diagnostics are pre-sorted by the lint
     // batteries, so they do not depend on the thread count.
-    let check_view = opts.verify_traces.then(|| {
+    let check_view = {
         let mut out = String::from(
             "Trace verification: happens-before race detector + streaming\n\
              lints (wasteprof-checker, codes WP0001-WP0007) over every\n\
@@ -1477,7 +1349,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             total_dead
         ));
         View::new("check", out.clone(), vec![("check.txt".to_owned(), out)])
-    });
+    };
 
     // The fused figure results, pulled out of the rows for the views
     // stage. `sessions[..4]` are the base sessions in `Benchmark::ALL`
@@ -1496,7 +1368,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         .expect("browse-session utilization series");
     drop(rows);
 
-    // Stage 3b (optional): the independent slice certifier — replay every
+    // Stage 3b: the independent slice certifier — replay every
     // dependence witness against the columnar trace and check complement
     // safety (codes WP0008-WP0011) over the pixel and syscall slices of
     // all six sessions. Slices and forward passes are memoized above, so
@@ -1504,7 +1376,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // certifying both of its slices against shared last-writer shadows.
     // Diagnostics are pre-sorted and jobs render in a fixed order, so the
     // artifact bytes do not depend on the thread count.
-    let certify_view = opts.certify_slices.then(|| {
+    let certify_view = {
         let t = Instant::now();
         type CertifyRow = (String, u64, u64, u64, Vec<wasteprof_checker::Diag>);
         let results: Vec<CertifyRow> = sessions
@@ -1583,9 +1455,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             out.clone(),
             vec![("certify.txt".to_owned(), out)],
         )
-    });
+    };
 
-    // Stage 3d (optional): the static-vs-dynamic referee. The
+    // Stage 3d: the static-vs-dynamic referee. The
     // ahead-of-time analyzer (wasteprof-staticjs) sees only each
     // benchmark's script sources; its predictions are then scored
     // against the execution witness and the pixel slice of every engine
@@ -1599,7 +1471,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // violation); static-waste claims are scored on precision/recall
     // only. Sessions render in the fixed `sessions` order, so the
     // artifact bytes do not depend on the thread count.
-    let static_view = opts.static_referee.then(|| {
+    let static_view = {
         let t = Instant::now();
         type StaticRow = (String, u64, wasteprof_staticjs::RefereeReport);
         let results: Vec<StaticRow> = sessions
@@ -1714,9 +1586,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             out.clone(),
             vec![("static_vs_dynamic.txt".to_owned(), out)],
         )
-    });
+    };
 
-    // Stage 3c (optional): the incremental slicing tier. Drives the
+    // Stage 3c: the incremental slicing tier. Drives the
     // content-addressed summary cache over a short multi-frame Bing
     // browse sequence — each frame extends the previous one by one
     // interaction, hashes are maintained via
@@ -1724,9 +1596,9 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // frame once to exercise the steady-state (fully warm) path. Only
     // reuse counters and timing are reported; no `results/` artifact, so
     // determinism comparisons are untouched.
-    let incremental_stats = (opts.incremental_frames > 0).then(|| {
+    let incremental_stats = {
         let t = Instant::now();
-        let fs = bing_frames(opts.incremental_frames);
+        let fs = bing_frames(INCREMENTAL_FRAMES);
         let mut cache = SummaryCache::new();
         let sopts = SliceOptions::default();
         let mut hashes: Option<SegmentHashes> = None;
@@ -1753,7 +1625,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
             wall: t.elapsed(),
         });
         cache.stats()
-    });
+    };
 
     // Stage 4: the experiment views. Everything shared is already in the
     // store — fig2, fig5, and the waste cross render the fused `analyze`
@@ -1763,7 +1635,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         .par_iter()
         .map(|&i| match i {
             0 => table1(&store),
-            1 => table2(&store, opts),
+            1 => table2(&store),
             2 => table2_waste_from(&waste_breakdowns),
             3 => fig2_from(&store, &fig2_series),
             4 => fig4(&store),
@@ -1782,9 +1654,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
     // The verifier and certifier reports are emitted last, after the
     // experiment views, in a fixed order — their bytes are part of the
     // determinism contract.
-    views.extend(check_view);
-    views.extend(certify_view);
-    views.extend(static_view);
+    views.extend([check_view, certify_view, static_view]);
 
     EngineReport {
         threads: rayon::current_num_threads(),
@@ -1795,7 +1665,7 @@ pub fn run(opts: &EngineOptions) -> EngineReport {
         forward_builds: store.stats().forward_builds(),
         slices_run: store.stats().slices_run(),
         slice_fingerprint: store.slice_fingerprint(),
-        incremental: incremental_stats,
+        incremental: Some(incremental_stats),
     }
 }
 

@@ -2,17 +2,25 @@
 
 //! Experiment harness for the wasteprof reproduction.
 //!
-//! Each binary regenerates one table or figure of the paper's evaluation:
+//! `run_all` regenerates every table and figure of the paper's evaluation
+//! in one [`engine::run`], printing each view and saving it into
+//! `results/`:
 //!
-//! | target | paper artifact |
+//! | artifact | paper artifact |
 //! |---|---|
-//! | `table1` | Table I — unused JS/CSS bytes |
-//! | `table2` | Table II — pixel-slice statistics per thread |
-//! | `fig2` | Figure 2 — main-thread CPU utilization while browsing Amazon |
-//! | `fig4` | Figure 4 — slice percentage over the backward pass |
-//! | `fig5` | Figure 5 — categorization of unnecessary computations |
-//! | `bing_backslice` | §V-A — load-time slice vs full-session slice |
-//! | `run_all` | everything above, tee'd into `results/` |
+//! | `table1.txt` | Table I — unused JS/CSS bytes |
+//! | `table2.txt` | Table II — pixel-slice statistics per thread |
+//! | `table2_waste.txt` | Table II × Figure 5 — waste by thread role |
+//! | `fig2.txt` | Figure 2 — main-thread CPU utilization while browsing Amazon |
+//! | `fig4.txt` | Figure 4 — slice percentage over the backward pass |
+//! | `fig5.txt` | Figure 5 — categorization of unnecessary computations |
+//! | `bing_backslice.txt` | §V-A — load-time slice vs full-session slice |
+//! | `ablations.txt` | §VII — ablations of the proposed optimizations |
+//! | `check.txt`, `certify.txt`, `static_vs_dynamic.txt` | the referees: trace verifier, slice certifier, static analyzer |
+//!
+//! `trace_tool` exports a session's trace to disk and re-profiles it
+//! (§III-A); `out_of_core`, `incremental_bench`, `fused_bench` and
+//! `static_bench` regenerate the `BENCH_*.json` evidence.
 //!
 //! Criterion benches (`cargo bench`) measure the profiler itself (forward
 //! pass, postdominators, backward slicing, interval sets) and the browser
@@ -26,7 +34,7 @@ use std::path::PathBuf;
 pub mod engine;
 pub mod progress;
 
-/// Directory experiment binaries write artifacts into.
+/// Directory the experiment binaries write artifacts into.
 ///
 /// Resolution order:
 ///

@@ -30,8 +30,8 @@ pub struct MemOpsRef {
 }
 
 /// Encodes an [`InstrKind`] as a `(tag, payload)` pair for column storage.
-/// The tag values are shared with the serialized trace format.
-pub(crate) fn kind_to_tag(kind: InstrKind) -> (u8, u32) {
+/// The tag values are what `WPTRACE2` segments store on disk.
+fn kind_to_tag(kind: InstrKind) -> (u8, u32) {
     match kind {
         InstrKind::Op => (0, 0),
         InstrKind::Load => (1, 0),

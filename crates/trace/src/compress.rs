@@ -18,11 +18,7 @@
 //! corrupt or truncated chunk yields a [`TraceIoError::Format`] instead of
 //! a panic or an attacker-sized allocation.
 
-use crate::io::TraceIoError;
-
-fn bad(msg: impl Into<String>) -> TraceIoError {
-    TraceIoError::Format(msg.into())
-}
+use crate::io::{bad, TraceIoError};
 
 // ----- varint / zigzag ---------------------------------------------------
 

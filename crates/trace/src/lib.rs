@@ -67,7 +67,7 @@ pub use analysis::{AnalysisCtx, AnalysisDriver, ColumnMask, Subscription, TraceA
 pub use columns::{ColumnCursor, Columns, MemOpsRef};
 pub use func::{FuncId, FuncInfo, FunctionRegistry};
 pub use instr::{Instr, InstrKind, MemMulti, MemOps, TracePos};
-pub use io::{read_trace, write_trace, TraceIoError};
+pub use io::TraceIoError;
 pub use pc::Pc;
 pub use reader::{write_trace2, DecodeStats, Trace2Stats, Trace2Writer, TraceReader};
 pub use recorder::Recorder;

@@ -29,7 +29,9 @@ use crate::columns::{ColumnCursor, Columns};
 use crate::compress::ByteReader;
 use crate::func::{FuncId, FunctionRegistry};
 use crate::instr::{InstrKind, TracePos};
-use crate::io::{count_u32, thread_kind_from, thread_kind_tag, w_str, TraceIoError, MAX_NAME_LEN};
+use crate::io::{
+    bad, count_u32, thread_kind_from, thread_kind_tag, w_str, TraceIoError, MAX_NAME_LEN,
+};
 use crate::pc::Pc;
 use crate::reg::RegSet;
 use crate::segment::{
@@ -48,10 +50,6 @@ const MARKER_WIRE_BYTES: usize = 8 + 8 + 4;
 /// Footer bytes per segment index entry (fixed fields + thread bitmap +
 /// region bitmap + 128-bit content hash).
 const SEGMENT_WIRE_BYTES: usize = 8 + 8 + 8 + 8 + 32 + 2 + 16;
-
-fn bad(msg: impl Into<String>) -> TraceIoError {
-    TraceIoError::Format(msg.into())
-}
 
 // ----- footer ------------------------------------------------------------
 
@@ -399,12 +397,13 @@ impl<W: Write> Trace2Writer<W> {
 }
 
 /// Serializes an in-memory [`Trace`] as `WPTRACE2` with the default
-/// segment size, returning the size accounting.
+/// segment size, flushes `w`, and returns the size accounting.
 ///
 /// # Errors
 ///
-/// I/O failure, or [`TraceIoError::Format`] if a table or segment exceeds
-/// a wire-format cap.
+/// I/O failure (a failed final flush included: a buffered writer's last
+/// buffer holds the footer), or [`TraceIoError::Format`] if a table or
+/// segment exceeds a wire-format cap.
 pub fn write_trace2(w: &mut impl Write, trace: &Trace) -> Result<Trace2Stats, TraceIoError> {
     w.write_all(MAGIC2)?;
     let cols = trace.columns();
@@ -438,6 +437,7 @@ pub fn write_trace2(w: &mut impl Write, trace: &Trace) -> Result<Trace2Stats, Tr
         trace.markers(),
         &segs,
     )?;
+    w.flush()?;
     Ok(Trace2Stats {
         instrs: n as u64,
         payload_bytes: offset - 8,
@@ -639,8 +639,8 @@ impl<R: Read + Seek> TraceReader<R> {
         Ok(cols.cursor_at(first, lo.max(first), hi.min(first + n)))
     }
 
-    /// Materializes the whole trace in memory (for `convert`/`inspect` on
-    /// traces known to fit) and validates it structurally.
+    /// Materializes the whole trace in memory (every in-memory load of a
+    /// trace file goes through here) and validates it structurally.
     ///
     /// # Errors
     ///
@@ -1034,6 +1034,82 @@ mod tests {
         assert_eq!(rd.decode_stats().chunks_decoded, 2, "cache hit expected");
         rd.reset_decode_stats();
         assert_eq!(rd.decode_stats(), DecodeStats::default());
+    }
+
+    /// A sink that accepts every write but fails to flush, like a full
+    /// disk behind a `BufWriter`.
+    struct FailingFlush;
+
+    impl Write for FailingFlush {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::Error::other("disk full"))
+        }
+    }
+
+    #[test]
+    fn write_trace2_reports_a_failed_flush() {
+        let err = write_trace2(&mut FailingFlush, &sample()).unwrap_err();
+        assert!(matches!(err, TraceIoError::Io(_)), "{err:?}");
+    }
+
+    /// The leading footer fields: an instruction total of 0 and a symbol
+    /// table of `(declared length, bytes)` entries.
+    fn symbols(entries: &[(u32, &[u8])]) -> Vec<u8> {
+        let mut f = 0u64.to_le_bytes().to_vec();
+        f.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for (len, bytes) in entries {
+            f.extend_from_slice(&len.to_le_bytes());
+            f.extend_from_slice(bytes);
+        }
+        f
+    }
+
+    /// The message of the format error `parse_footer` must return.
+    fn footer_err(footer: &[u8]) -> String {
+        match parse_footer(footer, u64::MAX) {
+            Err(TraceIoError::Format(msg)) => msg,
+            Err(e) => panic!("expected a format error, got {e:?}"),
+            Ok(_) => panic!("corrupt footer accepted"),
+        }
+    }
+
+    #[test]
+    fn footer_rejects_oversized_thread_count() {
+        // A ThreadTable holds at most 256 threads: a larger count is an
+        // error, not a register() panic.
+        let mut f = symbols(&[]);
+        f.extend_from_slice(&257u32.to_le_bytes());
+        f.extend_from_slice(&[0u8; 2 * 257]);
+        assert_eq!(footer_err(&f), "thread count exceeds 256");
+    }
+
+    #[test]
+    fn footer_rejects_huge_symbol_length_before_reading() {
+        // Nothing follows the 4 GiB length: the cap fires before any
+        // read or buffer is sized from it.
+        assert_eq!(footer_err(&symbols(&[(u32::MAX, b"")])), "string too long");
+    }
+
+    #[test]
+    fn footer_rejects_symbol_running_past_its_end() {
+        let msg = footer_err(&symbols(&[(100, b"abc")]));
+        assert!(msg.contains("100 bytes requested, 3 remain"), "{msg}");
+    }
+
+    #[test]
+    fn footer_rejects_invalid_utf8_symbol() {
+        let msg = footer_err(&symbols(&[(2, &[0xff, 0xfe])]));
+        assert_eq!(msg, "invalid utf-8 in symbol name");
+    }
+
+    #[test]
+    fn footer_rejects_duplicate_symbol() {
+        let msg = footer_err(&symbols(&[(1, b"f"), (1, b"f")]));
+        assert_eq!(msg, "duplicate symbol name `f`");
     }
 
     #[test]

@@ -520,7 +520,7 @@ impl Recorder {
 
     /// Finalizes the recording into an immutable [`Trace`].
     pub fn finish(self) -> Trace {
-        Trace::from_columns(self.cols, self.funcs, self.threads, self.markers)
+        Trace::from_parts(self.cols, self.funcs, self.threads, self.markers)
     }
 }
 

@@ -36,7 +36,7 @@ use crate::addr::{Addr, AddrRange};
 use crate::analysis::ColumnMask;
 use crate::columns::{ColumnCursor, Columns, MemOpsRef};
 use crate::compress::{decode_stream, encode_stream, skip_stream, unzigzag, zigzag, ByteReader};
-use crate::io::TraceIoError;
+use crate::io::{bad, TraceIoError};
 use crate::syscall::Syscall;
 use crate::thread::ThreadId;
 
@@ -57,10 +57,6 @@ pub const MAX_SEGMENT_INSTRS: usize = 1 << 22;
 /// reason (run-length operand counts could otherwise claim arbitrarily
 /// many operands from a few bytes).
 pub const MAX_SEGMENT_ARENA: usize = 1 << 22;
-
-fn bad(msg: impl Into<String>) -> TraceIoError {
-    TraceIoError::Format(msg.into())
-}
 
 /// One segment's entry in the file footer's index.
 #[derive(Clone, Debug, PartialEq, Eq)]

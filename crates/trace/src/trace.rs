@@ -37,20 +37,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    pub(crate) fn from_columns(
-        cols: Columns,
-        funcs: FunctionRegistry,
-        threads: ThreadTable,
-        markers: Vec<MarkerRecord>,
-    ) -> Self {
-        Trace {
-            cols,
-            funcs,
-            threads,
-            markers,
-        }
-    }
-
     /// Assembles a trace from externally built parts: instruction columns,
     /// a symbol table, a thread table, and marker records.
     ///
@@ -66,7 +52,12 @@ impl Trace {
         threads: ThreadTable,
         markers: Vec<MarkerRecord>,
     ) -> Self {
-        Trace::from_columns(cols, funcs, threads, markers)
+        Trace {
+            cols,
+            funcs,
+            threads,
+            markers,
+        }
     }
 
     /// Number of dynamic instructions.

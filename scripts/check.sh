@@ -56,34 +56,58 @@ for crit in pixels syscalls; do
     target/release/trace_tool certify "$smoke_trace" --criteria "$crit"
 done
 
-echo "== out-of-core smoke (convert; streamed slice, check, certify identical) =="
+echo "== out-of-core smoke (streamed slice, check, certify identical) =="
+# The same exported file read both ways: loaded into memory (the `&Trace`
+# source) and streamed through the bounded chunk window (`TraceReader`).
 trap 'rm -f "$smoke_trace" "$smoke_trace".*' EXIT
-target/release/trace_tool convert "$smoke_trace" "$smoke_trace.2"
 diff <(target/release/trace_tool slice "$smoke_trace") \
-    <(target/release/trace_tool slice "$smoke_trace.2" --out-of-core)
+    <(target/release/trace_tool slice "$smoke_trace" --out-of-core)
 diff <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls) \
-    <(target/release/trace_tool slice "$smoke_trace.2" --criteria syscalls --out-of-core)
+    <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls --out-of-core)
 # Each streamed run must exit 0 (run directly, so `set -e` sees its
 # status) and print exactly what the in-memory run prints.
-target/release/trace_tool check "$smoke_trace.2" --out-of-core >"$smoke_trace.out"
+target/release/trace_tool check "$smoke_trace" --out-of-core >"$smoke_trace.out"
 diff <(target/release/trace_tool check "$smoke_trace") "$smoke_trace.out"
-target/release/trace_tool certify "$smoke_trace.2" --segments 8 --out-of-core >"$smoke_trace.out"
+target/release/trace_tool certify "$smoke_trace" --segments 8 --out-of-core >"$smoke_trace.out"
 diff <(target/release/trace_tool certify "$smoke_trace") "$smoke_trace.out"
 # One segment drives the sequential walk, which emits the witness in
 # lockstep chunk by chunk instead of replaying it.
 for crit in pixels syscalls; do
-    target/release/trace_tool certify "$smoke_trace.2" --segments 1 --out-of-core --criteria "$crit" \
+    target/release/trace_tool certify "$smoke_trace" --segments 1 --out-of-core --criteria "$crit" \
         >"$smoke_trace.out"
     diff <(target/release/trace_tool certify "$smoke_trace" --criteria "$crit") "$smoke_trace.out"
 done
+
+echo "== refusal smoke (version-1 trace file, unwritable export path) =="
+# Runs a command and fails the gate unless it exits with status $1.
+expect_exit() {
+    local want=$1 rc=0
+    shift
+    "$@" >/dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne "$want" ]; then
+        echo "expected exit $want, got $rc: $*" >&2
+        exit 1
+    fi
+}
+# A file in the retired version-1 trace format (magic "WPTRACE" + "1") is
+# a typed read error (exit 1), never a panic (exit 101), in memory and out
+# of core.
+{ printf 'WPTRACE%s' 1; head -c 64 /dev/zero; } >"$smoke_trace.v1"
+expect_exit 1 target/release/trace_tool inspect "$smoke_trace.v1"
+expect_exit 1 target/release/trace_tool slice "$smoke_trace.v1"
+expect_exit 1 target/release/trace_tool slice "$smoke_trace.v1" --out-of-core
+# An output path under a missing directory fails up front with exit 1.
+expect_exit 1 target/release/trace_tool export amazon_mobile "$smoke_trace.missing/out.wptrace"
+# There is one trace format, so there is nothing to convert.
+expect_exit 2 target/release/trace_tool convert "$smoke_trace" "$smoke_trace.v2"
 
 echo "== fused analyze smoke (subset selection, in-memory vs streamed identical) =="
 # The full fused pass and every subset must agree between the in-memory
 # and selectively-decoded out-of-core paths; the clean session exits 0.
 diff <(target/release/trace_tool analyze "$smoke_trace" --json 2>/dev/null) \
-    <(target/release/trace_tool analyze "$smoke_trace.2" --out-of-core --json 2>/dev/null)
+    <(target/release/trace_tool analyze "$smoke_trace" --out-of-core --json 2>/dev/null)
 diff <(target/release/trace_tool analyze "$smoke_trace" --analyses lints,frames --json 2>/dev/null) \
-    <(target/release/trace_tool analyze "$smoke_trace.2" --analyses lints,frames --out-of-core --json 2>/dev/null)
+    <(target/release/trace_tool analyze "$smoke_trace" --analyses lints,frames --out-of-core --json 2>/dev/null)
 # Unknown analysis names are a usage error (exit 2), not a silent no-op.
 if target/release/trace_tool analyze "$smoke_trace" --analyses bogus 2>/dev/null; then
     echo "analyze accepted an unknown analysis name" >&2
@@ -98,9 +122,8 @@ for f in 0 1; do
     diff <(target/release/trace_tool slice "$smoke_trace.f$f") \
         <(target/release/trace_tool slice "$smoke_trace.f$f" --incremental --cache-dir "$smoke_cache")
 done
-# The same cached slice streamed out of core from the WPTRACE2 file.
-target/release/trace_tool convert "$smoke_trace.f1" "$smoke_trace.f1.2"
-target/release/trace_tool slice "$smoke_trace.f1.2" --incremental --out-of-core \
+# The same cached slice streamed out of core from the frame file.
+target/release/trace_tool slice "$smoke_trace.f1" --incremental --out-of-core \
     >"$smoke_cache/out-of-core"
 diff <(target/release/trace_tool slice "$smoke_trace.f1") "$smoke_cache/out-of-core"
 # Re-slicing the last frame against the persisted cache must be warm:

@@ -3,7 +3,7 @@
 
 use wasteprof::browser::{BrowserConfig, ResourceKind, Session, Site, Tab};
 use wasteprof::slicer::{pixel_criteria, slice, syscall_criteria, ForwardPass, SliceOptions};
-use wasteprof::trace::{read_trace, write_trace, TracePos};
+use wasteprof::trace::{write_trace2, TracePos, TraceReader};
 
 fn small_site() -> Site {
     let html = r#"
@@ -70,8 +70,10 @@ fn deterministic_across_runs() {
 fn trace_serialization_roundtrips_a_real_session() {
     let session = run_session();
     let mut buf = Vec::new();
-    write_trace(&mut buf, &session.trace).expect("write");
-    let back = read_trace(&mut buf.as_slice()).expect("read");
+    write_trace2(&mut buf, &session.trace).expect("write");
+    let back = TraceReader::open(std::io::Cursor::new(buf))
+        .and_then(TraceReader::read_to_trace)
+        .expect("read");
     assert_eq!(back.len(), session.trace.len());
     assert_eq!(back.markers(), session.trace.markers());
     // Slicing the deserialized trace gives identical results.
