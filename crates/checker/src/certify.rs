@@ -2,52 +2,54 @@
 //! slices against the trace they came from.
 //!
 //! The slicer emits a dependence witness (see `wasteprof-slicer`'s
-//! `Witnesses`): one row per slice member naming the live fact the member
-//! defined and the downstream member or criterion that consumed it, the
-//! CDG edge for control-dependence members, or the contained member for
-//! dynamic calls. [`certify`] replays those claims *forward* over the
-//! packed columns — no `Instr` materialization, the same streaming
-//! style as the race detector — and shares no code with the backward
-//! walk, so a bug in the slicer's liveness machinery cannot hide itself.
-//! The sweep is written once over a `ColumnSource`: [`certify_streamed`]
-//! runs it from a `WPTRACE2` reader without ever holding the whole trace
-//! in memory, and [`certify_all`] certifies several slices of one trace
-//! in a single sweep: the last-writer shadows and call stacks are
-//! criterion-independent, so they are built once and every slice's
-//! checks read them at their own points.
+//! `Witnesses`) holding only the structural reasons members joined: a
+//! `control` row (a pending branch and the member that armed it), a
+//! `call` row (a call and a member inside its callee frame), or a
+//! `criterion` row (an `include_instr` anchor). The certifier derives
+//! every data edge itself, from its own last-writer shadows. [`certify`]
+//! sweeps forward over the packed columns — no `Instr` materialization,
+//! the same streaming style as the race detector — and shares no code
+//! with the backward walk, so a bug in the slicer's liveness machinery
+//! cannot hide itself. The sweep is written once over a `ColumnSource`:
+//! [`certify_streamed`] runs it from a `WPTRACE2` reader without ever
+//! holding the whole trace in memory, and [`certify_all`] certifies
+//! several slices of one trace in a single sweep: the last-writer shadows
+//! and call stacks are criterion-independent, so they are built once and
+//! every slice's checks read them at their own points.
 //!
-//! Two properties are checked:
+//! Three properties are checked:
 //!
-//! - **Soundness of every edge.** A `mem`/`reg` row claims its member is
-//!   the *last* write to those bytes / that register before the consumer
-//!   (registers on the consumer's own thread); the sweep tracks
-//!   last-writer shadows and compares at the consumer ([`Code::CertifyStaleDef`]).
-//!   `control` rows must be real edges of the recovered control-dependence
-//!   graph, `call` rows must match the dynamic call stack, and `criterion`
-//!   rows must anchor a real `include_instr` criterion
+//! - **Complement safety.** Every read the backward walk made live has a
+//!   last writer inside the slice, or none. Those are the reads of a
+//!   member with no row and of a `control` member, the facts of every
+//!   criterion, and the reads of a `call` or `criterion` member whose own
+//!   writes are consumed. A non-slice last writer means the slicer
+//!   wrongly excluded an instruction whose value reached the criteria
+//!   ([`Code::CertifyLiveLeak`]).
+//! - **Every row is a real edge.** `control` rows must be edges of the
+//!   recovered control-dependence graph, `call` rows must match the
+//!   dynamic call stack, `criterion` rows must anchor a real
+//!   `include_instr` criterion, and every consumer must be a member
 //!   ([`Code::CertifyBadEdge`]).
-//! - **Complement safety.** Wherever a slice member or criterion consumes
-//!   bytes or a register, the last writer must itself be in the slice (or
-//!   the bytes were never written). A non-slice last writer means the
-//!   slicer wrongly excluded an instruction whose value reached the
-//!   criteria ([`Code::CertifyLiveLeak`]).
+//! - **Every member is consumed.** A member with no row must be the last
+//!   writer of something a checked read consumes
+//!   ([`Code::CertifyUnconsumed`]).
 //!
-//! Together these imply slice soundness: every value flowing into the
-//! criteria is produced inside the slice, and every member has a checked
-//! reason to be there. Bookkeeping defects — missing table, a slice
-//! longer than the trace, row counts disagreeing with the slice
-//! population, rows whose member is not in the bitmap — report
-//! [`Code::CertifyMismatch`].
+//! Every edge points forward in time, so together these imply slice
+//! soundness: every member reaches a criterion, and every value flowing
+//! into the criteria is produced inside the slice. Bookkeeping defects —
+//! missing table, a slice longer than the trace, rows outside the
+//! considered prefix, rows whose member is not in the bitmap, two rows
+//! for one member — report [`Code::CertifyMismatch`].
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use wasteprof_slicer::{
     ControlDeps, Criteria, ForwardPass, SliceResult, SlicingCriterion, WitnessKind, WitnessRow,
-    Witnesses,
 };
 use wasteprof_trace::{
-    ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, RegSet, ThreadId, Trace, TracePos,
+    ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, Reg, ThreadId, Trace, TracePos,
 };
 
 use crate::diag::{sort_diags, Code, Diag};
@@ -174,15 +176,15 @@ impl Shadows {
     }
 }
 
-/// Static facts about one slice member, captured when the forward sweep
-/// passes its position.
+/// Static facts about a member that carries a witness row, captured when
+/// the forward sweep passes its position.
 ///
-/// Edge checks at a consumer need the member side's thread, location, and
-/// opcode class — positions an out-of-core sweep has already evicted. Since
-/// every member precedes its consumer in an honest table, capturing these
-/// five fields at member time makes the edge checks window-local; a row
-/// whose member does *not* precede its consumer finds no meta and fails
-/// the check, exactly as it should.
+/// A row is checked at its consumer, where the member side's thread,
+/// location, and opcode class are positions an out-of-core sweep has
+/// already evicted. Since every member precedes its consumer in an honest
+/// table, capturing these five fields at member time makes the checks
+/// window-local; a row whose member does *not* precede its consumer finds
+/// no meta and fails its check, exactly as it should.
 #[derive(Clone, Copy)]
 struct MemberMeta {
     tid: ThreadId,
@@ -209,248 +211,170 @@ impl fmt::Display for Consumer {
     }
 }
 
-/// One slice's side of a sweep: its witness rows grouped by consumer, its
-/// criteria, and the member meta captured so far. Fed forward one
-/// [`ColumnCursor`] window at a time, so it never needs random access
-/// outside the current window.
+/// What a read covers: a byte range or a register. Only rendered when a
+/// leak is reported.
+#[derive(Clone, Copy)]
+enum Fact {
+    Mem(u64, u64),
+    Reg(Reg),
+}
+
+impl fmt::Display for Fact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Fact::Mem(lo, hi) => write!(f, "{lo:#x}..{hi:#x}"),
+            Fact::Reg(r) => write!(f, "{r:?}"),
+        }
+    }
+}
+
+/// A read of a `call` or `criterion` member, checked after the sweep and
+/// only if the reader's own writes turn out to be consumed.
+struct LateRead {
+    reader: u32,
+    writer: u32,
+    fact: Fact,
+}
+
+/// How the reads of the position being swept are checked.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reads {
+    /// Not a member: its reads are nobody's concern.
+    Skip,
+    /// A member with no row or a `control` row: the walk made its reads
+    /// live.
+    AtOnce,
+    /// A `call` or `criterion` member: its reads matter only if its own
+    /// writes are consumed.
+    Late,
+}
+
+/// One slice's side of a sweep: its witness rows, its criteria, and what
+/// its checks have found so far. Fed forward one [`ColumnCursor`] window
+/// at a time, so it never needs random access outside the current window.
 struct Job<'a> {
-    w: &'a Witnesses,
     items: &'a [SlicingCriterion],
     result: &'a SliceResult,
-    /// The slice bitmap, one bit per position.
-    words: &'a [u64],
     /// Considered prefix length: the job's checks cover `0..n`.
     n: usize,
-    /// Valid row indices in `(consumer, is_criterion, row)` order.
+    /// The valid rows, one per member, in member order.
+    rows: Vec<WitnessRow>,
+    /// Indices into `rows`, in consumer order.
     by_consumer: Vec<u32>,
-    cons_cur: usize,
-    /// The decoded row at `by_consumer[cons_cur]`: each row is decoded
-    /// once, when it reaches the head.
-    head: Option<WitnessRow>,
-    /// [`consumer_key`] of `head`, `u64::MAX` past the end: every position
-    /// compares against it.
-    cons_key: u64,
-    /// Members whose own reads entered the live sets, strictly increasing.
-    gen_members: Vec<u32>,
-    gen_cur: usize,
-    /// Set while the position being swept is one of `gen_members`: its
-    /// reads await the complement check shared by every such job.
-    genned_here: bool,
+    /// The next entry of `rows` / `by_consumer` the sweep will reach.
+    member_cur: usize,
+    consumer_cur: usize,
+    /// `meta[i]`: the meta of `rows[i].member`, once the sweep has passed
+    /// it.
+    meta: Vec<MemberMeta>,
     /// Positions of `include_instr` criteria inside the prefix, sorted.
     include_crit: Vec<u32>,
     crit_cur: usize,
-    /// `rank_base[i]`: members in `words[..i]`.
-    rank_base: Vec<u32>,
-    /// Meta of the members the sweep has passed, in position order: the
-    /// member at `pos` owns `meta[rank(pos)]`.
-    meta: Vec<MemberMeta>,
+    /// How the reads at the position being swept are checked.
+    reads_here: Reads,
+    /// Members a checked read consumes, one bit per position.
+    consumed: Vec<u64>,
+    /// Reads of `call` and `criterion` members, in reader order.
+    late: Vec<LateRead>,
     out: Vec<Diag>,
 }
 
 impl Job<'_> {
-    fn member(&self, idx: u32) -> bool {
+    fn member(&self, idx: usize) -> bool {
         self.result.contains(TracePos(idx as u64))
     }
 
-    /// Members strictly before `pos`.
-    fn rank(&self, pos: usize) -> usize {
-        let below = self.words[pos / 64] & ((1u64 << (pos % 64)) - 1);
-        self.rank_base[pos / 64] as usize + below.count_ones() as usize
-    }
-
-    /// The captured meta of member `pos`, if the sweep has passed it.
-    /// Rows reaching a check have members inside the bitmap.
-    fn meta_of(&self, pos: u32) -> Option<MemberMeta> {
-        self.meta.get(self.rank(pos as usize)).copied()
-    }
-
-    /// Pops the head row.
-    fn next_consumer_row(&mut self) -> WitnessRow {
-        let row = self.head.expect("cons_key names a head row");
-        self.cons_cur += 1;
-        self.head = self
-            .by_consumer
-            .get(self.cons_cur)
-            .map(|&i| self.w.row(i as usize));
-        self.cons_key = self.head.as_ref().map_or(u64::MAX, consumer_key);
-        row
-    }
-
-    /// Checks one witness row at its consumer position (the index the
-    /// cursor is currently on). `mem`/`reg` rows compare against the
-    /// last-writer shadows (called before the consumer's own writes for
-    /// member consumers, after them for criterion consumers — a criterion
-    /// observes memory *after* its anchor instruction executes, matching
-    /// the backward walk's event order). Structural rows check the CDG,
-    /// the dynamic call stack, or the criteria list, reading the member
-    /// side from the captured [`MemberMeta`].
-    fn check_edge(
-        &mut self,
-        row: &WitnessRow,
-        cur: &ColumnCursor<'_>,
-        deps: &ControlDeps,
-        sh: &Shadows,
-    ) {
-        let m = row.member.index();
-        let c = row.consumer.index();
-        match row.kind {
-            WitnessKind::Mem => {
-                if row.fact_lo >= row.fact_hi {
-                    self.out.push(Diag::at(
-                        Code::CertifyBadEdge,
-                        m,
-                        format!("empty mem fact {:#x}..{:#x}", row.fact_lo, row.fact_hi),
-                    ));
-                    return;
-                }
-                let mut bad: Option<(u64, u64, Option<u32>)> = None;
-                sh.mem.for_range(row.fact_lo, row.fact_hi, |lo, hi, wr| {
-                    if bad.is_none() && wr != Some(m as u32) {
-                        bad = Some((lo, hi, wr));
-                    }
-                });
-                if let Some((lo, hi, wr)) = bad {
-                    let actual = match wr {
-                        Some(w) => format!("{}", TracePos(w as u64)),
-                        None => "never written".to_owned(),
-                    };
-                    self.out.push(Diag::at(
-                        Code::CertifyStaleDef,
-                        m,
-                        format!(
-                            "claims the last write to {lo:#x}..{hi:#x} before {}, \
-                             but that is {actual}",
-                            row.consumer
-                        ),
-                    ));
-                }
-            }
-            WitnessKind::Reg => {
-                let ri = row.fact_lo as usize;
-                if ri >= 16 {
-                    self.out.push(Diag::at(
-                        Code::CertifyBadEdge,
-                        m,
-                        format!("register index {ri} out of range"),
-                    ));
-                    return;
-                }
-                let tid_c = cur.tid(c);
-                let ti = tid_c.index();
-                if let Some(mm) = self.meta_of(m as u32) {
-                    if mm.tid != tid_c {
-                        self.out.push(Diag::at(
-                            Code::CertifyStaleDef,
-                            m,
-                            format!(
-                                "register fact crosses threads: def on {:?}, use at {} on {:?}",
-                                mm.tid, row.consumer, tid_c
-                            ),
-                        ));
-                        return;
-                    }
-                }
-                if sh.regs[ti][ri] != Some(m as u32) {
-                    let actual = match sh.regs[ti][ri] {
-                        Some(w) => format!("{}", TracePos(w as u64)),
-                        None => "never written".to_owned(),
-                    };
-                    self.out.push(Diag::at(
-                        Code::CertifyStaleDef,
-                        m,
-                        format!(
-                            "claims the last write to register {ri} before {}, \
-                             but that is {actual}",
-                            row.consumer
-                        ),
-                    ));
-                }
-            }
-            WitnessKind::Control => {
-                let ok = m < c
-                    && self.meta_of(m as u32).is_some_and(|mm| {
-                        mm.is_branch
-                            && mm.tid == cur.tid(c)
-                            && mm.func == cur.func(c)
-                            && deps.controllers(cur.func(c), cur.pc(c)).contains(&mm.pc)
-                    });
-                if !ok {
-                    self.out.push(Diag::at(
-                        Code::CertifyBadEdge,
-                        m,
-                        format!(
-                            "control edge {} -> {} is not in the recovered CDG",
-                            row.member, row.consumer
-                        ),
-                    ));
-                }
-            }
-            WitnessKind::Call => {
-                let ti = cur.tid(c).index();
-                let ok = m < c
-                    && self
-                        .meta_of(m as u32)
-                        .is_some_and(|mm| mm.is_call && mm.tid == cur.tid(c))
-                    && sh.stacks[ti].last() == Some(&(m as u32));
-                if !ok {
-                    self.out.push(Diag::at(
-                        Code::CertifyBadEdge,
-                        m,
-                        format!(
-                            "call edge {} -> {} does not match the dynamic call stack",
-                            row.member, row.consumer
-                        ),
-                    ));
-                }
-            }
-            WitnessKind::Criterion => {
-                if row.consumer != row.member
-                    || self.include_crit.binary_search(&(m as u32)).is_err()
-                {
-                    self.out.push(Diag::at(
-                        Code::CertifyBadEdge,
-                        m,
-                        format!(
-                            "{} is not an include-instruction criterion anchor",
-                            row.member
-                        ),
-                    ));
-                }
-            }
+    /// A checked read of `fact` by `by` whose last writer is `wr`: the
+    /// writer must be a member (or absent), and its writes are consumed.
+    fn consume(&mut self, fact: Fact, wr: Option<u32>, by: Consumer) {
+        let Some(w) = wr else { return };
+        if self.member(w as usize) {
+            self.consumed[w as usize / 64] |= 1 << (w % 64);
+        } else {
+            self.out.push(Diag::at(
+                Code::CertifyLiveLeak,
+                w as usize,
+                format!("non-slice write to {fact} read by {by}"),
+            ));
         }
     }
 
-    /// Reports a non-slice last writer `wr` of `[lo, hi)`.
-    fn check_mem_writer(&mut self, lo: u64, hi: u64, wr: Option<u32>, by: Consumer) {
-        match wr {
-            Some(w) if !self.member(w) => self.out.push(Diag::at(
-                Code::CertifyLiveLeak,
-                w as usize,
-                format!("non-slice write to {lo:#x}..{hi:#x} read by {by}"),
-            )),
+    /// A read of `fact` at the swept position `idx`, whose last writer is
+    /// `wr`.
+    fn read(&mut self, idx: usize, fact: Fact, wr: Option<u32>) {
+        match (self.reads_here, wr) {
+            (Reads::AtOnce, _) => self.consume(fact, wr, Consumer::Member(idx)),
+            (Reads::Late, Some(writer)) => self.late.push(LateRead {
+                reader: idx as u32,
+                writer,
+                fact,
+            }),
             _ => {}
         }
     }
 
-    /// Complement safety for registers consumed on thread `ti`.
-    fn check_reg_complement(&mut self, sh: &Shadows, ti: usize, regs: RegSet, by: Consumer) {
-        for r in regs.iter() {
-            if let Some(wr) = sh.regs[ti][r.index()] {
-                if !self.member(wr) {
-                    self.out.push(Diag::at(
-                        Code::CertifyLiveLeak,
-                        wr as usize,
-                        format!("non-slice write to {r:?} read by {by}"),
-                    ));
+    /// Checks row `i` at its consumer position (the index the cursor is
+    /// currently on): the consumer must be a member, and the edge must be
+    /// in the CDG, on the dynamic call stack, or on the criteria list,
+    /// reading the member side from the captured [`MemberMeta`].
+    fn check_edge(&mut self, i: usize, cur: &ColumnCursor<'_>, deps: &ControlDeps, sh: &Shadows) {
+        let row = self.rows[i];
+        let (m, c) = (row.member.index(), row.consumer.index());
+        let meta = self.meta.get(i);
+        let fault = if !self.member(c) {
+            Some(format!(
+                "{} edge {} -> {} ends outside the slice",
+                row.kind.name(),
+                row.member,
+                row.consumer
+            ))
+        } else {
+            match row.kind {
+                WitnessKind::Control => {
+                    let ok = m < c
+                        && meta.is_some_and(|mm| {
+                            mm.is_branch
+                                && mm.tid == cur.tid(c)
+                                && mm.func == cur.func(c)
+                                && deps.controllers(cur.func(c), cur.pc(c)).contains(&mm.pc)
+                        });
+                    (!ok).then(|| {
+                        format!(
+                            "control edge {} -> {} is not in the recovered CDG",
+                            row.member, row.consumer
+                        )
+                    })
+                }
+                WitnessKind::Call => {
+                    let ok = m < c
+                        && meta.is_some_and(|mm| mm.is_call && mm.tid == cur.tid(c))
+                        && sh.stacks[cur.tid(c).index()].last() == Some(&(m as u32));
+                    (!ok).then(|| {
+                        format!(
+                            "call edge {} -> {} does not match the dynamic call stack",
+                            row.member, row.consumer
+                        )
+                    })
+                }
+                WitnessKind::Criterion => {
+                    let ok = c == m && self.include_crit.binary_search(&(m as u32)).is_ok();
+                    (!ok).then(|| {
+                        format!(
+                            "{} is not an include-instruction criterion anchor",
+                            row.member
+                        )
+                    })
                 }
             }
+        };
+        if let Some(message) = fault {
+            self.out.push(Diag::at(Code::CertifyBadEdge, m, message));
         }
     }
 
-    /// The job's checks at `idx` that precede the position's writes:
-    /// member meta capture and member-consumer edges. Flags
-    /// [`Job::genned_here`] when `idx` is a gen member, whose complement
-    /// check the sweep runs next, shared by every flagged job.
+    /// The job's checks at `idx` that precede the position's writes: meta
+    /// capture for a member with a row, the rows consumed here, and how
+    /// this position's reads are checked. Returns whether they are.
     fn before_writes(
         &mut self,
         idx: usize,
@@ -458,12 +382,19 @@ impl Job<'_> {
         deps: &ControlDeps,
         sh: &Shadows,
     ) -> bool {
+        self.reads_here = Reads::Skip;
         if idx >= self.n {
             return false;
         }
-        // 0. Capture member meta the edge checks will need once the
-        // window has moved past this position.
-        if self.words[idx / 64] >> (idx % 64) & 1 != 0 {
+        // 0. Capture the meta the row's check will need once the window
+        // has moved past this position.
+        let mut row_kind = None;
+        if let Some(row) = self
+            .rows
+            .get(self.member_cur)
+            .filter(|r| r.member.index() == idx)
+        {
+            row_kind = Some(row.kind);
             let kind = cur.kind(idx);
             self.meta.push(MemberMeta {
                 tid: cur.tid(idx),
@@ -472,44 +403,35 @@ impl Job<'_> {
                 is_branch: kind.is_branch(),
                 is_call: matches!(kind, InstrKind::Call { .. }),
             });
+            self.member_cur += 1;
         }
 
-        // 1. Edges whose consumer is the member at `idx`: the member's
-        // reads happen before its writes, so check against the shadows
-        // as they stand.
-        while self.cons_key == (idx as u64) << 1 {
-            let row = self.next_consumer_row();
-            self.check_edge(&row, cur, deps, sh);
+        // 1. Rows whose consumer is `idx`.
+        while let Some(&i) = self.by_consumer.get(self.consumer_cur) {
+            if self.rows[i as usize].consumer.index() != idx {
+                break;
+            }
+            self.consumer_cur += 1;
+            self.check_edge(i as usize, cur, deps, sh);
         }
 
-        if self.gen_members.get(self.gen_cur) == Some(&(idx as u32)) {
-            self.gen_cur += 1;
-            self.genned_here = true;
-        }
-        self.genned_here
+        // 2. The member's reads, which happen before its writes.
+        self.reads_here = match row_kind {
+            Some(WitnessKind::Call | WitnessKind::Criterion) => Reads::Late,
+            Some(WitnessKind::Control) => Reads::AtOnce,
+            None if self.member(idx) => Reads::AtOnce,
+            None => Reads::Skip,
+        };
+        self.reads_here != Reads::Skip
     }
 
-    /// The job's checks at `idx` that follow the position's writes:
-    /// criterion-consumer edges and the criteria's own complement safety
-    /// (criteria observe state after the anchor executes).
-    fn after_writes(
-        &mut self,
-        idx: usize,
-        cur: &ColumnCursor<'_>,
-        deps: &ControlDeps,
-        sh: &Shadows,
-        ti: usize,
-    ) {
+    /// The job's checks at `idx` that follow the position's writes: the
+    /// facts of the criteria anchored here (criteria observe state after
+    /// the anchor executes, the same timing the backward walk uses).
+    fn after_writes(&mut self, idx: usize, sh: &Shadows, ti: usize) {
         if idx >= self.n {
             return;
         }
-        // 4. Edges whose consumer is a criterion anchored here.
-        while self.cons_key >> 1 == idx as u64 {
-            let row = self.next_consumer_row();
-            self.check_edge(&row, cur, deps, sh);
-        }
-
-        // 5. Complement safety for the criteria themselves.
         let items = self.items;
         while let Some(c) = items.get(self.crit_cur).filter(|c| c.pos.index() == idx) {
             self.crit_cur += 1;
@@ -517,122 +439,55 @@ impl Job<'_> {
             for &range in &c.mem {
                 sh.mem
                     .for_range(range.start().raw(), range.end().raw(), |s, e, wr| {
-                        self.check_mem_writer(s, e, wr, by)
+                        self.consume(Fact::Mem(s, e), wr, by)
                     });
             }
-            self.check_reg_complement(sh, ti, c.regs, by);
-        }
-    }
-}
-
-/// Sort key grouping rows by consumer position, member-consumer rows
-/// first: `consumer << 1 | is_criterion`.
-fn consumer_key(row: &WitnessRow) -> u64 {
-    row.consumer.0 << 1 | row.consumer_is_criterion as u64
-}
-
-/// Radix digit width of [`radix_by_consumer`]: 2048 buckets, two passes
-/// for traces of up to 4M instructions.
-const DIGIT_BITS: u32 = 11;
-
-/// The sweep's view of a witness table: its valid rows grouped by
-/// consumer, and the members whose reads entered the live sets (strictly
-/// increasing). Rows with positions outside the considered prefix `0..n`
-/// or members outside the slice bitmap are reported into `out` and left
-/// out of the sweep.
-///
-/// Rows are grouped in ascending consumer position and, at one position,
-/// member-consumer rows before criterion-consumer rows, each in row order
-/// — exactly the `(consumer << 1 | is_criterion, row)` order — in linear
-/// time: the sanity pass lays the valid rows out as `consumer << 32 | row`
-/// keys, member-consumer rows first, and a stable radix sort on the
-/// consumer ([`radix_by_consumer`]) finishes the order.
-fn index_rows(
-    w: &Witnesses,
-    n: usize,
-    result: &SliceResult,
-    out: &mut Vec<Diag>,
-) -> (Vec<u32>, Vec<u32>) {
-    // Member-consumer keys fill from the front, criterion-consumer keys
-    // from the back (reversed below), each in row order.
-    let mut keys = vec![0u64; w.len()];
-    let (mut front, mut back) = (0, w.len());
-    let mut gen_members: Vec<u32> = Vec::new();
-    for (i, row) in w.rows().enumerate() {
-        if row.member.index() >= n || row.consumer.index() >= n {
-            out.push(Diag::at_end(
-                Code::CertifyMismatch,
-                format!(
-                    "witness row {i} ({} -> {}) outside the {} considered instructions",
-                    row.member, row.consumer, n
-                ),
-            ));
-        } else if !result.contains(row.member) {
-            out.push(Diag::at(
-                Code::CertifyMismatch,
-                row.member.index(),
-                format!("witness row for {} which is not in the slice", row.member),
-            ));
-        } else {
-            let key = row.consumer.0 << 32 | i as u64;
-            if row.consumer_is_criterion {
-                back -= 1;
-                keys[back] = key;
-            } else {
-                keys[front] = key;
-                front += 1;
-            }
-            if row.genned_reads {
-                gen_members.push(row.member.0 as u32);
+            for r in c.regs.iter() {
+                self.consume(Fact::Reg(r), sh.regs[ti][r.index()], by);
             }
         }
     }
-    keys[back..].reverse();
-    let crit_rows = keys.len() - back;
-    keys.copy_within(back.., front);
-    keys.truncate(front + crit_rows);
-    // Honest tables are member-sorted and duplicate-free already; a
-    // mutated table is sorted so the sweep cursor stays correct on it too.
-    if !gen_members.windows(2).all(|p| p[0] < p[1]) {
-        gen_members.sort_unstable();
-        gen_members.dedup();
-    }
-    (radix_by_consumer(keys, n), gen_members)
-}
 
-/// Sorts `keys` — `consumer << 32 | row`, consumers below `n` — by
-/// consumer with a stable LSD radix sort and returns the row indices. The
-/// transient is two keys, 16 bytes, per row.
-fn radix_by_consumer(keys: Vec<u64>, n: usize) -> Vec<u32> {
-    let mut src = keys;
-    let mut dst = vec![0u64; src.len()];
-    // Consumers are `u32` positions: at most 32 significant bits.
-    let bits = (usize::BITS - n.saturating_sub(1).leading_zeros()).min(32);
-    let mask = (1u64 << DIGIT_BITS) - 1;
-    let mut shift = 32;
-    while shift < 32 + bits {
-        let mut at = [0usize; 1 << DIGIT_BITS];
-        for &e in &src {
-            at[(e >> shift & mask) as usize] += 1;
+    /// The verdict once the sweep is done: the late reads, then every
+    /// member with no row that nothing consumes. Diagnostics in canonical
+    /// order.
+    fn finish(mut self) -> Vec<Diag> {
+        // Readers in descending position. Every consumption points to an
+        // earlier position, so each reader's verdict is final by its turn.
+        for r in std::mem::take(&mut self.late).into_iter().rev() {
+            if self.consumed[r.reader as usize / 64] >> (r.reader % 64) & 1 != 0 {
+                self.consume(r.fact, Some(r.writer), Consumer::Member(r.reader as usize));
+            }
         }
-        let mut sum = 0;
-        for slot in &mut at {
-            (*slot, sum) = (sum, sum + *slot);
+        // A row explains its member (its own check reported WP0009 if
+        // not); every other member must be consumed.
+        for row in &self.rows {
+            let m = row.member.index();
+            self.consumed[m / 64] |= 1 << (m % 64);
         }
-        for &e in &src {
-            let d = (e >> shift & mask) as usize;
-            dst[at[d]] = e;
-            at[d] += 1;
+        for (wi, &word) in self.result.bitmap_words().iter().enumerate() {
+            let mut left = word & !self.consumed[wi];
+            while left != 0 {
+                let pos = wi * 64 + left.trailing_zeros() as usize;
+                left &= left - 1;
+                self.out.push(Diag::at(
+                    Code::CertifyUnconsumed,
+                    pos,
+                    "no witness row, and no checked read consumes its writes".to_owned(),
+                ));
+            }
         }
-        std::mem::swap(&mut src, &mut dst);
-        shift += DIGIT_BITS;
+        sort_diags(&mut self.out);
+        self.out
     }
-    drop(dst);
-    src.into_iter().map(|e| e as u32).collect()
 }
 
 /// Builds one job's sweep state from its witness table, or returns the
-/// job's diagnostics directly when there is nothing to sweep.
+/// job's diagnostics directly when there is nothing to sweep. Rows with
+/// positions outside the considered prefix `0..n`, members outside the
+/// slice bitmap, and a member's second row are reported and left out of
+/// the sweep. The rest are sorted by content, so neither the table's row
+/// order nor which of two rows comes first changes the verdict.
 fn prepare<'a>(
     trace_len: usize,
     criteria: &'a Criteria,
@@ -652,62 +507,70 @@ fn prepare<'a>(
         )]);
     };
     let mut out = Vec::new();
-    if w.len() as u64 != result.slice_count() {
-        out.push(Diag::at_end(
-            Code::CertifyMismatch,
-            format!(
-                "witness has {} rows for {} slice members",
-                w.len(),
-                result.slice_count()
-            ),
-        ));
+    let mut rows = Vec::with_capacity(w.len());
+    for (i, row) in w.rows().enumerate() {
+        if row.member.index() >= n || row.consumer.index() >= n {
+            out.push(Diag::at_end(
+                Code::CertifyMismatch,
+                format!(
+                    "witness row {i} ({} -> {}) outside the {} considered instructions",
+                    row.member, row.consumer, n
+                ),
+            ));
+        } else if !result.contains(row.member) {
+            out.push(Diag::at(
+                Code::CertifyMismatch,
+                row.member.index(),
+                format!("witness row for {} which is not in the slice", row.member),
+            ));
+        } else {
+            rows.push(row);
+        }
     }
-
-    let (by_consumer, gen_members) = index_rows(w, n, result, &mut out);
-    let head = by_consumer.first().map(|&i| w.row(i as usize));
-    let include_crit: Vec<u32> = criteria
+    rows.sort_unstable_by_key(|r| (r.member, r.consumer, r.kind as u8));
+    rows.dedup_by(|r, kept| {
+        let twice = r.member == kept.member;
+        if twice {
+            out.push(Diag::at(
+                Code::CertifyMismatch,
+                r.member.index(),
+                format!("second witness row for {}", r.member),
+            ));
+        }
+        twice
+    });
+    let mut by_consumer: Vec<u32> = (0..rows.len() as u32).collect();
+    by_consumer.sort_by_key(|&i| rows[i as usize].consumer);
+    let include_crit = criteria
         .items()
         .iter()
         .filter(|c| c.include_instr && c.pos.index() < n)
         .map(|c| c.pos.0 as u32)
         .collect();
-    let words = result.bitmap_words();
-    let mut members = 0u32;
-    let rank_base = words
-        .iter()
-        .map(|w| {
-            let base = members;
-            members += w.count_ones();
-            base
-        })
-        .collect();
 
     Ok(Job {
-        w,
         // Criteria with positions beyond the considered prefix never match
         // an `idx` below `n` and are skipped, mirroring the slicer.
         items: criteria.items(),
         result,
-        words,
         n,
+        meta: Vec::with_capacity(rows.len()),
+        rows,
         by_consumer,
-        cons_cur: 0,
-        cons_key: head.as_ref().map_or(u64::MAX, consumer_key),
-        head,
-        gen_members,
-        gen_cur: 0,
-        genned_here: false,
+        member_cur: 0,
+        consumer_cur: 0,
         include_crit,
         crit_cur: 0,
-        rank_base,
-        meta: Vec::with_capacity(result.slice_count() as usize),
+        reads_here: Reads::Skip,
+        consumed: vec![0; result.bitmap_words().len()],
+        late: Vec::new(),
         out,
     })
 }
 
 /// One forward sweep certifying several slices of the same trace: the
 /// shared [`Shadows`] advance once per position, and every job runs its
-/// checks at today's points of the single-slice sweep around them.
+/// checks at the same points around them as it would alone.
 struct Sweep<'a> {
     deps: &'a ControlDeps,
     shadows: Shadows,
@@ -748,38 +611,38 @@ impl<'a> Sweep<'a> {
         for idx in cur.lo()..cur.hi() {
             let ti = cur.tid(idx).index();
 
-            // 0–1. Meta capture and member-consumer edges, per job.
-            let mut genned = false;
+            // 0–2. Row meta, the rows consumed here, and how this
+            // position's reads are checked, per job.
+            let mut reads = false;
             for job in jobs.iter_mut().flatten() {
-                genned |= job.before_writes(idx, cur, deps, sh);
+                reads |= job.before_writes(idx, cur, deps, sh);
             }
 
-            // 2. Complement safety for a member whose reads entered the
-            // live sets: its last writers must be members (or nothing).
-            // One shadow probe per read serves every job it is a gen
-            // member of.
-            if genned {
-                let by = Consumer::Member(idx);
+            // 3. The member's reads: one shadow probe per read serves
+            // every job that checks it.
+            if reads {
                 for &rd in cur.mem_reads(idx) {
                     sh.mem
                         .for_range(rd.start().raw(), rd.end().raw(), |s, e, wr| {
-                            for job in jobs.iter_mut().flatten().filter(|j| j.genned_here) {
-                                job.check_mem_writer(s, e, wr, by);
+                            for job in jobs.iter_mut().flatten() {
+                                job.read(idx, Fact::Mem(s, e), wr);
                             }
                         });
                 }
-                for job in jobs.iter_mut().flatten().filter(|j| j.genned_here) {
-                    job.check_reg_complement(sh, ti, cur.reg_reads(idx), by);
-                    job.genned_here = false;
+                for r in cur.reg_reads(idx).iter() {
+                    let wr = sh.regs[ti][r.index()];
+                    for job in jobs.iter_mut().flatten() {
+                        job.read(idx, Fact::Reg(r), wr);
+                    }
                 }
             }
 
-            // 3. The instruction's own writes become the last writers.
+            // 4. The instruction's own writes become the last writers.
             sh.apply_writes(cur, idx, ti);
 
-            // 4–5. Criterion-consumer edges and criteria complement.
+            // 5. The facts of the criteria anchored here.
             for job in jobs.iter_mut().flatten() {
-                job.after_writes(idx, cur, deps, sh, ti);
+                job.after_writes(idx, sh, ti);
             }
 
             // 6. Dynamic call stack maintenance.
@@ -791,11 +654,7 @@ impl<'a> Sweep<'a> {
     fn finish(self) -> Vec<Vec<Diag>> {
         self.jobs
             .into_iter()
-            .map(|job| {
-                let mut out = job.map_or_else(|out| out, |job| job.out);
-                sort_diags(&mut out);
-                out
-            })
+            .map(|job| job.map_or_else(|out| out, Job::finish))
             .collect()
     }
 }
@@ -820,8 +679,8 @@ pub fn certify_all(
 }
 
 /// [`certify_all`] over any [`ColumnSource`]: the one sweep body. A
-/// `WPTRACE2` reader holds only its bounded chunk window (plus per-member
-/// meta) in memory.
+/// `WPTRACE2` reader holds only its bounded chunk window (plus the rows,
+/// their meta and one bit per position of each job) in memory.
 fn sweep<S: ColumnSource>(
     src: &mut S,
     forward: &ForwardPass,
@@ -868,66 +727,6 @@ pub fn certify_streamed<S: ColumnSource>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use wasteprof_slicer::{pixel_criteria, slice, SliceOptions};
-    use wasteprof_trace::{site, Recorder, Region, ThreadKind};
-
-    /// A one-thread trace whose pixel slice has `width` rows consumed by
-    /// one compute (it reads `width` cells, each written separately) and
-    /// `width` criterion-consumer rows (the marker reads a tile written a
-    /// cell at a time).
-    fn fan_in(width: usize) -> Trace {
-        let mut rec = Recorder::new();
-        rec.spawn_thread(ThreadKind::Main, "main_root");
-        let cells: Vec<_> = (0..width).map(|_| rec.alloc_cell(Region::Heap)).collect();
-        let tile = rec.alloc(Region::PixelTile, 8 * width as u32);
-        for &c in &cells {
-            rec.compute(site!(), &[], &[c.into()]);
-        }
-        let reads: Vec<_> = cells.iter().map(|&c| c.into()).collect();
-        for i in 0..width as u32 {
-            rec.compute(site!(), &reads, &[tile.slice(8 * i, 8)]);
-        }
-        rec.marker(site!(), tile);
-        rec.finish()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The grouping orders a shuffled table's valid rows exactly as a
-        /// comparison sort on `(consumer << 1 | is_criterion, row)` does,
-        /// leaving out a row whose member left the bitmap.
-        #[test]
-        fn grouping_matches_a_comparison_sort(width in 1..9usize, seed in any::<u64>()) {
-            let trace = fan_in(width);
-            let fwd = ForwardPass::build(&trace);
-            let opts = SliceOptions { witness: true, ..Default::default() };
-            let mut result = slice(&trace, &fwd, &pixel_criteria(&trace), &opts);
-            let mut rows: Vec<WitnessRow> = result.witness().unwrap().rows().collect();
-            let mut state = seed | 1;
-            for i in (1..rows.len()).rev() {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                rows.swap(i, (state % (i as u64 + 1)) as usize);
-            }
-            result.remove_member(rows[seed as usize % rows.len()].member);
-            result.set_witness(Some(Witnesses::from_rows(rows)));
-            let w = result.witness().unwrap();
-            let n = result.considered() as usize;
-
-            let mut want: Vec<(u64, u32)> = w
-                .rows()
-                .enumerate()
-                .filter(|(_, r)| result.contains(r.member))
-                .map(|(i, r)| (consumer_key(&r), i as u32))
-                .collect();
-            want.sort_unstable();
-            let want: Vec<u32> = want.into_iter().map(|(_, i)| i).collect();
-            let (order, _) = index_rows(w, n, &result, &mut Vec::new());
-            prop_assert_eq!(order, want);
-        }
-    }
 
     /// Reference model of [`MemShadow::write`]: split at both edges,
     /// collect the doomed keys, remove them — no fast paths.

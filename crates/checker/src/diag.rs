@@ -23,7 +23,7 @@
 //! | `WP0005` | checker   | instruction attributed to an unregistered thread id |
 //! | `WP0006` | checker   | marker instruction / marker record pairing broken |
 //! | `WP0007` | checker   | call target unknown or never executes |
-//! | `WP0008` | certifier | witness data edge def is not the last write (stale def) |
+//! | `WP0008` | certifier | slice member whose writes reach no slice consumer |
 //! | `WP0009` | certifier | structurally impossible witness edge |
 //! | `WP0010` | certifier | complement-safety violation: non-slice write reaches a consumer |
 //! | `WP0011` | certifier | witness bookkeeping mismatch |
@@ -67,20 +67,23 @@ pub enum Code {
     /// `WP0007` — a call target outside the symbol table, or one that
     /// never executes a single instruction anywhere in the trace.
     UndefinedCallee,
-    /// `WP0008` — a witness data edge whose def is *not* the last write
-    /// to the claimed bytes/register before the consumer (stale def).
-    CertifyStaleDef,
+    /// `WP0008` — a slice member whose writes reach no slice consumer: it
+    /// carries no witness row, and no checked read of a slice member or
+    /// criterion has it as last writer.
+    CertifyUnconsumed,
     /// `WP0009` — a witness edge that is structurally impossible: a
     /// control edge absent from the recovered CDG, a call edge that does
-    /// not match the dynamic call stack, or a malformed fact.
+    /// not match the dynamic call stack, a criterion edge with no
+    /// `include_instr` criterion, or a consumer outside the slice.
     CertifyBadEdge,
     /// `WP0010` — complement-safety violation: an instruction *outside*
     /// the slice is the last writer of bytes or a register that a slice
     /// member (or criterion) consumes.
     CertifyLiveLeak,
-    /// `WP0011` — witness bookkeeping mismatch: missing witness table,
-    /// row count disagreeing with the slice population, or a row whose
-    /// member is not in the slice bitmap.
+    /// `WP0011` — witness bookkeeping mismatch: missing witness table, a
+    /// slice longer than its trace, a row outside the considered prefix,
+    /// a row whose member is not in the slice bitmap, or two rows for one
+    /// member.
     CertifyMismatch,
     /// `WP0012` — dead producer write: bytes in a single-producer region
     /// (IPC channel, network input, framebuffer) overwritten before any
@@ -122,7 +125,7 @@ impl Code {
         Code::InvalidTid,
         Code::UnpairedMarker,
         Code::UndefinedCallee,
-        Code::CertifyStaleDef,
+        Code::CertifyUnconsumed,
         Code::CertifyBadEdge,
         Code::CertifyLiveLeak,
         Code::CertifyMismatch,
@@ -145,7 +148,7 @@ impl Code {
             Code::InvalidTid => "WP0005",
             Code::UnpairedMarker => "WP0006",
             Code::UndefinedCallee => "WP0007",
-            Code::CertifyStaleDef => "WP0008",
+            Code::CertifyUnconsumed => "WP0008",
             Code::CertifyBadEdge => "WP0009",
             Code::CertifyLiveLeak => "WP0010",
             Code::CertifyMismatch => "WP0011",
@@ -169,7 +172,7 @@ impl Code {
             Code::InvalidTid => "invalid thread id",
             Code::UnpairedMarker => "unpaired pixel marker",
             Code::UndefinedCallee => "undefined call target",
-            Code::CertifyStaleDef => "stale witness def",
+            Code::CertifyUnconsumed => "unconsumed slice member",
             Code::CertifyBadEdge => "impossible witness edge",
             Code::CertifyLiveLeak => "non-slice write reaches a consumer",
             Code::CertifyMismatch => "witness bookkeeping mismatch",

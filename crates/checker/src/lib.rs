@@ -24,12 +24,13 @@
 //! - [`TraceMutator`] injects single surgical faults into known-good
 //!   traces so differential tests can prove each lint catches exactly the
 //!   invariant it owns;
-//! - [`certify()`] independently re-checks a backward slice: it replays the
-//!   slicer's dependence witness forward over the columns, verifying that
-//!   every witness edge is a real def→use (or CDG/call-stack edge) and
-//!   that no non-slice instruction feeds a value into the slice
-//!   (`WP0008…WP0011`); [`certify_all`] certifies several slices of one
-//!   trace in a single shared sweep;
+//! - [`certify()`] independently re-checks a backward slice in one
+//!   forward sweep over the columns: every member is consumed by a later
+//!   member or criterion (a data edge found in the sweep's own last-writer
+//!   shadows, or a structural witness row that is a real CDG or
+//!   call-stack edge), and no non-slice instruction feeds a value into
+//!   the slice (`WP0008…WP0011`); [`certify_all`] certifies several
+//!   slices of one trace in a single shared sweep;
 //! - [`dead_writes`] runs the `WP0012` dead-producer-write lint, the
 //!   simplest waste category the paper motivates.
 

@@ -95,47 +95,53 @@ impl Mutation {
 
 /// One way of corrupting a witnessed slice, each paired with the
 /// certifier code it must trigger. The trace stays pristine: these model
-/// *slicer* bugs (lost members, wrong dependence edges, wrongly excluded
-/// instructions), not recorder bugs.
+/// *slicer* bugs (lost or stray members, lost or wrong structural edges),
+/// not recorder bugs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SliceMutation {
-    /// Remove one data-witness row while leaving its member in the
-    /// bitmap: the row count no longer matches the slice population
-    /// (`WP0011`).
-    DropWitnessedDef,
-    /// Re-attribute a mem-witness row to a different member: the claimed
-    /// def is no longer the last write to those bytes before the consumer
-    /// (`WP0008`).
-    RetargetStaleDef,
-    /// Remove a live-writing member from the bitmap along with its row:
-    /// its value still reaches a slice consumer, so the complement is no
-    /// longer safe (`WP0010`).
+    /// Drop the row of a `call` member with no operands: nothing else
+    /// justifies it (`WP0008`).
+    DropStructuralRow,
+    /// Add a non-member `Ret` with no operands to the bitmap: nothing
+    /// reads its writes and no row explains it (`WP0008`).
+    AddUnconsumedMember,
+    /// Point a `call` row at a non-member inside the same callee frame:
+    /// the edge matches the call stack but ends outside the slice
+    /// (`WP0009`).
+    RetargetStructuralConsumer,
+    /// Remove a member with no row, no reads, and no row naming it as
+    /// consumer: its value still reaches a checked read, so the
+    /// complement is no longer safe (`WP0010`).
     UnmarkLiveWriter,
 }
 
 impl SliceMutation {
     /// Every slice mutation, in diagnostic-code order.
-    pub const ALL: [SliceMutation; 3] = [
-        SliceMutation::RetargetStaleDef,
+    pub const ALL: [SliceMutation; 4] = [
+        SliceMutation::DropStructuralRow,
+        SliceMutation::AddUnconsumedMember,
+        SliceMutation::RetargetStructuralConsumer,
         SliceMutation::UnmarkLiveWriter,
-        SliceMutation::DropWitnessedDef,
     ];
 
     /// The one diagnostic code this corruption must trigger.
     pub fn expected_code(self) -> Code {
         match self {
-            SliceMutation::RetargetStaleDef => Code::CertifyStaleDef,
+            SliceMutation::DropStructuralRow | SliceMutation::AddUnconsumedMember => {
+                Code::CertifyUnconsumed
+            }
+            SliceMutation::RetargetStructuralConsumer => Code::CertifyBadEdge,
             SliceMutation::UnmarkLiveWriter => Code::CertifyLiveLeak,
-            SliceMutation::DropWitnessedDef => Code::CertifyMismatch,
         }
     }
 
     /// Short name for test labels.
     pub fn name(self) -> &'static str {
         match self {
-            SliceMutation::RetargetStaleDef => "retarget-stale-def",
+            SliceMutation::DropStructuralRow => "drop-structural-row",
+            SliceMutation::AddUnconsumedMember => "add-unconsumed-member",
+            SliceMutation::RetargetStructuralConsumer => "retarget-structural-consumer",
             SliceMutation::UnmarkLiveWriter => "unmark-live-writer",
-            SliceMutation::DropWitnessedDef => "drop-witnessed-def",
         }
     }
 }
@@ -203,53 +209,82 @@ impl<'a> TraceMutator<'a> {
 
     /// Applies slice mutation `m` to a witnessed slice of this mutator's
     /// trace, returning the corrupted [`SliceResult`], or `None` when the
-    /// slice offers no site for this corruption (no data-witness rows, or
-    /// no member that is nobody's consumer).
+    /// slice offers no site for this corruption.
     pub fn apply_slice(&self, m: SliceMutation, result: &SliceResult) -> Option<SliceResult> {
-        let rows: Vec<WitnessRow> = result.witness()?.rows().collect();
+        let mut rows: Vec<WitnessRow> = result.witness()?.rows().collect();
+        let cols = self.trace.columns();
+        let n = result.considered() as usize;
+        let no_operands = |i: usize| {
+            cols.reg_reads(i).is_empty()
+                && cols.reg_writes(i).is_empty()
+                && cols.mem_reads(i).is_empty()
+                && cols.mem_writes(i).is_empty()
+        };
+        let mut out = result.clone();
         match m {
-            SliceMutation::DropWitnessedDef => {
+            SliceMutation::DropStructuralRow => {
                 let i = rows
                     .iter()
-                    .position(|r| matches!(r.kind, WitnessKind::Mem | WitnessKind::Reg))?;
-                let mut out = result.clone();
-                out.set_witness(Some(Witnesses::from_rows(
-                    rows.iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != i)
-                        .map(|(_, &r)| r),
-                )));
-                Some(out)
-            }
-            SliceMutation::RetargetStaleDef => {
-                let i = rows.iter().position(|r| r.kind == WitnessKind::Mem)?;
-                let j = rows
-                    .iter()
-                    .position(|r| r.kind == WitnessKind::Mem && r.member != rows[i].member)?;
-                let mut rows = rows;
-                rows[j].member = rows[i].member;
-                let mut out = result.clone();
+                    .position(|r| r.kind == WitnessKind::Call && no_operands(r.member.index()))?;
+                rows.remove(i);
                 out.set_witness(Some(Witnesses::from_rows(rows)));
-                Some(out)
+            }
+            SliceMutation::AddUnconsumedMember => {
+                let ret = (0..n).find(|&i| {
+                    matches!(cols.kind(i), InstrKind::Ret)
+                        && no_operands(i)
+                        && !result.contains(TracePos(i as u64))
+                })?;
+                out.insert_member(TracePos(ret as u64));
+            }
+            SliceMutation::RetargetStructuralConsumer => {
+                let (i, inside) = rows
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.kind == WitnessKind::Call)
+                    .find_map(|(i, r)| {
+                        Some((i, self.non_member_in_frame(r.member.index(), result)?))
+                    })?;
+                rows[i].consumer = TracePos(inside as u64);
+                out.set_witness(Some(Witnesses::from_rows(rows)));
             }
             SliceMutation::UnmarkLiveWriter => {
-                // A mem-witness member provably wrote no live register
-                // (the walk checks registers before memory), so unmarking
-                // it leaks exactly bytes: the complement check at every
-                // consumer of its writes fires WP0010 and nothing else.
-                let i = rows.iter().position(|r| r.kind == WitnessKind::Mem)?;
-                let member = rows[i].member;
-                let mut out = result.clone();
-                out.remove_member(member);
-                out.set_witness(Some(Witnesses::from_rows(
-                    rows.iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != i)
-                        .map(|(_, &r)| r),
-                )));
-                Some(out)
+                let mut named: Vec<TracePos> =
+                    rows.iter().flat_map(|r| [r.member, r.consumer]).collect();
+                named.sort_unstable();
+                let writer = (0..n).map(|i| TracePos(i as u64)).find(|&p| {
+                    result.contains(p)
+                        && named.binary_search(&p).is_err()
+                        && cols.reg_reads(p.index()).is_empty()
+                        && cols.mem_reads(p.index()).is_empty()
+                })?;
+                out.remove_member(writer);
             }
         }
+        Some(out)
+    }
+
+    /// The first non-member directly inside the callee frame of the call at
+    /// `call` (its thread, before the matching return), if any.
+    fn non_member_in_frame(&self, call: usize, result: &SliceResult) -> Option<usize> {
+        let cols = self.trace.columns();
+        let tid = cols.tid(call);
+        let mut depth = 0usize;
+        for i in call + 1..result.considered() as usize {
+            if cols.tid(i) != tid {
+                continue;
+            }
+            if depth == 0 && !result.contains(TracePos(i as u64)) {
+                return Some(i);
+            }
+            match cols.kind(i) {
+                InstrKind::Call { .. } => depth += 1,
+                InstrKind::Ret if depth == 0 => return None,
+                InstrKind::Ret => depth -= 1,
+                _ => {}
+            }
+        }
+        None
     }
 
     /// True when removing/retagging instruction `idx` would change which

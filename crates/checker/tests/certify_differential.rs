@@ -12,8 +12,12 @@ use wasteprof_checker::{
 };
 use wasteprof_slicer::{
     pixel_criteria, slice, syscall_criteria, Criteria, ForwardPass, SliceOptions, SliceResult,
+    WitnessKind, WitnessRow, Witnesses,
 };
-use wasteprof_trace::{write_trace2, Trace, TraceReader};
+use wasteprof_trace::{
+    site, write_trace2, InstrKind, MemOps, Recorder, Reg, RegSet, Syscall, ThreadKind, Trace,
+    TracePos, TraceReader,
+};
 use wasteprof_workloads::Benchmark;
 
 /// The six canonical engine sessions (four loads + two browse phases).
@@ -153,19 +157,20 @@ fn amazon_mobile() -> &'static Fixture {
 /// AmazonMobile pixel slice.
 fn pinned_text(m: SliceMutation) -> &'static str {
     match m {
-        SliceMutation::RetargetStaleDef => {
-            "WP0008 @5: claims the last write to 0x200000000008..0x200000000010 before @15, \
-             but that is @12 (stale witness def)\n"
+        SliceMutation::DropStructuralRow => {
+            "WP0008 @0: no witness row, and no checked read consumes its writes \
+             (unconsumed slice member)\n"
+        }
+        SliceMutation::AddUnconsumedMember => {
+            "WP0008 @6: no witness row, and no checked read consumes its writes \
+             (unconsumed slice member)\n"
+        }
+        SliceMutation::RetargetStructuralConsumer => {
+            "WP0009 @0: call edge @0 -> @6 ends outside the slice (impossible witness edge)\n"
         }
         SliceMutation::UnmarkLiveWriter => {
-            "WP0010 @5: non-slice write to 0x200000000008..0x200000000010 read by slice \
-             member @12 (non-slice write reaches a consumer)\n\
-             WP0010 @5: non-slice write to 0x200000000008..0x200000000010 read by slice \
-             member @8 (non-slice write reaches a consumer)\n"
-        }
-        SliceMutation::DropWitnessedDef => {
-            "WP0011 @end: witness has 187111 rows for 187112 slice members \
-             (witness bookkeeping mismatch)\n"
+            "WP0010 @248: non-slice write to R15 read by slice member @250 \
+             (non-slice write reaches a consumer)\n"
         }
     }
 }
@@ -279,4 +284,117 @@ fn unwitnessed_slice_reports_mismatch() {
     let diags = certify(trace, &f.fwd, &f.pixel, &result);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].code, Code::CertifyMismatch);
+}
+
+/// A `call` row whose consumer is the non-member right after the call —
+/// same thread, inside the callee frame, so the call stack check alone
+/// passes — is one impossible edge: every consumer must be a member.
+#[test]
+fn call_row_with_a_non_member_consumer_is_an_impossible_edge() {
+    let f = amazon_mobile();
+    let trace = &f.session.trace;
+    let cols = trace.columns();
+    let mut rows: Vec<WitnessRow> = f.pixel_slice.witness().unwrap().rows().collect();
+    let i = rows
+        .iter()
+        .position(|r| {
+            let next = r.member.index() + 1;
+            r.kind == WitnessKind::Call
+                && cols.tid(next) == cols.tid(r.member.index())
+                && !f.pixel_slice.contains(TracePos(next as u64))
+        })
+        .expect("a call whose first callee instruction is not a member");
+    rows[i].consumer = TracePos(rows[i].member.0 + 1);
+    let mut mutated = f.pixel_slice.clone();
+    mutated.set_witness(Some(Witnesses::from_rows(rows)));
+    assert_eq!(
+        render_text(&certify(trace, &f.fwd, &f.pixel, &mutated)),
+        "WP0009 @46185: call edge @46185 -> @46186 ends outside the slice \
+         (impossible witness edge)\n"
+    );
+}
+
+/// A one-thread trace for the late read check: `@0` writes `RAX`, then an
+/// output syscall at `@1` reads and writes `RAX`. Returns the trace and
+/// the syscall's `include_instr` criterion, with `RAX` as its fact or
+/// with no facts at all.
+fn rax_syscall(with_facts: bool) -> (Trace, Criteria) {
+    let mut rec = Recorder::new();
+    rec.spawn_thread(ThreadKind::Main, "main_root");
+    let rax = RegSet::of(&[Reg::Rax]);
+    rec.raw(site!(), InstrKind::Op, RegSet::EMPTY, rax, MemOps::None);
+    rec.raw(
+        site!(),
+        InstrKind::Syscall {
+            nr: Syscall::Sendto,
+        },
+        rax,
+        rax,
+        MemOps::None,
+    );
+    let trace = rec.finish();
+    let mut criteria = syscall_criteria(&trace);
+    if !with_facts {
+        let mut items = criteria.items().to_vec();
+        items[0].regs = RegSet::EMPTY;
+        criteria = Criteria::new(items);
+    }
+    (trace, criteria)
+}
+
+fn certify_witnessed(
+    trace: &Trace,
+    criteria: &Criteria,
+    edit: impl Fn(&mut SliceResult),
+) -> String {
+    let fwd = ForwardPass::build(trace);
+    let mut result = slice(trace, &fwd, criteria, &witnessed(1));
+    edit(&mut result);
+    render_text(&certify(trace, &fwd, criteria, &result))
+}
+
+/// The anchor overwrites its own criterion register, so the criterion
+/// consumes the anchor and the anchor's read pulls in `@0`, which has no
+/// row: the late check finds `@0` consumed.
+#[test]
+fn late_check_consumes_the_writer_of_a_consumed_anchors_read() {
+    let (trace, criteria) = rax_syscall(true);
+    let fwd = ForwardPass::build(&trace);
+    let result = slice(&trace, &fwd, &criteria, &witnessed(1));
+    assert_eq!(result.slice_count(), 2, "the walk pulls in the RAX writer");
+    let rows: Vec<WitnessRow> = result.witness().unwrap().rows().collect();
+    assert_eq!(
+        rows,
+        [WitnessRow {
+            member: TracePos(1),
+            kind: WitnessKind::Criterion,
+            consumer: TracePos(1),
+        }]
+    );
+    assert_eq!(certify_witnessed(&trace, &criteria, |_| {}), "");
+}
+
+/// Dropping that writer from the slice leaks it through the late check.
+#[test]
+fn late_check_reports_a_dropped_writer_of_a_consumed_anchors_read() {
+    let (trace, criteria) = rax_syscall(true);
+    let text = certify_witnessed(&trace, &criteria, |r| {
+        assert!(r.remove_member(TracePos(0)));
+    });
+    assert_eq!(
+        text,
+        "WP0010 @0: non-slice write to Rax read by slice member @1 \
+         (non-slice write reaches a consumer)\n"
+    );
+}
+
+/// An anchor with no facts whose write nothing reads: its reads were never
+/// live, so their writer stays outside the slice and nothing is reported.
+#[test]
+fn late_check_skips_the_reads_of_an_unconsumed_anchor() {
+    let (trace, criteria) = rax_syscall(false);
+    let fwd = ForwardPass::build(&trace);
+    let result = slice(&trace, &fwd, &criteria, &witnessed(1));
+    assert_eq!(result.slice_count(), 1, "only the anchor joins");
+    assert_eq!(certify_witnessed(&trace, &criteria, |_| {}), "");
 }

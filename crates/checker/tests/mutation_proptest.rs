@@ -16,8 +16,8 @@ use wasteprof_trace::{site, Recorder, Region, ThreadKind, Trace};
 /// A random cross-thread task chain: each hop `(worker, weight)` posts a
 /// task to a worker through the scheduler's lock hand-off, touches the
 /// shared cell there, and posts back to main; the chain feeds a pixel
-/// tile. The pixel slice threads through the hand-offs, so its witness
-/// carries mem, reg, control, and call edges across threads.
+/// tile. The pixel slice threads through the hand-offs, so its data edges
+/// cross threads and its witness carries call rows.
 fn task_chain(hops: &[(u8, u32)]) -> Trace {
     let mut rec = Recorder::new();
     let main = rec.spawn_thread(ThreadKind::Main, "main_root");
@@ -108,7 +108,7 @@ proptest! {
     #[test]
     fn slice_mutations_fire_their_code_on_synthetic_sessions(
         hops in proptest::collection::vec((0..3u8, 1..4u32), 4..16),
-        mutation_sel in 0..3usize,
+        mutation_sel in 0..SliceMutation::ALL.len(),
     ) {
         let trace = task_chain(&hops);
         let fwd = ForwardPass::build(&trace);
@@ -125,7 +125,9 @@ proptest! {
 
         let m = SliceMutation::ALL[mutation_sel];
         let mutated = TraceMutator::new(&trace).apply_slice(m, &result);
-        // Every synthetic slice has >= 2 distinct mem-witnessed members.
+        // Every synthetic slice has a call row with a non-member in its
+        // callee frame, a non-member return, and a read-free member with
+        // no row.
         prop_assert!(mutated.is_some(), "{}: no injection site found", m.name());
         if let Some(mutated) = mutated {
             let diags = certify(&trace, &fwd, &criteria, &mutated);
@@ -143,8 +145,8 @@ proptest! {
     }
 
     /// Certification does not depend on the witness table's row order:
-    /// rows rebuilt in a random permutation — consumers no longer grouped,
-    /// gen members no longer increasing — render byte-identical
+    /// rows rebuilt in a random permutation — members and consumers no
+    /// longer in order — render byte-identical
     /// diagnostics, clean and under every slice mutation.
     #[test]
     fn witness_row_order_does_not_change_certification(

@@ -93,10 +93,13 @@ pub struct SliceOptions {
     /// produces byte-identical results — this only trades wall time.
     pub segments: usize,
     /// Emit a dependence witness ([`crate::Witnesses`]) alongside the
-    /// slice: one row per member recording the def→use, CDG, or call edge
-    /// that pulled it in, for independent certification by
-    /// `wasteprof-checker`. The table is identical at any segment count.
-    /// Off by default (the experiment engine turns it on).
+    /// slice, for independent certification by `wasteprof-checker`: one
+    /// row per member that joined for a structural reason (a pending
+    /// branch, an `include_instr` criterion anchor, or a call whose frame
+    /// holds a later member). Members that joined by kill/gen get no row;
+    /// the certifier derives their data edges itself. The table is
+    /// identical at any segment count. Off by default (the experiment
+    /// engine turns it on).
     pub witness: bool,
 }
 
@@ -271,6 +274,20 @@ impl SliceResult {
         }
         self.bitmap[idx / 64] &= !(1u64 << (idx % 64));
         self.slice_count -= 1;
+        true
+    }
+
+    /// Adds `pos` to the slice bitmap and increments the slice count: the
+    /// mirror of [`SliceResult::remove_member`], for fault injection only.
+    /// Returns false when `pos` was already a member or lies outside the
+    /// considered prefix.
+    pub fn insert_member(&mut self, pos: TracePos) -> bool {
+        let idx = pos.index();
+        if idx >= self.considered as usize || self.contains(pos) {
+            return false;
+        }
+        self.bitmap[idx / 64] |= 1u64 << (idx % 64);
+        self.slice_count += 1;
         true
     }
 
@@ -536,7 +553,7 @@ impl<'a> Backward<'a> {
         let interval = timeline_interval(options, n);
         let emitter = options
             .witness
-            .then(|| Emitter::new(forward.control_deps(), criteria, n, 0));
+            .then(|| Emitter::new(forward.control_deps(), criteria, n));
         let criteria = criteria.items();
         // Skip criteria beyond the considered prefix.
         let crit_idx = criteria.partition_point(|c| c.pos.index() < n);
@@ -746,7 +763,7 @@ impl<'a> Backward<'a> {
     }
 
     fn finish(self) -> SliceResult {
-        let witness = self.emitter.map(|em| em.finish(self.slice_count));
+        let witness = self.emitter.map(Emitter::finish);
         SliceResult {
             considered: self.n as u64,
             bitmap: self.bitmap,

@@ -9,9 +9,11 @@
 //! nesting that leaves frames open across segments. Each program is
 //! sliced sequentially (`segments: 1`) and with several forced segment
 //! counts; the full [`SliceResult`] — bitmap, counts, per-thread and
-//! per-function stats, timeline — must match exactly.
+//! per-function stats, timeline, witness — must match exactly, and the
+//! sequential witness must certify clean.
 
 use proptest::prelude::*;
+use wasteprof_checker::certify;
 use wasteprof_slicer::{
     pixel_criteria, slice, Criteria, ForwardPass, SliceOptions, SlicingCriterion,
 };
@@ -153,8 +155,8 @@ proptest! {
             &criteria,
             &SliceOptions { segments: 1, witness: true, ..Default::default() },
         );
-        let w = seq.witness().expect("witness requested");
-        prop_assert_eq!(w.len() as u64, seq.slice_count(), "one witness row per member");
+        let diags = certify(&trace, &fwd, &criteria, &seq);
+        prop_assert!(diags.is_empty(), "sequential slice failed certification: {}", diags[0]);
         for k in [2, 3, 8] {
             let par = slice(
                 &trace,

@@ -68,14 +68,19 @@ diff <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls) \
 # status) and print exactly what the in-memory run prints.
 target/release/trace_tool check "$smoke_trace" --out-of-core >"$smoke_trace.out"
 diff <(target/release/trace_tool check "$smoke_trace") "$smoke_trace.out"
-target/release/trace_tool certify "$smoke_trace" --segments 8 --out-of-core >"$smoke_trace.out"
-diff <(target/release/trace_tool certify "$smoke_trace") "$smoke_trace.out"
-# One segment drives the sequential walk, which emits the witness in
-# lockstep chunk by chunk instead of replaying it.
+# Both witness drivers, pinned: one segment runs the sequential walk,
+# which emits the witness in lockstep (chunk by chunk out of core); eight
+# segments stitch the bitmap and replay the witness over it. Every run
+# must exit 0 and print exactly what the in-memory lockstep run prints.
 for crit in pixels syscalls; do
-    target/release/trace_tool certify "$smoke_trace" --segments 1 --out-of-core --criteria "$crit" \
-        >"$smoke_trace.out"
-    diff <(target/release/trace_tool certify "$smoke_trace" --criteria "$crit") "$smoke_trace.out"
+    target/release/trace_tool certify "$smoke_trace" --segments 1 --criteria "$crit" \
+        >"$smoke_trace.ref"
+    for mode in "--segments 8" "--segments 1 --out-of-core" "--segments 8 --out-of-core"; do
+        # $mode is deliberately unquoted: it carries two or three flags.
+        # shellcheck disable=SC2086
+        target/release/trace_tool certify "$smoke_trace" $mode --criteria "$crit" >"$smoke_trace.out"
+        diff "$smoke_trace.ref" "$smoke_trace.out"
+    done
 done
 
 echo "== refusal smoke (version-1 trace file, unwritable export path) =="
