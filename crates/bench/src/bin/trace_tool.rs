@@ -27,21 +27,17 @@
 use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::Path;
 
 use wasteprof_analysis::{format_count, thread_rows, FrameAnalysis, TextTable, ThreadRow};
 use wasteprof_checker::{DeadWriteLint, Diag, Registry};
 use wasteprof_slicer::{
     pixel_criteria, pixel_criteria_streamed, slice, slice_streamed, strip_allocator_deps,
-    syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SliceResult, SummaryCache,
+    syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SliceResult,
 };
 use wasteprof_trace::{
     write_trace2, AnalysisDriver, ColumnSource, Trace, TraceIoError, TracePos, TraceReader,
 };
 use wasteprof_workloads::{bing_frames, Benchmark};
-
-/// Summary-cache byte budget for the CLI (the library default).
-const CACHE_BUDGET: u64 = 256 << 20;
 
 /// One consolidated usage table for every subcommand; all usage errors —
 /// including unknown flags anywhere — exit 2.
@@ -50,7 +46,7 @@ fn usage() -> ! {
         "usage:\n  \
          trace_tool export  <amazon_desktop|amazon_mobile|maps|bing> <file> [--frames N]\n  \
          trace_tool inspect <file> [--head N]\n  \
-         trace_tool slice   <file> [shared flags] [--incremental] [--cache-dir DIR | --no-cache]\n  \
+         trace_tool slice   <file> [shared flags]\n  \
          trace_tool check   <file> [--json] [--max-diags N] [--out-of-core]\n  \
          trace_tool analyze <file> [--analyses a,b,c] [--json] [--out-of-core]\n  \
          trace_tool static  <amazon_desktop|amazon_mobile|maps|bing> [--json] [--referee [--per-function]]\n  \
@@ -61,13 +57,6 @@ fn usage() -> ! {
          --segments K          yes    -      yes      parallel slice segments (0 = auto)\n  \
          --out-of-core         yes    yes    yes      stream the file instead of loading it\n  \
          --json                -      yes    yes      machine-readable diagnostics\n\n\
-         incremental slicing (`slice` only):\n  \
-         --incremental         slice through the segment-summary cache; output is\n  \
-                               byte-identical to a from-scratch slice, cache stats\n  \
-                               go to stderr\n  \
-         --cache-dir DIR       load the summary cache from DIR before slicing and\n  \
-                               persist it back after (DIR is created on save)\n  \
-         --no-cache            keep the cache transient (excludes --cache-dir)\n\n\
          `analyze` runs any subset of the registered analyses in ONE fused\n  \
          sweep (default: all of them):\n  \
          lints          the full verifier battery (WP0001-WP0007)\n  \
@@ -283,28 +272,19 @@ where
     }
 }
 
-/// `slice`: forward pass, criteria and backward slice, or the incremental
-/// slice through `cache`, plus the Table II rows.
+/// `slice`: forward pass, criteria and backward slice, plus the Table II
+/// rows.
 fn slice_source<S: ColumnSource>(
     src: &mut S,
     syscalls: bool,
     opts: &SliceOptions,
-    cache: Option<&mut SummaryCache>,
 ) -> (SliceResult, Vec<ThreadRow>)
 where
     S::Error: Display,
 {
-    let result = match cache {
-        Some(cache) => {
-            let criteria = criteria_of(src, syscalls);
-            stream_ok(cache.slice_streamed(src, &criteria, opts))
-        }
-        None => {
-            let forward = stream_ok(ForwardPass::build_streamed(src));
-            let criteria = criteria_of(src, syscalls);
-            stream_ok(slice_streamed(src, &forward, &criteria, opts))
-        }
-    };
+    let forward = stream_ok(ForwardPass::build_streamed(src));
+    let criteria = criteria_of(src, syscalls);
+    let result = stream_ok(slice_streamed(src, &forward, &criteria, opts));
     let rows = thread_rows(src.threads(), &result);
     (result, rows)
 }
@@ -473,20 +453,12 @@ fn main() {
             let Some(path) = args.get(1) else { usage() };
             let mut syscalls = false;
             let mut out_of_core = false;
-            let mut incremental = false;
-            let mut no_cache = false;
             let mut segments = 0usize;
-            let mut cache_dir: Option<String> = None;
             let mut rest = args[2..].iter();
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--criteria" => syscalls = parse_criteria(rest.next()),
                     "--out-of-core" => out_of_core = true,
-                    "--incremental" => incremental = true,
-                    "--no-cache" => no_cache = true,
-                    "--cache-dir" => {
-                        cache_dir = Some(rest.next().cloned().unwrap_or_else(|| usage()));
-                    }
                     "--segments" => {
                         segments = rest
                             .next()
@@ -496,47 +468,15 @@ fn main() {
                     _ => usage(),
                 }
             }
-            // Cache flags only make sense for the incremental engine, and
-            // a persisted cache cannot also be transient.
-            if (cache_dir.is_some() || no_cache) && !incremental {
-                usage();
-            }
-            if cache_dir.is_some() && no_cache {
-                usage();
-            }
             let opts = SliceOptions {
                 segments,
                 ..Default::default()
             };
-            let mut cache = incremental.then(|| match &cache_dir {
-                Some(dir) => SummaryCache::load(Path::new(dir), CACHE_BUDGET),
-                None => SummaryCache::new(),
-            });
             let (result, rows) = if out_of_core {
-                slice_source(&mut open_reader(path), syscalls, &opts, cache.as_mut())
+                slice_source(&mut open_reader(path), syscalls, &opts)
             } else {
-                slice_source(&mut &load(path), syscalls, &opts, cache.as_mut())
+                slice_source(&mut &load(path), syscalls, &opts)
             };
-            if let Some(cache) = &cache {
-                // Stats go to stderr so stdout stays diffable against a
-                // from-scratch slice.
-                let s = cache.stats();
-                eprintln!(
-                    "cache: {} hits, {} misses ({:.0}% hit rate), \
-                     {} stitch states reused, {} evictions",
-                    s.hits,
-                    s.misses,
-                    s.hit_rate() * 100.0,
-                    s.stitch_reused,
-                    s.evictions
-                );
-                if let Some(dir) = &cache_dir {
-                    if let Err(e) = cache.save(Path::new(dir)) {
-                        eprintln!("cannot persist cache to {dir}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
             println!(
                 "{} criteria; slice = {} of {} instructions ({:.1}%)\n",
                 if syscalls { "syscall" } else { "pixel" },

@@ -348,7 +348,7 @@ impl SessionStore {
 pub struct EngineOptions {}
 
 /// Bing browse frames the incremental stage drives through the
-/// content-addressed [`SummaryCache`], plus one steady-state re-slice.
+/// [`SummaryCache`] re-query memo, plus one steady-state re-slice.
 const INCREMENTAL_FRAMES: usize = 3;
 
 /// One experiment's evaluated output: what `run_all` prints for it, plus
@@ -991,10 +991,9 @@ pub struct EngineReport {
     /// Backward slices computed.
     pub slices_run: u32,
     /// [`SliceOptions::config_fingerprint`] of the store's slice config —
-    /// the key every memoized slice (and summary-cache entry) was
-    /// computed under.
+    /// the key every memoized slice was computed under.
     pub slice_fingerprint: u64,
-    /// Summary-cache counters from the incremental stage. Always `Some`:
+    /// Re-query memo counters from the incremental stage. Always `Some`:
     /// the stage runs on every engine run.
     pub incremental: Option<CacheStats>,
 }
@@ -1044,13 +1043,10 @@ impl EngineReport {
         ));
         if let Some(c) = &self.incremental {
             out.push_str(&format!(
-                "incremental cache: {} hits, {} misses ({:.0}% hit rate), \
-                 {} stitch states reused, {} evictions, {} bytes held\n",
+                "incremental cache: {} hits, {} misses ({:.0}% hit rate), {} bytes held\n",
                 c.hits,
                 c.misses,
                 c.hit_rate() * 100.0,
-                c.stitch_reused,
-                c.evictions,
                 c.bytes_held
             ));
         }
@@ -1095,13 +1091,10 @@ impl EngineReport {
         if let Some(c) = &self.incremental {
             out.push_str(&format!(
                 ",\n  \"incremental\": {{\"hits\": {}, \"misses\": {}, \
-                 \"hit_rate\": {:.4}, \"stitch_reused\": {}, \"evictions\": {}, \
-                 \"bytes_held\": {}}}",
+                 \"hit_rate\": {:.4}, \"bytes_held\": {}}}",
                 c.hits,
                 c.misses,
                 c.hit_rate(),
-                c.stitch_reused,
-                c.evictions,
                 c.bytes_held
             ));
         }
@@ -1588,13 +1581,12 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         )
     };
 
-    // Stage 3c: the incremental slicing tier. Drives the
-    // content-addressed summary cache over a short multi-frame Bing
-    // browse sequence — each frame extends the previous one by one
-    // interaction, hashes are maintained via
+    // Stage 3c: the incremental slicing tier. Drives the re-query memo
+    // over a short multi-frame Bing browse sequence — each frame extends
+    // the previous one by one interaction, hashes are maintained via
     // [`SegmentHashes::extend_appended`] — then re-slices the final
-    // frame once to exercise the steady-state (fully warm) path. Only
-    // reuse counters and timing are reported; no `results/` artifact, so
+    // frame once: every frame is a miss, the re-slice a hit. Only the
+    // counters and timing are reported; no `results/` artifact, so
     // determinism comparisons are untouched.
     let incremental_stats = {
         let t = Instant::now();

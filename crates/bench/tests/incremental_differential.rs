@@ -5,10 +5,10 @@
 //! is structural over bitmap, counts, per-thread/per-function stats,
 //! and the checkpoint timeline).
 //!
-//! One cache instance serves all sessions and both configs on purpose:
-//! summary keys must separate distinct traces (content hashes) and
-//! distinct slice configs (`SliceOptions::config_fingerprint`), so a
-//! collision anywhere shows up as a divergence here.
+//! One memo serves all sessions and both configs on purpose: its key
+//! must separate distinct traces (content hashes) and distinct slice
+//! configs (`SliceOptions::config_fingerprint`), so a collision anywhere
+//! shows up as a divergence here.
 
 use wasteprof_bench::engine::{SessionKey, SessionStore};
 use wasteprof_slicer::{pixel_criteria, slice, SliceOptions, SummaryCache};
@@ -25,11 +25,7 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
         SessionKey::Browse(Benchmark::AmazonDesktop),
         SessionKey::Browse(Benchmark::GoogleMaps),
     ];
-    // Six sessions x two configs of summaries outgrow the default
-    // ~256 MiB budget (the LRU would — correctly — evict, which is
-    // covered elsewhere); this test wants every entry retained so the
-    // final warm-re-slice assertion is deterministic.
-    let mut cache = SummaryCache::with_budget(2 << 30);
+    let mut cache = SummaryCache::new();
     for key in sessions {
         let session = store.session(key);
         let trace = &session.trace;
@@ -51,13 +47,9 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
         }
     }
 
-    // The shared cache must have been an accelerator, not a bystander:
-    // re-slicing the *last* session it saw is fully warm. (An earlier
-    // session would not be: sessions sharing a content prefix but
-    // differing in their dynamic CFGs — base vs browse — overwrite each
-    // other's entries for the shared segments, and the per-lookup
-    // control-dependence validation then correctly refuses the stored
-    // summary rather than serve one computed under the other CFG.)
+    // Every query above was a distinct (trace, config) pair, so each
+    // missed. Re-slicing the *last* one is the memo's one hit.
+    assert_eq!(cache.stats().hits, 0, "{:?}", cache.stats());
     let key = SessionKey::Browse(Benchmark::GoogleMaps);
     let session = store.session(key);
     let criteria = pixel_criteria(&session.trace);
@@ -65,13 +57,13 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
         segments: 8,
         ..Default::default()
     };
-    cache.reset_stats();
+    let before = cache.stats();
     let again = cache.slice(&session.trace, &criteria, &opts);
     assert_eq!(
         again,
         slice(&session.trace, &store.forward_for(key), &criteria, &opts)
     );
     let s = cache.stats();
-    assert!(s.hits > 0, "warm re-slice should reuse summaries: {s:?}");
-    assert_eq!(s.misses, 0, "warm re-slice should be all hits: {s:?}");
+    assert_eq!(s.hits, before.hits + 1, "re-slice must hit: {s:?}");
+    assert_eq!(s.misses, before.misses, "re-slice must not miss: {s:?}");
 }

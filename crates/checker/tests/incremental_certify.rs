@@ -1,14 +1,14 @@
 //! Property test for the incremental slicer: mutate one block (prefix,
 //! middle, or suffix window) of a multi-segment synthetic session and
-//! assert that slicing *through a shared* [`SummaryCache`] — warm with
-//! the unmutated session's summaries — is byte-identical to the
-//! from-scratch slicer, and that the witnessed result certifies clean.
+//! assert that slicing *through a shared* [`SummaryCache`] — holding the
+//! unmutated session's result — is byte-identical to the from-scratch
+//! slicer, and that the witnessed result certifies clean.
 //!
 //! The mutation may change operand cells *and* which function a block
 //! calls, so it covers both the cheap case (content changed, control
-//! dependences intact) and the hard one (the dynamic CFG itself shifts,
-//! which must invalidate cached summaries via the cache's per-lookup
-//! control-dependence validation rather than serve stale data).
+//! dependences intact) and the hard one (the dynamic CFG itself shifts).
+//! Either way the memo key changes, so the stored result is never
+//! served for the variant.
 
 use proptest::prelude::*;
 use wasteprof_checker::certify;
@@ -115,7 +115,7 @@ fn check_session(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// A warm cache re-slicing a session whose prefix, middle, or suffix
+    /// A shared memo re-slicing a session whose prefix, middle, or suffix
     /// block was rewritten stays byte-identical and certifiable.
     #[test]
     fn mutated_window_slices_exactly_through_warm_cache(
@@ -137,9 +137,9 @@ proptest! {
 
         let mut cache = SummaryCache::new();
         check_session("base", &mut cache, &base, carry)?;
-        check_session("variant (warm cache)", &mut cache, &variant, carry)?;
-        // And back: the base session's summaries must have survived the
-        // variant run (two sessions sharing one cache, not thrashing).
+        check_session("variant", &mut cache, &variant, carry)?;
+        // And back: the memo now holds the variant's result, which must
+        // never be served for the base session.
         check_session("base again", &mut cache, &base, carry)?;
     }
 }

@@ -152,7 +152,7 @@ pub(crate) type PendKey = (ThreadId, FuncId, Pc);
 ///   runtime presence equals its presence at the segment's *upper*
 ///   boundary. The stitch phase resolves it against the exact incoming
 ///   pending set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PendingTransfer<C> {
     entries: HashMap<PendKey, C, FibBuild>,
     cleared: HashSet<(ThreadId, FuncId), FibBuild>,
@@ -201,18 +201,6 @@ impl<C: Clone> PendingTransfer<C> {
     /// the outgoing pending set; order is irrelevant to the result).
     pub(crate) fn entries(&self) -> impl Iterator<Item = (&PendKey, &C)> {
         self.entries.iter()
-    }
-
-    /// Iterates over the structurally-cleared `(tid, func)` pairs
-    /// (cache serialization walks these; order is irrelevant).
-    pub(crate) fn cleared_entries(&self) -> impl Iterator<Item = &(ThreadId, FuncId)> {
-        self.cleared.iter()
-    }
-
-    /// Marks `(tid, func)` cleared without touching tracked entries —
-    /// the deserialization counterpart of [`Self::cleared_entries`].
-    pub(crate) fn mark_cleared(&mut self, tid: ThreadId, func: FuncId) {
-        self.cleared.insert((tid, func));
     }
 }
 

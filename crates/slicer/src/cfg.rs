@@ -129,27 +129,22 @@ struct Frame {
     last: Option<NodeId>,
 }
 
-/// Incremental [`CfgSet`] construction: the trace-folding state of
-/// [`CfgSet::build`], fed window by window from any [`ColumnSource`].
-/// `Clone` lets the incremental engine checkpoint the fold mid-trace: a
-/// cloned builder resumes from a segment boundary, so appending a frame
-/// re-folds only the new tail. Edge insertion is first-observation-order
-/// sensitive, but windows always arrive in trace order, so a resumed
-/// clone produces the same `CfgSet` as a from-scratch fold.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct CfgBuilder {
+/// The trace-folding state of [`CfgSet::build`], fed window by window
+/// from any [`ColumnSource`].
+#[derive(Debug, Default)]
+struct CfgBuilder {
     cfgs: HashMap<FuncId, Cfg>,
     stacks: HashMap<ThreadId, Vec<Frame>>,
 }
 
 impl CfgBuilder {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         CfgBuilder::default()
     }
 
     /// Folds one window of instructions in. Windows must arrive in trace
     /// order and tile the trace without gaps.
-    pub(crate) fn feed(&mut self, cur: &ColumnCursor<'_>) {
+    fn feed(&mut self, cur: &ColumnCursor<'_>) {
         // Iterate the columns directly: this pass reads only the thread,
         // function, PC, and kind fields, so materializing whole `Instr`
         // views would drag every operand through the cache for nothing.
@@ -167,7 +162,7 @@ impl CfgBuilder {
 
     /// Closes every frame still open at the end of the trace and returns
     /// the finished set.
-    pub(crate) fn finish(mut self) -> CfgSet {
+    fn finish(mut self) -> CfgSet {
         for stack in self.stacks.values_mut() {
             while let Some(frame) = stack.pop() {
                 let cfg = self

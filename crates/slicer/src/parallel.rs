@@ -54,22 +54,22 @@ use crate::slice::{
 };
 
 /// Thread-slot count, mirroring the sequential pass's dense tables.
-pub(crate) const NTHREADS: usize = 256;
+const NTHREADS: usize = 256;
 /// Register-file width per thread ([`RegSet`] is a 16-bit mask).
-pub(crate) const NREGS: usize = 16;
+const NREGS: usize = 16;
 /// Per-segment cap on condition-graph nodes. A summary bigger than this
 /// would make the sequential stitch phase the bottleneck anyway, so the
 /// pass bails out to the reference walk instead of degrading.
 const MAX_NODES: usize = 1 << 22;
 
-pub(crate) type NodeId = u32;
+type NodeId = u32;
 
 /// One condition-graph node: a predicate over the segment's incoming
 /// boundary state. Atoms are created at the moment the symbolic scan
 /// consults an unknown, `Or`s when two conditions merge, so ids are in
 /// dependency order and one forward pass evaluates the whole graph.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Node {
+enum Node {
     /// Boundary live memory intersects this range.
     Mem(AddrRange),
     /// Boundary live registers of the thread intersect this set.
@@ -86,7 +86,7 @@ pub(crate) enum Node {
 /// A tri-state condition: statically false, statically true (concrete),
 /// or dependent on the boundary via a graph node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Cond {
+enum Cond {
     False,
     True,
     Node(NodeId),
@@ -94,7 +94,7 @@ pub(crate) enum Cond {
 
 /// Symbolic liveness of one register of one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RegCell {
+enum RegCell {
     /// No in-segment event touched it: boundary liveness passes through.
     Untouched,
     /// Killed by a write; boundary liveness is masked.
@@ -109,7 +109,7 @@ pub(crate) enum RegCell {
 /// One conditionally-live memory span `[start, end)`. `atom` marks spans
 /// whose *boundary* liveness also passes through (the span was never
 /// killed below the point that made it conditional).
-pub(crate) type Span = (u64, u64, bool, NodeId);
+type Span = (u64, u64, bool, NodeId);
 
 /// Per-thread frame state of one segment's symbolic scan: frames opened
 /// inside the segment (`local`, from `Ret`s) stacked on top of the frames
@@ -118,64 +118,55 @@ pub(crate) type Span = (u64, u64, bool, NodeId);
 /// once those run out they pop boundary frames (`bnd_popped` counts them)
 /// whose `any_slice` flag is only known at stitch time — `Frame` atoms
 /// stand in for it, OR-ed with in-segment marks (`bnd_marks`).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SegFrames {
-    pub(crate) local: Vec<(FuncId, Cond)>,
-    pub(crate) bnd_funcs: Vec<FuncId>,
-    pub(crate) bnd_popped: usize,
-    pub(crate) bnd_marks: Vec<Cond>,
+#[derive(Debug)]
+struct SegFrames {
+    local: Vec<(FuncId, Cond)>,
+    bnd_funcs: Vec<FuncId>,
+    bnd_popped: usize,
+    bnd_marks: Vec<Cond>,
 }
 
-/// Everything phase 2 needs to know about one segment.
-///
-/// Apart from `lo`/`hi`, every field is *position-independent*: bitmap
-/// words and `members` indices are segment-relative, and the symbolic
-/// transfer sets speak in addresses, registers, and static locations.
-/// The incremental cache relies on this to reuse a summary after the
-/// segment's absolute position shifts (it only rewrites `lo`/`hi`).
-#[derive(Debug, Clone)]
-pub(crate) struct SegSummary {
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
-    pub(crate) nodes: Vec<Node>,
+/// Everything phase 2 needs to know about one segment. Bitmap words and
+/// `members` indices are segment-relative.
+#[derive(Debug)]
+struct SegSummary {
+    lo: usize,
+    hi: usize,
+    nodes: Vec<Node>,
     /// Concrete slice members (∅-seeded), one bit per instruction,
     /// word 0 = instructions `[lo, lo+64)`.
-    pub(crate) bitmap: Vec<u64>,
+    bitmap: Vec<u64>,
     /// Conditional members: `(idx - lo, node)`.
-    pub(crate) members: Vec<(u32, NodeId)>,
+    members: Vec<(u32, NodeId)>,
     /// Concretely live memory at the segment's lower boundary.
-    pub(crate) conc_mem: AddrSet,
+    conc_mem: AddrSet,
     /// Bytes the segment wrote or made concretely/conditionally live:
     /// boundary liveness of everything *outside* passes through.
-    pub(crate) touched: AddrSet,
+    touched: AddrSet,
     /// Conditionally live memory spans at the lower boundary.
-    pub(crate) cond_mem: Vec<Span>,
+    cond_mem: Vec<Span>,
     /// Concretely live registers per thread slot.
-    pub(crate) conc_regs: Vec<RegSet>,
+    conc_regs: Vec<RegSet>,
     /// Symbolic register cells, `NREGS` per thread slot.
-    pub(crate) reg_cells: Vec<RegCell>,
-    pub(crate) pend: PendingTransfer<Cond>,
-    pub(crate) frames: Vec<SegFrames>,
+    reg_cells: Vec<RegCell>,
+    pend: PendingTransfer<Cond>,
+    frames: Vec<SegFrames>,
 }
 
 /// Exact state at a segment boundary, computed by the stitch phase.
-///
-/// Position-independent (addresses, registers, pending keys, and frame
-/// stacks carry no trace indices), which is what lets the incremental
-/// stitch memo reuse one across runs whose absolute positions differ.
-#[derive(Debug, Clone)]
-pub(crate) struct BoundaryState {
-    pub(crate) mem: AddrSet,
-    pub(crate) regs: Vec<RegSet>,
-    pub(crate) pend: HashSet<PendKey, FibBuild>,
-    pub(crate) frames: Vec<Vec<(FuncId, bool)>>,
+#[derive(Debug)]
+struct BoundaryState {
+    mem: AddrSet,
+    regs: Vec<RegSet>,
+    pend: HashSet<PendKey, FibBuild>,
+    frames: Vec<Vec<(FuncId, bool)>>,
 }
 
 impl BoundaryState {
     /// The state at the very end of the considered prefix: nothing live,
     /// nothing pending, and the open-call frames captured there, all
     /// flags down.
-    pub(crate) fn initial(stacks_at_end: &[Vec<FuncId>]) -> Self {
+    fn initial(stacks_at_end: &[Vec<FuncId>]) -> Self {
         BoundaryState {
             mem: AddrSet::new(),
             regs: vec![RegSet::EMPTY; NTHREADS],
@@ -189,25 +180,24 @@ impl BoundaryState {
 }
 
 /// A stitched segment, ready for parallel replay.
-pub(crate) struct Replay {
-    pub(crate) lo: usize,
-    pub(crate) hi: usize,
-    pub(crate) bitmap: Vec<u64>,
-    pub(crate) members: Vec<(u32, NodeId)>,
-    pub(crate) active: Vec<bool>,
+struct Replay {
+    lo: usize,
+    hi: usize,
+    bitmap: Vec<u64>,
+    members: Vec<(u32, NodeId)>,
+    active: Vec<bool>,
 }
 
 /// Per-segment replay output; `timeline` holds *local* cumulative counts
 /// keyed by global instruction index.
-#[derive(Clone)]
-pub(crate) struct SegFinal {
-    pub(crate) bitmap: Vec<u64>,
-    pub(crate) slice_count: u64,
-    pub(crate) per_thread: Vec<(u64, u64)>,
-    pub(crate) per_func: Vec<(u64, u64)>,
-    pub(crate) tracked_total: u64,
-    pub(crate) tracked_slice: u64,
-    pub(crate) timeline: Vec<(usize, TimelinePoint)>,
+struct SegFinal {
+    bitmap: Vec<u64>,
+    slice_count: u64,
+    per_thread: Vec<(u64, u64)>,
+    per_func: Vec<(u64, u64)>,
+    tracked_total: u64,
+    tracked_slice: u64,
+    timeline: Vec<(usize, TimelinePoint)>,
 }
 
 /// Runs the segment-parallel pass with `k` requested segments. Returns
@@ -277,16 +267,11 @@ pub(crate) fn run<S: ColumnSource>(
     Ok(Some(assemble(n, nfuncs, &replays, finals)))
 }
 
-/// The suffix-sum merge shared by [`run`] and the incremental cache: copies the
-/// per-segment bitmaps into place (boundaries are 64-aligned, so words
-/// never straddle segments), sums the counters, and rebuilds the global
-/// cumulative timeline from per-segment local counts.
-pub(crate) fn assemble(
-    n: usize,
-    nfuncs: usize,
-    replays: &[Replay],
-    finals: Vec<SegFinal>,
-) -> SliceResult {
+/// The suffix-sum merge of [`run`]: copies the per-segment bitmaps into
+/// place (boundaries are 64-aligned, so words never straddle segments),
+/// sums the counters, and rebuilds the global cumulative timeline from
+/// per-segment local counts.
+fn assemble(n: usize, nfuncs: usize, replays: &[Replay], finals: Vec<SegFinal>) -> SliceResult {
     let mut bitmap = vec![0u64; n.div_ceil(64)];
     let mut per_thread = vec![(0u64, 0u64); NTHREADS];
     let mut per_func = vec![(0u64, 0u64); nfuncs];
@@ -348,7 +333,7 @@ pub(crate) fn assemble(
 /// each thread's open-call stack (the backward pass's frame stack at that
 /// point is exactly this, built from `Ret`s/`Call`s). Also verifies that
 /// no branch carries write effects. Fed forward windows of any source.
-pub(crate) struct StructuralScan {
+struct StructuralScan {
     bounds: Vec<usize>,
     stacks: Vec<Vec<FuncId>>,
     out: Vec<Vec<Vec<FuncId>>>,
@@ -357,24 +342,17 @@ pub(crate) struct StructuralScan {
 }
 
 impl StructuralScan {
-    pub(crate) fn new(bounds: &[usize]) -> Self {
-        StructuralScan::resume(bounds, vec![Vec::new(); NTHREADS], false)
-    }
-
-    /// Resumes a scan from a checkpoint: the open-call stacks and
-    /// branch-write flag captured at `bounds[0]` by a previous scan, so
-    /// only the tail beyond the checkpoint needs feeding.
-    pub(crate) fn resume(bounds: &[usize], stacks: Vec<Vec<FuncId>>, branch_writes: bool) -> Self {
+    fn new(bounds: &[usize]) -> Self {
         StructuralScan {
             bounds: bounds.to_vec(),
-            stacks,
+            stacks: vec![Vec::new(); NTHREADS],
             out: Vec::with_capacity(bounds.len().saturating_sub(1)),
             bi: 1,
-            branch_writes,
+            branch_writes: false,
         }
     }
 
-    pub(crate) fn feed(&mut self, cur: &ColumnCursor<'_>) {
+    fn feed(&mut self, cur: &ColumnCursor<'_>) {
         for idx in cur.lo()..cur.hi() {
             while self.bi < self.bounds.len() && self.bounds[self.bi] == idx {
                 self.out.push(self.stacks.clone());
@@ -397,7 +375,7 @@ impl StructuralScan {
     }
 
     #[allow(clippy::type_complexity)]
-    pub(crate) fn finish(mut self) -> (Vec<Vec<Vec<FuncId>>>, bool) {
+    fn finish(mut self) -> (Vec<Vec<Vec<FuncId>>>, bool) {
         while self.bi < self.bounds.len() {
             self.out.push(self.stacks.clone());
             self.bi += 1;
@@ -409,7 +387,7 @@ impl StructuralScan {
 /// The symbolic backward scan of one segment (phase 1). Mirrors the
 /// sequential step logic exactly; every consultation of state that the
 /// boundary could influence goes through [`Cond`]s instead of booleans.
-pub(crate) struct Summarizer<'a> {
+struct Summarizer<'a> {
     lo: usize,
     hi: usize,
     deps: &'a ControlDeps,
@@ -437,7 +415,7 @@ pub(crate) struct Summarizer<'a> {
 }
 
 impl<'a> Summarizer<'a> {
-    pub(crate) fn new(
+    fn new(
         lo: usize,
         hi: usize,
         deps: &'a ControlDeps,
@@ -984,7 +962,7 @@ fn cond_active(c: Cond, active: &[bool]) -> bool {
 /// Phase 2 step: evaluates one summary against the exact state at its
 /// upper boundary and produces the exact state at its lower boundary plus
 /// the replay inputs.
-pub(crate) fn stitch(sum: SegSummary, st: &BoundaryState) -> (BoundaryState, Replay) {
+fn stitch(sum: SegSummary, st: &BoundaryState) -> (BoundaryState, Replay) {
     // Nodes are in dependency order: one forward pass settles them all.
     let mut active = vec![false; sum.nodes.len()];
     for i in 0..sum.nodes.len() {
@@ -1092,7 +1070,7 @@ pub(crate) fn stitch(sum: SegSummary, st: &BoundaryState) -> (BoundaryState, Rep
 /// countdown would put them: global positions with
 /// `(n - idx) % interval == 0`, plus `idx == 0`. Fed descending windows,
 /// like [`Summarizer`].
-pub(crate) struct Finalizer {
+struct Finalizer {
     lo: usize,
     bitmap: Vec<u64>,
     per_thread: Vec<(u64, u64)>,
@@ -1107,13 +1085,7 @@ pub(crate) struct Finalizer {
 }
 
 impl Finalizer {
-    pub(crate) fn new(
-        r: &Replay,
-        n: usize,
-        nfuncs: usize,
-        interval: u64,
-        tracked: ThreadId,
-    ) -> Self {
+    fn new(r: &Replay, n: usize, nfuncs: usize, interval: u64, tracked: ThreadId) -> Self {
         let mut bitmap = r.bitmap.clone();
         for &(l, node) in &r.members {
             if r.active[node as usize] {

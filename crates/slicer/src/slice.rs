@@ -47,7 +47,9 @@ impl ForwardPass {
     ///
     /// Any read or decode error of the source.
     pub fn build_streamed<S: ColumnSource>(src: &mut S) -> Result<Self, S::Error> {
-        Ok(ForwardPass::from_cfgs(CfgSet::build_streamed(src)?))
+        let cfgs = CfgSet::build_streamed(src)?;
+        let deps = ControlDeps::compute(&cfgs);
+        Ok(ForwardPass { cfgs, deps })
     }
 
     /// The reconstructed CFGs.
@@ -58,14 +60,6 @@ impl ForwardPass {
     /// The control-dependence relation.
     pub fn control_deps(&self) -> &ControlDeps {
         &self.deps
-    }
-
-    /// Builds the pass artifacts from an already-folded CFG set — the
-    /// incremental engine resumes the fold from a checkpoint and derives
-    /// the (whole-trace) control-dependence relation from the result.
-    pub(crate) fn from_cfgs(cfgs: CfgSet) -> Self {
-        let deps = ControlDeps::compute(&cfgs);
-        ForwardPass { cfgs, deps }
     }
 }
 
@@ -106,10 +100,10 @@ pub struct SliceOptions {
 impl SliceOptions {
     /// A fingerprint covering **every** public option field, used wherever
     /// a computed slice is memoized against its configuration — the
-    /// incremental [`crate::SummaryCache`] key and the experiment engine's
+    /// [`crate::SummaryCache`] re-query key and the experiment engine's
     /// session store both derive from this one function, so a new option
     /// field added here (and to the perturbation unit test) can never be
-    /// silently ignored by one cache but honored by the other.
+    /// silently ignored by one memo but honored by the other.
     pub fn config_fingerprint(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = FibHasher::default();

@@ -147,10 +147,10 @@ struct WFrame {
 /// backward walk joins position `idx` only while it visits `idx`: once
 /// the walk has fed a window, that window's bits are final. So the
 /// sequential walk drives an emitter in lockstep, over each window right
-/// after its own step (`slice::Backward`); only paths whose bitmap comes
-/// from elsewhere — segment-parallel stitching, the summary cache —
-/// replay over the finished bitmap ([`emit`]). Either
-/// way the table is a pure function of `(trace, criteria, bitmap)`.
+/// after its own step (`slice::Backward`); only the segment-parallel
+/// pass, whose bitmap comes from stitching, replays over the finished
+/// bitmap ([`emit`]). Either way the table is a pure function of
+/// `(trace, criteria, bitmap)`.
 pub(crate) struct Emitter<'a> {
     deps: &'a ControlDeps,
     criteria: &'a [SlicingCriterion],

@@ -1,33 +1,33 @@
-//! Deterministic incremental-slicing tests: [`SummaryCache`] must be
-//! byte-identical to the from-scratch slicer on every input, and must
-//! actually *reuse* cached segment summaries when only a window of the
-//! trace changed or when rows were appended.
+//! Deterministic incremental-slicing tests: every [`SummaryCache`] result
+//! must equal the from-scratch slicer on its own trace, and the re-query
+//! memo must never serve a stale result — a query hits only when nothing
+//! its key covers changed since the previous query.
 //!
 //! Fixtures are built from segment-aligned "blocks": each block is padded
-//! with one-row ALU ops to exactly [`SEGMENT_LEN`] rows, so mutating one
-//! block's operand cells dirties exactly one segment while every other
-//! segment keeps its content hash. All blocks share the same program
-//! counters (and the same call structure per block position), so block
-//! variants execute identical static code and the control-dependence
-//! relation — validated separately by the cache — never changes.
-
-use std::io::Cursor;
+//! with one-row ALU ops to exactly [`SEGMENT_LEN`] rows, and a short tail
+//! past the last boundary forms the partial last segment. One pad row,
+//! chosen by position, can be flipped to write another register, so two
+//! fixtures differ in exactly one row of a chosen segment.
 
 use wasteprof_slicer::{
-    pixel_criteria, slice, Criteria, ForwardPass, SegmentHashes, SliceOptions, SliceResult,
-    SlicingCriterion, SummaryCache,
+    pixel_criteria, slice, CacheStats, Criteria, ForwardPass, SegmentHashes, SliceOptions,
+    SliceResult, SlicingCriterion, SummaryCache,
 };
 use wasteprof_trace::{
-    site, write_trace2, Addr, Recorder, Reg, RegSet, Region, ThreadKind, Trace, TracePos,
-    TraceReader, SEGMENT_LEN,
+    site, Addr, Recorder, Reg, RegSet, Region, ThreadKind, Trace, TracePos, SEGMENT_LEN,
 };
 
+/// Rows of pad in the tail, before the pixel sink.
+const TAIL_PAD: usize = 8;
+
 /// Records one segment-aligned block per entry of `blocks`, plus a short
-/// tail (pixel sink) past the final boundary. Each block `[a, b]` runs a
-/// loop mixing cell `a` and a carry cell into cell `b`; the carry cell
-/// threads a dependence chain through every block so slices are
-/// nontrivial at every prefix. Returns the trace and the carry cell.
-fn record_blocks(blocks: &[[usize; 2]]) -> (Trace, Addr) {
+/// tail (pad rows, then a pixel sink) past the final boundary. Each block
+/// `[a, b]` runs a loop mixing cell `a` and a carry cell into cell `b`;
+/// the carry cell threads a dependence chain through every block so
+/// slices are nontrivial at every prefix. The pad row at position `flip`,
+/// if any, writes `Rcx` instead of `Rax`. Returns the trace and the carry
+/// cell.
+fn record_blocks(blocks: &[[usize; 2]], flip: Option<usize>) -> (Trace, Addr) {
     const NCELLS: usize = 8;
     let mut rec = Recorder::new();
     rec.spawn_thread(ThreadKind::Main, "content::RendererMain");
@@ -43,6 +43,14 @@ fn record_blocks(blocks: &[[usize; 2]]) -> (Trace, Addr) {
     let pc_loop = site!();
     let pc_pad = site!();
     let pc_sink = site!();
+    let pad = |rec: &mut Recorder| {
+        let flipped = flip == Some(rec.pos().0 as usize);
+        rec.alu(
+            pc_pad,
+            if flipped { Reg::Rcx } else { Reg::Rax },
+            RegSet::EMPTY,
+        );
+    };
 
     rec.compute(pc_seed, &[], &[carry.into()]);
     for (bi, b) in blocks.iter().enumerate() {
@@ -51,10 +59,9 @@ fn record_blocks(blocks: &[[usize; 2]]) -> (Trace, Addr) {
         let c = cells[b[1] % NCELLS];
         let func = funcs[bi % funcs.len()];
         // A leading pad run so positions just past a segment boundary
-        // are balanced top-level rows — frame cuts there neither open a
-        // call nor share a segment with the frame's slicing criterion.
+        // are balanced top-level rows.
         for _ in 0..128 {
-            rec.alu(pc_pad, Reg::Rax, RegSet::EMPTY);
+            pad(&mut rec);
         }
         rec.compute(pc_seed, &[], &[a.into()]);
         // Leave headroom for the largest multi-row command, then pad to
@@ -68,11 +75,14 @@ fn record_blocks(blocks: &[[usize; 2]]) -> (Trace, Addr) {
             });
         }
         while (rec.pos().0 as usize) < target {
-            rec.alu(pc_pad, Reg::Rax, RegSet::EMPTY);
+            pad(&mut rec);
         }
         assert_eq!(rec.pos().0 as usize, target, "block {bi} misaligned");
     }
     // Tail past the last boundary: the carry feeds the pixel sink.
+    for _ in 0..TAIL_PAD {
+        pad(&mut rec);
+    }
     let tile = rec.alloc(Region::PixelTile, 64);
     rec.compute(pc_sink, &[carry.into()], &[tile]);
     rec.marker(site!(), tile);
@@ -96,13 +106,38 @@ fn reference(trace: &Trace, criteria: &Criteria, opts: &SliceOptions) -> SliceRe
     slice(trace, &ForwardPass::build(trace), criteria, opts)
 }
 
+/// One query through `cache` with fresh hashes: asserts the result
+/// equals `trace`'s own [`slice`] and returns the counter delta.
+fn query(
+    cache: &mut SummaryCache,
+    trace: &Trace,
+    criteria: &Criteria,
+    opts: &SliceOptions,
+    label: &str,
+) -> CacheStats {
+    let before = cache.stats();
+    let hashes = SegmentHashes::compute(trace);
+    let got = cache.slice_with_hashes(trace, &hashes, criteria, opts);
+    assert_eq!(got, reference(trace, criteria, opts), "{label}");
+    let after = cache.stats();
+    CacheStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        ..after
+    }
+}
+
+fn assert_miss(s: CacheStats, label: &str) {
+    assert_eq!((s.hits, s.misses), (0, 1), "{label} must miss: {s:?}");
+}
+
 #[test]
-fn middle_window_mutation_reuses_clean_segments() {
+fn middle_window_mutation_matches_from_scratch() {
     let base = [[0, 1], [2, 3], [4, 5], [6, 7]];
     let mut variant = base;
     variant[1] = [5, 2]; // dirty exactly segment 1
-    let (t1, carry) = record_blocks(&base);
-    let (t2, _) = record_blocks(&variant);
+    let (t1, carry) = record_blocks(&base, None);
+    let (t2, _) = record_blocks(&variant, None);
     assert_eq!(t1.len(), t2.len(), "variants must stay aligned");
 
     let opts = SliceOptions {
@@ -112,29 +147,16 @@ fn middle_window_mutation_reuses_clean_segments() {
     let mut cache = SummaryCache::new();
     let c1 = criteria_for(&t1, carry);
     assert_eq!(cache.slice(&t1, &c1, &opts), reference(&t1, &c1, &opts));
-
-    cache.reset_stats();
     let c2 = criteria_for(&t2, carry);
     assert_eq!(cache.slice(&t2, &c2, &opts), reference(&t2, &c2, &opts));
-    let s = cache.stats();
-    assert!(s.hits >= 3, "clean segments should hit the cache: {s:?}");
-    assert!(
-        s.stitch_reused >= 1,
-        "the unchanged suffix should reuse memoized stitch states: {s:?}"
-    );
+    assert_eq!(cache.stats().misses, 2, "{:?}", cache.stats());
 }
 
 #[test]
-fn appended_frames_reuse_prefix_summaries() {
-    let (full, carry) = record_blocks(&[[0, 1], [2, 3], [4, 5], [6, 7]]);
+fn appended_frames_match_from_scratch() {
+    let (full, carry) = record_blocks(&[[0, 1], [2, 3], [4, 5], [6, 7]], None);
     let opts = SliceOptions::default();
     let mut cache = SummaryCache::new();
-    // Frame ends fall on segment boundaries, which the block builder
-    // places inside top-level pad runs: the call stack is balanced there,
-    // like a real frame end between interactions. (A cut inside an open
-    // call would truncate that function's dynamic CFG, and the cache's
-    // control-dependence validation would — correctly — refuse to reuse
-    // summaries whose controllers it can no longer prove unchanged.)
     let cuts = [2 * SEGMENT_LEN + 64, 3 * SEGMENT_LEN + 64, full.len()];
     for (i, &cut) in cuts.iter().enumerate() {
         let frame = full.prefix(cut);
@@ -142,40 +164,12 @@ fn appended_frames_reuse_prefix_summaries() {
         let got = cache.slice(&frame, &criteria, &opts);
         assert_eq!(got, reference(&frame, &criteria, &opts), "frame {i}");
     }
-    let s = cache.stats();
-    assert!(
-        s.hits >= 4,
-        "complete prefix segments should be reused across frames: {s:?}"
-    );
-}
-
-#[test]
-fn summaries_persist_across_save_and_load() {
-    let (trace, carry) = record_blocks(&[[0, 1], [2, 3], [4, 5]]);
-    let criteria = criteria_for(&trace, carry);
-    let opts = SliceOptions::default();
-    let dir = std::env::temp_dir().join(format!("wpcache-test-{}", std::process::id()));
-
-    let mut warm = SummaryCache::new();
-    let want = warm.slice(&trace, &criteria, &opts);
-    assert_eq!(want, reference(&trace, &criteria, &opts));
-    warm.save(&dir).expect("persist summary cache");
-
-    let mut reloaded = SummaryCache::load(&dir, 64 << 20);
-    assert_eq!(reloaded.slice(&trace, &criteria, &opts), want);
-    let s = reloaded.stats();
-    let nsegs = trace.len().div_ceil(SEGMENT_LEN);
-    assert_eq!(
-        s.hits as usize, nsegs,
-        "every summary should load back: {s:?}"
-    );
-    assert_eq!(s.misses, 0, "a reloaded cache should be fully warm: {s:?}");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(cache.stats().misses, cuts.len() as u64);
 }
 
 #[test]
 fn precomputed_hashes_extend_across_frames() {
-    let (full, carry) = record_blocks(&[[0, 1], [2, 3], [4, 5]]);
+    let (full, carry) = record_blocks(&[[0, 1], [2, 3], [4, 5]], None);
     let opts = SliceOptions::default();
     let mut cache = SummaryCache::new();
 
@@ -194,97 +188,122 @@ fn precomputed_hashes_extend_across_frames() {
         cache.slice_with_hashes(&full, &h_full, &c_full, &opts),
         reference(&full, &c_full, &opts)
     );
-    let s = cache.stats();
-    assert!(s.hits >= 2, "extended hashes should still hit: {s:?}");
-}
-
-#[test]
-fn streamed_incremental_matches_resident() {
-    let (trace, carry) = record_blocks(&[[0, 1], [2, 3]]);
-    let criteria = criteria_for(&trace, carry);
-    let opts = SliceOptions {
-        witness: true,
-        ..Default::default()
-    };
-    let mut cache = SummaryCache::new();
-    let want = cache.slice(&trace, &criteria, &opts);
-    assert_eq!(want, reference(&trace, &criteria, &opts));
-
-    let mut buf = Vec::new();
-    write_trace2(&mut buf, &trace).expect("serialize WPTRACE2");
-
-    // Cold streamed run equals the resident result…
-    let mut reader = TraceReader::open(Cursor::new(buf.clone())).expect("open trace");
-    let mut cold = SummaryCache::new();
-    let got = cold
-        .slice_streamed(&mut reader, &criteria, &opts)
-        .expect("streamed incremental slice");
-    assert_eq!(got, want);
-
-    // …and a warm streamed run hits the summaries the resident run
-    // produced: footer hashes and in-memory hashes address the same key.
-    cache.reset_stats();
-    let mut reader = TraceReader::open(Cursor::new(buf)).expect("open trace");
-    let again = cache
-        .slice_streamed(&mut reader, &criteria, &opts)
-        .expect("streamed incremental slice");
-    assert_eq!(again, want);
-    let s = cache.stats();
-    assert!(
-        s.hits >= 2,
-        "streamed path should share resident keys: {s:?}"
+    // The extended hashes key the same entry fresh ones would.
+    let before = cache.stats();
+    assert_eq!(
+        cache.slice(&full, &c_full, &opts),
+        reference(&full, &c_full, &opts)
     );
+    assert_eq!(cache.stats().hits, before.hits + 1);
 }
 
+/// An immediate re-query is served by the memo.
 #[test]
-fn streamed_truncated_query_uses_the_cache() {
-    let (trace, carry) = record_blocks(&[[0, 1], [2, 3], [4, 5]]);
-    let end = 2 * SEGMENT_LEN + 100;
-    // Criteria of the considered prefix: the carry is live at `end`.
-    let criteria = criteria_for(&trace.prefix(end + 1), carry);
-    let opts = SliceOptions {
-        end: Some(TracePos(end as u64)),
-        witness: true,
-        ..Default::default()
-    };
-    let mut resident = SummaryCache::new();
-    let want = resident.slice(&trace, &criteria, &opts);
-    assert_eq!(want, reference(&trace, &criteria, &opts));
-    assert!(want.slice_count() > 0, "the prefix slice is nontrivial");
-
-    let mut buf = Vec::new();
-    write_trace2(&mut buf, &trace).expect("serialize WPTRACE2");
-    let mut reader = TraceReader::open(Cursor::new(buf)).expect("open trace");
-    let mut streamed = SummaryCache::new();
-    let got = streamed
-        .slice_streamed(&mut reader, &criteria, &opts)
-        .expect("streamed incremental slice");
-    assert_eq!(got, want);
-    assert_eq!(streamed.stats(), resident.stats());
-
-    // A warm re-query of the truncated prefix is served by the cache.
-    streamed.reset_stats();
-    let again = streamed
-        .slice_streamed(&mut reader, &criteria, &opts)
-        .expect("streamed incremental slice");
-    assert_eq!(again, want);
-    let s = streamed.stats();
-    assert_eq!(s.misses, 0, "a warm re-query recomputes nothing: {s:?}");
-    assert_eq!(s.hits, 3, "every prefix segment hits: {s:?}");
-}
-
-#[test]
-fn tiny_budget_evicts_but_stays_exact() {
-    let (trace, carry) = record_blocks(&[[0, 1], [2, 3]]);
+fn immediate_requery_hits() {
+    let (trace, carry) = record_blocks(&[[0, 1]], None);
     let criteria = criteria_for(&trace, carry);
     let opts = SliceOptions::default();
-    let mut cache = SummaryCache::with_budget(1);
-    let want = reference(&trace, &criteria, &opts);
-    assert_eq!(cache.slice(&trace, &criteria, &opts), want);
-    assert_eq!(cache.slice(&trace, &criteria, &opts), want);
-    assert!(
-        cache.stats().evictions > 0,
-        "a one-byte budget must evict: {:?}",
-        cache.stats()
+    let mut cache = SummaryCache::new();
+    assert_miss(
+        query(&mut cache, &trace, &criteria, &opts, "first"),
+        "first",
     );
+    let s = query(&mut cache, &trace, &criteria, &opts, "re-query");
+    assert_eq!((s.hits, s.misses), (1, 0), "re-query must hit: {s:?}");
+    assert!(s.bytes_held > 0, "the held result has a bitmap: {s:?}");
+}
+
+/// A same-length trace that differs in one row of the partial last
+/// segment is a miss.
+#[test]
+fn tail_row_change_misses() {
+    let blocks = [[0, 1]];
+    let (trace, carry) = record_blocks(&blocks, None);
+    let (variant, _) = record_blocks(&blocks, Some(SEGMENT_LEN + TAIL_PAD / 2));
+    assert_eq!(trace.len(), variant.len());
+    let opts = SliceOptions::default();
+    let mut cache = SummaryCache::new();
+    query(
+        &mut cache,
+        &trace,
+        &criteria_for(&trace, carry),
+        &opts,
+        "base",
+    );
+    let c = criteria_for(&variant, carry);
+    assert_miss(query(&mut cache, &variant, &c, &opts, "tail"), "tail");
+}
+
+/// A multi-segment trace that differs in one row of a complete
+/// segment, queried with fresh hashes, is a miss.
+#[test]
+fn complete_segment_row_change_misses() {
+    let blocks = [[0, 1], [2, 3]];
+    let (trace, carry) = record_blocks(&blocks, None);
+    let (variant, _) = record_blocks(&blocks, Some(SEGMENT_LEN + 5));
+    assert_eq!(trace.len(), variant.len());
+    assert!(trace.len() > SEGMENT_LEN);
+    let opts = SliceOptions::default();
+    let mut cache = SummaryCache::new();
+    query(
+        &mut cache,
+        &trace,
+        &criteria_for(&trace, carry),
+        &opts,
+        "base",
+    );
+    let c = criteria_for(&variant, carry);
+    assert_miss(
+        query(&mut cache, &variant, &c, &opts, "complete"),
+        "complete",
+    );
+}
+
+/// The same trace with different criteria is a miss, and the memo
+/// holds one entry: going back to the first criteria misses again.
+#[test]
+fn criteria_change_misses() {
+    let (trace, carry) = record_blocks(&[[0, 1]], None);
+    let opts = SliceOptions::default();
+    let mut cache = SummaryCache::new();
+    let with_carry = criteria_for(&trace, carry);
+    let pixels = pixel_criteria(&trace);
+    query(&mut cache, &trace, &with_carry, &opts, "carry");
+    assert_miss(
+        query(&mut cache, &trace, &pixels, &opts, "pixels"),
+        "pixels",
+    );
+    assert_miss(
+        query(&mut cache, &trace, &with_carry, &opts, "back"),
+        "back",
+    );
+}
+
+/// The same trace and criteria under another slice configuration —
+/// a witness, or a truncating `end` — is a miss.
+#[test]
+fn config_change_misses() {
+    let (trace, carry) = record_blocks(&[[0, 1]], None);
+    let criteria = criteria_for(&trace, carry);
+    let mut cache = SummaryCache::new();
+    query(
+        &mut cache,
+        &trace,
+        &criteria,
+        &SliceOptions::default(),
+        "plain",
+    );
+    let witness = SliceOptions {
+        witness: true,
+        ..Default::default()
+    };
+    assert_miss(
+        query(&mut cache, &trace, &criteria, &witness, "witness"),
+        "witness",
+    );
+    let end = SliceOptions {
+        end: Some(TracePos(SEGMENT_LEN as u64 + 2)),
+        ..Default::default()
+    };
+    assert_miss(query(&mut cache, &trace, &criteria, &end, "end"), "end");
 }

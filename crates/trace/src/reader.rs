@@ -748,19 +748,6 @@ impl<R: Read + Seek> ColumnSource for TraceReader<R> {
     fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask {
         std::mem::replace(&mut self.decode_mask, mask)
     }
-
-    /// The footer's hashes of the leading chunks that sit exactly on the
-    /// [`SEGMENT_LEN`] grid. An early flush (e.g. an arena overflow) can
-    /// shorten a chunk; the segments from there on are not stored.
-    fn stored_segment_hashes(&self) -> Vec<[u64; 2]> {
-        (0..self.n_chunks())
-            .map(|i| (i, self.chunk_meta(i)))
-            .take_while(|(i, m)| {
-                m.first_instr == (i * SEGMENT_LEN) as u64 && m.n_instr == SEGMENT_LEN as u64
-            })
-            .map(|(_, m)| m.content_hash)
-            .collect()
-    }
 }
 
 #[cfg(test)]

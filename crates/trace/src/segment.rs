@@ -78,8 +78,7 @@ pub struct SegmentMeta {
     /// 128-bit content hash of the segment's instruction rows (see
     /// [`segment_content_hash`]); position-independent, so identical rows
     /// at a different trace offset hash identically. Doubles as an
-    /// integrity check on decode and as the incremental slicer's cache
-    /// granule identity.
+    /// integrity check on decode.
     pub content_hash: [u64; 2],
 }
 
@@ -93,7 +92,7 @@ impl SegmentMeta {
 /// Streaming accumulator for [`segment_content_hash`]: two independently
 /// seeded 64-bit multiplicative-mix lanes, giving a 128-bit digest. The
 /// collision bar matters here — a colliding pair of segments would make
-/// the incremental slicer silently reuse a stale summary — so a single
+/// the incremental slicer's re-query memo serve a stale result — so a single
 /// 64-bit lane is not enough, and the two lanes use distinct odd
 /// constants and seeds so they do not degenerate into one.
 #[derive(Clone, Copy, Debug)]
@@ -162,7 +161,7 @@ impl Default for ContentHasher {
 
 /// 128-bit content hash of the instruction rows `[lo, hi)` of `cols`
 /// (physical indices). This is the canonical segment identity used by the
-/// `WPTRACE2` footer index and the incremental slicer's summary cache:
+/// `WPTRACE2` footer index and the incremental slicer's re-query memo key:
 /// equal row content ⇒ equal hash regardless of trace position, and any
 /// slicer-visible field difference perturbs it.
 pub fn segment_content_hash(cols: &Columns, lo: usize, hi: usize) -> [u64; 2] {

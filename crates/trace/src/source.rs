@@ -17,11 +17,7 @@
 //!   resident trace, one job after another through a reader's chunk
 //!   window;
 //! * [`ColumnSource::swap_decode_mask`]: which column groups later reads
-//!   must decode. Only a reader decodes, so a resident trace ignores it;
-//! * [`ColumnSource::stored_segment_hashes`]: the content hashes a
-//!   reader's footer already holds for complete
-//!   [`SEGMENT_LEN`](crate::SEGMENT_LEN) segments. A resident trace
-//!   stores none.
+//!   must decode. Only a reader decodes, so a resident trace ignores it.
 //!
 //! A resident trace cannot fail (`Error = Infallible`); a reader fails
 //! with [`TraceIoError`](crate::TraceIoError). Resident entry points are
@@ -129,12 +125,6 @@ pub trait ColumnSource {
     /// values until the previous mask is restored (the
     /// [`crate::Subscription`] contract).
     fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask;
-
-    /// The [`segment_content_hash`](crate::segment_content_hash) of each
-    /// leading complete [`SEGMENT_LEN`](crate::SEGMENT_LEN) segment that
-    /// the source already stores, so a consumer need not hash those rows
-    /// itself.
-    fn stored_segment_hashes(&self) -> Vec<[u64; 2]>;
 }
 
 impl ColumnSource for &Trace {
@@ -200,9 +190,5 @@ impl ColumnSource for &Trace {
 
     fn swap_decode_mask(&mut self, _mask: ColumnMask) -> ColumnMask {
         ColumnMask::ALL
-    }
-
-    fn stored_segment_hashes(&self) -> Vec<[u64; 2]> {
-        Vec::new()
     }
 }

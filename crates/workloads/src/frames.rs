@@ -1,15 +1,16 @@
 //! Multi-frame browse sessions: one recorded Bing session cut into an
 //! increasing sequence of frames, the input the incremental slicer
-//! ([`wasteprof_slicer::SummaryCache`]) is built for.
+//! ([`wasteprof_slicer::SummaryCache`]) is driven with.
 //!
 //! A "frame" here is a *session snapshot*: the trace as it stood after
 //! the page load (frame 0) and after each subsequent scripted
 //! interaction block. Frame `k + 1`'s trace is frame `k`'s trace with
 //! rows appended — exactly the prefix structure
 //! [`wasteprof_trace::Trace::prefix`] materializes — so a frame sequence
-//! exercises the cache's append path the way a live profiler attached to
-//! a browser would: re-slice after every user action, paying only for
-//! the new tail.
+//! re-slices the way a live profiler attached to a browser would: after
+//! every user action. The segment hashes of the memo key extend across
+//! the append ([`wasteprof_slicer::SegmentHashes::extend_appended`]);
+//! the slice itself runs from scratch.
 //!
 //! Each interaction block varies with the frame index (which control is
 //! poked, how many vsyncs follow, when background work runs), so

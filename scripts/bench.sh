@@ -7,7 +7,6 @@
 #   scripts/bench.sh [--smoke] [N]
 #   scripts/bench.sh --slice-scaling
 #   scripts/bench.sh --out-of-core [SYNTH_INSTRS]
-#   scripts/bench.sh --incremental [FRAMES]
 #   scripts/bench.sh --fused [REPS]
 #   scripts/bench.sh --static
 #
@@ -28,13 +27,6 @@
 # SliceResult; then a synthetic session (default 10⁹ instructions —
 # override with SYNTH_INSTRS) is generated straight to disk and sliced
 # with bounded RSS. Writes results/BENCH_6.json.
-#
-# --incremental runs the multi-frame incremental slicing bench
-# (DESIGN.md §11): a FRAMES-frame (default 20) browse sequence sliced
-# three ways per frame — cold (from-scratch), prime (incremental, cache
-# evolved from prior frames), warm (immediate re-slice) — asserting every
-# incremental result byte-identical to from-scratch and certifying a
-# sample of frames. Writes results/BENCH_7.json.
 #
 # --fused runs the fused-analysis bench (DESIGN.md §12): per benchmark,
 # the verifier lint battery, WP0012 dead-write metric, Figure 5 category
@@ -61,16 +53,6 @@ if [[ "${1:-}" == "--out-of-core" ]]; then
     echo "== out-of-core streaming bench (synthetic: $SYNTH instrs) =="
     ./target/release/out_of_core --synthetic-instrs "$SYNTH"
     echo "wrote results/BENCH_6.json"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--incremental" ]]; then
-    FRAMES="${2:-20}"
-    echo "== building release incremental bench =="
-    cargo build --release --quiet -p wasteprof-bench
-    echo "== incremental slicing bench ($FRAMES frames) =="
-    ./target/release/incremental_bench "$FRAMES"
-    echo "wrote results/BENCH_7.json"
     exit 0
 fi
 
