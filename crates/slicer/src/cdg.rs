@@ -42,16 +42,13 @@ impl Cdg {
                     if Some(runner) == lim || runner == NodeId::EXIT {
                         break;
                     }
-                    if runner != a {
-                        if !deps[runner.index()].contains(&a) {
-                            deps[runner.index()].push(a);
-                        }
-                    } else {
-                        // A loop branch controls itself; record it so the
-                        // pending-branch mechanism re-arms across iterations.
-                        if !deps[runner.index()].contains(&a) {
-                            deps[runner.index()].push(a);
-                        }
+                    if !deps[runner.index()].contains(&a) {
+                        deps[runner.index()].push(a);
+                    }
+                    if runner == a {
+                        // A loop branch controls itself; recording it lets
+                        // the pending-branch mechanism re-arm across
+                        // iterations.
                         break;
                     }
                     match pd.ipdom(runner) {
@@ -78,13 +75,13 @@ impl Cdg {
 #[derive(Debug, Clone, Default)]
 pub struct ControlDeps {
     /// `(func, pc)` → controlling branch PCs within the same function.
-    by_loc: HashMap<(FuncId, Pc), Vec<Pc>>,
+    by_loc: HashMap<(FuncId, Pc), Vec<Pc>, FibBuild>,
 }
 
 impl ControlDeps {
     /// Computes control dependences for every CFG in `cfgs`.
     pub fn compute(cfgs: &CfgSet) -> Self {
-        let mut by_loc = HashMap::new();
+        let mut by_loc = HashMap::default();
         for (&func, cfg) in cfgs.iter() {
             let pd = PostDoms::compute(cfg);
             let cdg = Cdg::compute(cfg, &pd);

@@ -7,10 +7,19 @@
 //! indirect-branch targets cannot be found statically, so a node's
 //! successors are exactly the static PCs observed to follow it in some
 //! execution of the function.
+//!
+//! The fold makes no hash probe per instruction. The CFGs live in an
+//! arena, and the `FuncId → slot` map is probed only when a frame opens;
+//! each frame caches its slot and its last node. The next node is
+//! predicted from the successors of that last node: a successor with the
+//! same PC is the next node, and only a miss probes the CFG's `by_pc` map
+//! and records a new edge.
 
 use std::collections::HashMap;
 
-use wasteprof_trace::{ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, ThreadId, Trace};
+use wasteprof_trace::{ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, Trace};
+
+use crate::slice::FibBuild;
 
 /// Index of a node within one function's CFG.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -33,36 +42,27 @@ impl NodeId {
 pub struct CfgNode {
     /// The static PC, or `None` for entry/exit.
     pub pc: Option<Pc>,
-    /// Observed successors.
+    /// Observed successors, in order of first observation.
     pub succs: Vec<NodeId>,
-    /// Observed predecessors.
+    /// Observed predecessors, in order of first observation.
     pub preds: Vec<NodeId>,
 }
 
-/// The dynamic CFG of one function.
+/// The dynamic CFG of one function. Nodes are numbered in the order their
+/// sites were first executed, after the virtual entry and exit.
 #[derive(Clone, Debug)]
 pub struct Cfg {
     func: FuncId,
     nodes: Vec<CfgNode>,
-    by_pc: HashMap<Pc, NodeId>,
+    by_pc: HashMap<Pc, NodeId, FibBuild>,
 }
 
 impl Cfg {
     fn new(func: FuncId) -> Self {
-        let entry = CfgNode {
-            pc: None,
-            succs: Vec::new(),
-            preds: Vec::new(),
-        };
-        let exit = CfgNode {
-            pc: None,
-            succs: Vec::new(),
-            preds: Vec::new(),
-        };
         Cfg {
             func,
-            nodes: vec![entry, exit],
-            by_pc: HashMap::new(),
+            nodes: vec![CfgNode::default(), CfgNode::default()],
+            by_pc: HashMap::default(),
         }
     }
 
@@ -76,7 +76,9 @@ impl Cfg {
         self.nodes.len()
     }
 
-    /// True only for a never-executed function (cannot happen in practice).
+    /// True when no site of the function was observed: its frame opened
+    /// (a call, or the root frame of a thread) but none of its
+    /// instructions followed.
     pub fn is_empty(&self) -> bool {
         self.nodes.len() <= 2
     }
@@ -100,46 +102,89 @@ impl Cfg {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    fn intern(&mut self, pc: Pc) -> NodeId {
-        if let Some(&id) = self.by_pc.get(&pc) {
-            return id;
+    /// The node executed at `pc` right after `from`. A successor of
+    /// `from` with that PC is the prediction, and a hit needs neither a
+    /// hash probe nor a new edge. On a miss, `pc` is interned and the edge
+    /// `from → pc` recorded; it cannot exist yet, since a PC names one
+    /// node per function and the scan saw every successor's PC.
+    #[inline]
+    fn advance(&mut self, from: NodeId, pc: Pc) -> NodeId {
+        let nodes = &self.nodes;
+        let predicted = nodes[from.index()]
+            .succs
+            .iter()
+            .find(|s| nodes[s.index()].pc == Some(pc));
+        if let Some(&next) = predicted {
+            return next;
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(CfgNode {
-            pc: Some(pc),
-            succs: Vec::new(),
-            preds: Vec::new(),
-        });
-        self.by_pc.insert(pc, id);
-        id
+        let fresh = NodeId(self.nodes.len() as u32);
+        let to = *self.by_pc.entry(pc).or_insert(fresh);
+        if to == fresh {
+            self.nodes.push(CfgNode {
+                pc: Some(pc),
+                ..CfgNode::default()
+            });
+        }
+        self.nodes[from.index()].succs.push(to);
+        self.nodes[to.index()].preds.push(from);
+        to
     }
 
-    fn add_edge(&mut self, from: NodeId, to: NodeId) {
-        if !self.nodes[from.index()].succs.contains(&to) {
-            self.nodes[from.index()].succs.push(to);
-            self.nodes[to.index()].preds.push(from);
+    /// Records the edge `from → EXIT` unless it was already observed.
+    fn exit_from(&mut self, from: NodeId) {
+        if !self.nodes[from.index()].succs.contains(&NodeId::EXIT) {
+            self.nodes[from.index()].succs.push(NodeId::EXIT);
+            self.nodes[NodeId::EXIT.index()].preds.push(from);
         }
     }
 }
 
-/// Per-thread, per-frame cursor used while folding the trace into CFGs.
-#[derive(Debug, Clone)]
+/// One open dynamic frame of the fold: its function, that function's
+/// arena slot, and the last node it executed (the entry until its first
+/// instruction).
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     func: FuncId,
-    last: Option<NodeId>,
+    slot: u32,
+    last: NodeId,
 }
 
 /// The trace-folding state of [`CfgSet::build`], fed window by window
 /// from any [`ColumnSource`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CfgBuilder {
-    cfgs: HashMap<FuncId, Cfg>,
-    stacks: HashMap<ThreadId, Vec<Frame>>,
+    cfgs: Vec<Cfg>,
+    slots: HashMap<FuncId, u32, FibBuild>,
+    /// Call stacks indexed by the `u8` thread id.
+    stacks: Vec<Vec<Frame>>,
 }
 
 impl CfgBuilder {
     fn new() -> Self {
-        CfgBuilder::default()
+        CfgBuilder {
+            cfgs: Vec::new(),
+            slots: HashMap::default(),
+            stacks: vec![Vec::new(); 256],
+        }
+    }
+
+    /// A fresh frame of `func` at its entry, giving `func` an arena slot
+    /// the first time the trace enters it. The slot map is probed here
+    /// only, when a frame opens, not per instruction.
+    fn open(
+        cfgs: &mut Vec<Cfg>,
+        slots: &mut HashMap<FuncId, u32, FibBuild>,
+        func: FuncId,
+    ) -> Frame {
+        let slot = *slots.entry(func).or_insert_with(|| {
+            cfgs.push(Cfg::new(func));
+            (cfgs.len() - 1) as u32
+        });
+        Frame {
+            func,
+            slot,
+            last: NodeId::ENTRY,
+        }
     }
 
     /// Folds one window of instructions in. Windows must arrive in trace
@@ -150,37 +195,61 @@ impl CfgBuilder {
         // views would drag every operand through the cache for nothing.
         for idx in cur.lo()..cur.hi() {
             let func = cur.func(idx);
-            let stack = self.stacks.entry(cur.tid(idx)).or_default();
-            if stack.is_empty() {
-                // First sight of this thread: its root function never had
-                // a call emitted, so open its frame here.
-                stack.push(Frame { func, last: None });
+            let stack = &mut self.stacks[cur.tid(idx).0 as usize];
+            if stack.last().map(|top| top.func) != Some(func) {
+                // An empty stack is the first sight of this thread (its root
+                // function never had a call emitted) or a thread whose root
+                // returned. A top frame of another function comes only from
+                // a malformed trace (an instruction moved past its
+                // function's return, a call naming the wrong callee): resync
+                // with a fresh frame of `func` in its place, so no edge ever
+                // joins two functions.
+                stack.pop();
+                stack.push(Self::open(&mut self.cfgs, &mut self.slots, func));
             }
-            CfgSet::step(&mut self.cfgs, stack, func, cur.pc(idx), cur.kind(idx));
+            let frame = stack.last_mut().expect("frame just ensured");
+            let cfg = &mut self.cfgs[frame.slot as usize];
+            let node = cfg.advance(frame.last, cur.pc(idx));
+            frame.last = node;
+            match cur.kind(idx) {
+                InstrKind::Call { callee } => {
+                    stack.push(Self::open(&mut self.cfgs, &mut self.slots, callee));
+                }
+                InstrKind::Ret => {
+                    // The return leaves the current function: connect it to
+                    // exit and pop back to the caller, whose cursor stays at
+                    // the call site so the next caller instruction gets a
+                    // call→next edge.
+                    cfg.exit_from(node);
+                    stack.pop();
+                }
+                _ => {}
+            }
         }
     }
 
-    /// Closes every frame still open at the end of the trace and returns
-    /// the finished set.
+    /// Closes every frame still open at the end of the trace, thread by
+    /// thread in id order and each stack from the top, and returns the
+    /// finished set.
     fn finish(mut self) -> CfgSet {
-        for stack in self.stacks.values_mut() {
+        for stack in &mut self.stacks {
             while let Some(frame) = stack.pop() {
-                let cfg = self
-                    .cfgs
-                    .entry(frame.func)
-                    .or_insert_with(|| Cfg::new(frame.func));
-                let from = frame.last.unwrap_or(NodeId::ENTRY);
-                cfg.add_edge(from, NodeId::EXIT);
+                self.cfgs[frame.slot as usize].exit_from(frame.last);
             }
         }
-        CfgSet { cfgs: self.cfgs }
+        CfgSet {
+            cfgs: self.cfgs,
+            slots: self.slots,
+        }
     }
 }
 
 /// All per-function CFGs discovered in a trace.
 #[derive(Debug, Clone, Default)]
 pub struct CfgSet {
-    cfgs: HashMap<FuncId, Cfg>,
+    /// The arena, in the order the trace first entered each function.
+    cfgs: Vec<Cfg>,
+    slots: HashMap<FuncId, u32, FibBuild>,
 }
 
 impl CfgSet {
@@ -207,50 +276,15 @@ impl CfgSet {
         Ok(b.finish())
     }
 
-    fn step(
-        cfgs: &mut HashMap<FuncId, Cfg>,
-        stack: &mut Vec<Frame>,
-        func: FuncId,
-        pc: Pc,
-        kind: InstrKind,
-    ) {
-        let frame = stack.last_mut().expect("frame exists");
-        debug_assert_eq!(
-            frame.func, func,
-            "instruction attributed outside current frame"
-        );
-        let cfg = cfgs.entry(func).or_insert_with(|| Cfg::new(func));
-        let node = cfg.intern(pc);
-        let from = frame.last.unwrap_or(NodeId::ENTRY);
-        cfg.add_edge(from, node);
-        frame.last = Some(node);
-
-        match kind {
-            InstrKind::Call { callee } => {
-                stack.push(Frame {
-                    func: callee,
-                    last: None,
-                });
-            }
-            InstrKind::Ret => {
-                // The return leaves the current function: connect it to exit
-                // and pop back to the caller, whose cursor stays at the call
-                // site so the next caller instruction gets a call→next edge.
-                cfg.add_edge(node, NodeId::EXIT);
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-
-    /// The CFG of `func`, if it executed.
+    /// The CFG of `func`, if the trace entered it.
     pub fn get(&self, func: FuncId) -> Option<&Cfg> {
-        self.cfgs.get(&func)
+        self.slots.get(&func).map(|&slot| &self.cfgs[slot as usize])
     }
 
-    /// Iterates over all CFGs.
+    /// Iterates over all CFGs, in the order the trace first entered each
+    /// function.
     pub fn iter(&self) -> impl Iterator<Item = (&FuncId, &Cfg)> {
-        self.cfgs.iter()
+        self.cfgs.iter().map(|cfg| (&cfg.func, cfg))
     }
 
     /// Number of functions with a CFG.

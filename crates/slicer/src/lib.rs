@@ -10,7 +10,7 @@
 //! 1. **Forward pass** ([`ForwardPass`]): per-function dynamic CFGs
 //!    ([`CfgSet`]) from matched calls/returns, postdominators
 //!    ([`PostDoms`]), and the control-dependence relation ([`ControlDeps`],
-//!    Ferrante–Ottenstein–Warren).
+//!    Ferrante–Ottenstein–Warren), which is all the pass keeps.
 //! 2. **Backward pass** ([`slice()`]): liveness-driven slicing with a shared
 //!    live-memory interval set ([`AddrSet`]) and per-thread live-register
 //!    sets, a pending-branch list for control dependences, and dynamic

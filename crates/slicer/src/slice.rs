@@ -22,12 +22,15 @@ use crate::criteria::{Criteria, SlicingCriterion};
 use crate::live::LiveState;
 use crate::witness::Emitter;
 
-/// The forward pass artifacts: per-function CFGs and the control-dependence
-/// relation, reusable across different slicing criteria (§III-A notes the
-/// CDG "can be re-used multiple times in the backward pass").
+/// The forward pass artifact: the control-dependence relation, reusable
+/// across different slicing criteria (§III-A notes the CDG "can be
+/// re-used multiple times in the backward pass").
+///
+/// The CDG is the only artifact kept. The per-function CFGs it is
+/// computed from are dropped as soon as it is built; [`CfgSet::build`]
+/// rebuilds them for a caller that wants the graphs themselves.
 #[derive(Debug, Clone)]
 pub struct ForwardPass {
-    cfgs: CfgSet,
     deps: ControlDeps,
 }
 
@@ -47,14 +50,8 @@ impl ForwardPass {
     ///
     /// Any read or decode error of the source.
     pub fn build_streamed<S: ColumnSource>(src: &mut S) -> Result<Self, S::Error> {
-        let cfgs = CfgSet::build_streamed(src)?;
-        let deps = ControlDeps::compute(&cfgs);
-        Ok(ForwardPass { cfgs, deps })
-    }
-
-    /// The reconstructed CFGs.
-    pub fn cfgs(&self) -> &CfgSet {
-        &self.cfgs
+        let deps = ControlDeps::compute(&CfgSet::build_streamed(src)?);
+        Ok(ForwardPass { deps })
     }
 
     /// The control-dependence relation.
@@ -449,9 +446,11 @@ pub(crate) fn effective_segments(requested: usize, n: usize) -> usize {
     threads.min(n / MIN_AUTO_SEGMENT).clamp(1, cap)
 }
 
-/// Multiplicative hasher for the pending-branch set's small fixed-size
-/// keys. The set is probed once per branch instruction, so the default
-/// SipHash would cost more than the lookup it guards.
+/// Multiplicative hasher for the slicer's small fixed-size keys: the
+/// pending-branch set, probed once per branch instruction; the
+/// control-dependence map, probed once per slice member; and the CFG
+/// fold's function slots and PC nodes. The default SipHash would cost
+/// more than the lookups it guards.
 #[derive(Default)]
 pub(crate) struct FibHasher(u64);
 

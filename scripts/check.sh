@@ -199,6 +199,16 @@ jq -e '(.workloads | length == 4)
        and .workloads.paper.metrics.wall_s.verdict != "regressed"' \
     results/BENCH_13.json >/dev/null
 
+echo "== forward-fold bench artifact sanity (results/BENCH_18.json) =="
+# The committed seed-paired benchmark of the hash-free CFG fold: all four
+# workloads, no failed check on either side, the incremental workload's
+# wall time improved, and no end-to-end metric regressed anywhere.
+jq -e '(.workloads | length == 4)
+       and all(.workloads[]; .failed.parent == 0 and .failed.change == 0)
+       and .workloads.incremental.metrics.wall_s.verdict == "improved"
+       and all(.workloads[].metrics[]; .verdict != "regressed")' \
+    results/BENCH_18.json >/dev/null
+
 echo "== rustdoc (no warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
