@@ -220,7 +220,13 @@ impl TraceAnalysis for CategoryAnalysis<'_> {
             return;
         }
         self.breakdown.total_unnecessary += 1;
-        match self.cat_of[ctx.cols.func(idx).index()] {
+        // An out-of-table function id (a malformed trace) is uncategorized.
+        match self
+            .cat_of
+            .get(ctx.cols.func(idx).index())
+            .copied()
+            .flatten()
+        {
             Some(c) => *self.breakdown.counts.entry(c).or_insert(0) += 1,
             None => self.breakdown.uncategorized += 1,
         }

@@ -33,10 +33,8 @@ pub fn pixel_slice_of(trace: &Trace, forward: &ForwardPass) -> SliceResult {
     pixel_slice_with(trace, forward, &SliceOptions::default())
 }
 
-/// [`pixel_slice_of`] with explicit options. The slicer guarantees results
-/// identical to the sequential path for any `segments` value, so callers
-/// running many slices concurrently can cap per-slice segmentation to split
-/// a thread budget without changing artifacts.
+/// [`pixel_slice_of`] with explicit options (a bounded prefix, or a
+/// dependence witness for the certifier).
 pub fn pixel_slice_with(
     trace: &Trace,
     forward: &ForwardPass,

@@ -146,10 +146,15 @@ impl TraceAnalysis for WasteAnalysis<'_> {
         if self.slice.contains(TracePos(idx as u64)) {
             return;
         }
-        let cat = self.cat_of[ctx.cols.func(idx).index()];
+        // An out-of-table function id (a malformed trace) counts as
+        // uncategorized; out-of-table tids (WP0005 reports them) are still
+        // counted in `All`, so the breakdown stays a partition.
+        let cat = self
+            .cat_of
+            .get(ctx.cols.func(idx).index())
+            .copied()
+            .flatten();
         let tid = ctx.cols.tid(idx).index();
-        // Out-of-table tids (a malformed trace; WP0005 reports them) are
-        // still counted in `All` so the breakdown stays a partition.
         let groups = [Some(0), self.group_of_tid.get(tid).copied()];
         for g in groups.into_iter().flatten() {
             let row = &mut self.rows[g];

@@ -4,11 +4,10 @@
 //!
 //! 1. **sessions** — every canonical engine session is serialized as
 //!    `WPTRACE2`, then pixel-sliced both in memory and through the
-//!    streamed path at `segments ∈ {1, 8}`. The streamed [`SliceResult`]s
-//!    must be *equal* to the in-memory ones (bitmap, counts, per-thread
-//!    and per-func stats, timeline — `SliceResult`'s `PartialEq` covers
-//!    every observable component); any divergence fails the run with exit
-//!    code 1. Compressed bytes/instruction and streamed slicing
+//!    streamed path. The streamed [`SliceResult`] must be *equal* to the
+//!    in-memory one (bitmap, counts, per-thread and per-func stats,
+//!    timeline — `SliceResult`'s `PartialEq` covers every observable
+//!    component); any divergence fails the run with exit code 1. Compressed bytes/instruction and streamed slicing
 //!    throughput are recorded per session.
 //!
 //! 2. **synthetic** — a procedurally generated session (default 10^9
@@ -93,14 +92,12 @@ struct SessionEntry {
     payload_bytes: u64,
     bytes_per_instr: f64,
     in_memory_bytes_per_instr: f64,
-    identical: [bool; 2],
-    streamed_wall_ms: [f64; 2],
-    streamed_instr_per_sec: [f64; 2],
+    identical: bool,
+    streamed_wall_ms: f64,
+    streamed_instr_per_sec: f64,
 }
 
-const SEGMENT_COUNTS: [usize; 2] = [1, 8];
-
-/// Runs one canonical session through both tiers and both segment counts.
+/// Runs one canonical session through both tiers.
 fn session_entry(label: &str, trace: &Trace) -> SessionEntry {
     eprintln!("[sessions] {label}: {} instructions", trace.len());
     let forward = ForwardPass::build(trace);
@@ -111,36 +108,25 @@ fn session_entry(label: &str, trace: &Trace) -> SessionEntry {
     let stats = write_trace2(&mut writer, trace).expect("serialize WPTRACE2");
     drop(writer);
 
-    let mut identical = [false; 2];
-    let mut wall_ms = [0.0; 2];
-    let mut instr_per_sec = [0.0; 2];
-    for (i, &segments) in SEGMENT_COUNTS.iter().enumerate() {
-        let opts = SliceOptions {
-            segments,
-            ..Default::default()
-        };
-        let mem = slice(trace, &forward, &criteria, &opts);
+    let opts = SliceOptions::default();
+    let mem = slice(trace, &forward, &criteria, &opts);
 
-        let mut reader = open_reader(scratch.path());
-        let started = Instant::now();
-        let fwd_st = ForwardPass::build_streamed(&mut reader).expect("streamed forward pass");
-        let crit_st = pixel_criteria_streamed(&reader);
-        let st = slice_streamed(&mut reader, &fwd_st, &crit_st, &opts).expect("streamed slice");
-        let wall = started.elapsed();
+    let mut reader = open_reader(scratch.path());
+    let started = Instant::now();
+    let fwd_st = ForwardPass::build_streamed(&mut reader).expect("streamed forward pass");
+    let crit_st = pixel_criteria_streamed(&reader);
+    let st = slice_streamed(&mut reader, &fwd_st, &crit_st, &opts).expect("streamed slice");
+    let wall = started.elapsed();
 
-        identical[i] = st == mem;
-        wall_ms[i] = wall.as_secs_f64() * 1e3;
-        instr_per_sec[i] = trace.len() as f64 / wall.as_secs_f64().max(1e-9);
-        if !identical[i] {
-            eprintln!(
-                "MISMATCH: {label} at segments={segments}: streamed slice \
-                 {} of {} vs in-memory {} of {}",
-                st.slice_count(),
-                st.considered(),
-                mem.slice_count(),
-                mem.considered()
-            );
-        }
+    let identical = st == mem;
+    if !identical {
+        eprintln!(
+            "MISMATCH: {label}: streamed slice {} of {} vs in-memory {} of {}",
+            st.slice_count(),
+            st.considered(),
+            mem.slice_count(),
+            mem.considered()
+        );
     }
 
     SessionEntry {
@@ -151,8 +137,8 @@ fn session_entry(label: &str, trace: &Trace) -> SessionEntry {
         bytes_per_instr: stats.bytes_per_instr(),
         in_memory_bytes_per_instr: trace.storage_bytes() as f64 / trace.len().max(1) as f64,
         identical,
-        streamed_wall_ms: wall_ms,
-        streamed_instr_per_sec: instr_per_sec,
+        streamed_wall_ms: wall.as_secs_f64() * 1e3,
+        streamed_instr_per_sec: trace.len() as f64 / wall.as_secs_f64().max(1e-9),
     }
 }
 
@@ -412,7 +398,7 @@ fn render_json(sessions: &[SessionEntry], synthetic: &SyntheticEntry) -> String 
     out.push_str(
         "  \"note\": \"out-of-core WPTRACE2 tier: per-session compressed bytes/instr \
          and streamed slicing throughput, with streamed SliceResults asserted equal \
-         to the in-memory path at segments 1 and 8; the synthetic run slices a \
+         to the in-memory path; the synthetic run slices a \
          >=1e9-instruction session straight from disk with peak RSS far below the \
          in-memory columnar footprint\",\n",
     );
@@ -422,21 +408,17 @@ fn render_json(sessions: &[SessionEntry], synthetic: &SyntheticEntry) -> String 
             "    {{\"label\": \"{}\", \"instructions\": {}, \"file_bytes\": {}, \
              \"payload_bytes\": {}, \"bytes_per_instr\": {:.2}, \
              \"in_memory_bytes_per_instr\": {:.2}, \
-             \"identical_k1\": {}, \"identical_k8\": {}, \
-             \"streamed_wall_ms_k1\": {:.3}, \"streamed_instr_per_sec_k1\": {:.1}, \
-             \"streamed_wall_ms_k8\": {:.3}, \"streamed_instr_per_sec_k8\": {:.1}}}{}\n",
+             \"identical\": {}, \
+             \"streamed_wall_ms\": {:.3}, \"streamed_instr_per_sec\": {:.1}}}{}\n",
             s.label,
             s.instructions,
             s.file_bytes,
             s.payload_bytes,
             s.bytes_per_instr,
             s.in_memory_bytes_per_instr,
-            s.identical[0],
-            s.identical[1],
-            s.streamed_wall_ms[0],
-            s.streamed_instr_per_sec[0],
-            s.streamed_wall_ms[1],
-            s.streamed_instr_per_sec[1],
+            s.identical,
+            s.streamed_wall_ms,
+            s.streamed_instr_per_sec,
             if i + 1 < sessions.len() { "," } else { "" }
         ));
     }
@@ -487,7 +469,7 @@ fn main() {
         .iter()
         .map(|(label, trace)| session_entry(label, trace))
         .collect();
-    let all_identical = entries.iter().all(|e| e.identical.iter().all(|&b| b));
+    let all_identical = entries.iter().all(|e| e.identical);
 
     let synthetic = synthetic_entry(synthetic_instrs);
 
@@ -497,7 +479,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "out-of-core tier verified: 6 sessions identical at segments {{1, 8}}; \
+        "out-of-core tier verified: 6 sessions identical; \
          synthetic {} instructions sliced at {:.2} bytes/instr with peak RSS {} \
          ({}x below the in-memory estimate)",
         format_count(synthetic.instructions),

@@ -54,7 +54,6 @@ fn usage() -> ! {
          shared flags:\n  \
          flag                  slice  check  certify  meaning\n  \
          --criteria p|s        yes    -      yes      pixels (default) or syscalls\n  \
-         --segments K          yes    -      yes      parallel slice segments (0 = auto)\n  \
          --out-of-core         yes    yes    yes      stream the file instead of loading it\n  \
          --json                -      yes    yes      machine-readable diagnostics\n\n\
          `analyze` runs any subset of the registered analyses in ONE fused\n  \
@@ -274,17 +273,14 @@ where
 
 /// `slice`: forward pass, criteria and backward slice, plus the Table II
 /// rows.
-fn slice_source<S: ColumnSource>(
-    src: &mut S,
-    syscalls: bool,
-    opts: &SliceOptions,
-) -> (SliceResult, Vec<ThreadRow>)
+fn slice_source<S: ColumnSource>(src: &mut S, syscalls: bool) -> (SliceResult, Vec<ThreadRow>)
 where
     S::Error: Display,
 {
     let forward = stream_ok(ForwardPass::build_streamed(src));
     let criteria = criteria_of(src, syscalls);
-    let result = stream_ok(slice_streamed(src, &forward, &criteria, opts));
+    let opts = SliceOptions::default();
+    let result = stream_ok(slice_streamed(src, &forward, &criteria, &opts));
     let rows = thread_rows(src.threads(), &result);
     (result, rows)
 }
@@ -309,17 +305,17 @@ where
 }
 
 /// `certify`: a witnessed slice and its certifier diagnostics.
-fn certify_source<S: ColumnSource>(
-    src: &mut S,
-    syscalls: bool,
-    opts: &SliceOptions,
-) -> (SliceResult, Vec<Diag>)
+fn certify_source<S: ColumnSource>(src: &mut S, syscalls: bool) -> (SliceResult, Vec<Diag>)
 where
     S::Error: Display,
 {
     let forward = stream_ok(ForwardPass::build_streamed(src));
     let criteria = criteria_of(src, syscalls);
-    let result = stream_ok(slice_streamed(src, &forward, &criteria, opts));
+    let opts = SliceOptions {
+        witness: true,
+        ..Default::default()
+    };
+    let result = stream_ok(slice_streamed(src, &forward, &criteria, &opts));
     let diags = stream_ok(wasteprof_checker::certify_streamed(
         src, &forward, &criteria, &result,
     ));
@@ -453,29 +449,18 @@ fn main() {
             let Some(path) = args.get(1) else { usage() };
             let mut syscalls = false;
             let mut out_of_core = false;
-            let mut segments = 0usize;
             let mut rest = args[2..].iter();
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--criteria" => syscalls = parse_criteria(rest.next()),
                     "--out-of-core" => out_of_core = true,
-                    "--segments" => {
-                        segments = rest
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage());
-                    }
                     _ => usage(),
                 }
             }
-            let opts = SliceOptions {
-                segments,
-                ..Default::default()
-            };
             let (result, rows) = if out_of_core {
-                slice_source(&mut open_reader(path), syscalls, &opts)
+                slice_source(&mut open_reader(path), syscalls)
             } else {
-                slice_source(&mut &load(path), syscalls, &opts)
+                slice_source(&mut &load(path), syscalls)
             };
             println!(
                 "{} criteria; slice = {} of {} instructions ({:.1}%)\n",
@@ -743,31 +728,19 @@ fn main() {
             let mut json = false;
             let mut syscalls = false;
             let mut out_of_core = false;
-            let mut segments = 0usize;
             let mut rest = args[2..].iter();
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--json" => json = true,
                     "--criteria" => syscalls = parse_criteria(rest.next()),
                     "--out-of-core" => out_of_core = true,
-                    "--segments" => {
-                        segments = rest
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage());
-                    }
                     _ => usage(),
                 }
             }
-            let opts = SliceOptions {
-                witness: true,
-                segments,
-                ..Default::default()
-            };
             let (result, diags) = if out_of_core {
-                certify_source(&mut open_reader(path), syscalls, &opts)
+                certify_source(&mut open_reader(path), syscalls)
             } else {
-                certify_source(&mut &load(path), syscalls, &opts)
+                certify_source(&mut &load(path), syscalls)
             };
             if json {
                 println!("{}", wasteprof_checker::render_json(&diags));

@@ -34,9 +34,10 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 use wasteprof_analysis::{
-    ascii_chart, bar_chart, format_count, pixel_slice_with, syscall_slice_with, thread_rows,
-    to_csv, Category, CategoryAnalysis, CategoryBreakdown, SharedBenchmarkRun, Table1Row,
-    TextTable, UnusedBytes, UtilizationAnalysis, UtilizationSeries, WasteAnalysis, WasteBreakdown,
+    ascii_chart, bar_chart, format_count, pixel_slice_of, pixel_slice_with, syscall_slice_with,
+    thread_rows, to_csv, Category, CategoryAnalysis, CategoryBreakdown, SharedBenchmarkRun,
+    Table1Row, TextTable, UnusedBytes, UtilizationAnalysis, UtilizationSeries, WasteAnalysis,
+    WasteBreakdown,
 };
 use wasteprof_browser::{BrowserConfig, Session, Tab};
 use wasteprof_checker::{DeadWriteLint, Registry};
@@ -102,6 +103,12 @@ impl StoreStats {
     }
 }
 
+/// The one slice configuration of a [`SessionStore`]: witnessed slices.
+const WITNESSED: SliceOptions = SliceOptions {
+    end: None,
+    witness: true,
+};
+
 /// Memoized experiment artifacts, computed at most once each and shared
 /// behind `Arc`. Thread-safe: concurrent callers of the same getter block
 /// on the same `OnceLock` while the first one computes.
@@ -116,56 +123,23 @@ pub struct SessionStore {
     browse_pixel: [OnceLock<Arc<SliceResult>>; 4],
     browse_syscall: [OnceLock<Arc<SliceResult>>; 4],
     bing_load_prefix: OnceLock<Arc<SliceResult>>,
-    slice_segments: usize,
-    slice_witness: bool,
     stats: StoreStats,
 }
 
 impl SessionStore {
-    /// Creates an empty store; nothing is computed until asked for.
-    /// Slices use automatic segmentation (`SliceOptions::segments == 0`),
-    /// which is right when the caller computes one slice at a time, and
-    /// emit no dependence witness.
+    /// Creates an empty store; nothing is computed until asked for. Every
+    /// slice it computes carries its dependence witness, so the engine's
+    /// certify stage can re-check it.
     pub fn new() -> Self {
         SessionStore::default()
     }
 
-    /// A store whose slices are capped at `segments` parallel segments
-    /// each, with dependence-witness emission switched on or off for
-    /// every slice it computes.
-    ///
-    /// The engine uses the cap to route the thread budget: when it fans
-    /// many slice jobs across the pool at once (store-level parallelism),
-    /// each individual slice gets `threads / jobs` segments (slice-level
-    /// parallelism) so the two layers multiply to the pool size instead of
-    /// oversubscribing it. Segmented results are identical to sequential
-    /// ones, so this is purely a scheduling choice. The engine also turns
-    /// witnesses on, so its certify stage can re-check each slice.
-    pub fn with_slice_config(segments: usize, witness: bool) -> Self {
-        SessionStore {
-            slice_segments: segments,
-            slice_witness: witness,
-            ..SessionStore::default()
-        }
-    }
-
-    fn slice_options(&self) -> SliceOptions {
-        SliceOptions {
-            segments: self.slice_segments,
-            witness: self.slice_witness,
-            ..Default::default()
-        }
-    }
-
     /// Fingerprint of the slice configuration every memoized slice in
     /// this store was computed under
-    /// ([`SliceOptions::config_fingerprint`]). The `OnceLock` cells are
-    /// implicitly keyed by it: results from stores with different
-    /// fingerprints are not interchangeable (except for the documented
-    /// `segments` invariance), and the engine report records it so a
-    /// perf artifact can be traced back to its exact slice config.
+    /// ([`SliceOptions::config_fingerprint`]). The engine report records
+    /// it so a perf artifact can be traced back to its exact slice config.
     pub fn slice_fingerprint(&self) -> u64 {
-        self.slice_options().config_fingerprint()
+        WITNESSED.config_fingerprint()
     }
 
     /// Computation counters.
@@ -227,11 +201,7 @@ impl SessionStore {
                 let session = self.base_session(b);
                 let forward = self.forward(b);
                 self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                Arc::new(pixel_slice_with(
-                    &session.trace,
-                    &forward,
-                    &self.slice_options(),
-                ))
+                Arc::new(pixel_slice_with(&session.trace, &forward, &WITNESSED))
             })
             .clone()
     }
@@ -243,11 +213,7 @@ impl SessionStore {
                 let session = self.base_session(b);
                 let forward = self.forward(b);
                 self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                Arc::new(syscall_slice_with(
-                    &session.trace,
-                    &forward,
-                    &self.slice_options(),
-                ))
+                Arc::new(syscall_slice_with(&session.trace, &forward, &WITNESSED))
             })
             .clone()
     }
@@ -277,11 +243,7 @@ impl SessionStore {
                     let session = self.browse_session(b);
                     let forward = self.forward_for(key);
                     self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                    Arc::new(pixel_slice_with(
-                        &session.trace,
-                        &forward,
-                        &self.slice_options(),
-                    ))
+                    Arc::new(pixel_slice_with(&session.trace, &forward, &WITNESSED))
                 })
                 .clone(),
         }
@@ -296,11 +258,7 @@ impl SessionStore {
                     let session = self.browse_session(b);
                     let forward = self.forward_for(key);
                     self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                    Arc::new(syscall_slice_with(
-                        &session.trace,
-                        &forward,
-                        &self.slice_options(),
-                    ))
+                    Arc::new(syscall_slice_with(&session.trace, &forward, &WITNESSED))
                 })
                 .clone(),
         }
@@ -315,7 +273,7 @@ impl SessionStore {
                 let forward = self.forward(Benchmark::Bing);
                 let bounded = SliceOptions {
                     end: Some(session.load_end),
-                    ..self.slice_options()
+                    ..WITNESSED
                 };
                 self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
                 Arc::new(slice(
@@ -711,19 +669,12 @@ fn bing_backslice(store: &SessionStore) -> View {
     View::new("bing_backslice", out, artifacts)
 }
 
-fn config_slice_options(segments: usize) -> SliceOptions {
-    SliceOptions {
-        segments,
-        ..Default::default()
-    }
-}
-
-fn config_pixel_fraction(session: &Session, segments: usize) -> f64 {
+fn config_pixel_fraction(session: &Session) -> f64 {
     let fwd = ForwardPass::build(&session.trace);
-    pixel_slice_with(&session.trace, &fwd, &config_slice_options(segments)).fraction()
+    pixel_slice_of(&session.trace, &fwd).fraction()
 }
 
-fn ablate_deferred_compilation(store: &SessionStore, segments: usize) -> (String, u64) {
+fn ablate_deferred_compilation(store: &SessionStore) -> (String, u64) {
     let b = Benchmark::AmazonDesktop;
     crate::progress!("ablation 1/4", "deferred JS compilation...");
     let eager = store.base_session(b);
@@ -742,7 +693,7 @@ fn ablate_deferred_compilation(store: &SessionStore, segments: usize) -> (String
     t.row(vec![
         "deferred to first call (proposed)".to_owned(),
         lazy.trace.len().to_string(),
-        format!("{:.1}%", config_pixel_fraction(&lazy, segments) * 100.0),
+        format!("{:.1}%", config_pixel_fraction(&lazy) * 100.0),
     ]);
     let mut out = String::from("## 1. Deferring JS compilation (paper §VII)\n\n");
     out.push_str(&t.render());
@@ -755,7 +706,7 @@ fn ablate_deferred_compilation(store: &SessionStore, segments: usize) -> (String
     (out, lazy.trace.len() as u64)
 }
 
-fn ablate_paint_cache(store: &SessionStore, segments: usize) -> (String, u64) {
+fn ablate_paint_cache(store: &SessionStore) -> (String, u64) {
     let b = Benchmark::Bing; // interaction-heavy: the cache matters most
     crate::progress!("ablation 2/4", "paint cache...");
     let with = store.base_session(b);
@@ -777,7 +728,7 @@ fn ablate_paint_cache(store: &SessionStore, segments: usize) -> (String, u64) {
     t.row(vec![
         "disabled".to_owned(),
         without.trace.len().to_string(),
-        format!("{:.1}%", config_pixel_fraction(&without, segments) * 100.0),
+        format!("{:.1}%", config_pixel_fraction(&without) * 100.0),
     ]);
     let mut out = String::from("## 2. Display-item (paint) caching\n\n");
     out.push_str(&t.render());
@@ -788,7 +739,7 @@ fn ablate_paint_cache(store: &SessionStore, segments: usize) -> (String, u64) {
     (out, without.trace.len() as u64)
 }
 
-fn ablate_prepaint(segments: usize) -> (String, u64) {
+fn ablate_prepaint() -> (String, u64) {
     crate::progress!("ablation 3/4", "prepaint margin...");
     let b = Benchmark::AmazonDesktop;
     // The three margin configurations are independent sessions; fan them
@@ -807,7 +758,7 @@ fn ablate_prepaint(segments: usize) -> (String, u64) {
             };
             let session = b.run_with_config(cfg);
             let fwd = ForwardPass::build(&session.trace);
-            let r = pixel_slice_with(&session.trace, &fwd, &config_slice_options(segments));
+            let r = pixel_slice_of(&session.trace, &fwd);
             let mut raster_total = 0u64;
             let mut raster_slice = 0u64;
             for info in session.trace.threads().iter() {
@@ -850,7 +801,7 @@ fn ablate_prepaint(segments: usize) -> (String, u64) {
     (out, instructions)
 }
 
-fn ablate_backing_stores(segments: usize) -> (String, u64) {
+fn ablate_backing_stores() -> (String, u64) {
     crate::progress!("ablation 4/4", "blind backing stores...");
     // Same fan-out as prepaint: one overlay count per work item, rows
     // assembled in input order afterwards.
@@ -869,7 +820,7 @@ fn ablate_backing_stores(segments: usize) -> (String, u64) {
             let bytes = tab.compositor().backing_store_bytes();
             let session = tab.finish();
             let fwd = ForwardPass::build(&session.trace);
-            let r = pixel_slice_with(&session.trace, &fwd, &config_slice_options(segments));
+            let r = pixel_slice_of(&session.trace, &fwd);
             let comp = session
                 .trace
                 .threads()
@@ -912,19 +863,13 @@ fn ablate_backing_stores(segments: usize) -> (String, u64) {
 /// own runs too. Output ordering stays fixed: every parallel collect is
 /// order-preserving and the studies are concatenated 1→4.
 fn ablations(store: &SessionStore) -> View {
-    // Route the remaining thread budget to the private slices: with eight
-    // config runs in flight, each slice gets threads/8 segments (min 1),
-    // so session-level and slice-level parallelism compose instead of
-    // oversubscribing the pool.
-    let private_runs = 8;
-    let segments = (rayon::current_num_threads() / private_runs).max(1);
     let parts: Vec<(String, u64)> = [0usize, 1, 2, 3]
         .par_iter()
         .map(|&i| match i {
-            0 => ablate_deferred_compilation(store, segments),
-            1 => ablate_paint_cache(store, segments),
-            2 => ablate_prepaint(segments),
-            _ => ablate_backing_stores(segments),
+            0 => ablate_deferred_compilation(store),
+            1 => ablate_paint_cache(store),
+            2 => ablate_prepaint(),
+            _ => ablate_backing_stores(),
         })
         .collect();
     let mut out = String::from("Ablation studies (see DESIGN.md §6 and paper §VII).\n\n");
@@ -1140,15 +1085,10 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         jobs.push(SliceJob::Pixel(SessionKey::Browse(b)));
         jobs.push(SliceJob::Syscall(SessionKey::Browse(b)));
     }
-    // Thread-budget routing between store-level and slice-level
-    // parallelism: the slices stage fans `jobs.len()` concurrent slicing
-    // runs, so each run gets `threads / jobs` segments and the two layers
-    // multiply to (at most) the pool size. With more jobs than threads
-    // this degenerates to 1 segment per slice — exactly the sequential
-    // per-slice path, scheduled across jobs. Every slice carries its
+    // The slices stage fans `jobs.len()` concurrent slicing runs across
+    // the pool; each run is one backward walk, and every slice carries its
     // dependence witness for the certify stage.
-    let store =
-        SessionStore::with_slice_config((rayon::current_num_threads() / jobs.len()).max(1), true);
+    let store = SessionStore::new();
     let started = Instant::now();
     let mut stages = Vec::new();
 
@@ -1683,33 +1623,10 @@ mod tests {
         let p1 = store.pixel_slice(Benchmark::AmazonMobile);
         let p2 = store.pixel_slice(Benchmark::AmazonMobile);
         assert!(Arc::ptr_eq(&p1, &p2));
+        assert!(p1.witness().is_some(), "store slices carry their witness");
         assert_eq!(store.stats().sessions_run(), 1);
         assert_eq!(store.stats().forward_builds(), 1);
         assert_eq!(store.stats().slices_run(), 1);
-    }
-
-    /// The store's memo cells are keyed by its slice config: identical
-    /// configs share a fingerprint, any perturbation changes it.
-    #[test]
-    fn store_fingerprint_tracks_slice_config() {
-        let a = SessionStore::with_slice_config(4, true);
-        let b = SessionStore::with_slice_config(4, true);
-        assert_eq!(a.slice_fingerprint(), b.slice_fingerprint());
-        assert_ne!(
-            a.slice_fingerprint(),
-            SessionStore::with_slice_config(2, true).slice_fingerprint(),
-            "segment cap must be part of the fingerprint"
-        );
-        assert_ne!(
-            a.slice_fingerprint(),
-            SessionStore::with_slice_config(4, false).slice_fingerprint(),
-            "witness emission must be part of the fingerprint"
-        );
-        assert_eq!(
-            SessionStore::new().slice_fingerprint(),
-            SliceOptions::default().config_fingerprint(),
-            "a default store slices under the default config"
-        );
     }
 
     /// The static referee slices each stripped trace under its session's

@@ -1,9 +1,9 @@
 //! Differential test for the incremental slicer on the real workloads:
 //! for every canonical engine session, the pixel slice computed through
 //! a *shared* [`SummaryCache`] must equal the from-scratch slicer
-//! exactly at forced segment counts K ∈ {1, 8} (`SliceResult` equality
-//! is structural over bitmap, counts, per-thread/per-function stats,
-//! and the checkpoint timeline).
+//! exactly, with the dependence witness off and on (`SliceResult`
+//! equality is structural over bitmap, counts, per-thread/per-function
+//! stats, the checkpoint timeline and the witness).
 //!
 //! One memo serves all sessions and both configs on purpose: its key
 //! must separate distinct traces (content hashes) and distinct slice
@@ -31,9 +31,9 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
         let trace = &session.trace;
         let forward = store.forward_for(key);
         let criteria = pixel_criteria(trace);
-        for k in [1usize, 8] {
+        for witness in [false, true] {
             let opts = SliceOptions {
-                segments: k,
+                witness,
                 ..Default::default()
             };
             let want = slice(trace, &forward, &criteria, &opts);
@@ -41,7 +41,7 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
             assert_eq!(
                 got,
                 want,
-                "{} incremental slice diverged at segments={k}",
+                "{} incremental slice diverged with witness={witness}",
                 key.label()
             );
         }
@@ -54,7 +54,7 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
     let session = store.session(key);
     let criteria = pixel_criteria(&session.trace);
     let opts = SliceOptions {
-        segments: 8,
+        witness: true,
         ..Default::default()
     };
     let before = cache.stats();

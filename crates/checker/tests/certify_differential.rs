@@ -1,6 +1,5 @@
 //! Differential certifier tests: witnessed slices of every canonical
-//! session must certify clean at segment counts 1 and 8, alone and in one
-//! shared sweep, and every [`SliceMutation`] must trigger exactly its own
+//! session must certify clean, alone and in one shared sweep, and every [`SliceMutation`] must trigger exactly its own
 //! certifier code — in its own job only when it shares a sweep.
 
 use std::io::Cursor;
@@ -35,10 +34,9 @@ fn canonical_sessions() -> Vec<(String, Session)> {
     out
 }
 
-fn witnessed(k: usize) -> SliceOptions {
+fn witnessed() -> SliceOptions {
     SliceOptions {
         witness: true,
-        segments: k,
         ..Default::default()
     }
 }
@@ -48,45 +46,35 @@ fn certify_clean(
     trace: &Trace,
     fwd: &ForwardPass,
     criteria: &Criteria,
-    k: usize,
 ) -> SliceResult {
-    let result = slice(trace, fwd, criteria, &witnessed(k));
+    let result = slice(trace, fwd, criteria, &witnessed());
     assert!(
         result.witness().is_some(),
-        "{label} K={k}: witness missing from result"
+        "{label}: witness missing from result"
     );
     let diags = certify(trace, fwd, criteria, &result);
     assert!(
         diags.is_empty(),
-        "{label} K={k}: expected a clean certify, got {} diagnostics; first: {}",
+        "{label}: expected a clean certify, got {} diagnostics; first: {}",
         diags.len(),
         diags[0],
     );
     result
 }
 
-/// Every canonical slice certifies clean at K=1 and K=8, and one shared
-/// sweep over a session's pixel and syscall slices reports exactly what
+/// Every canonical slice certifies clean, and one shared sweep over a session's pixel and syscall slices reports exactly what
 /// two separate certifications do. On Bing, the load-prefix slice shares
 /// a sweep with the full pixel slice: jobs with different considered
 /// prefixes.
 #[test]
-fn canonical_slices_certify_clean_at_one_and_eight_segments() {
+fn canonical_slices_certify_clean() {
     for (label, session) in canonical_sessions() {
         let trace = &session.trace;
         let fwd = ForwardPass::build(trace);
         let (pixel, syscall) = (pixel_criteria(trace), syscall_criteria(trace));
         let [pixel_slice, syscall_slice] =
             [("pixel", &pixel), ("syscall", &syscall)].map(|(kind, criteria)| {
-                let label = format!("{label} [{kind}]");
-                // K=1 emits the witness in lockstep with the backward walk;
-                // K=8 replays it over the stitched bitmap. Same table.
-                let [k1, k8] = [1, 8].map(|k| certify_clean(&label, trace, &fwd, criteria, k));
-                assert!(
-                    k1 == k8,
-                    "{label}: lockstep (K=1) and replayed (K=8) witnessed slices differ"
-                );
-                k1
+                certify_clean(&format!("{label} [{kind}]"), trace, &fwd, criteria)
             });
 
         let jobs = [(&pixel, &pixel_slice), (&syscall, &syscall_slice)];
@@ -104,7 +92,7 @@ fn canonical_slices_certify_clean_at_one_and_eight_segments() {
             let prefix_criteria = pixel.truncated(session.load_end);
             let bounded = SliceOptions {
                 end: Some(session.load_end),
-                ..witnessed(1)
+                ..witnessed()
             };
             let prefix = slice(trace, &fwd, &prefix_criteria, &bounded);
             assert!(prefix.considered() < pixel_slice.considered());
@@ -122,7 +110,7 @@ fn canonical_slices_certify_clean_at_one_and_eight_segments() {
     }
 }
 
-/// AmazonMobile's forward pass and witnessed (K=1) pixel and syscall
+/// AmazonMobile's forward pass and witnessed pixel and syscall
 /// slices, built once for every test that corrupts or re-pairs them.
 struct Fixture {
     session: Session,
@@ -140,8 +128,8 @@ fn amazon_mobile() -> &'static Fixture {
         let trace = &session.trace;
         let fwd = ForwardPass::build(trace);
         let (pixel, syscall) = (pixel_criteria(trace), syscall_criteria(trace));
-        let pixel_slice = slice(trace, &fwd, &pixel, &witnessed(1));
-        let syscall_slice = slice(trace, &fwd, &syscall, &witnessed(1));
+        let pixel_slice = slice(trace, &fwd, &pixel, &witnessed());
+        let syscall_slice = slice(trace, &fwd, &syscall, &witnessed());
         Fixture {
             session,
             fwd,
@@ -348,7 +336,7 @@ fn certify_witnessed(
     edit: impl Fn(&mut SliceResult),
 ) -> String {
     let fwd = ForwardPass::build(trace);
-    let mut result = slice(trace, &fwd, criteria, &witnessed(1));
+    let mut result = slice(trace, &fwd, criteria, &witnessed());
     edit(&mut result);
     render_text(&certify(trace, &fwd, criteria, &result))
 }
@@ -360,7 +348,7 @@ fn certify_witnessed(
 fn late_check_consumes_the_writer_of_a_consumed_anchors_read() {
     let (trace, criteria) = rax_syscall(true);
     let fwd = ForwardPass::build(&trace);
-    let result = slice(&trace, &fwd, &criteria, &witnessed(1));
+    let result = slice(&trace, &fwd, &criteria, &witnessed());
     assert_eq!(result.slice_count(), 2, "the walk pulls in the RAX writer");
     let rows: Vec<WitnessRow> = result.witness().unwrap().rows().collect();
     assert_eq!(
@@ -394,7 +382,7 @@ fn late_check_reports_a_dropped_writer_of_a_consumed_anchors_read() {
 fn late_check_skips_the_reads_of_an_unconsumed_anchor() {
     let (trace, criteria) = rax_syscall(false);
     let fwd = ForwardPass::build(&trace);
-    let result = slice(&trace, &fwd, &criteria, &witnessed(1));
+    let result = slice(&trace, &fwd, &criteria, &witnessed());
     assert_eq!(result.slice_count(), 1, "only the anchor joins");
     assert_eq!(certify_witnessed(&trace, &criteria, |_| {}), "");
 }

@@ -6,9 +6,9 @@
 //! postdominator-tree path from `B` up to (but excluding) `ipdom(A)` are
 //! control-dependent on `A`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use wasteprof_trace::{FuncId, Pc, ThreadId, Trace};
+use wasteprof_trace::{FuncId, Pc, Trace};
 
 use crate::cfg::{Cfg, CfgSet, NodeId};
 use crate::postdom::PostDoms;
@@ -72,7 +72,7 @@ impl Cdg {
 
 /// Control-dependence maps for every function in a trace, keyed by static
 /// location — the form the backward pass consumes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlDeps {
     /// `(func, pc)` → controlling branch PCs within the same function.
     by_loc: HashMap<(FuncId, Pc), Vec<Pc>, FibBuild>,
@@ -124,80 +124,6 @@ impl ControlDeps {
     /// True if no control dependences exist (straight-line trace).
     pub fn is_empty(&self) -> bool {
         self.by_loc.is_empty()
-    }
-}
-
-/// One pending-branch entry's identity: the controlling branch site,
-/// scoped to the thread whose execution armed it (§III-B's pending list).
-pub(crate) type PendKey = (ThreadId, FuncId, Pc);
-
-/// Symbolic pending-branch state of one trace segment, supporting
-/// propagation across segment boundaries.
-///
-/// A segment scanned in isolation cannot know which pending entries were
-/// armed by *later* trace segments, so each key is in one of three local
-/// states:
-///
-/// * **tracked** (`get` returns `Some(c)`): some in-segment event touched
-///   the key — armed it, consumed it at its branch, or cleared it at a
-///   frame-closing call. `c` is the caller's condition value for "the key
-///   is pending below this point of the scan".
-/// * **cleared** (`get` is `None`, `is_cleared` is true): a call closed
-///   the last open frame of the key's function without the key being
-///   touched first; whatever the boundary said, the entry is gone.
-/// * **pass-through** (`get` is `None`, `is_cleared` is false): the key's
-///   runtime presence equals its presence at the segment's *upper*
-///   boundary. The stitch phase resolves it against the exact incoming
-///   pending set.
-#[derive(Debug)]
-pub(crate) struct PendingTransfer<C> {
-    entries: HashMap<PendKey, C, FibBuild>,
-    cleared: HashSet<(ThreadId, FuncId), FibBuild>,
-}
-
-impl<C: Clone> Default for PendingTransfer<C> {
-    fn default() -> Self {
-        PendingTransfer {
-            entries: HashMap::default(),
-            cleared: HashSet::default(),
-        }
-    }
-}
-
-impl<C: Clone> PendingTransfer<C> {
-    /// Local knowledge about `key`, if any in-segment event touched it.
-    pub(crate) fn get(&self, key: &PendKey) -> Option<&C> {
-        self.entries.get(key)
-    }
-
-    /// True if `(tid, func)`'s untouched entries were structurally cleared
-    /// by a frame-closing call inside the segment.
-    pub(crate) fn is_cleared(&self, tid: ThreadId, func: FuncId) -> bool {
-        self.cleared.contains(&(tid, func))
-    }
-
-    /// Records `key`'s condition (arming and consuming both land here).
-    pub(crate) fn set(&mut self, key: PendKey, c: C) {
-        self.entries.insert(key, c);
-    }
-
-    /// Structural clear at a call that closes the last open frame of
-    /// `(tid, func)`: every tracked entry of that function drops to
-    /// `consumed` (the caller's "not pending" value) and untouched keys
-    /// stop passing through the boundary.
-    pub(crate) fn clear_func(&mut self, tid: ThreadId, func: FuncId, consumed: C) {
-        for (k, v) in self.entries.iter_mut() {
-            if k.0 == tid && k.1 == func {
-                *v = consumed.clone();
-            }
-        }
-        self.cleared.insert((tid, func));
-    }
-
-    /// Iterates over the tracked entries (stitching walks these to build
-    /// the outgoing pending set; order is irrelevant to the result).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (&PendKey, &C)> {
-        self.entries.iter()
     }
 }
 
@@ -291,27 +217,6 @@ mod tests {
         assert_eq!(deps.controllers(f, deep), &[inner]);
         assert_eq!(deps.controllers(f, inner), &[outer]);
         assert!(deps.controllers(f, join).is_empty());
-    }
-
-    #[test]
-    fn pending_transfer_tracks_clears_and_passes_through() {
-        let t = ThreadId(0);
-        let f = FuncId(1);
-        let g = FuncId(2);
-        let mut p: PendingTransfer<bool> = PendingTransfer::default();
-        let k1 = (t, f, Pc(10));
-        let k2 = (t, f, Pc(11));
-        let k3 = (t, g, Pc(12));
-        p.set(k1, true);
-        assert_eq!(p.get(&k1), Some(&true));
-        assert_eq!(p.get(&k2), None, "untouched key passes through");
-        assert!(!p.is_cleared(t, f));
-        p.clear_func(t, f, false);
-        assert_eq!(p.get(&k1), Some(&false), "tracked entry drops to consumed");
-        assert!(p.is_cleared(t, f));
-        assert!(!p.is_cleared(t, g));
-        assert_eq!(p.get(&k3), None, "other functions unaffected");
-        assert_eq!(p.entries().count(), 1);
     }
 
     #[test]

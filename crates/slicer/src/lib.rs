@@ -53,7 +53,6 @@ mod cfg;
 mod criteria;
 mod incremental;
 mod live;
-mod parallel;
 mod postdom;
 mod slice;
 mod strip;

@@ -177,113 +177,6 @@ impl IntervalSet {
             None => false,
         }
     }
-
-    /// Appends the maximal sub-ranges of `range` *not* in the set to `out`.
-    pub fn gaps_within(&self, range: AddrRange, out: &mut Vec<AddrRange>) {
-        let start = range.start().raw();
-        let end = range.end().raw();
-        if start == end {
-            return;
-        }
-        let mut cur = start;
-        // The interval containing `start` (if any), then everything after.
-        if let Some((_, &e)) = self.map.range(..=start).next_back() {
-            if e > cur {
-                cur = e.min(end);
-            }
-        }
-        for (&s, &e) in self.map.range(start + 1..end) {
-            if cur >= end {
-                break;
-            }
-            if s > cur {
-                push_run(out, cur, s);
-            }
-            cur = e.min(end).max(cur);
-        }
-        if cur < end {
-            push_run(out, cur, end);
-        }
-    }
-
-    /// Appends the maximal sub-ranges of `range` that *are* in the set to
-    /// `out`.
-    pub fn overlaps_within(&self, range: AddrRange, out: &mut Vec<AddrRange>) {
-        let start = range.start().raw();
-        let end = range.end().raw();
-        if start == end {
-            return;
-        }
-        if let Some((_, &e)) = self.map.range(..=start).next_back() {
-            if e > start {
-                push_run(out, start, e.min(end));
-            }
-        }
-        for (&s, &e) in self.map.range(start + 1..end) {
-            push_run(out, s, e.min(end));
-        }
-    }
-
-    /// Adds every byte of `other` to the set.
-    pub fn union_with(&mut self, other: &IntervalSet) {
-        if std::ptr::eq(self, other) {
-            return;
-        }
-        let runs: Vec<(u64, u64)> = other.iter().collect();
-        for (s, e) in runs {
-            for_run_chunks(s, e, |r| self.insert(r));
-        }
-    }
-
-    /// Removes every byte of `other` from the set.
-    pub fn subtract_set(&mut self, other: &IntervalSet) {
-        let runs: Vec<(u64, u64)> = other.iter().collect();
-        for (s, e) in runs {
-            for_run_chunks(s, e, |r| self.remove(r));
-        }
-    }
-}
-
-/// Appends the byte run `[start, end)` to `out`, coalescing with the
-/// previous run when adjacent (so callers get maximal runs).
-fn push_run(out: &mut Vec<AddrRange>, start: u64, end: u64) {
-    debug_assert!(start < end);
-    if let Some(last) = out.last_mut() {
-        let llen = last.len() as u64;
-        if last.end().raw() == start && llen + (end - start) <= u32::MAX as u64 {
-            *last = AddrRange::new(last.start(), (llen + (end - start)) as u32);
-            return;
-        }
-    }
-    for_run_chunks(start, end, |r| out.push(r));
-}
-
-/// Appends the set-bit runs of `word` (bit `i` = byte `base + i`) to
-/// `out`, coalescing with the previous run across granule boundaries.
-fn emit_bit_runs(base: u64, word: u64, out: &mut Vec<AddrRange>) {
-    let mut bit = 0u32;
-    let mut w = word;
-    while w != 0 {
-        let skip = w.trailing_zeros();
-        bit += skip;
-        w = if skip >= 64 { 0 } else { w >> skip };
-        let len = w.trailing_ones();
-        let start = base + bit as u64;
-        push_run(out, start, start + len as u64);
-        bit += len;
-        w = if len >= 64 { 0 } else { w >> len };
-    }
-}
-
-/// Calls `f` for `[start, end)` split into `AddrRange`-sized (≤ u32::MAX
-/// bytes) chunks. Coalesced runs can exceed a single range's length field.
-pub(crate) fn for_run_chunks(start: u64, end: u64, mut f: impl FnMut(AddrRange)) {
-    let mut cur = start;
-    while cur < end {
-        let len = (end - cur).min(u32::MAX as u64) as u32;
-        f(AddrRange::new(wasteprof_trace::Addr::new(cur), len));
-        cur += len as u64;
-    }
 }
 
 /// Bitmap over 64-byte granules, stored in an open-addressing hash table.
@@ -452,53 +345,6 @@ impl GranuleMap {
         ok
     }
 
-    /// Appends the maximal sub-ranges of `range` whose bits are *clear* to
-    /// `out`.
-    fn gaps_within(&self, range: AddrRange, out: &mut Vec<AddrRange>) {
-        Self::for_each_granule(range, |g, mask| {
-            let word = self.find(g).map(|s| self.words[s]).unwrap_or(0);
-            emit_bit_runs(g << GRANULE_SHIFT, mask & !word, out);
-        });
-    }
-
-    /// Appends the maximal sub-ranges of `range` whose bits are *set* to
-    /// `out`.
-    fn overlaps_within(&self, range: AddrRange, out: &mut Vec<AddrRange>) {
-        Self::for_each_granule(range, |g, mask| {
-            let word = self.find(g).map(|s| self.words[s]).unwrap_or(0);
-            emit_bit_runs(g << GRANULE_SHIFT, mask & word, out);
-        });
-    }
-
-    /// ORs every granule of `other` into this map.
-    fn union_with(&mut self, other: &GranuleMap) {
-        for (i, &k) in other.keys.iter().enumerate() {
-            let w = other.words[i];
-            if k == 0 || w == 0 {
-                continue;
-            }
-            let slot = self.find_or_insert(k - 1);
-            let old = self.words[slot];
-            self.words[slot] = old | w;
-            self.set_bytes += (w & !old).count_ones() as u64;
-        }
-    }
-
-    /// Clears every bit of `other` from this map.
-    fn subtract_set(&mut self, other: &GranuleMap) {
-        for (i, &k) in other.keys.iter().enumerate() {
-            let w = other.words[i];
-            if k == 0 || w == 0 {
-                continue;
-            }
-            if let Some(slot) = self.find(k - 1) {
-                let old = self.words[slot];
-                self.words[slot] = old & !w;
-                self.set_bytes -= (old & w).count_ones() as u64;
-            }
-        }
-    }
-
     /// Sorted, coalesced `(start, end)` byte runs (diagnostics/iteration;
     /// not on the hot path — collects and sorts the live granules).
     fn runs(&self) -> Vec<(u64, u64)> {
@@ -640,45 +486,6 @@ impl AddrSet {
         }
     }
 
-    /// Appends the maximal sub-ranges of `range` *not* in the set to `out`.
-    ///
-    /// The segment summaries use this to split a memory operand into its
-    /// already-decided part and the part whose fate depends on the
-    /// incoming boundary state.
-    #[inline]
-    pub fn gaps_within(&self, range: AddrRange, out: &mut Vec<AddrRange>) {
-        if routes_to_intervals(range.start().raw()) {
-            self.large.gaps_within(range, out);
-        } else {
-            self.bits.gaps_within(range, out);
-        }
-    }
-
-    /// Appends the maximal sub-ranges of `range` that *are* in the set to
-    /// `out`.
-    #[inline]
-    pub fn overlaps_within(&self, range: AddrRange, out: &mut Vec<AddrRange>) {
-        if routes_to_intervals(range.start().raw()) {
-            self.large.overlaps_within(range, out);
-        } else {
-            self.bits.overlaps_within(range, out);
-        }
-    }
-
-    /// Adds every byte of `other` to the set. Both halves merge
-    /// structurally (granule words OR, intervals insert), so stitching a
-    /// segment boundary costs the summary size, not the trace length.
-    pub fn union_with(&mut self, other: &AddrSet) {
-        self.bits.union_with(&other.bits);
-        self.large.union_with(&other.large);
-    }
-
-    /// Removes every byte of `other` from the set.
-    pub fn subtract_set(&mut self, other: &AddrSet) {
-        self.bits.subtract_set(&other.bits);
-        self.large.subtract_set(&other.large);
-    }
-
     /// Iterates over the disjoint `(start, end)` byte runs in order,
     /// merging the bitmap and interval halves.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -728,25 +535,6 @@ impl LiveState {
     /// Panics if `tid` is beyond the size given to [`LiveState::new`].
     pub fn regs_mut(&mut self, tid: ThreadId) -> &mut RegSet {
         &mut self.regs[tid.index()]
-    }
-
-    /// Number of per-thread register slots.
-    pub fn threads(&self) -> usize {
-        self.regs.len()
-    }
-
-    /// Merges `other` into `self`: live memory union plus per-thread
-    /// register union. This is the composition step of the segment
-    /// transfer form — liveness is a union over independent demand
-    /// sources, so boundary states combine without rescanning the trace.
-    pub fn union_with(&mut self, other: &LiveState) {
-        self.mem.union_with(&other.mem);
-        if self.regs.len() < other.regs.len() {
-            self.regs.resize(other.regs.len(), RegSet::EMPTY);
-        }
-        for (a, b) in self.regs.iter_mut().zip(&other.regs) {
-            *a = a.union(*b);
-        }
     }
 }
 
@@ -946,7 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn covers_gaps_and_overlaps_in_both_halves() {
+    fn covers_in_both_halves() {
         let heap = Region::Heap.base().raw();
         let tile = Region::PixelTile.base().raw();
         for base in [heap, tile] {
@@ -957,82 +745,7 @@ mod tests {
             assert!(s.covers(r(base + 10, 10)));
             assert!(!s.covers(r(base + 10, 11)));
             assert!(!s.covers(r(base + 25, 2)));
-
-            let mut gaps = Vec::new();
-            s.gaps_within(r(base + 5, 40), &mut gaps); // [5, 45)
-            assert_eq!(
-                gaps,
-                vec![r(base + 5, 5), r(base + 20, 10), r(base + 40, 5)],
-                "base {base:#x}"
-            );
-            let mut hits = Vec::new();
-            s.overlaps_within(r(base + 5, 40), &mut hits);
-            assert_eq!(hits, vec![r(base + 10, 10), r(base + 30, 10)]);
-
-            // Query entirely inside one piece.
-            gaps.clear();
-            s.gaps_within(r(base + 12, 4), &mut gaps);
-            assert!(gaps.is_empty());
-            hits.clear();
-            s.overlaps_within(r(base + 22, 4), &mut hits);
-            assert!(hits.is_empty());
         }
-    }
-
-    #[test]
-    fn gap_runs_coalesce_across_granules() {
-        // A clear range spanning granule boundaries must come back as one
-        // maximal run, not one per 64-byte granule.
-        let mut s = AddrSet::new();
-        s.insert(r(0, 8));
-        s.insert(r(300, 8));
-        let mut gaps = Vec::new();
-        s.gaps_within(r(0, 308), &mut gaps);
-        assert_eq!(gaps, vec![r(8, 292)]);
-    }
-
-    #[test]
-    fn union_and_subtract_mirror_inserts_and_removes() {
-        let heap = Region::Heap.base().raw();
-        let tile = Region::PixelTile.base().raw();
-        let mut a = AddrSet::new();
-        a.insert(r(heap, 16));
-        a.insert(r(tile, 1024));
-        let mut b = AddrSet::new();
-        b.insert(r(heap + 8, 16)); // overlaps a's bitmap run
-        b.insert(r(tile + 512, 1024)); // overlaps a's interval run
-        b.insert(r(heap + 100, 4));
-
-        let mut u = a.clone();
-        u.union_with(&b);
-        let mut expect = AddrSet::new();
-        expect.insert(r(heap, 24));
-        expect.insert(r(heap + 100, 4));
-        expect.insert(r(tile, 1536));
-        assert_eq!(u, expect);
-
-        u.subtract_set(&b);
-        let mut left = AddrSet::new();
-        left.insert(r(heap, 8));
-        left.insert(r(tile, 512));
-        assert_eq!(u, left);
-    }
-
-    #[test]
-    fn live_state_union_merges_mem_and_regs() {
-        use wasteprof_trace::{Reg, RegSet};
-        let mut a = LiveState::new(2);
-        a.mem.insert(r(100, 8));
-        a.regs_mut(ThreadId(0)).insert(Reg::Rax);
-        let mut b = LiveState::new(4);
-        b.mem.insert(r(104, 8));
-        b.regs_mut(ThreadId(3)).insert(Reg::Rbx);
-        a.union_with(&b);
-        assert_eq!(a.mem.byte_count(), 12);
-        assert_eq!(a.threads(), 4);
-        assert!(a.regs(ThreadId(0)).contains(Reg::Rax));
-        assert!(a.regs(ThreadId(3)).contains(Reg::Rbx));
-        assert_eq!(a.regs(ThreadId(1)), RegSet::EMPTY);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::witness::Emitter;
 /// The CDG is the only artifact kept. The per-function CFGs it is
 /// computed from are dropped as soon as it is built; [`CfgSet::build`]
 /// rebuilds them for a caller that wants the graphs themselves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForwardPass {
     deps: ControlDeps,
 }
@@ -61,36 +61,21 @@ impl ForwardPass {
 }
 
 /// Options for one backward slicing run.
-#[derive(Debug, Clone)]
+///
+/// The timeline always holds ~1000 evenly spaced checkpoints and tracks
+/// the main thread, as the paper's Figure 4 plots it.
+#[derive(Debug, Clone, Default)]
 pub struct SliceOptions {
     /// Slice only the prefix `[0, end]` of the trace (criteria after `end`
     /// are ignored). `None` slices the whole trace.
     pub end: Option<TracePos>,
-    /// Record a timeline checkpoint every this many processed instructions.
-    /// `0` picks ~1000 evenly spaced points.
-    ///
-    /// Intervals count *global* processed instructions of the considered
-    /// prefix, regardless of [`SliceOptions::segments`]: the segment-
-    /// parallel pass places checkpoints at the same trace positions as the
-    /// sequential walk, so timeline artifacts (fig4/fig5) are bit-identical
-    /// at any segment count.
-    pub timeline_interval: u64,
-    /// Thread highlighted in the timeline (the paper plots the main
-    /// thread).
-    pub tracked_thread: ThreadId,
-    /// Number of trace segments processed in parallel (summarize → stitch
-    /// → replay). `0` picks a count from the thread budget and trace
-    /// length; `1` forces the sequential reference walk. Any value
-    /// produces byte-identical results — this only trades wall time.
-    pub segments: usize,
     /// Emit a dependence witness ([`crate::Witnesses`]) alongside the
     /// slice, for independent certification by `wasteprof-checker`: one
     /// row per member that joined for a structural reason (a pending
     /// branch, an `include_instr` criterion anchor, or a call whose frame
     /// holds a later member). Members that joined by kill/gen get no row;
-    /// the certifier derives their data edges itself. The table is
-    /// identical at any segment count. Off by default (the experiment
-    /// engine turns it on).
+    /// the certifier derives their data edges itself. Off by default (the
+    /// experiment engine turns it on).
     pub witness: bool,
 }
 
@@ -109,23 +94,8 @@ impl SliceOptions {
         h.write_u64(0x5EED_C0F1_6001);
         h.write_u8(self.end.is_some() as u8);
         h.write_u64(self.end.map(|p| p.0).unwrap_or(0));
-        h.write_u64(self.timeline_interval);
-        h.write_u8(self.tracked_thread.0);
-        h.write_u64(self.segments as u64);
         h.write_u8(self.witness as u8);
         h.finish()
-    }
-}
-
-impl Default for SliceOptions {
-    fn default() -> Self {
-        SliceOptions {
-            end: None,
-            timeline_interval: 0,
-            tracked_thread: ThreadId::MAIN,
-            segments: 0,
-            witness: false,
-        }
     }
 }
 
@@ -168,9 +138,9 @@ impl TimelinePoint {
 /// The result of a backward slicing run.
 ///
 /// `PartialEq` compares every observable component (bitmap, counts,
-/// per-thread/per-func stats, timeline) — the differential tests use it to
-/// assert segment-parallel runs are indistinguishable from the sequential
-/// reference.
+/// per-thread/per-func stats, timeline, witness) — the differential tests
+/// use it to assert streamed runs are indistinguishable from resident
+/// ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceResult {
     pub(crate) considered: u64,
@@ -345,26 +315,13 @@ pub fn slice(
     result
 }
 
-/// Forward pre-scan over one window: pushes each call onto its thread's
-/// open-call stack and pops it at its return, so after the last window
-/// the stacks hold the calls still open at the cut — invocations whose
-/// Ret the backward walk never sees (callee identity included: frame
-/// clearing needs it). Shared by the walk and the witness emitter.
-pub(crate) fn prescan_open_calls(open: &mut [Vec<FuncId>], cur: &ColumnCursor<'_>) {
-    for idx in cur.lo()..cur.hi() {
-        match cur.kind(idx) {
-            InstrKind::Call { callee } => open[cur.tid(idx).index()].push(callee),
-            InstrKind::Ret => {
-                open[cur.tid(idx).index()].pop();
-            }
-            _ => {}
-        }
-    }
-}
-
 /// [`slice()`] over any [`ColumnSource`]. A `WPTRACE2` reader never
 /// holds more than a bounded window of decoded chunks; the result is
-/// byte-identical to the resident one at any segment count.
+/// byte-identical to the resident one.
+///
+/// One forward sweep finds the calls still open at the cut, then one
+/// backward sweep walks the considered prefix; a witness, if requested,
+/// is emitted window by window in lockstep with it.
 ///
 /// # Errors
 ///
@@ -375,75 +332,13 @@ pub fn slice_streamed<S: ColumnSource>(
     criteria: &Criteria,
     options: &SliceOptions,
 ) -> Result<SliceResult, S::Error> {
-    let n = considered_prefix(src.len(), options);
-    let k = effective_segments(options.segments, n);
-    let mut result = None;
-    if k > 1 {
-        // The segment-parallel pass bails out (rarely — see
-        // `parallel::run`) when a segment's symbolic state outgrows its
-        // budget; the sequential walk is always the reference fallback.
-        result = crate::parallel::run(src, forward, criteria, options, k)?;
-    }
-    match result {
-        Some(mut result) => {
-            if options.witness {
-                // The witness is a pure function of (trace, criteria,
-                // bitmap): replaying it over the stitched bitmap yields the
-                // table the sequential walk emits in lockstep.
-                result.witness = Some(crate::witness::emit(
-                    src,
-                    forward.control_deps(),
-                    criteria,
-                    &result,
-                )?);
-            }
-            Ok(result)
-        }
-        None => {
-            // One forward and one backward sweep: a witness, if
-            // requested, is emitted window by window in lockstep.
-            let mut bw = Backward::new(src.functions().len(), forward, criteria, options, n);
-            src.stream_range(0, n, |cur| bw.prescan(cur))?;
-            bw.seal_frames();
-            src.stream_range_rev(0, n, |cur| bw.feed(cur))?;
-            Ok(bw.finish())
-        }
-    }
-}
-
-/// Number of instructions the pass will consider (`[0, end]` clamped to
-/// a trace of `len` instructions).
-pub(crate) fn considered_prefix(len: usize, options: &SliceOptions) -> usize {
-    options.end.map(|e| (e.index() + 1).min(len)).unwrap_or(len)
-}
-
-/// The checkpoint interval of a pass over `n` instructions:
-/// [`SliceOptions::timeline_interval`], or ~1000 points when it is `0`.
-pub(crate) fn timeline_interval(options: &SliceOptions, n: usize) -> u64 {
-    if options.timeline_interval == 0 {
-        ((n as u64) / 1000).max(1)
-    } else {
-        options.timeline_interval
-    }
-}
-
-/// Resolves the requested segment count against the trace length and the
-/// thread budget.
-///
-/// Segment boundaries must land on 64-instruction bitmap-word boundaries
-/// (so parallel finalizers never share a word), which caps the useful
-/// count at `ceil(n / 64)`. With `0` (auto) the pass takes one segment
-/// per available worker, but never segments shorter than ~64k
-/// instructions: below that the per-segment symbolic overhead outweighs
-/// the parallel win (see DESIGN.md on K selection).
-pub(crate) fn effective_segments(requested: usize, n: usize) -> usize {
-    const MIN_AUTO_SEGMENT: usize = 64 * 1024;
-    let cap = n.div_ceil(64).max(1);
-    if requested != 0 {
-        return requested.clamp(1, cap);
-    }
-    let threads = rayon::current_num_threads();
-    threads.min(n / MIN_AUTO_SEGMENT).clamp(1, cap)
+    let len = src.len();
+    let n = options.end.map_or(len, |e| (e.index() + 1).min(len));
+    let mut bw = Backward::new(src.functions().len(), forward, criteria, options, n);
+    src.stream_range(0, n, |cur| bw.prescan(cur))?;
+    bw.seal_frames();
+    src.stream_range_rev(0, n, |cur| bw.feed(cur))?;
+    Ok(bw.finish())
 }
 
 /// Multiplicative hasher for the slicer's small fixed-size keys: the
@@ -503,11 +398,11 @@ struct Frame {
     any_slice: bool,
 }
 
-/// The sequential backward walk, restructured around [`Backward::feed`]
-/// so the per-instruction step runs over the windows of any
-/// [`ColumnSource`]. Protocol: [`Backward::prescan`] forward over the whole
-/// considered range, [`Backward::seal_frames`], then [`Backward::feed`]
-/// backward (last window first), then [`Backward::finish`]. With
+/// The backward walk, restructured around [`Backward::feed`] so the
+/// per-instruction step runs over the windows of any [`ColumnSource`].
+/// Protocol: [`Backward::prescan`] forward over the whole considered
+/// range, [`Backward::seal_frames`], then [`Backward::feed`] backward
+/// (last window first), then [`Backward::finish`]. With
 /// [`SliceOptions::witness`] on, each step also drives a witness
 /// [`Emitter`] over the same window, so the table costs no extra pass.
 struct Backward<'a> {
@@ -525,15 +420,21 @@ struct Backward<'a> {
     // here would dominate the stats cost on multi-million-entry traces.
     per_thread: Vec<(u64, u64)>,
     per_func: Vec<(u64, u64)>,
+    /// Counters of function ids outside the function table (a malformed
+    /// trace): rare, so a map on a cold path, never a `Vec` sized by an id
+    /// taken from the input.
+    stray_funcs: HashMap<FuncId, (u64, u64)>,
     timeline: Vec<TimelinePoint>,
     interval: u64,
     until_checkpoint: u64,
     crit_idx: usize,
-    tracked: ThreadId,
     tracked_processed: u64,
     tracked_in_slice: u64,
     emitter: Option<Emitter<'a>>,
 }
+
+/// The thread the timeline tracks: the paper plots the main thread.
+const TRACKED: ThreadId = ThreadId::MAIN;
 
 impl<'a> Backward<'a> {
     fn new(
@@ -543,7 +444,8 @@ impl<'a> Backward<'a> {
         options: &SliceOptions,
         n: usize,
     ) -> Self {
-        let interval = timeline_interval(options, n);
+        // ~1000 evenly spaced checkpoints.
+        let interval = ((n as u64) / 1000).max(1);
         let emitter = options
             .witness
             .then(|| Emitter::new(forward.control_deps(), criteria, n));
@@ -562,21 +464,41 @@ impl<'a> Backward<'a> {
             slice_count: 0,
             per_thread: vec![(0, 0); 256],
             per_func: vec![(0, 0); nfuncs],
+            stray_funcs: HashMap::new(),
             timeline: Vec::new(),
             interval,
             until_checkpoint: interval,
             crit_idx,
-            tracked: options.tracked_thread,
             tracked_processed: 0,
             tracked_in_slice: 0,
             emitter,
         }
     }
 
-    /// Forward open-frames pre-scan over one window: each thread's frame
-    /// stack is pre-seeded with the calls still open at the cut.
+    /// Forward pre-scan over one window: pushes each call onto its
+    /// thread's open-call stack and pops it at its return, so after the
+    /// last window the stacks hold the calls still open at the cut —
+    /// invocations whose Ret the backward walk never sees (callee identity
+    /// included: frame clearing needs it).
     fn prescan(&mut self, cur: &ColumnCursor<'_>) {
-        prescan_open_calls(&mut self.open, cur);
+        for idx in cur.lo()..cur.hi() {
+            match cur.kind(idx) {
+                InstrKind::Call { callee } => self.open[cur.tid(idx).index()].push(callee),
+                InstrKind::Ret => {
+                    self.open[cur.tid(idx).index()].pop();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The `(slice, total)` counters of `func`.
+    #[inline]
+    fn func_stats(&mut self, func: FuncId) -> &mut (u64, u64) {
+        match self.per_func.get_mut(func.index()) {
+            Some(stats) => stats,
+            None => stray_func_stats(&mut self.stray_funcs, func),
+        }
     }
 
     /// Converts the pre-scan's open-call stacks into live frames (the
@@ -612,8 +534,8 @@ impl<'a> Backward<'a> {
         self.bitmap[word] |= bit;
         self.slice_count += 1;
         self.per_thread[tid.index()].0 += 1;
-        self.per_func[func.index()].0 += 1;
-        if tid == self.tracked {
+        self.func_stats(func).0 += 1;
+        if tid == TRACKED {
             self.tracked_in_slice += 1;
         }
         // Every branch this instruction is control-dependent on must also
@@ -647,8 +569,8 @@ impl<'a> Backward<'a> {
 
             // Totals.
             self.per_thread[tid.index()].1 += 1;
-            self.per_func[func.index()].1 += 1;
-            if tid == self.tracked {
+            self.func_stats(func).1 += 1;
+            if tid == TRACKED {
                 self.tracked_processed += 1;
             }
 
@@ -774,11 +696,18 @@ impl<'a> Backward<'a> {
                 .enumerate()
                 .filter(|(_, &(s, n))| s != 0 || n != 0)
                 .map(|(i, &v)| (FuncId(i as u32), v))
+                .chain(self.stray_funcs)
                 .collect(),
             timeline: self.timeline,
             witness,
         }
     }
+}
+
+/// The counters of an out-of-table function id, created on first use.
+#[cold]
+fn stray_func_stats(stray: &mut HashMap<FuncId, (u64, u64)>, func: FuncId) -> &mut (u64, u64) {
+    stray.entry(func).or_default()
 }
 
 #[cfg(test)]
@@ -805,30 +734,13 @@ mod tests {
                 ..base.clone()
             },
             SliceOptions {
-                timeline_interval: 17,
-                ..base.clone()
-            },
-            SliceOptions {
-                tracked_thread: ThreadId(3),
-                ..base.clone()
-            },
-            SliceOptions {
-                segments: 8,
-                ..base.clone()
-            },
-            SliceOptions {
                 witness: true,
                 ..base.clone()
             },
         ];
-        let SliceOptions {
-            end: _,
-            timeline_interval: _,
-            tracked_thread: _,
-            segments: _,
-            witness: _,
-        } = &base; // exhaustive destructure: field count == variant count
-        assert_eq!(variants.len(), 5);
+        // Exhaustive destructure: field count == variant count.
+        let SliceOptions { end: _, witness: _ } = &base;
+        assert_eq!(variants.len(), 2);
 
         let f0 = base.config_fingerprint();
         assert_eq!(f0, SliceOptions::default().config_fingerprint(), "stable");
@@ -1128,12 +1040,7 @@ mod tests {
         }
         rec.marker(site!(), tile);
         let trace = rec.finish();
-        let fwd = ForwardPass::build(&trace);
-        let opts = SliceOptions {
-            timeline_interval: 7,
-            ..Default::default()
-        };
-        let r = slice(&trace, &fwd, &pixel_criteria(&trace), &opts);
+        let r = run(&trace, &pixel_criteria(&trace));
         let tl = r.timeline();
         assert!(!tl.is_empty());
         for w in tl.windows(2) {

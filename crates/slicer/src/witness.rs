@@ -17,19 +17,17 @@
 //! dynamic frames and the criteria cursor — over the slice bitmap: each
 //! member arms its controllers and marks its enclosing frame exactly as
 //! the walk's `join_slice` does, and no live sets are needed. The
-//! sequential walk drives it in lockstep, window by window; bitmaps built
-//! elsewhere get a backward replay. Because the table is a pure function
-//! of `(trace, criteria, bitmap)`, it is byte-identical at any segment
-//! count K — the segment-parallel and sequential paths produce the same
-//! bitmap, hence the same witnesses.
+//! backward walk drives it in lockstep, window by window, so the table is
+//! a pure function of `(trace, criteria, bitmap)` that costs no extra
+//! pass.
 
 use std::collections::HashMap;
 
-use wasteprof_trace::{ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, ThreadId, TracePos};
+use wasteprof_trace::{ColumnCursor, FuncId, InstrKind, Pc, ThreadId, TracePos};
 
 use crate::cdg::ControlDeps;
 use crate::criteria::{Criteria, SlicingCriterion};
-use crate::slice::{prescan_open_calls, FibBuild, SliceResult};
+use crate::slice::FibBuild;
 
 /// The structural reason a member joined the slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,7 +71,7 @@ pub struct WitnessRow {
 
 /// Columnar witness side-table: one row per member with a structural
 /// reason, sorted by member position. Stored struct-of-arrays next to
-/// [`SliceResult`], 9 bytes per row.
+/// [`crate::SliceResult`], 9 bytes per row.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Witnesses {
     members: Vec<u32>,
@@ -139,18 +137,14 @@ struct WFrame {
 
 /// Witness emission, restructured around [`Emitter::feed`] so the
 /// per-instruction step runs over the windows of any source. Protocol
-/// mirrors the backward walk's:
-/// [`prescan_open_calls`] forward, `seal_frames`, `feed` backward (last
-/// window first), `finish`.
+/// mirrors the backward walk's: `seal_frames` with the walk's open-call
+/// pre-scan, `feed` backward (last window first), `finish`.
 ///
 /// `feed` reads only the bitmap bits of the window it is given, and the
 /// backward walk joins position `idx` only while it visits `idx`: once
-/// the walk has fed a window, that window's bits are final. So the
-/// sequential walk drives an emitter in lockstep, over each window right
-/// after its own step (`slice::Backward`); only the segment-parallel
-/// pass, whose bitmap comes from stitching, replays over the finished
-/// bitmap ([`emit`]). Either way the table is a pure function of
-/// `(trace, criteria, bitmap)`.
+/// the walk has fed a window, that window's bits are final. So the walk
+/// drives an emitter in lockstep, over each window right after its own
+/// step (`slice::Backward`).
 pub(crate) struct Emitter<'a> {
     deps: &'a ControlDeps,
     criteria: &'a [SlicingCriterion],
@@ -286,24 +280,6 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// Replays the structural bookkeeping of the backward walk over the final
-/// bitmap of `result` and returns its witness table: the driver for
-/// bitmaps that did not come from the sequential walk.
-pub(crate) fn emit<S: ColumnSource>(
-    src: &mut S,
-    deps: &ControlDeps,
-    criteria: &Criteria,
-    result: &SliceResult,
-) -> Result<Witnesses, S::Error> {
-    let n = result.considered() as usize;
-    let mut open = vec![Vec::new(); 256];
-    src.stream_range(0, n, |cur| prescan_open_calls(&mut open, cur))?;
-    let mut em = Emitter::new(deps, criteria, n);
-    em.seal_frames(&open);
-    src.stream_range_rev(0, n, |cur| em.feed(cur, &result.bitmap))?;
-    Ok(em.finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,34 +320,31 @@ mod tests {
     }
 
     #[test]
-    fn witness_rows_are_structural_and_segment_invariant() {
+    fn witness_rows_are_structural() {
         let trace = rich_trace();
         let fwd = ForwardPass::build(&trace);
         let criteria = pixel_criteria(&trace);
-        let opts = |segments| SliceOptions {
+        let opts = SliceOptions {
             witness: true,
-            segments,
             ..Default::default()
         };
-        let k1 = slice(&trace, &fwd, &criteria, &opts(1));
-        let k8 = slice(&trace, &fwd, &criteria, &opts(8));
-        assert_eq!(k1, k8, "witnessed results must be identical at any K");
+        let r = slice(&trace, &fwd, &criteria, &opts);
 
-        let w = k1.witness().expect("witness requested");
+        let w = r.witness().expect("witness requested");
         assert!(
-            (w.len() as u64) < k1.slice_count(),
+            (w.len() as u64) < r.slice_count(),
             "data-justified members carry no row"
         );
         let mut prev = None;
         for row in w.rows() {
-            assert!(k1.contains(row.member), "row member must be in the slice");
+            assert!(r.contains(row.member), "row member must be in the slice");
             assert!(
                 prev.is_none_or(|p| p < row.member),
                 "rows sorted by member, no duplicates"
             );
             prev = Some(row.member);
             assert!(
-                k1.contains(row.consumer),
+                r.contains(row.consumer),
                 "consumer {:?} of {:?} must be a member",
                 row.consumer,
                 row.member

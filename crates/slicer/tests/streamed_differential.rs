@@ -2,11 +2,10 @@
 //! byte-identical to the in-memory path.
 //!
 //! Every fixture is serialized as a WPTRACE2 byte stream with a tiny
-//! 64-instruction segment size — so disk-chunk boundaries fall *inside*
-//! slicer segments and feed windows — then sliced both ways with the same
-//! criteria and options. The full [`SliceResult`] (bitmap, counters,
-//! timeline, and dependence witness) must match exactly, for both the
-//! sequential walk (`segments: 1`) and the segment-parallel pass.
+//! 64-instruction segment size — so disk-chunk boundaries fall inside
+//! loops, open call frames and feed windows — then sliced both ways with
+//! the same criteria and options. The full [`SliceResult`] (bitmap,
+//! counters, timeline, and dependence witness) must match exactly.
 
 use std::io::Cursor;
 
@@ -45,36 +44,22 @@ fn reader_for(trace: &Trace) -> TraceReader<Cursor<Vec<u8>>> {
     TraceReader::open(Cursor::new(buf)).unwrap()
 }
 
-/// Slices `trace` both ways under `opts_base` for segment counts 1 and 8
-/// and asserts full result equality, witness included.
-fn check_streamed_with(trace: &Trace, criteria: &Criteria, opts_base: &SliceOptions) {
+/// Slices `trace` both ways under `end` and asserts full result
+/// equality, witness included (streamed, it is emitted one chunk window
+/// at a time).
+fn check_streamed_with(trace: &Trace, criteria: &Criteria, end: Option<TracePos>) {
     let fwd = ForwardPass::build(trace);
     let mut reader = reader_for(trace);
     let fwd_s = ForwardPass::build_streamed(&mut reader).unwrap();
-    let [k1, k8] = [1usize, 8].map(|k| {
-        let opts = SliceOptions {
-            segments: k,
-            witness: true,
-            ..opts_base.clone()
-        };
-        let mem = slice(trace, &fwd, criteria, &opts);
-        let st = slice_streamed(&mut reader, &fwd_s, criteria, &opts).unwrap();
-        assert_eq!(
-            st.witness(),
-            mem.witness(),
-            "streamed witness diverged at segments={k}"
-        );
-        assert_eq!(st, mem, "streamed slice diverged at segments={k}");
-        mem
-    });
-    // K=1 emits witnesses in lockstep with the backward walk (streamed:
-    // one chunk window at a time); K=8 replays them over the stitched
-    // bitmap. Both must produce the same table.
-    assert_eq!(k1, k8, "lockstep and replayed witnessed slices differ");
+    let opts = SliceOptions { end, witness: true };
+    let mem = slice(trace, &fwd, criteria, &opts);
+    let st = slice_streamed(&mut reader, &fwd_s, criteria, &opts).unwrap();
+    assert_eq!(st.witness(), mem.witness(), "streamed witness diverged");
+    assert_eq!(st, mem, "streamed slice diverged");
 }
 
 fn check_streamed(trace: &Trace, criteria: &Criteria) {
-    check_streamed_with(trace, criteria, &SliceOptions::default());
+    check_streamed_with(trace, criteria, None);
 }
 
 #[test]
@@ -112,7 +97,7 @@ fn streamed_criteria_and_slices_match_in_memory() {
 #[test]
 fn streamed_loops_calls_and_threads_match_in_memory() {
     // Pending-branch chains, open call frames, and per-thread register
-    // liveness all crossing both slicer-segment and disk-chunk boundaries.
+    // liveness all crossing disk-chunk boundaries.
     let mut rec = Recorder::new();
     let t0 = rec.spawn_thread(ThreadKind::Main, "root");
     let t1 = rec.spawn_thread(ThreadKind::Compositor, "root");
@@ -168,20 +153,14 @@ fn streamed_bounded_prefix_and_timeline_match_in_memory() {
         rec.compute(site!(), &[], &[a.into()]);
     }
     let trace = rec.finish();
-    let opts = SliceOptions {
-        end: Some(TracePos(cut.0 - 1)),
-        timeline_interval: 7,
-        ..Default::default()
-    };
-    check_streamed_with(&trace, &pixel_criteria(&trace), &opts);
+    check_streamed_with(&trace, &pixel_criteria(&trace), Some(TracePos(cut.0 - 1)));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Randomized programs through the same generator shapes as the
-    /// segment-parallel proptest: data chains, register traffic, loops,
-    /// calls, and thread switches, sliced streamed vs in-memory.
+    /// Randomized programs: data chains, register traffic, loops, calls,
+    /// and thread switches, sliced streamed vs in-memory.
     #[test]
     fn streamed_slice_equals_in_memory(
         steps in proptest::collection::vec((0..5u8, 0..6u8, 0..6u8), 15..40),

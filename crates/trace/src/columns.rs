@@ -402,11 +402,12 @@ impl Columns {
 /// A bounds-checked window over one contiguous instruction range of a
 /// [`Columns`] store.
 ///
-/// The segment-parallel slicer hands each worker one cursor; indices stay
-/// *global* trace positions (so results line up with the sequential pass),
-/// but every access is debug-asserted to the segment, which catches a
-/// summarizer reading past its boundary — the bug class that silently
-/// breaks segment/sequential equivalence.
+/// Every pass reads a trace one window at a time through a cursor (see
+/// [`crate::ColumnSource`]); indices stay *global* trace positions, so
+/// results line up whichever source served the window, but every access
+/// is debug-asserted to the window, which catches a pass reading past its
+/// boundary — the bug class that silently breaks resident/streamed
+/// equivalence.
 #[derive(Clone, Copy, Debug)]
 pub struct ColumnCursor<'a> {
     cols: &'a Columns,

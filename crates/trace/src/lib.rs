@@ -73,7 +73,7 @@ pub use reader::{write_trace2, DecodeStats, Trace2Stats, Trace2Writer, TraceRead
 pub use recorder::Recorder;
 pub use reg::{Reg, RegSet};
 pub use segment::{segment_content_hash, ContentHasher, SegmentMeta, SEGMENT_LEN};
-pub use source::{ColumnSource, RangeJob};
+pub use source::ColumnSource;
 pub use syscall::Syscall;
 pub use thread::{ThreadId, ThreadInfo, ThreadKind, ThreadTable};
 pub use trace::{InstrDisplay, Instrs, KindHistogram, MarkerRecord, Trace};

@@ -38,7 +38,7 @@ use crate::segment::{
     decode_segment_masked, encode_segment, segment_content_hash, SegmentMeta, MAGIC2,
     MAX_SEGMENT_INSTRS, SEGMENT_LEN, TRAILER2,
 };
-use crate::source::{ColumnSource, RangeJob};
+use crate::source::ColumnSource;
 use crate::thread::{ThreadId, ThreadTable};
 use crate::trace::{MarkerRecord, Trace};
 
@@ -718,20 +718,6 @@ impl<R: Read + Seek> ColumnSource for TraceReader<R> {
             f(&self.clipped_chunk(i, lo, hi)?);
         }
         Ok(())
-    }
-
-    fn run_jobs<J: RangeJob>(
-        &mut self,
-        ranges: &[(usize, usize)],
-        start: impl Fn(usize) -> J + Sync,
-    ) -> Result<Vec<J::Output>, TraceIoError> {
-        let mut out = Vec::with_capacity(ranges.len());
-        for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            let mut job = start(i);
-            self.stream_range_rev(lo, hi, |cur| job.feed(cur))?;
-            out.push(job.finish());
-        }
-        Ok(out)
     }
 
     /// Narrows (or restores) the column groups [`TraceReader::chunk`]

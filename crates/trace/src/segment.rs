@@ -11,9 +11,7 @@
 //! Segments are found through the footer's index (offset + byte length per
 //! segment), so a writer can stream segments out as they fill and a reader
 //! can seek straight to any chunk. Each segment covers a contiguous
-//! instruction range whose start is 64-aligned — the same alignment the
-//! segment-parallel slicer uses for its phase boundaries, so slicer
-//! segments are always unions of whole disk chunks.
+//! instruction range whose start is 64-aligned.
 //!
 //! Inside a segment every column is one [`crate::compress`] stream with a
 //! column-specific pre-transform:
@@ -45,8 +43,7 @@ pub const MAGIC2: &[u8; 8] = b"WPTRACE2";
 /// Trailer bytes closing a `WPTRACE2` file.
 pub const TRAILER2: &[u8; 8] = b"WPT2END\0";
 
-/// Default instructions per segment (64-aligned, matching the slicer's
-/// phase-boundary alignment).
+/// Default instructions per segment (a multiple of 64).
 pub const SEGMENT_LEN: usize = 1 << 16;
 
 /// Hard cap on instructions per segment a reader will decode. Bounds the

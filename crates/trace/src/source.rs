@@ -12,10 +12,6 @@
 //!   windows that tile `[lo, hi)` exactly, first-to-last or last-to-first,
 //!   indexed by true trace positions. A resident trace serves one window,
 //!   a reader one window per chunk. An empty range yields no window;
-//! * [`ColumnSource::run_jobs`]: independent per-range [`RangeJob`]s
-//!   whose outputs come back in job order — a rayon fan-out over a
-//!   resident trace, one job after another through a reader's chunk
-//!   window;
 //! * [`ColumnSource::swap_decode_mask`]: which column groups later reads
 //!   must decode. Only a reader decodes, so a resident trace ignores it.
 //!
@@ -26,27 +22,11 @@
 
 use std::convert::Infallible;
 
-use rayon::prelude::*;
-
 use crate::analysis::ColumnMask;
 use crate::columns::ColumnCursor;
 use crate::func::FunctionRegistry;
 use crate::thread::ThreadTable;
 use crate::trace::{MarkerRecord, Trace};
-
-/// One independent job of [`ColumnSource::run_jobs`]: it folds the
-/// windows of its range in, then turns into its output.
-pub trait RangeJob {
-    /// What the finished job returns.
-    type Output: Send;
-
-    /// Folds one window of the job's range in. Windows arrive
-    /// last-to-first, as the backward passes that run jobs need.
-    fn feed(&mut self, cur: &ColumnCursor<'_>);
-
-    /// Ends the job.
-    fn finish(self) -> Self::Output;
-}
 
 /// A trace's columns and tables, however they are stored (see the module
 /// docs for the contract both implementations keep).
@@ -106,20 +86,6 @@ pub trait ColumnSource {
         f: impl FnMut(&ColumnCursor<'_>),
     ) -> Result<(), Self::Error>;
 
-    /// Runs one job per range: job `i` starts as `start(i)`, is fed every
-    /// window of `ranges[i]` last-to-first, and finishes. Returns the
-    /// outputs in job order, whatever order the jobs ran in.
-    ///
-    /// # Errors
-    ///
-    /// As [`ColumnSource::stream_range`]; the first failing job stops the
-    /// rest.
-    fn run_jobs<J: RangeJob>(
-        &mut self,
-        ranges: &[(usize, usize)],
-        start: impl Fn(usize) -> J + Sync,
-    ) -> Result<Vec<J::Output>, Self::Error>;
-
     /// Sets the column groups later reads must decode and returns the
     /// previous setting. Columns outside `mask` may read as default
     /// values until the previous mask is restored (the
@@ -166,26 +132,6 @@ impl ColumnSource for &Trace {
     ) -> Result<(), Infallible> {
         // One window: its own first and last.
         self.stream_range(lo, hi, f)
-    }
-
-    fn run_jobs<J: RangeJob>(
-        &mut self,
-        ranges: &[(usize, usize)],
-        start: impl Fn(usize) -> J + Sync,
-    ) -> Result<Vec<J::Output>, Infallible> {
-        let cols = self.columns();
-        let jobs: Vec<usize> = (0..ranges.len()).collect();
-        Ok(jobs
-            .par_iter()
-            .map(|&i| {
-                let (lo, hi) = ranges[i];
-                let mut job = start(i);
-                if lo < hi {
-                    job.feed(&cols.cursor(lo, hi));
-                }
-                job.finish()
-            })
-            .collect())
     }
 
     fn swap_decode_mask(&mut self, _mask: ColumnMask) -> ColumnMask {

@@ -9,9 +9,9 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnMask, ColumnSource, Instr, Pc, RangeJob,
-    Recorder, Reg, RegSet, Region, Subscription, Syscall, ThreadKind, Trace, Trace2Writer,
-    TraceAnalysis, TraceReader,
+    AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnMask, ColumnSource, Instr, Pc, Recorder, Reg,
+    RegSet, Region, Subscription, Syscall, ThreadKind, Trace, Trace2Writer, TraceAnalysis,
+    TraceReader,
 };
 
 /// Records a trace from random bytes: ALU ops, memory traffic, branches,
@@ -129,39 +129,6 @@ fn tiled(ws: &[Window], lo: usize, hi: usize, rev: bool) -> Vec<Instr> {
         .collect()
 }
 
-/// A job that keeps the positions and rows it read, in feed order.
-struct Collect {
-    job: usize,
-    seen: Vec<(usize, Instr)>,
-}
-
-impl RangeJob for Collect {
-    type Output = (usize, Vec<(usize, Instr)>);
-
-    fn feed(&mut self, cur: &ColumnCursor<'_>) {
-        self.seen
-            .extend(cur.rev_indices().map(|i| (i, cur.instr(i))));
-    }
-
-    fn finish(self) -> Self::Output {
-        (self.job, self.seen)
-    }
-}
-
-fn jobs<S: ColumnSource>(
-    src: &mut S,
-    ranges: &[(usize, usize)],
-) -> Vec<(usize, Vec<(usize, Instr)>)>
-where
-    S::Error: std::fmt::Debug,
-{
-    src.run_jobs(ranges, |job| Collect {
-        job,
-        seen: Vec::new(),
-    })
-    .expect("jobs")
-}
-
 /// Records what `begin` and `finish` see, and counts instructions.
 #[derive(Default)]
 struct Edges {
@@ -246,16 +213,6 @@ proptest! {
                 prop_assert_eq!(&tiled(&a, lo, hi, rev), expect);
                 prop_assert_eq!(&tiled(&b, lo, hi, rev), expect);
             }
-        }
-
-        let a = jobs(&mut resident, &ranges);
-        let b = jobs(&mut reader, &ranges);
-        prop_assert_eq!(&a, &b);
-        for (i, (job, seen)) in a.iter().enumerate() {
-            prop_assert_eq!(*job, i);
-            let (lo, hi) = ranges[i];
-            let order: Vec<usize> = seen.iter().map(|&(pos, _)| pos).collect();
-            prop_assert_eq!(order, (lo..hi).rev().collect::<Vec<_>>());
         }
 
         for e in [edges(&mut resident), edges(&mut reader)] {

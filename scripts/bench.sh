@@ -5,7 +5,6 @@
 # bench JSON in a scratch directory for inspection.
 #
 #   scripts/bench.sh [--smoke] [N]
-#   scripts/bench.sh --slice-scaling
 #   scripts/bench.sh --out-of-core [SYNTH_INSTRS]
 #   scripts/bench.sh --fused [REPS]
 #   scripts/bench.sh --static
@@ -16,15 +15,9 @@
 # bench_engine.json) change run to run by nature and are excluded from the
 # byte-for-byte comparison.
 #
-# --slice-scaling sweeps the engine across 1/2/4/8 worker threads and
-# writes results/BENCH_3.json: the per-stage table before the
-# segment-parallel slicer (BENCH_2's "after"), the current per-stage table
-# at 1 thread, and the slices-stage wall time at each thread count.
-#
 # --out-of-core runs the WPTRACE2 streaming bench (DESIGN.md §10): every
 # canonical session serialized to the chunked compressed tier, sliced
-# streamed at K ∈ {1, 8} segments, and asserted equal to the in-memory
-# SliceResult; then a synthetic session (default 10⁹ instructions —
+# streamed, and asserted equal to the in-memory SliceResult; then a synthetic session (default 10⁹ instructions —
 # override with SYNTH_INSTRS) is generated straight to disk and sliced
 # with bounded RSS. Writes results/BENCH_6.json.
 #
@@ -72,37 +65,6 @@ if [[ "${1:-}" == "--static" ]]; then
     echo "== static-vs-dynamic referee bench =="
     ./target/release/static_bench
     echo "wrote results/BENCH_10.json"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--slice-scaling" ]]; then
-    echo "== building release engine =="
-    cargo build --release --quiet -p wasteprof-bench
-    OUT="$(mktemp -d)"
-    trap 'rm -rf "$OUT"' EXIT
-    entries="[]"
-    for t in 1 2 4 8; do
-        echo "== run_all at $t threads (slice-scaling sweep) =="
-        mkdir -p "$OUT/sweep$t"
-        WASTEPROF_RESULTS_DIR="$OUT/sweep$t" RAYON_NUM_THREADS="$t" \
-            ./target/release/run_all >/dev/null
-        entry="$(jq '{threads: .threads, total_wall_ms: .total_wall_ms,
-                      slices: (.stages[] | select(.name == "slices")
-                               | {wall_ms, instr_per_sec})}' \
-            "$OUT/sweep$t/bench_engine.json")"
-        entries="$(jq --argjson e "$entry" '. + [$e]' <<<"$entries")"
-    done
-    jq -n \
-        --arg note "engine throughput before/after the segment-parallel backward slicer (summarize/stitch/replay); 'before' is BENCH_2's 1-thread 'after', 'slice_scaling' sweeps RAYON_NUM_THREADS; host has $(nproc) CPU(s), so wall-clock speedups above store-level overlap are bounded by physical cores" \
-        --argjson cpus "$(nproc)" \
-        --argjson before "$(jq '.after' results/BENCH_2.json)" \
-        --argjson after "$(jq '.' "$OUT/sweep1/bench_engine.json")" \
-        --argjson sweep "$entries" \
-        '{note: $note, host_cpus: $cpus, before: $before, after: $after,
-          slice_scaling: $sweep}' >results/BENCH_3.json
-    echo "wrote results/BENCH_3.json"
-    jq -r '.slice_scaling[] | "threads \(.threads): slices \(.slices.wall_ms) ms (\((.slices.instr_per_sec / 1e6) * 100 | round / 100) Minstr/s), total \(.total_wall_ms) ms"' \
-        results/BENCH_3.json
     exit 0
 fi
 

@@ -30,36 +30,36 @@ cargo build --release
 cargo test -q
 
 echo "== full workspace tests (includes the ~2 min engine determinism run) =="
-# The segment differential runs separately below at a pinned thread count,
-# so skip its (process-wide, env-var-owning) test here.
-cargo test -q --workspace -- --skip segmented_slices_match_sequential_on_all_benchmarks
+cargo test -q --workspace
 
 echo "== wpbench test suite (seeded inputs, statistics, compare, smoke runs) =="
 # wpbench is a package of its own (crates/bench/src/bin/wpbench), so the
 # workspace test run above does not build it.
 cargo test --release --offline --manifest-path crates/bench/src/bin/wpbench/Cargo.toml
 
-echo "== segment-parallel slicer differential (all benchmarks, 4 threads) =="
-RAYON_NUM_THREADS=4 cargo test -q -p wasteprof-bench --test segment_differential
-
 echo "== bench harness smoke (1 vs 2 threads, artifact diff) =="
 scripts/bench.sh --smoke
 
 echo "== checker smoke (export one session, verify clean) =="
 smoke_trace=$(mktemp /tmp/wasteprof-check-XXXXXX.wptrace)
-trap 'rm -f "$smoke_trace"' EXIT
+trap 'rm -f "$smoke_trace" "$smoke_trace".*' EXIT
 target/release/trace_tool export amazon_mobile "$smoke_trace"
 target/release/trace_tool check "$smoke_trace"
 
-echo "== certifier smoke (witnessed slices certify clean) =="
+echo "== certifier smoke (witnessed slices certify clean, in memory and out of core) =="
+# The witness is emitted in lockstep with the backward walk, chunk by
+# chunk out of core. Both runs must exit 0 (run directly, so `set -e`
+# sees each status) and print the same report.
 for crit in pixels syscalls; do
-    target/release/trace_tool certify "$smoke_trace" --criteria "$crit"
+    target/release/trace_tool certify "$smoke_trace" --criteria "$crit" >"$smoke_trace.ref"
+    target/release/trace_tool certify "$smoke_trace" --criteria "$crit" --out-of-core \
+        >"$smoke_trace.out"
+    diff "$smoke_trace.ref" "$smoke_trace.out"
 done
 
-echo "== out-of-core smoke (streamed slice, check, certify identical) =="
+echo "== out-of-core smoke (streamed slice and check identical) =="
 # The same exported file read both ways: loaded into memory (the `&Trace`
 # source) and streamed through the bounded chunk window (`TraceReader`).
-trap 'rm -f "$smoke_trace" "$smoke_trace".*' EXIT
 diff <(target/release/trace_tool slice "$smoke_trace") \
     <(target/release/trace_tool slice "$smoke_trace" --out-of-core)
 diff <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls) \
@@ -68,20 +68,6 @@ diff <(target/release/trace_tool slice "$smoke_trace" --criteria syscalls) \
 # status) and print exactly what the in-memory run prints.
 target/release/trace_tool check "$smoke_trace" --out-of-core >"$smoke_trace.out"
 diff <(target/release/trace_tool check "$smoke_trace") "$smoke_trace.out"
-# Both witness drivers, pinned: one segment runs the sequential walk,
-# which emits the witness in lockstep (chunk by chunk out of core); eight
-# segments stitch the bitmap and replay the witness over it. Every run
-# must exit 0 and print exactly what the in-memory lockstep run prints.
-for crit in pixels syscalls; do
-    target/release/trace_tool certify "$smoke_trace" --segments 1 --criteria "$crit" \
-        >"$smoke_trace.ref"
-    for mode in "--segments 8" "--segments 1 --out-of-core" "--segments 8 --out-of-core"; do
-        # $mode is deliberately unquoted: it carries two or three flags.
-        # shellcheck disable=SC2086
-        target/release/trace_tool certify "$smoke_trace" $mode --criteria "$crit" >"$smoke_trace.out"
-        diff "$smoke_trace.ref" "$smoke_trace.out"
-    done
-done
 
 echo "== refusal smoke (version-1 trace file, unwritable export path, retired flags) =="
 # Runs a command and fails the gate unless it exits with status $1.
@@ -109,6 +95,9 @@ expect_exit 2 target/release/trace_tool convert "$smoke_trace" "$smoke_trace.v2"
 expect_exit 2 target/release/trace_tool slice "$smoke_trace" --incremental
 expect_exit 2 target/release/trace_tool slice "$smoke_trace" --cache-dir "$smoke_trace.cache"
 expect_exit 2 target/release/trace_tool slice "$smoke_trace" --no-cache
+# So is the retired segment-count flag: there is one backward walk.
+expect_exit 2 target/release/trace_tool slice "$smoke_trace" --segments 8
+expect_exit 2 target/release/trace_tool certify "$smoke_trace" --segments 8
 
 echo "== fused analyze smoke (subset selection, in-memory vs streamed identical) =="
 # The full fused pass and every subset must agree between the in-memory
