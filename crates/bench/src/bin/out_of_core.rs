@@ -447,6 +447,18 @@ fn render_json(sessions: &[SessionEntry], synthetic: &SyntheticEntry) -> String 
     out
 }
 
+/// How peak RSS compares with the in-memory estimate, as the real ratio
+/// with one decimal: "36.0x below the in-memory estimate", or "above"
+/// when RSS is the larger.
+fn rss_vs_estimate(peak_rss: u64, estimate: u64) -> String {
+    let (peak, estimate) = (peak_rss.max(1) as f64, estimate.max(1) as f64);
+    if peak <= estimate {
+        format!("{:.1}x below the in-memory estimate", estimate / peak)
+    } else {
+        format!("{:.1}x above the in-memory estimate", peak / estimate)
+    }
+}
+
 fn main() {
     let mut synthetic_instrs: u64 = 1_000_000_000;
     let mut args = std::env::args().skip(1);
@@ -480,11 +492,28 @@ fn main() {
     }
     println!(
         "out-of-core tier verified: 6 sessions identical; \
-         synthetic {} instructions sliced at {:.2} bytes/instr with peak RSS {} \
-         ({}x below the in-memory estimate)",
+         synthetic {} instructions sliced at {:.2} bytes/instr with peak RSS {} ({})",
         format_count(synthetic.instructions),
         synthetic.bytes_per_instr,
         format_count(synthetic.peak_rss_bytes),
-        synthetic.in_memory_bytes_estimate / synthetic.peak_rss_bytes.max(1)
+        rss_vs_estimate(synthetic.peak_rss_bytes, synthetic.in_memory_bytes_estimate)
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::rss_vs_estimate;
+
+    #[test]
+    fn rss_ratio_reads_in_both_directions() {
+        assert_eq!(
+            rss_vs_estimate(1_000, 36_000),
+            "36.0x below the in-memory estimate"
+        );
+        assert_eq!(
+            rss_vs_estimate(293_000_000, 120_000_000),
+            "2.4x above the in-memory estimate"
+        );
+        assert_eq!(rss_vs_estimate(0, 0), "1.0x below the in-memory estimate");
+    }
 }

@@ -26,7 +26,8 @@
 
 use std::fmt::Display;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use wasteprof_analysis::{format_count, thread_rows, FrameAnalysis, TextTable, ThreadRow};
 use wasteprof_checker::{DeadWriteLint, Diag, Registry};
@@ -38,6 +39,40 @@ use wasteprof_trace::{
     write_trace2, AnalysisDriver, ColumnSource, Trace, TraceIoError, TracePos, TraceReader,
 };
 use wasteprof_workloads::{bing_frames, Benchmark};
+
+/// Set once stdout's reader has gone away (`trace_tool inspect f | head`).
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Writes `args` to stdout; every stdout line goes through here. A closed
+/// pipe ends output quietly, and the subcommand still exits with its own
+/// status. Any other write error exits 1.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        } else {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// One consolidated usage table for every subcommand; all usage errors —
 /// including unknown flags anywhere — exit 2.
@@ -375,7 +410,7 @@ fn main() {
                 for (k, (out, w)) in outs.into_iter().enumerate() {
                     let frame = fs.frame_trace(k);
                     write(w, &out, &frame);
-                    println!(
+                    outln!(
                         "wrote {} instructions to {out}",
                         format_count(frame.len() as u64)
                     );
@@ -385,7 +420,7 @@ fn main() {
                 eprintln!("running {}...", benchmark.label());
                 let session = benchmark.run();
                 write(w, path, &session.trace);
-                println!(
+                outln!(
                     "wrote {} instructions ({} markers) to {path}",
                     format_count(session.trace.len() as u64),
                     session.trace.markers().len()
@@ -409,20 +444,25 @@ fn main() {
                 }
             }
             let trace = load(path);
-            println!("instructions: {}", format_count(trace.len() as u64));
-            println!("markers:      {}", trace.markers().len());
+            outln!("instructions: {}", format_count(trace.len() as u64));
+            outln!("markers:      {}", trace.markers().len());
             let h = trace.kind_histogram();
-            println!(
+            outln!(
                 "kinds: {} ops, {} loads, {} stores, {} branches, {} calls, {} syscalls",
-                h.ops, h.loads, h.stores, h.branches, h.calls, h.syscalls
+                h.ops,
+                h.loads,
+                h.stores,
+                h.branches,
+                h.calls,
+                h.syscalls
             );
-            println!("\nper thread:");
+            outln!("\nper thread:");
             let counts = trace.per_thread_counts();
             for info in trace.threads().iter() {
                 let count = counts.get(&info.id()).copied().unwrap_or(0);
-                println!("  {:<14} {:>10}", info.name(), format_count(count));
+                outln!("  {:<14} {:>10}", info.name(), format_count(count));
             }
-            println!("\ntop functions by instruction count:");
+            outln!("\ntop functions by instruction count:");
             let mut funcs: Vec<(u64, String)> = trace
                 .per_func_counts()
                 .into_iter()
@@ -430,14 +470,14 @@ fn main() {
                 .collect();
             funcs.sort_by_key(|(n, _)| std::cmp::Reverse(*n));
             for (n, name) in funcs.into_iter().take(15) {
-                println!("  {:<58} {:>10}", name, format_count(n));
+                outln!("  {:<58} {:>10}", name, format_count(n));
             }
             // `--head N`: print the first N instructions with resolved
             // function names.
             if let Some(n) = head {
-                println!("\nfirst {} instructions:", n.min(trace.len()));
+                outln!("\nfirst {} instructions:", n.min(trace.len()));
                 for pos in 0..n.min(trace.len()) {
-                    println!(
+                    outln!(
                         "  {:>6}  {}",
                         pos,
                         trace.display_instr(TracePos(pos as u64))
@@ -462,7 +502,7 @@ fn main() {
             } else {
                 slice_source(&mut &load(path), syscalls)
             };
-            println!(
+            outln!(
                 "{} criteria; slice = {} of {} instructions ({:.1}%)\n",
                 if syscalls { "syscall" } else { "pixel" },
                 format_count(result.slice_count()),
@@ -477,7 +517,7 @@ fn main() {
                     format_count(r.total),
                 ]);
             }
-            println!("{}", table.render());
+            outln!("{}", table.render());
         }
         Some("check") => {
             let Some(path) = args.get(1) else { usage() };
@@ -509,15 +549,15 @@ fn main() {
                 diags.truncate(cap);
             }
             if json {
-                println!("{}", wasteprof_checker::render_json(&diags));
+                outln!("{}", wasteprof_checker::render_json(&diags));
             } else if total == 0 {
-                println!(
+                outln!(
                     "clean: {} instructions, 0 diagnostics",
                     format_count(instrs)
                 );
             } else {
-                print!("{}", wasteprof_checker::render_text(&diags));
-                println!(
+                out!("{}", wasteprof_checker::render_text(&diags));
+                outln!(
                     "{total} diagnostic{} ({} shown)",
                     if total == 1 { "" } else { "s" },
                     diags.len()
@@ -568,30 +608,30 @@ fn main() {
             let violations = report.as_ref().map_or(0, |r| r.soundness_violations());
             if json {
                 match &report {
-                    None => println!("{}", wasteprof_checker::render_json(&analysis.diags)),
+                    None => outln!("{}", wasteprof_checker::render_json(&analysis.diags)),
                     Some(r) => {
-                        println!("{{");
-                        println!(
+                        outln!("{{");
+                        outln!(
                             "\"diags\": {},",
                             wasteprof_checker::render_json(&analysis.diags)
                         );
-                        print!("{}", referee_json(r, per_function));
-                        println!("}}");
+                        out!("{}", referee_json(r, per_function));
+                        outln!("}}");
                     }
                 }
             } else {
                 if total == 0 {
-                    println!("clean: {} scripts, 0 findings", analysis.units.len());
+                    outln!("clean: {} scripts, 0 findings", analysis.units.len());
                 } else {
-                    print!("{}", wasteprof_checker::render_text(&analysis.diags));
-                    println!(
+                    out!("{}", wasteprof_checker::render_text(&analysis.diags));
+                    outln!(
                         "{total} finding{} across {} scripts",
                         if total == 1 { "" } else { "s" },
                         analysis.units.len()
                     );
                 }
                 if let Some(r) = &report {
-                    print!("{}", referee_text(r, per_function));
+                    out!("{}", referee_text(r, per_function));
                 }
             }
             std::process::exit(if total == 0 && violations == 0 { 0 } else { 1 });
@@ -687,7 +727,7 @@ fn main() {
                     None => "null".to_owned(),
                 };
                 let quoted: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
-                println!(
+                outln!(
                     "{{\n  \"analyses\": [{}],\n  \"instructions\": {},\n  \
                      \"frames\": {},\n  \"diagnostics\": {}\n}}",
                     quoted.join(", "),
@@ -696,9 +736,9 @@ fn main() {
                     wasteprof_checker::render_json(&diags)
                 );
             } else {
-                println!("fused analyses: {}", names.join(", "));
+                outln!("fused analyses: {}", names.join(", "));
                 if let Some(p) = &profile {
-                    println!(
+                    outln!(
                         "frames: {} calls, {} rets ({} unmatched), max depth {}, {} syscalls",
                         format_count(p.calls),
                         format_count(p.rets),
@@ -708,13 +748,13 @@ fn main() {
                     );
                 }
                 if diags.is_empty() {
-                    println!(
+                    outln!(
                         "clean: {} instructions, 0 diagnostics",
                         format_count(instrs)
                     );
                 } else {
-                    print!("{}", wasteprof_checker::render_text(&diags));
-                    println!(
+                    out!("{}", wasteprof_checker::render_text(&diags));
+                    outln!(
                         "{} diagnostic{}",
                         diags.len(),
                         if diags.len() == 1 { "" } else { "s" }
@@ -743,16 +783,16 @@ fn main() {
                 certify_source(&mut &load(path), syscalls)
             };
             if json {
-                println!("{}", wasteprof_checker::render_json(&diags));
+                outln!("{}", wasteprof_checker::render_json(&diags));
             } else if diags.is_empty() {
-                println!(
+                outln!(
                     "certified: {} slice members, {} witness rows, 0 diagnostics",
                     format_count(result.slice_count()),
                     format_count(result.witness().map_or(0, |w| w.len() as u64))
                 );
             } else {
-                print!("{}", wasteprof_checker::render_text(&diags));
-                println!(
+                out!("{}", wasteprof_checker::render_text(&diags));
+                outln!(
                     "{} diagnostic{}",
                     diags.len(),
                     if diags.len() == 1 { "" } else { "s" }

@@ -10,7 +10,8 @@
 //! entry. Every result is therefore exactly `slice()`'s, and no file on
 //! disk can change one.
 //!
-//! The key is one 128-bit digest of everything a result depends on:
+//! The key is one 128-bit [`ContentHasher`] digest of everything a result
+//! depends on:
 //!
 //! * the trace length;
 //! * the content hash of every complete [`SEGMENT_LEN`] segment, taken
@@ -30,47 +31,10 @@
 use std::mem::size_of;
 
 use rayon::prelude::*;
-use wasteprof_trace::{segment_content_hash, Trace, SEGMENT_LEN};
+use wasteprof_trace::{segment_content_hash, ContentHasher, Trace, SEGMENT_LEN};
 
 use crate::criteria::Criteria;
 use crate::slice::{slice, ForwardPass, SliceOptions, SliceResult, TimelinePoint};
-
-// ---------------------------------------------------------------------
-// Wide (128-bit) key hashing, mirroring the trace crate's ContentHasher
-// construction so key collisions are as unlikely as content collisions.
-// ---------------------------------------------------------------------
-
-const LANE_MUL: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
-const LANE_SEED: [u64; 2] = [0x5851_F42D_4C95_7F2D, 0x1405_7B7E_F767_814F];
-
-struct WideHasher {
-    lanes: [u64; 2],
-}
-
-impl WideHasher {
-    fn new() -> WideHasher {
-        WideHasher { lanes: LANE_SEED }
-    }
-
-    #[inline]
-    fn word(&mut self, w: u64) {
-        for (lane, mul) in self.lanes.iter_mut().zip(LANE_MUL) {
-            let v = (*lane ^ w).wrapping_mul(mul);
-            *lane = v.rotate_left(29) ^ (v >> 32);
-        }
-    }
-
-    fn wide(&mut self, w: [u64; 2]) {
-        self.word(w[0]);
-        self.word(w[1]);
-    }
-
-    fn finish(mut self) -> [u64; 2] {
-        let cross = self.lanes[0] ^ self.lanes[1].rotate_left(23);
-        self.word(cross);
-        self.lanes
-    }
-}
 
 /// The memo key of one query (see the module docs for what it covers).
 fn query_key(
@@ -81,31 +45,28 @@ fn query_key(
 ) -> [u64; 2] {
     let len = trace.len();
     let complete = len / SEGMENT_LEN;
-    let mut h = WideHasher::new();
-    h.word(len as u64);
-    for &seg in &hashes.full[..complete] {
-        h.wide(seg);
+    let mut h = ContentHasher::new();
+    h.fold_word(len as u64);
+    for seg in &hashes.full[..complete] {
+        seg.iter().for_each(|&w| h.fold_word(w));
     }
     if len > complete * SEGMENT_LEN {
-        h.wide(segment_content_hash(
-            trace.columns(),
-            complete * SEGMENT_LEN,
-            len,
-        ));
+        let tail = segment_content_hash(trace.columns(), complete * SEGMENT_LEN, len);
+        tail.iter().for_each(|&w| h.fold_word(w));
     }
-    h.word(criteria.len() as u64);
+    h.fold_word(criteria.len() as u64);
     for c in criteria.items() {
-        h.word(c.pos.0);
-        h.word(c.include_instr as u64);
-        h.word(c.regs.bits() as u64);
-        h.word(c.mem.len() as u64);
+        h.fold_word(c.pos.0);
+        h.fold_word(c.include_instr as u64);
+        h.fold_word(c.regs.bits() as u64);
+        h.fold_word(c.mem.len() as u64);
         for r in &c.mem {
-            h.word(r.start().raw());
-            h.word(r.len() as u64);
+            h.fold_word(r.start().raw());
+            h.fold_word(r.len() as u64);
         }
     }
-    h.word(options.config_fingerprint());
-    h.finish()
+    h.fold_word(options.config_fingerprint());
+    h.finish(len as u64)
 }
 
 // ---------------------------------------------------------------------

@@ -10,7 +10,7 @@
 //! condition variables become live. Calls join the slice when any
 //! instruction of their dynamic callee did.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use wasteprof_trace::{
     ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, ThreadId, Trace, TracePos,
@@ -20,7 +20,7 @@ use crate::cdg::ControlDeps;
 use crate::cfg::CfgSet;
 use crate::criteria::{Criteria, SlicingCriterion};
 use crate::live::LiveState;
-use crate::witness::Emitter;
+use crate::witness::{WitnessKind, WitnessRow, Witnesses};
 
 /// The forward pass artifact: the control-dependence relation, reusable
 /// across different slicing criteria (§III-A notes the CDG "can be
@@ -321,7 +321,7 @@ pub fn slice(
 ///
 /// One forward sweep finds the calls still open at the cut, then one
 /// backward sweep walks the considered prefix; a witness, if requested,
-/// is emitted window by window in lockstep with it.
+/// is recorded by that walk as its members join.
 ///
 /// # Errors
 ///
@@ -336,13 +336,12 @@ pub fn slice_streamed<S: ColumnSource>(
     let n = options.end.map_or(len, |e| (e.index() + 1).min(len));
     let mut bw = Backward::new(src.functions().len(), forward, criteria, options, n);
     src.stream_range(0, n, |cur| bw.prescan(cur))?;
-    bw.seal_frames();
     src.stream_range_rev(0, n, |cur| bw.feed(cur))?;
     Ok(bw.finish())
 }
 
 /// Multiplicative hasher for the slicer's small fixed-size keys: the
-/// pending-branch set, probed once per branch instruction; the
+/// pending-branch map, probed once per branch instruction; the
 /// control-dependence map, probed once per slice member; and the CFG
 /// fold's function slots and PC nodes. The default SipHash would cost
 /// more than the lookups it guards.
@@ -389,29 +388,32 @@ impl std::hash::Hasher for FibHasher {
 
 pub(crate) type FibBuild = std::hash::BuildHasherDefault<FibHasher>;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Frame {
     /// The function executing in this dynamic frame (needed to decide
     /// whether pending branches of that function may be cleared when the
     /// frame closes — not while a recursive outer invocation is open).
     func: FuncId,
-    any_slice: bool,
+    /// The first member the walk found in this frame (its latest
+    /// position): the consumer of the closing call's `Call` row.
+    first: Option<u64>,
 }
 
 /// The backward walk, restructured around [`Backward::feed`] so the
 /// per-instruction step runs over the windows of any [`ColumnSource`].
 /// Protocol: [`Backward::prescan`] forward over the whole considered
-/// range, [`Backward::seal_frames`], then [`Backward::feed`] backward
-/// (last window first), then [`Backward::finish`]. With
-/// [`SliceOptions::witness`] on, each step also drives a witness
-/// [`Emitter`] over the same window, so the table costs no extra pass.
+/// range, then [`Backward::feed`] backward (last window first), then
+/// [`Backward::finish`]. With [`SliceOptions::witness`] on, each step
+/// also records the structural reason its member joined, read off the
+/// walk's own pending map and frames, so the table costs no extra pass.
 struct Backward<'a> {
     deps: &'a ControlDeps,
     criteria: &'a [SlicingCriterion],
     n: usize,
     live: LiveState,
-    pending: HashSet<(ThreadId, FuncId, Pc), FibBuild>,
-    open: Vec<Vec<FuncId>>,
+    /// Armed branches and the member that armed each (keep-first).
+    pending: HashMap<(ThreadId, FuncId, Pc), u64, FibBuild>,
+    /// Each thread's dynamic frames, innermost last.
     frames: Vec<Vec<Frame>>,
     bitmap: Vec<u64>,
     slice_count: u64,
@@ -430,7 +432,9 @@ struct Backward<'a> {
     crit_idx: usize,
     tracked_processed: u64,
     tracked_in_slice: u64,
-    emitter: Option<Emitter<'a>>,
+    /// Witness rows in *descending* member order (reversed by `finish`);
+    /// `None` with the witness off.
+    rows: Option<Witnesses>,
 }
 
 /// The thread the timeline tracks: the paper plots the main thread.
@@ -446,9 +450,12 @@ impl<'a> Backward<'a> {
     ) -> Self {
         // ~1000 evenly spaced checkpoints.
         let interval = ((n as u64) / 1000).max(1);
-        let emitter = options
-            .witness
-            .then(|| Emitter::new(forward.control_deps(), criteria, n));
+        if options.witness {
+            assert!(
+                n <= u32::MAX as usize,
+                "witness table uses 32-bit positions"
+            );
+        }
         let criteria = criteria.items();
         // Skip criteria beyond the considered prefix.
         let crit_idx = criteria.partition_point(|c| c.pos.index() < n);
@@ -457,9 +464,8 @@ impl<'a> Backward<'a> {
             criteria,
             n,
             live: LiveState::new(256),
-            pending: HashSet::default(),
-            open: vec![Vec::new(); 256],
-            frames: Vec::new(),
+            pending: HashMap::default(),
+            frames: vec![Vec::new(); 256],
             bitmap: vec![0; n.div_ceil(64)],
             slice_count: 0,
             per_thread: vec![(0, 0); 256],
@@ -471,21 +477,25 @@ impl<'a> Backward<'a> {
             crit_idx,
             tracked_processed: 0,
             tracked_in_slice: 0,
-            emitter,
+            rows: options.witness.then(Witnesses::default),
         }
     }
 
-    /// Forward pre-scan over one window: pushes each call onto its
-    /// thread's open-call stack and pops it at its return, so after the
-    /// last window the stacks hold the calls still open at the cut —
-    /// invocations whose Ret the backward walk never sees (callee identity
-    /// included: frame clearing needs it).
+    /// Forward pre-scan over one window: pushes a frame for each call and
+    /// pops it at its return, so after the last window each thread's
+    /// stack holds the calls still open at the cut — invocations whose
+    /// Ret the backward walk never sees (callee identity included: frame
+    /// clearing needs it).
     fn prescan(&mut self, cur: &ColumnCursor<'_>) {
         for idx in cur.lo()..cur.hi() {
+            let stack = &mut self.frames[cur.tid(idx).index()];
             match cur.kind(idx) {
-                InstrKind::Call { callee } => self.open[cur.tid(idx).index()].push(callee),
+                InstrKind::Call { callee } => stack.push(Frame {
+                    func: callee,
+                    first: None,
+                }),
                 InstrKind::Ret => {
-                    self.open[cur.tid(idx).index()].pop();
+                    stack.pop();
                 }
                 _ => {}
             }
@@ -499,30 +509,6 @@ impl<'a> Backward<'a> {
             Some(stats) => stats,
             None => stray_func_stats(&mut self.stray_funcs, func),
         }
-    }
-
-    /// Converts the pre-scan's open-call stacks into live frames (the
-    /// emitter's too); call once, after the last [`Backward::prescan`]
-    /// window.
-    fn seal_frames(&mut self) {
-        if let Some(em) = &mut self.emitter {
-            em.seal_frames(&self.open);
-        }
-        self.frames = std::mem::take(&mut self.open)
-            .into_iter()
-            .map(|fs| {
-                fs.into_iter()
-                    .map(|func| Frame {
-                        func,
-                        any_slice: false,
-                    })
-                    .collect()
-            })
-            .collect();
-    }
-
-    fn in_slice(&self, idx: usize) -> bool {
-        self.bitmap[idx / 64] & (1u64 << (idx % 64)) != 0
     }
 
     fn join_slice(&mut self, idx: usize, tid: ThreadId, func: FuncId, pc: Pc) {
@@ -545,13 +531,15 @@ impl<'a> Backward<'a> {
         // of one thread's execution, and letting another thread's instance
         // of the same static branch consume the entry would *drop* the
         // true controlling branch (an under-approximation, not a safe
-        // over-approximation).
+        // over-approximation). The first member to arm an entry is the
+        // one its witness row names.
         for &bpc in self.deps.controllers(func, pc) {
-            self.pending.insert((tid, func, bpc));
+            self.pending.entry((tid, func, bpc)).or_insert(idx as u64);
         }
-        // The dynamic call that led here becomes necessary too.
+        // The dynamic call that led here becomes necessary too. At a call
+        // the callee's frame is already closed, so this is the caller's.
         if let Some(frame) = self.frames[tid.index()].last_mut() {
-            frame.any_slice = true;
+            frame.first.get_or_insert(idx as u64);
         }
     }
 
@@ -576,14 +564,19 @@ impl<'a> Backward<'a> {
 
             // A return means we are entering a dynamic callee (backwards).
             if matches!(kind, InstrKind::Ret) {
-                self.frames[tid.index()].push(Frame {
-                    func,
-                    any_slice: false,
-                });
+                self.frames[tid.index()].push(Frame { func, first: None });
             }
+            // A call closes the callee's dynamic frame (backwards) before
+            // anything at this position joins, so the call's own
+            // membership marks its caller's frame.
+            let inner = match kind {
+                InstrKind::Call { .. } => self.frames[tid.index()].pop().and_then(|f| f.first),
+                _ => None,
+            };
 
             // Apply criteria anchored at this position: their variables are
             // the values *after* this instruction executed.
+            let mut anchor = false;
             while self.crit_idx > 0 && self.criteria[self.crit_idx - 1].pos.index() == idx {
                 self.crit_idx -= 1;
                 let c = &self.criteria[self.crit_idx];
@@ -593,14 +586,20 @@ impl<'a> Backward<'a> {
                 let regs = self.live.regs_mut(tid);
                 *regs = regs.union(c.regs);
                 if c.include_instr {
+                    anchor = true;
                     self.join_slice(idx, tid, func, cur.pc(idx));
                 }
             }
 
             // Pending branch: joins the slice, its condition becomes live.
-            let is_pending_branch =
-                kind.is_branch() && self.pending.remove(&(tid, func, cur.pc(idx)));
-            if is_pending_branch {
+            // An anchor armed its controllers above, so a loop head that
+            // controls itself consumes its own entry.
+            let armer = if kind.is_branch() {
+                self.pending.remove(&(tid, func, cur.pc(idx)))
+            } else {
+                None
+            };
+            if armer.is_some() {
                 self.join_slice(idx, tid, func, cur.pc(idx));
                 for &r in cur.mem_reads(idx) {
                     self.live.mem.insert(r);
@@ -628,24 +627,11 @@ impl<'a> Backward<'a> {
                 }
             }
 
-            // A call closes the callee's dynamic frame (backwards): if
-            // anything inside was necessary, so is the call.
             if let InstrKind::Call { callee } = kind {
-                let any = self.frames[tid.index()]
-                    .pop()
-                    .map(|f| f.any_slice)
-                    .unwrap_or(false);
-                if any {
+                // If anything inside the callee was necessary, so is the
+                // call.
+                if inner.is_some() {
                     self.join_slice(idx, tid, func, cur.pc(idx));
-                }
-                // If the call itself is in the slice (a criterion or a live
-                // write anchored on it), that membership belongs to the
-                // *caller's* frame — when join_slice ran, the callee frame
-                // was still on top and absorbed the mark.
-                if self.in_slice(idx) {
-                    if let Some(frame) = self.frames[tid.index()].last_mut() {
-                        frame.any_slice = true;
-                    }
                 }
                 // This invocation is fully processed: its unconsumed
                 // pending branches (loop heads re-arm themselves on every
@@ -654,7 +640,27 @@ impl<'a> Backward<'a> {
                 // With recursion the outer invocation is still open, so
                 // only clear when no live frame runs `callee`.
                 if !self.frames[tid.index()].iter().any(|f| f.func == callee) {
-                    self.pending.retain(|&(t, f, _)| t != tid || f != callee);
+                    self.pending.retain(|&(t, f, _), _| t != tid || f != callee);
+                }
+            }
+
+            // The witness row. A consumed pending entry, an anchor and a
+            // callee member each joined this position above; the row names
+            // the first of them, in that order (DESIGN §9).
+            if let Some(rows) = &mut self.rows {
+                let reason = if let Some(armer) = armer {
+                    Some((WitnessKind::Control, armer))
+                } else if anchor {
+                    Some((WitnessKind::Criterion, idx as u64))
+                } else {
+                    inner.map(|inner| (WitnessKind::Call, inner))
+                };
+                if let Some((kind, consumer)) = reason {
+                    rows.push(WitnessRow {
+                        member: TracePos(idx as u64),
+                        kind,
+                        consumer: TracePos(consumer),
+                    });
                 }
             }
 
@@ -670,15 +676,13 @@ impl<'a> Backward<'a> {
                 self.until_checkpoint = self.interval;
             }
         }
-        // Every bit of this window is final now (joins happen only at the
-        // visited index), so the emitter can follow over the same window.
-        if let Some(em) = &mut self.emitter {
-            em.feed(cur, &self.bitmap);
-        }
     }
 
     fn finish(self) -> SliceResult {
-        let witness = self.emitter.map(Emitter::finish);
+        let witness = self.rows.map(|mut rows| {
+            rows.reverse();
+            rows
+        });
         SliceResult {
             considered: self.n as u64,
             bitmap: self.bitmap,
@@ -1164,6 +1168,64 @@ mod tests {
                 "invocation 1 loop branch {i} leaked into the slice"
             );
         }
+    }
+
+    #[test]
+    fn call_rows_name_a_member_of_the_callee_frame() {
+        use crate::witness::WitnessKind;
+        use wasteprof_trace::{MemOps, Reg, RegSet};
+        // Two calls that write a live register themselves, so both join
+        // by kill/gen. Only `full`'s callee frame holds a member.
+        let mut rec = Recorder::new();
+        rec.spawn_thread(ThreadKind::Main, "root");
+        let g = rec.intern_func("g");
+        let (x, out1, out2) = (
+            rec.alloc_cell(Region::Heap),
+            rec.alloc_cell(Region::Heap),
+            rec.alloc_cell(Region::Heap),
+        );
+        let call = |rec: &mut Recorder| {
+            let kind = InstrKind::Call { callee: g };
+            let writes = RegSet::of(&[Reg::Rax]);
+            rec.raw(site!(), kind, RegSet::EMPTY, writes, MemOps::default())
+        };
+        let ret = |rec: &mut Recorder| {
+            rec.raw(
+                site!(),
+                InstrKind::Ret,
+                RegSet::EMPTY,
+                RegSet::EMPTY,
+                MemOps::default(),
+            )
+        };
+        let empty = call(&mut rec);
+        ret(&mut rec);
+        rec.store(site!(), out1, Reg::Rax);
+        let full = call(&mut rec);
+        rec.alu(site!(), Reg::Rbx, RegSet::EMPTY);
+        let inner = rec.store(site!(), x, Reg::Rbx);
+        ret(&mut rec);
+        rec.store(site!(), out2, Reg::Rax);
+        let crit = Criteria::new(vec![SlicingCriterion::mem_at(
+            TracePos(rec.pos().0 - 1),
+            vec![x.into(), out1.into(), out2.into()],
+        )]);
+        let trace = rec.finish();
+        let fwd = ForwardPass::build(&trace);
+        let opts = SliceOptions {
+            witness: true,
+            ..Default::default()
+        };
+        let r = slice(&trace, &fwd, &crit, &opts);
+        assert!(r.contains(empty) && r.contains(full) && r.contains(inner));
+        let w = r.witness().unwrap();
+        assert!(
+            w.rows().all(|row| row.member != empty),
+            "a call whose callee frame holds no member gets no row"
+        );
+        let row = w.rows().find(|row| row.member == full).unwrap();
+        assert_eq!(row.kind, WitnessKind::Call);
+        assert_eq!(row.consumer, inner, "the callee's member, not the call");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Dependence-witness emission: the structural reasons slice members
-//! joined.
+//! Dependence witnesses: the structural reasons slice members joined.
 //!
 //! A slice alone is unauditable — the only way to re-check it is to run
 //! the slicer again. A *witness* makes it checkable by an independent
@@ -13,21 +12,15 @@
 //! derives the data edges that justify it from its own last-writer
 //! shadows, so such a member gets no row.
 //!
-//! Emission re-runs the walk's structural bookkeeping — pending branches,
-//! dynamic frames and the criteria cursor — over the slice bitmap: each
-//! member arms its controllers and marks its enclosing frame exactly as
-//! the walk's `join_slice` does, and no live sets are needed. The
-//! backward walk drives it in lockstep, window by window, so the table is
-//! a pure function of `(trace, criteria, bitmap)` that costs no extra
-//! pass.
+//! The backward walk (`slice::Backward`) records each row as its member
+//! joins. Its pending-branch map remembers the member that armed each
+//! entry, and each dynamic frame remembers the first member found in it,
+//! so a row costs no extra pass and no second copy of that bookkeeping.
+//! The row depends only on structural state (pending branches, frames,
+//! criteria), never on the live sets, so the table is a pure function of
+//! `(trace, criteria, bitmap)`.
 
-use std::collections::HashMap;
-
-use wasteprof_trace::{ColumnCursor, FuncId, InstrKind, Pc, ThreadId, TracePos};
-
-use crate::cdg::ControlDeps;
-use crate::criteria::{Criteria, SlicingCriterion};
-use crate::slice::FibBuild;
+use wasteprof_trace::TracePos;
 
 /// The structural reason a member joined the slice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,168 +108,16 @@ impl Witnesses {
     }
 
     /// Reverses the row order in place.
-    fn reverse(&mut self) {
+    pub(crate) fn reverse(&mut self) {
         self.members.reverse();
         self.kinds.reverse();
         self.consumers.reverse();
     }
 
-    fn push(&mut self, r: WitnessRow) {
+    pub(crate) fn push(&mut self, r: WitnessRow) {
         self.members.push(r.member.0 as u32);
         self.kinds.push(r.kind);
         self.consumers.push(r.consumer.0 as u32);
-    }
-}
-
-/// One dynamic frame of the replay: the running function and the first
-/// (in replay order) member found inside it, if any.
-struct WFrame {
-    func: FuncId,
-    any_slice: Option<u32>,
-}
-
-/// Witness emission, restructured around [`Emitter::feed`] so the
-/// per-instruction step runs over the windows of any source. Protocol
-/// mirrors the backward walk's: `seal_frames` with the walk's open-call
-/// pre-scan, `feed` backward (last window first), `finish`.
-///
-/// `feed` reads only the bitmap bits of the window it is given, and the
-/// backward walk joins position `idx` only while it visits `idx`: once
-/// the walk has fed a window, that window's bits are final. So the walk
-/// drives an emitter in lockstep, over each window right after its own
-/// step (`slice::Backward`).
-pub(crate) struct Emitter<'a> {
-    deps: &'a ControlDeps,
-    criteria: &'a [SlicingCriterion],
-    crit_idx: usize,
-    /// Armed branches and the member that armed each (keep-first).
-    pending: HashMap<(ThreadId, FuncId, Pc), u32, FibBuild>,
-    frames: Vec<Vec<WFrame>>,
-    /// Rows in *descending* member order (reversed by `finish`).
-    rows: Witnesses,
-}
-
-impl<'a> Emitter<'a> {
-    /// An emitter over the considered prefix `[0, n)`.
-    pub(crate) fn new(deps: &'a ControlDeps, criteria: &'a Criteria, n: usize) -> Self {
-        assert!(
-            n <= u32::MAX as usize,
-            "witness table uses 32-bit positions"
-        );
-        let criteria = criteria.items();
-        Emitter {
-            deps,
-            criteria,
-            // Criteria beyond the considered prefix never apply.
-            crit_idx: criteria.partition_point(|c| c.pos.index() < n),
-            pending: HashMap::default(),
-            frames: Vec::new(),
-            rows: Witnesses::default(),
-        }
-    }
-
-    /// Converts the pre-scan's open-call stacks into live frames.
-    pub(crate) fn seal_frames(&mut self, open: &[Vec<FuncId>]) {
-        self.frames = open
-            .iter()
-            .map(|fs| {
-                fs.iter()
-                    .map(|&func| WFrame {
-                        func,
-                        any_slice: None,
-                    })
-                    .collect()
-            })
-            .collect();
-    }
-
-    /// Arms the branches member `idx` is control-dependent on, as the
-    /// walk's `join_slice` does, recording `idx` as their consumer.
-    fn arm(&mut self, idx: usize, tid: ThreadId, func: FuncId, pc: Pc) {
-        for &bpc in self.deps.controllers(func, pc) {
-            self.pending.entry((tid, func, bpc)).or_insert(idx as u32);
-        }
-    }
-
-    /// The backward step over one window, highest indices first, reading
-    /// membership from `bitmap` (whose bits in the window must be final).
-    /// Windows must arrive in reverse trace order and tile `[0, n)`.
-    pub(crate) fn feed(&mut self, cur: &ColumnCursor<'_>, bitmap: &[u64]) {
-        for idx in cur.rev_indices() {
-            let member = bitmap[idx / 64] & (1u64 << (idx % 64)) != 0;
-            let tid = cur.tid(idx);
-            let ti = tid.index();
-            let func = cur.func(idx);
-            let pc = cur.pc(idx);
-            let kind = cur.kind(idx);
-
-            if matches!(kind, InstrKind::Ret) {
-                self.frames[ti].push(WFrame {
-                    func,
-                    any_slice: None,
-                });
-            }
-
-            let mut anchor = false;
-            while self.crit_idx > 0 && self.criteria[self.crit_idx - 1].pos.index() == idx {
-                self.crit_idx -= 1;
-                anchor |= self.criteria[self.crit_idx].include_instr;
-            }
-            // The walk's criterion join arms the anchor's controllers
-            // before its pending probe: a loop head that controls itself
-            // consumes its own entry. Every other member arms after it.
-            let anchor = anchor && member;
-            if anchor {
-                self.arm(idx, tid, func, pc);
-            }
-            let armer = if kind.is_branch() {
-                self.pending.remove(&(tid, func, pc))
-            } else {
-                None
-            };
-            // A call closes its callee's frame (backwards). The frame is
-            // read before the call marks any frame itself.
-            let inner = match kind {
-                InstrKind::Call { .. } => self.frames[ti].pop().and_then(|f| f.any_slice),
-                _ => None,
-            };
-
-            if member {
-                if !anchor {
-                    self.arm(idx, tid, func, pc);
-                }
-                let reason = if let Some(armer) = armer {
-                    Some((WitnessKind::Control, armer))
-                } else if anchor {
-                    Some((WitnessKind::Criterion, idx as u32))
-                } else {
-                    inner.map(|inner| (WitnessKind::Call, inner))
-                };
-                if let Some((kind, consumer)) = reason {
-                    self.rows.push(WitnessRow {
-                        member: TracePos(idx as u64),
-                        kind,
-                        consumer: TracePos(consumer as u64),
-                    });
-                }
-                // The enclosing frame: for a call, its caller's.
-                if let Some(frame) = self.frames[ti].last_mut() {
-                    frame.any_slice.get_or_insert(idx as u32);
-                }
-            }
-
-            if let InstrKind::Call { callee } = kind {
-                if !self.frames[ti].iter().any(|f| f.func == callee) {
-                    self.pending.retain(|&(t, f, _), _| t != tid || f != callee);
-                }
-            }
-        }
-    }
-
-    /// The finished table, in ascending member order.
-    pub(crate) fn finish(mut self) -> Witnesses {
-        self.rows.reverse();
-        self.rows
     }
 }
 

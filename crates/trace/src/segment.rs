@@ -106,8 +106,11 @@ impl ContentHasher {
         ContentHasher { lanes: LANE_SEED }
     }
 
+    /// Folds one 64-bit word into the digest: the mixing step every row
+    /// field goes through, exposed for digests of other data (the
+    /// incremental slicer's re-query memo key).
     #[inline]
-    fn word(&mut self, w: u64) {
+    pub fn fold_word(&mut self, w: u64) {
         for (lane, mul) in self.lanes.iter_mut().zip(LANE_MUL) {
             let v = (*lane ^ w).wrapping_mul(mul);
             *lane = v.rotate_left(29) ^ (v >> 32);
@@ -124,19 +127,19 @@ impl ContentHasher {
         let (cols, lo, hi) = cur.physical();
         for idx in lo..hi {
             let (tag, data) = cols.raw_kind(idx);
-            self.word(u64::from(tag) | u64::from(data) << 8);
-            self.word(
+            self.fold_word(u64::from(tag) | u64::from(data) << 8);
+            self.fold_word(
                 u64::from(cols.tid(idx).0)
                     | u64::from(cols.reg_reads(idx).bits()) << 8
                     | u64::from(cols.reg_writes(idx).bits()) << 24,
             );
-            self.word(u64::from(cols.func(idx).0) | u64::from(cols.pc(idx).0) << 32);
+            self.fold_word(u64::from(cols.func(idx).0) | u64::from(cols.pc(idx).0) << 32);
             let reads = cols.mem_reads(idx);
             let writes = cols.mem_writes(idx);
-            self.word(reads.len() as u64 | (writes.len() as u64) << 32);
+            self.fold_word(reads.len() as u64 | (writes.len() as u64) << 32);
             for r in reads.iter().chain(writes) {
-                self.word(r.start().raw());
-                self.word(u64::from(r.len()));
+                self.fold_word(r.start().raw());
+                self.fold_word(u64::from(r.len()));
             }
         }
     }
@@ -144,8 +147,8 @@ impl ContentHasher {
     /// Finishes the digest. The row count is folded in last so a segment
     /// is never a hash-prefix of a longer one.
     pub fn finish(mut self, n_rows: u64) -> [u64; 2] {
-        self.word(n_rows ^ 0x0165_6667_C78F_u64);
-        self.word(self.lanes[1] ^ self.lanes[0].rotate_left(17));
+        self.fold_word(n_rows ^ 0x0165_6667_C78F_u64);
+        self.fold_word(self.lanes[1] ^ self.lanes[0].rotate_left(17));
         self.lanes
     }
 }

@@ -47,8 +47,8 @@ target/release/trace_tool export amazon_mobile "$smoke_trace"
 target/release/trace_tool check "$smoke_trace"
 
 echo "== certifier smoke (witnessed slices certify clean, in memory and out of core) =="
-# The witness is emitted in lockstep with the backward walk, chunk by
-# chunk out of core. Both runs must exit 0 (run directly, so `set -e`
+# The backward walk records the witness as members join, chunk by chunk
+# out of core. Both runs must exit 0 (run directly, so `set -e`
 # sees each status) and print the same report.
 for crit in pixels syscalls; do
     target/release/trace_tool certify "$smoke_trace" --criteria "$crit" >"$smoke_trace.ref"
@@ -56,6 +56,21 @@ for crit in pixels syscalls; do
         >"$smoke_trace.out"
     diff "$smoke_trace.ref" "$smoke_trace.out"
 done
+
+echo "== broken-pipe smoke (stdout closed early: quiet, exit status kept) =="
+# `head` exits after the first line of a ~6 MB listing, so trace_tool's
+# later writes fail with EPIPE. It must stop printing quietly: exit 0
+# (pipefail sees its status) and nothing on stderr.
+if ! target/release/trace_tool inspect "$smoke_trace" --head 100000 2>"$smoke_trace.err" |
+    head -n 1 >/dev/null; then
+    echo "trace_tool inspect | head -n 1 failed" >&2
+    exit 1
+fi
+if [ -s "$smoke_trace.err" ]; then
+    echo "trace_tool inspect | head -n 1 wrote to stderr:" >&2
+    cat "$smoke_trace.err" >&2
+    exit 1
+fi
 
 echo "== out-of-core smoke (streamed slice and check identical) =="
 # The same exported file read both ways: loaded into memory (the `&Trace`
