@@ -24,11 +24,16 @@
 //! makes the detector vacuously quiet, which the unit tests pin down.
 //!
 //! Shadow state is an interval map over accessed bytes (split on operand
-//! boundaries) holding the last write epoch and, FastTrack-style, the last
-//! read epoch per thread, so both sides of a race are reported with pc and
-//! resolved function names.
+//! boundaries, never merged) holding the last write epoch and,
+//! FastTrack-style, the last read epoch per thread, so both sides of a race
+//! are reported with pc and resolved function names. Each interval is one
+//! 32-byte cell in a slab: its length, the write epoch and the first
+//! reader's epoch inline. Readers from a second thread on go to a side
+//! table keyed by the interval's start, which only multi-reader intervals
+//! touch. A hashed start index answers an exact re-access with one probe;
+//! an ordered start index serves the split/gap path.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use wasteprof_trace::{ColumnMask, FuncId, InstrKind, Region, Subscription, ThreadId, TracePos};
 
@@ -65,6 +70,11 @@ impl Vc {
             *a = (*a).max(b);
         }
     }
+
+    /// `self := other`, reusing `self`'s buffer.
+    fn copy_from(&mut self, other: &Vc) {
+        self.0.clone_from(&other.0);
+    }
 }
 
 /// One recorded access: who, at what clock, and where in the trace.
@@ -83,88 +93,201 @@ impl Access {
     }
 }
 
-/// Shadow state for one byte interval: last write plus last read per tid.
-#[derive(Clone, Debug, Default)]
-struct CellState {
-    write: Option<Access>,
-    /// At most one entry per tid (the most recent read).
-    reads: Vec<Access>,
+/// Readers of an interval after its first, keyed by the interval's start,
+/// one entry per thread in first-read order.
+type Spill = HashMap<u64, Vec<Access>>;
+
+/// [`Cell::flags`]: the `w_*` fields hold the last write.
+const WRITTEN: u8 = 1;
+/// [`Cell::flags`]: the `r_*` fields hold the first read since that write.
+const READ: u8 = 2;
+/// [`Cell::flags`]: the [`Spill`] table holds more readers for this start.
+const SPILLED: u8 = 4;
+
+/// Shadow state of one interval `[start, start + len)`: the last write and
+/// the first reader since it, inline, as flat epoch fields so the cell
+/// stays within 32 bytes.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cell {
+    w_pos: u64,
+    r_pos: u64,
+    /// Every interval lies inside one operand, whose length is a `u32`.
+    len: u32,
+    w_clk: u32,
+    r_clk: u32,
+    w_tid: u8,
+    r_tid: u8,
+    flags: u8,
 }
 
-impl CellState {
-    fn record_read(&mut self, access: Access) {
-        match self.reads.iter_mut().find(|r| r.tid == access.tid) {
-            Some(r) => *r = access,
-            None => self.reads.push(access),
+const _: () = assert!(std::mem::size_of::<Cell>() <= 32);
+
+impl Cell {
+    fn fresh(len: u32) -> Cell {
+        Cell {
+            len,
+            ..Cell::default()
         }
+    }
+
+    fn write(&self) -> Option<Access> {
+        (self.flags & WRITTEN != 0).then_some(Access {
+            tid: self.w_tid,
+            clk: self.w_clk,
+            pos: self.w_pos,
+        })
+    }
+
+    /// The reads since the last write, one per thread, in first-read order.
+    fn readers<'s>(&self, start: u64, spill: &'s Spill) -> impl Iterator<Item = Access> + 's {
+        let first = (self.flags & READ != 0).then_some(Access {
+            tid: self.r_tid,
+            clk: self.r_clk,
+            pos: self.r_pos,
+        });
+        let rest = match self.flags & SPILLED {
+            0 => &[][..],
+            _ => spill.get(&start).map_or(&[][..], Vec::as_slice),
+        };
+        first.into_iter().chain(rest.iter().copied())
+    }
+
+    /// Records `a` as its thread's latest read, keeping the thread's place
+    /// in first-read order.
+    fn record_read(&mut self, start: u64, a: Access, spill: &mut Spill) {
+        if self.flags & READ == 0 || self.r_tid == a.tid {
+            (self.r_tid, self.r_clk, self.r_pos) = (a.tid, a.clk, a.pos);
+            self.flags |= READ;
+            return;
+        }
+        let rest = spill.entry(start).or_default();
+        match rest.iter_mut().find(|r| r.tid == a.tid) {
+            Some(r) => *r = a,
+            None => rest.push(a),
+        }
+        self.flags |= SPILLED;
+    }
+
+    /// Records `a` as the last write, forgetting every read before it.
+    fn record_write(&mut self, start: u64, a: Access, spill: &mut Spill) {
+        if self.flags & SPILLED != 0 {
+            spill.remove(&start);
+        }
+        (self.w_tid, self.w_clk, self.w_pos) = (a.tid, a.clk, a.pos);
+        self.flags = WRITTEN;
     }
 }
 
-/// One interval of the shadow map: `[start, end)` with uniform state.
-#[derive(Clone, Debug)]
-struct Interval {
-    end: u64,
-    cell: CellState,
-}
-
-/// Interval map over accessed bytes, keyed by interval start.
+/// Interval map over accessed bytes: cells in a slab, indexed by interval
+/// start twice — hashed for the exact re-access, ordered for splits.
 #[derive(Default)]
 struct Shadow {
-    map: BTreeMap<u64, Interval>,
+    cells: Vec<Cell>,
+    by_start: HashMap<u64, u32>,
+    order: BTreeMap<u64, u32>,
+    spill: Spill,
+    /// Scratch: `(start, slot)` of the tiles of the current range.
+    tiles: Vec<(u64, u32)>,
+    /// Scratch: `(start, slot)` of the intervals the current range made.
+    made: Vec<(u64, u32)>,
 }
 
 impl Shadow {
-    /// Splits existing intervals at `at` so no interval straddles it.
-    fn split_at(&mut self, at: u64) {
-        let split = match self.map.range(..at).next_back() {
-            Some((&s, iv)) if iv.end > at => Some((s, iv.end, iv.cell.clone())),
-            _ => None,
+    /// Makes `[start, start + len)` exactly tiled by intervals (splitting
+    /// the ones that straddle its ends, filling gaps with fresh cells) and
+    /// visits each in address order. An operand that wraps the address
+    /// space is skipped.
+    fn for_range(
+        &mut self,
+        start: u64,
+        len: u32,
+        mut f: impl FnMut(u64, u64, &mut Cell, &mut Spill),
+    ) {
+        let Some(end) = start.checked_add(u64::from(len)) else {
+            return;
         };
-        if let Some((s, end, cell)) = split {
-            self.map.get_mut(&s).expect("interval just observed").end = at;
-            self.map.insert(at, Interval { end, cell });
-        }
-    }
-
-    /// Makes `[start, end)` exactly tiled by intervals (inserting fresh
-    /// empty cells for uncovered gaps) and visits each in order.
-    fn for_range(&mut self, start: u64, end: u64, mut f: impl FnMut(u64, u64, &mut CellState)) {
-        // Fast path: the range is already tiled by exactly one interval.
-        // Operands are cell-granular and heavily reused, so in steady
-        // state nearly every access lands here — one tree walk instead of
-        // the two splits plus two range scans below.
-        if let Some((&s, iv)) = self.map.range_mut(..=start).next_back() {
-            if s == start && iv.end == end {
-                f(start, end, &mut iv.cell);
+        // Fast path: operands are cell-granular and heavily reused, so in
+        // steady state nearly every access is one hashed probe that finds
+        // the interval already exactly this range.
+        if let Some(&slot) = self.by_start.get(&start) {
+            let cell = &mut self.cells[slot as usize];
+            if cell.len == len {
+                f(start, end, cell, &mut self.spill);
                 return;
             }
         }
-        self.split_at(start);
-        self.split_at(end);
-        let mut at = start;
-        let mut gaps = Vec::new();
-        for (&s, iv) in self.map.range(start..end) {
-            if s > at {
-                gaps.push((at, s));
-            }
-            at = iv.end;
-        }
-        if at < end {
-            gaps.push((at, end));
-        }
-        for &(gs, ge) in &gaps {
-            self.map.insert(
-                gs,
-                Interval {
-                    end: ge,
-                    cell: CellState::default(),
-                },
-            );
-        }
-        for (&s, iv) in self.map.range_mut(start..end) {
-            f(s, iv.end, &mut iv.cell);
+        self.tile(start, end);
+        for &(lo, slot) in &self.tiles {
+            let cell = &mut self.cells[slot as usize];
+            f(lo, lo + u64::from(cell.len), cell, &mut self.spill);
         }
     }
+
+    /// Fills `tiles` with the intervals exactly tiling `[start, end)`, in
+    /// address order, walking down once from the last interval that starts
+    /// before `end`.
+    fn tile(&mut self, start: u64, end: u64) {
+        let (cells, spill) = (&mut self.cells, &mut self.spill);
+        self.tiles.clear();
+        self.made.clear();
+        // Everything in `[at, end)` is tiled.
+        let mut at = end;
+        for (&s, &slot) in self.order.range(..end).rev() {
+            let mut e = s + u64::from(cells[slot as usize].len);
+            if e <= start {
+                break;
+            }
+            if e > end {
+                self.made.push((end, split(cells, spill, s, slot, end)));
+                e = end;
+            }
+            if e < at {
+                let gap = push(cells, Cell::fresh((at - e) as u32));
+                self.made.push((e, gap));
+                self.tiles.push((e, gap));
+            }
+            if s < start {
+                let right = split(cells, spill, s, slot, start);
+                self.made.push((start, right));
+                self.tiles.push((start, right));
+                at = start;
+                break;
+            }
+            self.tiles.push((s, slot));
+            at = s;
+        }
+        if at > start {
+            let gap = push(cells, Cell::fresh((at - start) as u32));
+            self.made.push((start, gap));
+            self.tiles.push((start, gap));
+        }
+        for &(s, slot) in &self.made {
+            self.order.insert(s, slot);
+            self.by_start.insert(s, slot);
+        }
+        self.tiles.reverse();
+    }
+}
+
+/// Appends `cell` to the slab, returning its slot.
+fn push(cells: &mut Vec<Cell>, cell: Cell) -> u32 {
+    let slot = u32::try_from(cells.len()).expect("fewer than 2^32 shadow intervals");
+    cells.push(cell);
+    slot
+}
+
+/// Cuts the interval `[s, ..)` in `slot` at `at`, returning the slot of its
+/// right part: a copy of the cell, spilled readers included.
+fn split(cells: &mut Vec<Cell>, spill: &mut Spill, s: u64, slot: u32, at: u64) -> u32 {
+    let left = &mut cells[slot as usize];
+    let mut right = *left;
+    right.len -= (at - s) as u32;
+    left.len = (at - s) as u32;
+    if right.flags & SPILLED != 0 {
+        let rest = spill[&s].clone();
+        spill.insert(at, rest);
+    }
+    push(cells, right)
 }
 
 /// `WP0001`: conflicting unsynchronized cross-thread accesses.
@@ -323,16 +446,22 @@ impl Lint for RaceLint {
         // Lock-section instructions carry the sync protocol instead of
         // ordinary shadow-memory traffic.
         if self.lock_fid == Some(ctx.cols.func(idx)) {
+            // The thread and lock clocks are disjoint fields: acquires
+            // join in place, releases copy into the lock's existing buffer.
             for r in ctx.cols.mem_reads(idx) {
                 if let Some(lock_vc) = self.lock_vcs.get(&r.start().raw()) {
-                    let lock_vc = lock_vc.clone();
-                    self.vcs[t].join(&lock_vc);
+                    self.vcs[t].join(lock_vc);
                 }
             }
-            for w in ctx.cols.mem_writes(idx) {
-                self.lock_vcs.insert(w.start().raw(), self.vcs[t].clone());
+            let writes = ctx.cols.mem_writes(idx);
+            let vc = &self.vcs[t];
+            for w in writes {
+                self.lock_vcs
+                    .entry(w.start().raw())
+                    .and_modify(|lock_vc| lock_vc.copy_from(vc))
+                    .or_insert_with(|| vc.clone());
             }
-            if !ctx.cols.mem_writes(idx).is_empty() {
+            if !writes.is_empty() {
                 self.vcs[t].bump(t);
             }
             return;
@@ -361,13 +490,13 @@ impl Lint for RaceLint {
             let mut races: Vec<(Access, u64, u64)> = Vec::new();
             let vc = &self.vcs[t];
             self.shadow
-                .for_range(r.start().raw(), r.end().raw(), |lo, hi, cell| {
-                    if let Some(w) = cell.write {
+                .for_range(r.start().raw(), r.len(), |lo, hi, cell, spill| {
+                    if let Some(w) = cell.write() {
                         if w.tid != tid.0 && !w.ordered_before(vc) {
                             races.push((w, lo, hi));
                         }
                     }
-                    cell.record_read(epoch);
+                    cell.record_read(lo, epoch, spill);
                 });
             for (w, lo, hi) in races {
                 self.report(ctx, out, w, "write", idx, "read", lo, hi);
@@ -377,19 +506,18 @@ impl Lint for RaceLint {
             let mut races: Vec<(Access, &'static str, u64, u64)> = Vec::new();
             let vc = &self.vcs[t];
             self.shadow
-                .for_range(w.start().raw(), w.end().raw(), |lo, hi, cell| {
-                    if let Some(prev) = cell.write {
+                .for_range(w.start().raw(), w.len(), |lo, hi, cell, spill| {
+                    if let Some(prev) = cell.write() {
                         if prev.tid != tid.0 && !prev.ordered_before(vc) {
                             races.push((prev, "write", lo, hi));
                         }
                     }
-                    for &r in &cell.reads {
+                    for r in cell.readers(lo, spill) {
                         if r.tid != tid.0 && !r.ordered_before(vc) {
                             races.push((r, "read", lo, hi));
                         }
                     }
-                    cell.write = Some(epoch);
-                    cell.reads.clear();
+                    cell.record_write(lo, epoch, spill);
                 });
             for (prev, what, lo, hi) in races {
                 self.report(ctx, out, prev, what, idx, "write", lo, hi);
@@ -583,23 +711,102 @@ mod tests {
     #[test]
     fn shadow_splits_intervals_on_partial_overlap() {
         let mut shadow = Shadow::default();
-        shadow.for_range(0, 16, |_, _, cell| {
-            cell.write = Some(Access {
-                tid: 1,
-                clk: 1,
-                pos: 0,
-            })
+        let first = Access {
+            tid: 1,
+            clk: 1,
+            pos: 0,
+        };
+        shadow.for_range(0, 16, |lo, _, cell, spill| {
+            cell.record_write(lo, first, spill)
         });
         let mut seen = Vec::new();
-        shadow.for_range(8, 24, |lo, hi, cell| {
-            seen.push((lo, hi, cell.write.is_some()));
+        shadow.for_range(8, 16, |lo, hi, cell, _| {
+            seen.push((lo, hi, cell.write().is_some()));
         });
         assert_eq!(seen, vec![(8, 16, true), (16, 24, false)]);
         // The untouched left half still holds the original write.
         let mut left = Vec::new();
-        shadow.for_range(0, 8, |lo, hi, cell| {
-            left.push((lo, hi, cell.write.is_some()))
+        shadow.for_range(0, 8, |lo, hi, cell, _| {
+            left.push((lo, hi, cell.write().is_some()))
         });
         assert_eq!(left, vec![(0, 8, true)]);
+        // A range over a gap between two intervals fills it with a fresh
+        // cell and visits all three in address order.
+        shadow.for_range(32, 8, |_, _, _, _| {});
+        let mut spanned = Vec::new();
+        shadow.for_range(4, 40, |lo, hi, cell, _| {
+            spanned.push((lo, hi, cell.write().is_some()))
+        });
+        assert_eq!(
+            spanned,
+            vec![
+                (4, 8, true),
+                (8, 16, true),
+                (16, 24, false),
+                (24, 32, false),
+                (32, 40, false),
+                (40, 44, false),
+            ]
+        );
+        // An operand past `u64::MAX` is never visited.
+        let mut wrapped = 0;
+        shadow.for_range(u64::MAX - 3, 8, |_, _, _, _| wrapped += 1);
+        assert_eq!(wrapped, 0);
+    }
+
+    /// Three readers of one 16-byte range (two of them spilled out of the
+    /// cell), then a write to its upper half from a fourth thread: every
+    /// reader races on the split range, and the lower half keeps all three
+    /// readers for a later write.
+    #[test]
+    fn spilled_readers_survive_a_split() {
+        use wasteprof_trace::RegSet;
+        let mut rec = Recorder::new();
+        let threads: Vec<_> = (0..4)
+            .map(|i| rec.spawn_thread(ThreadKind::Other, &format!("t{i}")))
+            .collect();
+        let buf = rec.memory_mut().alloc(Region::Heap, 16);
+        let reader = rec.intern_func("reader");
+        let writer = rec.intern_func("writer");
+        // Boot every thread first, so no read rides a spawn edge.
+        for &t in &threads {
+            rec.switch_to(t);
+            rec.alu(Pc(10), Reg::Rax, RegSet::EMPTY);
+        }
+        for &t in &threads[..3] {
+            rec.switch_to(t);
+            rec.in_func(Pc(1), reader, |rec| {
+                rec.load(Pc(2), Reg::Rax, buf);
+            });
+        }
+        rec.switch_to(threads[3]);
+        rec.in_func(Pc(3), writer, |rec| {
+            rec.store(Pc(4), buf.slice(8, 8), Reg::Rax);
+            rec.store(Pc(5), buf.slice(0, 8), Reg::Rax);
+        });
+        let trace = rec.finish();
+
+        let lo = buf.start().raw();
+        let (mid, hi) = (lo + 8, lo + 16);
+        let diags = race_diags(&trace);
+        let ranges: Vec<String> = diags
+            .iter()
+            .map(|d| {
+                let at = d.message.rfind("bytes ").expect("race names its bytes");
+                d.message[at..].to_owned()
+            })
+            .collect();
+        let upper = format!("bytes {mid:#x}..{hi:#x}");
+        let lower = format!("bytes {lo:#x}..{mid:#x}");
+        let want: Vec<&str> = [upper.as_str(); 3]
+            .into_iter()
+            .chain([lower.as_str(); 3])
+            .collect();
+        assert_eq!(ranges, want, "{diags:#?}");
+        for (i, d) in diags.iter().enumerate() {
+            assert!(d.message.starts_with("write [t3 writer@"), "{}", d.message);
+            let reader = format!("races earlier read [t{} reader@", i % 3);
+            assert!(d.message.contains(&reader), "{}", d.message);
+        }
     }
 }

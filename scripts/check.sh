@@ -32,6 +32,13 @@ cargo test -q
 echo "== full workspace tests (includes the ~2 min engine determinism run) =="
 cargo test -q --workspace
 
+echo "== race-shadow differential (release, CI case counts) =="
+# The race detector's compact shadow against the previous lint, kept
+# verbatim in the test: the same diagnostics in emission order on 256
+# random multi-thread programs, on every mutation of a scheduler session
+# and of AmazonMobile, and on the six canonical sessions.
+cargo test -q --release -p wasteprof-checker --test race_differential
+
 echo "== wpbench test suite (seeded inputs, statistics, compare, smoke runs) =="
 # wpbench is a package of its own (crates/bench/src/bin/wpbench), so the
 # workspace test run above does not build it.
@@ -212,6 +219,17 @@ jq -e '(.workloads | length == 4)
        and .workloads.incremental.metrics.wall_s.verdict == "improved"
        and all(.workloads[].metrics[]; .verdict != "regressed")' \
     results/BENCH_18.json >/dev/null
+
+echo "== race-shadow bench artifact sanity (results/BENCH_22.json) =="
+# The committed seed-paired benchmark of the compact race-detector
+# shadow: all four workloads, no failed check on either side, the
+# streamed workload's peak RSS improved, and no end-to-end metric
+# regressed anywhere.
+jq -e '(.workloads | length == 4)
+       and all(.workloads[]; .failed.parent == 0 and .failed.change == 0)
+       and .workloads.streamed.metrics.peak_rss_mb.verdict == "improved"
+       and all(.workloads[].metrics[]; .verdict != "regressed")' \
+    results/BENCH_22.json >/dev/null
 
 echo "== rustdoc (no warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
