@@ -21,8 +21,9 @@
 //! interprocedural analyzer (codes WP0101-WP0106) over a benchmark's
 //! script sources, the ahead-of-time counterpart the engine's
 //! `static_vs_dynamic` referee scores against execution witnesses;
-//! `static --referee` runs that scoring inline against the site's
-//! canonical session and the allocator-stripped pixel slice.
+//! `static --referee` runs the engine's referee ([`engine::referee`])
+//! against the site's canonical session and prints that session's block
+//! of `results/static_vs_dynamic.txt` ([`engine::referee_block`]).
 
 use std::fmt::Display;
 use std::fs::File;
@@ -30,11 +31,13 @@ use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use wasteprof_analysis::{format_count, thread_rows, FrameAnalysis, TextTable, ThreadRow};
+use wasteprof_bench::engine::{self, SessionKey};
 use wasteprof_checker::{DeadWriteLint, Diag, Registry};
 use wasteprof_slicer::{
-    pixel_criteria, pixel_criteria_streamed, slice, slice_streamed, strip_allocator_deps,
-    syscall_criteria_streamed, Criteria, ForwardPass, SliceOptions, SliceResult,
+    pixel_criteria_streamed, slice_streamed, syscall_criteria_streamed, Criteria, ForwardPass,
+    SliceOptions, SliceResult,
 };
+use wasteprof_staticjs::{Metric, RefereeReport};
 use wasteprof_trace::{
     write_trace2, AnalysisDriver, ColumnSource, Trace, TraceIoError, TracePos, TraceReader,
 };
@@ -84,7 +87,7 @@ fn usage() -> ! {
          trace_tool slice   <file> [shared flags]\n  \
          trace_tool check   <file> [--json] [--max-diags N] [--out-of-core]\n  \
          trace_tool analyze <file> [--analyses a,b,c] [--json] [--out-of-core]\n  \
-         trace_tool static  <amazon_desktop|amazon_mobile|maps|bing> [--json] [--referee [--per-function]]\n  \
+         trace_tool static  <amazon_desktop|amazon_mobile|maps|bing> [--json] [--referee]\n  \
          trace_tool certify <file> [shared flags] [--json]\n\n\
          shared flags:\n  \
          flag                  slice  check  certify  meaning\n  \
@@ -105,7 +108,8 @@ fn usage() -> ! {
          effect-free calls (WP0105), and uncallable functions (WP0106).\n  \
          --referee additionally runs the site's canonical session and\n  \
          scores the predictions against its execution witness and the\n  \
-         allocator-stripped pixel slice. With --json the output is one\n  \
+         allocator-stripped pixel slice, printing that session's block of\n  \
+         results/static_vs_dynamic.txt. With --json the output is one\n  \
          object:\n  \
            {{\"diags\": [{{code, title, pos, message}}...],\n  \
             \"referee\": {{\"units_compared\", \"maybe_undef\",\n  \
@@ -113,11 +117,9 @@ fn usage() -> ! {
               \"uncallable\": {{predicted, observed, tp, gt, precision,\n  \
               recall, violations}},\n  \
               \"misses_fundamental\", \"misses_weakness\",\n  \
-              \"soundness_violations\"}}}}\n  \
-         --per-function (requires --referee) adds \"per_function\": one row\n  \
-         per declared function {{origin, name, idx, reachable, pure,\n  \
-         calls, waste}}. Without --referee, --json emits the bare diags\n  \
-         array.\n\n\
+              \"per_function\": [{{origin, name, idx, reachable, pure,\n  \
+              calls, waste}}...], \"soundness_violations\"}}}}\n  \
+         Without --referee, --json emits the bare diags array.\n\n\
          `export --frames N` (bing only) records an N-frame browse session and\n  \
          writes one trace file per frame: <file>.f0 ... <file>.f{{N-1}}.\n\n\
          exit codes: 0 clean / success, 1 findings or I/O error, 2 usage error"
@@ -174,7 +176,7 @@ fn stream_ok<T, E: Display>(res: Result<T, E>) -> T {
 }
 
 /// One referee metric as a JSON object (`static --referee --json`).
-fn metric_json(m: &wasteprof_staticjs::Metric) -> String {
+fn metric_json(m: &Metric) -> String {
     let opt = |v: Option<f64>| v.map_or_else(|| "null".to_owned(), |p| format!("{p:.4}"));
     format!(
         "{{\"predicted\": {}, \"observed\": {}, \"tp\": {}, \"gt\": {}, \
@@ -191,7 +193,7 @@ fn metric_json(m: &wasteprof_staticjs::Metric) -> String {
 
 /// The `"referee"` member of the `static --referee --json` object (see
 /// the usage table for the schema).
-fn referee_json(r: &wasteprof_staticjs::RefereeReport, per_function: bool) -> String {
+fn referee_json(r: &RefereeReport) -> String {
     let mut out = String::from("\"referee\": {\n");
     out.push_str(&format!("  \"units_compared\": {},\n", r.units_compared));
     out.push_str(&format!("  \"maybe_undef\": {},\n", r.maybe_undef));
@@ -216,81 +218,30 @@ fn referee_json(r: &wasteprof_staticjs::RefereeReport, per_function: bool) -> St
         "  \"misses_fundamental\": {},\n  \"misses_weakness\": {},\n",
         r.misses_fundamental, r.misses_weakness
     ));
-    if per_function {
-        out.push_str("  \"per_function\": [\n");
-        for (i, f) in r.per_function.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"origin\": \"{}\", \"name\": \"{}\", \"idx\": {}, \
-                 \"reachable\": {}, \"pure\": {}, \"calls\": {}, \"waste\": {}}}{}\n",
-                f.origin,
-                f.name,
-                f.idx,
-                f.reachable,
-                f.pure,
-                f.calls,
-                metric_json(&f.waste),
-                if i + 1 < r.per_function.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ],\n");
+    out.push_str("  \"per_function\": [\n");
+    for (i, f) in r.per_function.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"origin\": \"{}\", \"name\": \"{}\", \"idx\": {}, \
+             \"reachable\": {}, \"pure\": {}, \"calls\": {}, \"waste\": {}}}{}\n",
+            f.origin,
+            f.name,
+            f.idx,
+            f.reachable,
+            f.pure,
+            f.calls,
+            metric_json(&f.waste),
+            if i + 1 < r.per_function.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
     }
+    out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"soundness_violations\": {}\n}}\n",
         r.soundness_violations()
     ));
-    out
-}
-
-/// Human-readable referee block of `static --referee`.
-fn referee_text(r: &wasteprof_staticjs::RefereeReport, per_function: bool) -> String {
-    let ratio = |v: Option<f64>| v.map_or_else(|| "n/a".to_owned(), |p| format!("{p:.3}"));
-    let line = |name: &str, m: &wasteprof_staticjs::Metric| {
-        format!(
-            "referee {name:<13} predicted {:>4}  observed {:>4}  tp {:>4}  gt {:>4}  \
-             precision {:>5}  recall {:>5}  violations {}\n",
-            m.predicted,
-            m.observed,
-            m.tp,
-            m.gt,
-            ratio(m.precision()),
-            ratio(m.recall()),
-            m.violations
-        )
-    };
-    let mut out = String::new();
-    out.push_str(&line("unreachable", &r.unreachable));
-    out.push_str(&line("dead stores", &r.dead_stores));
-    out.push_str(&line("wasted", &r.wasted));
-    out.push_str(&line("useless calls", &r.useless_calls));
-    out.push_str(&line("uncallable", &r.uncallable));
-    out.push_str(&format!(
-        "referee maybe-undef {}; {} units compared; missed dead stores \
-         {} fundamental / {} weakness; {} soundness violations\n",
-        r.maybe_undef,
-        r.units_compared,
-        r.misses_fundamental,
-        r.misses_weakness,
-        r.soundness_violations()
-    ));
-    if per_function {
-        for f in &r.per_function {
-            out.push_str(&format!(
-                "referee fn {:<34} {:<6} {:<6} calls {:>6}  waste {}/{}/{}/{}\n",
-                format!("{}:{}#{}", f.origin, f.name, f.idx),
-                if f.reachable { "reach" } else { "dead" },
-                if f.pure { "pure" } else { "effect" },
-                f.calls,
-                f.waste.predicted,
-                f.waste.observed,
-                f.waste.tp,
-                f.waste.gt,
-            ));
-        }
-    }
     out
 }
 
@@ -569,17 +520,12 @@ fn main() {
             let Some(name) = args.get(1) else { usage() };
             let mut json = false;
             let mut referee = false;
-            let mut per_function = false;
             for arg in &args[2..] {
                 match arg.as_str() {
                     "--json" => json = true,
                     "--referee" => referee = true,
-                    "--per-function" => per_function = true,
                     _ => usage(),
                 }
-            }
-            if per_function && !referee {
-                usage();
             }
             let benchmark = Benchmark::ALL
                 .into_iter()
@@ -592,17 +538,8 @@ fn main() {
                 });
             let report = referee.then(|| {
                 let session = benchmark.run();
-                let stripped = strip_allocator_deps(&session.trace);
-                let fwd = ForwardPass::build(&stripped);
-                let pslice = slice(
-                    &stripped,
-                    &fwd,
-                    &pixel_criteria(&stripped),
-                    &SliceOptions::default(),
-                );
-                wasteprof_staticjs::compare(&analysis, &session.js_witness, &|p| {
-                    pslice.contains(TracePos(p))
-                })
+                let forward = ForwardPass::build(&session.trace);
+                engine::referee(&analysis, &session, &forward)
             });
             let total = analysis.diags.len();
             let violations = report.as_ref().map_or(0, |r| r.soundness_violations());
@@ -615,7 +552,7 @@ fn main() {
                             "\"diags\": {},",
                             wasteprof_checker::render_json(&analysis.diags)
                         );
-                        out!("{}", referee_json(r, per_function));
+                        out!("{}", referee_json(r));
                         outln!("}}");
                     }
                 }
@@ -631,7 +568,8 @@ fn main() {
                     );
                 }
                 if let Some(r) = &report {
-                    out!("{}", referee_text(r, per_function));
+                    let label = SessionKey::Base(benchmark).label();
+                    out!("{}", engine::referee_block(&label, r));
                 }
             }
             std::process::exit(if total == 0 && violations == 0 { 0 } else { 1 });

@@ -46,7 +46,8 @@ use wasteprof_slicer::{
     pixel_criteria, slice, strip_allocator_deps, syscall_criteria, CacheStats, ForwardPass,
     SegmentHashes, SliceOptions, SliceResult, SummaryCache,
 };
-use wasteprof_trace::{AnalysisDriver, ThreadKind, TracePos};
+use wasteprof_staticjs::{Metric, ProgramAnalysis, RefereeReport};
+use wasteprof_trace::{AnalysisDriver, ThreadKind, Trace, TracePos};
 use wasteprof_workloads::{bing_frames, Benchmark, SiteSpec};
 
 fn idx(b: Benchmark) -> usize {
@@ -109,19 +110,31 @@ const WITNESSED: SliceOptions = SliceOptions {
     witness: true,
 };
 
+/// Store cells per artifact kind: the base sessions, then the browse
+/// sessions.
+const SLOTS: usize = 2 * Benchmark::ALL.len();
+
+/// The store cell of `key`'s artifacts. Bing's browse request maps to
+/// its base cell: for Bing the base session *is* load + browse (Table II
+/// defines it that way).
+fn slot(key: SessionKey) -> usize {
+    match key {
+        SessionKey::Base(b) | SessionKey::Browse(b @ Benchmark::Bing) => idx(b),
+        SessionKey::Browse(b) => Benchmark::ALL.len() + idx(b),
+    }
+}
+
 /// Memoized experiment artifacts, computed at most once each and shared
-/// behind `Arc`. Thread-safe: concurrent callers of the same getter block
-/// on the same `OnceLock` while the first one computes.
+/// behind `Arc`. Every artifact kind is one array of cells indexed by
+/// [`SessionKey`]; Bing's browse request shares its base cell.
+/// Thread-safe: concurrent callers of the same getter block on the same
+/// `OnceLock` while the first one computes.
 #[derive(Debug, Default)]
 pub struct SessionStore {
-    base: [OnceLock<Arc<Session>>; 4],
-    browse: [OnceLock<Arc<Session>>; 4],
-    forward: [OnceLock<Arc<ForwardPass>>; 4],
-    pixel: [OnceLock<Arc<SliceResult>>; 4],
-    syscall: [OnceLock<Arc<SliceResult>>; 4],
-    browse_forward: [OnceLock<Arc<ForwardPass>>; 4],
-    browse_pixel: [OnceLock<Arc<SliceResult>>; 4],
-    browse_syscall: [OnceLock<Arc<SliceResult>>; 4],
+    sessions: [OnceLock<Arc<Session>>; SLOTS],
+    forward: [OnceLock<Arc<ForwardPass>>; SLOTS],
+    pixel: [OnceLock<Arc<SliceResult>>; SLOTS],
+    syscall: [OnceLock<Arc<SliceResult>>; SLOTS],
     bing_load_prefix: OnceLock<Arc<SliceResult>>,
     stats: StoreStats,
 }
@@ -147,121 +160,63 @@ impl SessionStore {
         &self.stats
     }
 
-    /// The session for `key`.
+    /// The session for `key`: [`Benchmark::run`] for a base session,
+    /// [`Benchmark::run_with_browse`] for a browse session.
     pub fn session(&self, key: SessionKey) -> Arc<Session> {
-        match key {
-            SessionKey::Base(b) => self.base_session(b),
-            SessionKey::Browse(b) => self.browse_session(b),
-        }
-    }
-
-    /// The benchmark's Table II session ([`Benchmark::run`]).
-    pub fn base_session(&self, b: Benchmark) -> Arc<Session> {
-        self.base[idx(b)]
+        let slot = slot(key);
+        self.sessions[slot]
             .get_or_init(|| {
-                crate::progress!("session", "running {}...", b.label());
+                let b = Benchmark::ALL[slot % Benchmark::ALL.len()];
                 self.stats.sessions_run.fetch_add(1, Ordering::SeqCst);
-                Arc::new(b.run())
+                Arc::new(if slot < Benchmark::ALL.len() {
+                    crate::progress!("session", "running {}...", b.label());
+                    b.run()
+                } else {
+                    crate::progress!("session", "running {} (load + browse)...", b.label());
+                    b.run_with_browse()
+                })
             })
             .clone()
     }
 
-    /// The benchmark's load-and-browse session
-    /// ([`Benchmark::run_with_browse`]).
-    pub fn browse_session(&self, b: Benchmark) -> Arc<Session> {
-        // For Bing the base session *is* load + browse (Table II defines
-        // it that way), so the browse request aliases the base cell.
-        if matches!(b, Benchmark::Bing) {
-            return self.base_session(b);
-        }
-        self.browse[idx(b)]
+    /// The forward pass over the session for `key`.
+    pub fn forward(&self, key: SessionKey) -> Arc<ForwardPass> {
+        self.forward[slot(key)]
             .get_or_init(|| {
-                crate::progress!("session", "running {} (load + browse)...", b.label());
-                self.stats.sessions_run.fetch_add(1, Ordering::SeqCst);
-                Arc::new(b.run_with_browse())
-            })
-            .clone()
-    }
-
-    /// The forward pass over the benchmark's base session.
-    pub fn forward(&self, b: Benchmark) -> Arc<ForwardPass> {
-        self.forward[idx(b)]
-            .get_or_init(|| {
-                let session = self.base_session(b);
+                let session = self.session(key);
                 self.stats.forward_builds.fetch_add(1, Ordering::SeqCst);
                 Arc::new(ForwardPass::build(&session.trace))
             })
             .clone()
     }
 
-    /// The canonical full-session pixel slice of the base session.
-    pub fn pixel_slice(&self, b: Benchmark) -> Arc<SliceResult> {
-        self.pixel[idx(b)]
-            .get_or_init(|| {
-                let session = self.base_session(b);
-                let forward = self.forward(b);
-                self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                Arc::new(pixel_slice_with(&session.trace, &forward, &WITNESSED))
-            })
-            .clone()
-    }
-
-    /// The syscall-criteria slice of the base session (§V comparison).
-    pub fn syscall_slice(&self, b: Benchmark) -> Arc<SliceResult> {
-        self.syscall[idx(b)]
-            .get_or_init(|| {
-                let session = self.base_session(b);
-                let forward = self.forward(b);
-                self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                Arc::new(syscall_slice_with(&session.trace, &forward, &WITNESSED))
-            })
-            .clone()
-    }
-
-    /// The forward pass over the session for `key`. Browse sessions get
-    /// their own pass; Bing's browse request aliases its base cell, just
-    /// like [`SessionStore::browse_session`].
-    pub fn forward_for(&self, key: SessionKey) -> Arc<ForwardPass> {
-        match key {
-            SessionKey::Base(b) | SessionKey::Browse(b @ Benchmark::Bing) => self.forward(b),
-            SessionKey::Browse(b) => self.browse_forward[idx(b)]
-                .get_or_init(|| {
-                    let session = self.browse_session(b);
-                    self.stats.forward_builds.fetch_add(1, Ordering::SeqCst);
-                    Arc::new(ForwardPass::build(&session.trace))
-                })
-                .clone(),
-        }
-    }
-
     /// The full-session pixel slice of the session for `key`.
-    pub fn pixel_slice_for(&self, key: SessionKey) -> Arc<SliceResult> {
-        match key {
-            SessionKey::Base(b) | SessionKey::Browse(b @ Benchmark::Bing) => self.pixel_slice(b),
-            SessionKey::Browse(b) => self.browse_pixel[idx(b)]
-                .get_or_init(|| {
-                    let session = self.browse_session(b);
-                    let forward = self.forward_for(key);
-                    self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                    Arc::new(pixel_slice_with(&session.trace, &forward, &WITNESSED))
-                })
-                .clone(),
-        }
+    pub fn pixel_slice(&self, key: SessionKey) -> Arc<SliceResult> {
+        self.slice(&self.pixel, key, pixel_slice_with)
     }
 
-    /// The syscall-criteria slice of the session for `key`.
-    pub fn syscall_slice_for(&self, key: SessionKey) -> Arc<SliceResult> {
-        match key {
-            SessionKey::Base(b) | SessionKey::Browse(b @ Benchmark::Bing) => self.syscall_slice(b),
-            SessionKey::Browse(b) => self.browse_syscall[idx(b)]
-                .get_or_init(|| {
-                    let session = self.browse_session(b);
-                    let forward = self.forward_for(key);
-                    self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                    Arc::new(syscall_slice_with(&session.trace, &forward, &WITNESSED))
-                })
-                .clone(),
-        }
+    /// The syscall-criteria slice of the session for `key` (§V
+    /// comparison).
+    pub fn syscall_slice(&self, key: SessionKey) -> Arc<SliceResult> {
+        self.slice(&self.syscall, key, syscall_slice_with)
+    }
+
+    /// The memoized slice of `key`'s session in `cells`, computed by
+    /// `compute` under the session's forward pass.
+    fn slice(
+        &self,
+        cells: &[OnceLock<Arc<SliceResult>>; SLOTS],
+        key: SessionKey,
+        compute: fn(&Trace, &ForwardPass, &SliceOptions) -> SliceResult,
+    ) -> Arc<SliceResult> {
+        cells[slot(key)]
+            .get_or_init(|| {
+                let session = self.session(key);
+                let forward = self.forward(key);
+                self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
+                Arc::new(compute(&session.trace, &forward, &WITNESSED))
+            })
+            .clone()
     }
 
     /// The §V-A bounded slice: pixel criteria truncated to the load point,
@@ -269,8 +224,9 @@ impl SessionStore {
     pub fn bing_load_prefix_slice(&self) -> Arc<SliceResult> {
         self.bing_load_prefix
             .get_or_init(|| {
-                let session = self.base_session(Benchmark::Bing);
-                let forward = self.forward(Benchmark::Bing);
+                let key = SessionKey::Base(Benchmark::Bing);
+                let session = self.session(key);
+                let forward = self.forward(key);
                 let bounded = SliceOptions {
                     end: Some(session.load_end),
                     ..WITNESSED
@@ -289,14 +245,100 @@ impl SessionStore {
     /// Assembles the cached counterpart of
     /// [`wasteprof_analysis::run_benchmark`] from memoized artifacts.
     pub fn benchmark_run(&self, b: Benchmark, with_syscall: bool) -> SharedBenchmarkRun {
+        let key = SessionKey::Base(b);
         SharedBenchmarkRun {
             benchmark: b,
-            session: self.base_session(b),
-            forward: self.forward(b),
-            pixel: self.pixel_slice(b),
-            syscall: with_syscall.then(|| self.syscall_slice(b)),
+            session: self.session(key),
+            forward: self.forward(key),
+            pixel: self.pixel_slice(key),
+            syscall: with_syscall.then(|| self.syscall_slice(key)),
         }
     }
+}
+
+/// Scores the static analyzer against one session's execution witness
+/// and pixel slice (the paper's pixel-buffer criterion, §III-B):
+/// `analysis` is the [`ProgramAnalysis`] of the benchmark's scripts, and
+/// `forward` is the forward pass over `session`.
+///
+/// The slice is taken over the *stripped* trace
+/// (allocator bump-cursor dependences removed, see
+/// [`strip_allocator_deps`]). Raw machine-level slicing chains every heap
+/// allocation on a thread through the cursor, dragging
+/// allocating-but-irrelevant statements into the slice, which is the
+/// wrong referee for a source-level analyzer. Stripping drops memory
+/// operands only, and the forward pass reads tid/func/pc/kind, so the
+/// session's own pass serves the stripped trace.
+pub fn referee(
+    analysis: &ProgramAnalysis,
+    session: &Session,
+    forward: &ForwardPass,
+) -> RefereeReport {
+    let stripped = strip_allocator_deps(&session.trace);
+    let pixel = slice(
+        &stripped,
+        forward,
+        &pixel_criteria(&stripped),
+        &SliceOptions::default(),
+    );
+    wasteprof_staticjs::compare(analysis, &session.js_witness, &|p| {
+        pixel.contains(TracePos(p))
+    })
+}
+
+/// A precision or recall to three decimals, `n/a` when undefined.
+fn ratio(v: Option<f64>) -> String {
+    v.map_or_else(|| "n/a".to_owned(), |p| format!("{p:.3}"))
+}
+
+/// One metric row of `static_vs_dynamic.txt`.
+fn metric_line(name: &str, m: &Metric) -> String {
+    format!(
+        "  {name:<12} predicted {:>4}  observed {:>4}  tp {:>4}  gt {:>4}  \
+         precision {:>5}  recall {:>5}  violations {}\n",
+        m.predicted,
+        m.observed,
+        m.tp,
+        m.gt,
+        ratio(m.precision()),
+        ratio(m.recall()),
+        m.violations
+    )
+}
+
+/// One session's block of `results/static_vs_dynamic.txt`: the session
+/// label, the five metric rows, the maybe-undef row and the per-function
+/// table. `trace_tool static <site> --referee` prints the same block.
+pub fn referee_block(label: &str, r: &RefereeReport) -> String {
+    let mut out = format!("{label}\n");
+    out.push_str(&metric_line("unreachable", &r.unreachable));
+    out.push_str(&metric_line("dead stores", &r.dead_stores));
+    out.push_str(&metric_line("wasted", &r.wasted));
+    out.push_str(&metric_line("useless call", &r.useless_calls));
+    out.push_str(&metric_line("uncallable", &r.uncallable));
+    out.push_str(&format!(
+        "  {:<12} predicted {:>4}  ({} units compared; missed dead \
+         stores: {} fundamental, {} weakness)\n",
+        "maybe-undef", r.maybe_undef, r.units_compared, r.misses_fundamental, r.misses_weakness
+    ));
+    out.push_str("  per-function  verdicts | dynamic calls | waste pred/obs/tp/gt\n");
+    for row in &r.per_function {
+        out.push_str(&format!(
+            "    {:<34} {:<6} {:<6} calls {:>6}  waste {}/{}/{}/{}  \
+             precision {:>5}  recall {:>5}\n",
+            format!("{}:{}#{}", row.origin, row.name, row.idx),
+            if row.reachable { "reach" } else { "dead" },
+            if row.pure { "pure" } else { "effect" },
+            row.calls,
+            row.waste.predicted,
+            row.waste.observed,
+            row.waste.tp,
+            row.waste.gt,
+            ratio(row.waste.precision()),
+            ratio(row.waste.recall()),
+        ));
+    }
+    out
 }
 
 /// Options of an engine run, made with `EngineOptions::default()`. There
@@ -348,7 +390,7 @@ fn table1(store: &SessionStore) -> View {
 
     let rows: Vec<Table1Row> = sites
         .iter()
-        .map(|b| Table1Row::from_session(&store.browse_session(*b)))
+        .map(|b| Table1Row::from_session(&store.session(SessionKey::Browse(*b))))
         .collect();
 
     let fmt = UnusedBytes::format_bytes;
@@ -456,7 +498,7 @@ const FIG2_BUCKETS: usize = 120;
 /// Figure 2: main-thread CPU utilization while browsing amazon.com,
 /// rendered from the series the fused `analyze` stage computes.
 fn fig2_from(store: &SessionStore, series: &UtilizationSeries) -> View {
-    let session = store.browse_session(Benchmark::AmazonDesktop);
+    let session = store.session(SessionKey::Browse(Benchmark::AmazonDesktop));
     let mut out = String::new();
     out.push_str("Figure 2: CPU utilization by the main thread of the tab process\n");
     out.push_str("while browsing amazon.com (virtual time; 1 tick = 1 instruction).\n");
@@ -637,7 +679,7 @@ fn table2_waste_from(breakdowns: &[WasteBreakdown]) -> View {
 
 /// §V-A: the Bing load-time slice vs the full-session slice.
 fn bing_backslice(store: &SessionStore) -> View {
-    let session = store.base_session(Benchmark::Bing);
+    let session = store.session(SessionKey::Base(Benchmark::Bing));
     let trace = &session.trace;
     let load_end = session.load_end;
 
@@ -647,7 +689,7 @@ fn bing_backslice(store: &SessionStore) -> View {
 
     // (b) Backward slicing from the end of the full session — exactly the
     // shared pixel slice; report its share of the load-time instructions.
-    let full_slice = store.pixel_slice(Benchmark::Bing);
+    let full_slice = store.pixel_slice(SessionKey::Base(Benchmark::Bing));
     let full_on_load_pct = full_slice.fraction_in(trace, TracePos(0), load_end, None) * 100.0;
 
     let out = format!(
@@ -677,8 +719,8 @@ fn config_pixel_fraction(session: &Session) -> f64 {
 fn ablate_deferred_compilation(store: &SessionStore) -> (String, u64) {
     let b = Benchmark::AmazonDesktop;
     crate::progress!("ablation 1/4", "deferred JS compilation...");
-    let eager = store.base_session(b);
-    let eager_fraction = store.pixel_slice(b).fraction();
+    let eager = store.session(SessionKey::Base(b));
+    let eager_fraction = store.pixel_slice(SessionKey::Base(b)).fraction();
     let lazy = b.run_with_config(BrowserConfig {
         lazy_js_compilation: true,
         ..b.browser_config()
@@ -709,8 +751,8 @@ fn ablate_deferred_compilation(store: &SessionStore) -> (String, u64) {
 fn ablate_paint_cache(store: &SessionStore) -> (String, u64) {
     let b = Benchmark::Bing; // interaction-heavy: the cache matters most
     crate::progress!("ablation 2/4", "paint cache...");
-    let with = store.base_session(b);
-    let with_fraction = store.pixel_slice(b).fraction();
+    let with = store.session(SessionKey::Base(b));
+    let with_fraction = store.pixel_slice(SessionKey::Base(b)).fraction();
     let without = b.run_with_config(BrowserConfig {
         paint_cache: false,
         ..b.browser_config()
@@ -1115,7 +1157,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
     let work: Vec<(u64, u64)> = sessions
         .par_iter()
         .map(|k| {
-            store.forward_for(*k);
+            store.forward(*k);
             let trace = &store.session(*k).trace;
             (trace.len() as u64, trace.storage_bytes())
         })
@@ -1134,8 +1176,8 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         .par_iter()
         .map(|job| {
             let (considered, key) = match *job {
-                SliceJob::Pixel(k) => (store.pixel_slice_for(k).considered(), k),
-                SliceJob::Syscall(k) => (store.syscall_slice_for(k).considered(), k),
+                SliceJob::Pixel(k) => (store.pixel_slice(k).considered(), k),
+                SliceJob::Syscall(k) => (store.syscall_slice(k).considered(), k),
                 SliceJob::BingLoadPrefix => (
                     store.bing_load_prefix_slice().considered(),
                     SessionKey::Base(Benchmark::Bing),
@@ -1187,7 +1229,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
             // classify against; the browse sessions have no slice-derived
             // figures.
             let pixel = match k {
-                SessionKey::Base(b) => Some(store.pixel_slice(*b)),
+                SessionKey::Base(_) => Some(store.pixel_slice(*k)),
                 SessionKey::Browse(_) => None,
             };
             let mut category = pixel.as_deref().map(CategoryAnalysis::new);
@@ -1316,10 +1358,10 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
             .par_iter()
             .map(|&k| {
                 let session = store.session(k);
-                let forward = store.forward_for(k);
+                let forward = store.forward(k);
                 let trace = &session.trace;
                 let (pixel, syscall) = (pixel_criteria(trace), syscall_criteria(trace));
-                let slices = [store.pixel_slice_for(k), store.syscall_slice_for(k)];
+                let slices = [store.pixel_slice(k), store.syscall_slice(k)];
                 let jobs = [(&pixel, &*slices[0]), (&syscall, &*slices[1])];
                 let diags = wasteprof_checker::certify_all(trace, &forward, &jobs);
                 ["pixel", "syscall"]
@@ -1390,104 +1432,37 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         )
     };
 
-    // Stage 3d: the static-vs-dynamic referee. The
-    // ahead-of-time analyzer (wasteprof-staticjs) sees only each
-    // benchmark's script sources; its predictions are then scored
-    // against the execution witness and the pixel slice of every engine
-    // session. The slice ground truth comes from the *stripped* trace
-    // (allocator bump-cursor dependences removed, see `slicer::strip`):
-    // raw machine-level slicing chains every heap allocation on a thread
-    // through the cursor, dragging allocating-but-irrelevant statements
-    // into the slice, which is the wrong referee for a source-level
-    // analyzer. Unreachable-code, dead-store, useless-call, and
-    // uncallable-function claims are must-be-sound (a refuted claim is a
-    // violation); static-waste claims are scored on precision/recall
-    // only. Sessions render in the fixed `sessions` order, so the
-    // artifact bytes do not depend on the thread count.
+    // Stage 3d: the static-vs-dynamic referee. The ahead-of-time
+    // analyzer (wasteprof-staticjs) sees only each benchmark's script
+    // sources; [`referee`] scores its predictions against the execution
+    // witness and the stripped pixel slice of every engine session.
+    // Unreachable-code, dead-store, useless-call, and uncallable-function
+    // claims are must-be-sound (a refuted claim is a violation);
+    // static-waste claims are scored on precision/recall only. Sessions
+    // render in the fixed `sessions` order, so the artifact bytes do not
+    // depend on the thread count.
     let static_view = {
         let t = Instant::now();
-        type StaticRow = (String, u64, wasteprof_staticjs::RefereeReport);
-        let results: Vec<StaticRow> = sessions
+        let results: Vec<(String, u64, RefereeReport)> = sessions
             .par_iter()
             .map(|&k| {
-                let b = match k {
-                    SessionKey::Base(b) | SessionKey::Browse(b) => b,
-                };
+                let (SessionKey::Base(b) | SessionKey::Browse(b)) = k;
                 let analysis = wasteprof_staticjs::analyze_sources(&b.scripts())
                     .expect("canonical site scripts parse");
                 let session = store.session(k);
-                let stripped = strip_allocator_deps(&session.trace);
-                // Stripping drops memory operands only; the forward pass
-                // reads tid/func/pc/kind, so the session's own pass serves.
-                let fwd = store.forward_for(k);
-                let pslice = slice(
-                    &stripped,
-                    &fwd,
-                    &pixel_criteria(&stripped),
-                    &SliceOptions::default(),
-                );
-                let report = wasteprof_staticjs::compare(&analysis, &session.js_witness, &|p| {
-                    pslice.contains(TracePos(p))
-                });
+                let report = referee(&analysis, &session, &store.forward(k));
                 (k.label(), session.js_witness.total_exec(), report)
             })
             .collect();
-        fn ratio(v: Option<f64>) -> String {
-            v.map_or_else(|| "n/a".to_owned(), |p| format!("{p:.3}"))
-        }
-        fn metric_line(name: &str, m: &wasteprof_staticjs::Metric) -> String {
-            format!(
-                "  {name:<12} predicted {:>4}  observed {:>4}  tp {:>4}  gt {:>4}  \
-                 precision {:>5}  recall {:>5}  violations {}\n",
-                m.predicted,
-                m.observed,
-                m.tp,
-                m.gt,
-                ratio(m.precision()),
-                ratio(m.recall()),
-                m.violations
-            )
-        }
         let mut out = String::from(
             "Static-vs-dynamic referee: ahead-of-time interprocedural\n\
              predictions (wasteprof-staticjs, codes WP0101-WP0106) scored\n\
              against the execution witness and the pixel slice of every\n\
              engine session (allocator-cursor dependences stripped).\n\n",
         );
-        let mut totals = wasteprof_staticjs::RefereeReport::default();
+        let mut totals = RefereeReport::default();
         for (label, _, r) in &results {
-            out.push_str(&format!("{label}\n"));
-            out.push_str(&metric_line("unreachable", &r.unreachable));
-            out.push_str(&metric_line("dead stores", &r.dead_stores));
-            out.push_str(&metric_line("wasted", &r.wasted));
-            out.push_str(&metric_line("useless call", &r.useless_calls));
-            out.push_str(&metric_line("uncallable", &r.uncallable));
-            out.push_str(&format!(
-                "  {:<12} predicted {:>4}  ({} units compared; missed dead \
-                 stores: {} fundamental, {} weakness)\n",
-                "maybe-undef",
-                r.maybe_undef,
-                r.units_compared,
-                r.misses_fundamental,
-                r.misses_weakness
-            ));
-            out.push_str("  per-function  verdicts | dynamic calls | waste pred/obs/tp/gt\n");
-            for row in &r.per_function {
-                out.push_str(&format!(
-                    "    {:<34} {:<6} {:<6} calls {:>6}  waste {}/{}/{}/{}  \
-                     precision {:>5}  recall {:>5}\n",
-                    format!("{}:{}#{}", row.origin, row.name, row.idx),
-                    if row.reachable { "reach" } else { "dead" },
-                    if row.pure { "pure" } else { "effect" },
-                    row.calls,
-                    row.waste.predicted,
-                    row.waste.observed,
-                    row.waste.tp,
-                    row.waste.gt,
-                    ratio(row.waste.precision()),
-                    ratio(row.waste.recall()),
-                ));
-            }
+            out.push_str(&referee_block(label, r));
             out.push('\n');
             totals.merge(r);
         }
@@ -1608,8 +1583,8 @@ mod tests {
     #[test]
     fn store_aliases_bing_browse_to_base() {
         let store = SessionStore::new();
-        let base = store.base_session(Benchmark::Bing);
-        let browse = store.browse_session(Benchmark::Bing);
+        let base = store.session(SessionKey::Base(Benchmark::Bing));
+        let browse = store.session(SessionKey::Browse(Benchmark::Bing));
         assert!(Arc::ptr_eq(&base, &browse));
         assert_eq!(store.stats().sessions_run(), 1);
     }
@@ -1617,11 +1592,12 @@ mod tests {
     #[test]
     fn store_memoizes_forward_and_slices() {
         let store = SessionStore::new();
-        let f1 = store.forward(Benchmark::AmazonMobile);
-        let f2 = store.forward(Benchmark::AmazonMobile);
+        let key = SessionKey::Base(Benchmark::AmazonMobile);
+        let f1 = store.forward(key);
+        let f2 = store.forward(key);
         assert!(Arc::ptr_eq(&f1, &f2));
-        let p1 = store.pixel_slice(Benchmark::AmazonMobile);
-        let p2 = store.pixel_slice(Benchmark::AmazonMobile);
+        let p1 = store.pixel_slice(key);
+        let p2 = store.pixel_slice(key);
         assert!(Arc::ptr_eq(&p1, &p2));
         assert!(p1.witness().is_some(), "store slices carry their witness");
         assert_eq!(store.stats().sessions_run(), 1);
@@ -1641,7 +1617,7 @@ mod tests {
             let stripped = strip_allocator_deps(&session.trace);
             let criteria = pixel_criteria(&stripped);
             let opts = SliceOptions::default();
-            let shared = slice(&stripped, &store.forward_for(k), &criteria, &opts);
+            let shared = slice(&stripped, &store.forward(k), &criteria, &opts);
             let own = slice(&stripped, &ForwardPass::build(&stripped), &criteria, &opts);
             assert!(
                 shared == own,

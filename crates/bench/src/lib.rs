@@ -19,8 +19,8 @@
 //! | `check.txt`, `certify.txt`, `static_vs_dynamic.txt` | the referees: trace verifier, slice certifier, static analyzer |
 //!
 //! `trace_tool` exports a session's trace to disk and re-profiles it
-//! (§III-A); `out_of_core`, `fused_bench` and `static_bench` regenerate
-//! the `BENCH_*.json` evidence.
+//! (§III-A); `out_of_core` regenerates `BENCH_6.json`, the bounded-RSS
+//! evidence. The other `BENCH_*.json` files are frozen history.
 //!
 //! Criterion benches (`cargo bench`) measure the profiler itself (forward
 //! pass, postdominators, backward slicing, interval sets) and the browser

@@ -35,6 +35,26 @@ fn engine_output_is_byte_identical_across_thread_counts() {
         }
     }
 
+    // The committed `results/static_vs_dynamic.txt` is this run's
+    // artifact byte for byte, so the referee floors `scripts/check.sh`
+    // reads from it gate live engine output.
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/static_vs_dynamic.txt"
+    ))
+    .expect("committed results/static_vs_dynamic.txt");
+    let live = single
+        .views
+        .iter()
+        .flat_map(|v| &v.artifacts)
+        .find(|(name, _)| name == "static_vs_dynamic.txt")
+        .map(|(_, text)| text)
+        .expect("static referee artifact");
+    assert!(
+        *live == committed,
+        "results/static_vs_dynamic.txt differs from the engine's output; rerun run_all"
+    );
+
     // The verifier view exists, carries the `check.txt` artifact (covered
     // by the byte-wise comparison above), and found every session clean —
     // no WP diagnostic codes anywhere in the report.

@@ -15,6 +15,10 @@
 //! equality, matching `streamed_differential`: the earlier side of a
 //! cross-chunk race legitimately renders as a bare position once its
 //! chunk is evicted.
+//!
+//! Fusing pays out of core through decode counts, which are checked here
+//! too: one fused selective pass decodes fewer chunks and fewer stream
+//! bytes than one full-decode pass per consumer.
 
 use std::io::Cursor;
 
@@ -27,7 +31,8 @@ use wasteprof_browser::Sched;
 use wasteprof_checker::{Code, DeadWriteLint, Diag, Registry};
 use wasteprof_slicer::{pixel_criteria, slice, ForwardPass, SliceOptions, SliceResult};
 use wasteprof_trace::{
-    site, AnalysisDriver, Recorder, Region, ThreadKind, Trace, Trace2Writer, TraceReader,
+    site, AnalysisDriver, ColumnMask, DecodeStats, Recorder, Region, Subscription, ThreadKind,
+    Trace, Trace2Writer, TraceAnalysis, TraceReader,
 };
 
 /// The analysis pool; one bit per member in the random subset.
@@ -111,14 +116,35 @@ fn trace2_image(trace: &Trace, seg_len: usize) -> Vec<u8> {
     buf
 }
 
-/// Runs `members` in one fused driver sweep — in memory, or streamed over
-/// a `seg_len`-segment image — and returns their outputs in pool order.
+/// Subscribes to every column and handles no event. Registered next to
+/// an analysis, it pins the reader's decode mask wide open, as the reader
+/// was before selective decoding: every column stream of every chunk.
+struct FullDecode;
+
+impl TraceAnalysis for FullDecode {
+    fn name(&self) -> &'static str {
+        "full-decode"
+    }
+
+    fn subscription(&self) -> Subscription {
+        Subscription {
+            columns: ColumnMask::ALL,
+            ..Subscription::default()
+        }
+    }
+}
+
+/// Runs `members` in one fused driver sweep — over `trace` in memory, or
+/// streamed from a fresh reader over `image`, with [`FullDecode`] riding
+/// along when `full_decode` — and returns their outputs in pool order
+/// plus the reader's decode ledger (zero in memory).
 fn run_members(
     trace: &Trace,
     pixel: &SliceResult,
     members: &[Member],
-    streamed_seg_len: Option<usize>,
-) -> Vec<Out> {
+    image: Option<&[u8]>,
+    full_decode: bool,
+) -> (Vec<Out>, DecodeStats) {
     let main_tid = trace.threads().find(ThreadKind::Main).expect("main thread");
     let mut lint_reg = members
         .contains(&Member::Lints)
@@ -140,6 +166,7 @@ fn run_members(
         .contains(&Member::Utilization)
         .then(|| UtilizationAnalysis::new(Vec::new(), main_tid, 8));
     let mut frames = members.contains(&Member::Frames).then(FrameAnalysis::new);
+    let mut sentinel = full_decode.then_some(FullDecode);
 
     // Straight-line registration (one `&mut` borrow per member) — a loop
     // would re-borrow the same Option across iterations.
@@ -162,17 +189,23 @@ fn run_members(
     if let Some(a) = frames.as_mut() {
         driver.register(a);
     }
-    match streamed_seg_len {
-        None => driver.run(trace),
-        Some(seg_len) => {
-            let image = trace2_image(trace, seg_len);
+    if let Some(a) = sentinel.as_mut() {
+        driver.register(a);
+    }
+    let stats = match image {
+        None => {
+            driver.run(trace);
+            DecodeStats::default()
+        }
+        Some(image) => {
             let mut reader = TraceReader::open(Cursor::new(image)).unwrap();
             driver.run_streamed(&mut reader).unwrap();
+            reader.decode_stats()
         }
-    }
+    };
     drop(driver);
 
-    members
+    let outs = members
         .iter()
         .map(|m| match m {
             Member::Lints => Out::Diags(lint_battery.as_mut().unwrap().take_diags()),
@@ -182,7 +215,8 @@ fn run_members(
             Member::Utilization => Out::Utilization(utilization.take().unwrap().into_series()),
             Member::Frames => Out::Frames(frames.take().unwrap().into_profile()),
         })
-        .collect()
+        .collect();
+    (outs, stats)
 }
 
 /// A randomized cross-thread session: every hop crosses threads through
@@ -247,11 +281,12 @@ proptest! {
         // Each member alone, in memory: the reference outputs.
         let solo: Vec<Out> = members
             .iter()
-            .map(|&m| run_members(&trace, &pixel, &[m], None).pop().unwrap())
+            .map(|&m| run_members(&trace, &pixel, &[m], None, false).0.pop().unwrap())
             .collect();
         // All members in one fused sweep, in memory and streamed.
-        let fused = run_members(&trace, &pixel, &members, None);
-        let streamed = run_members(&trace, &pixel, &members, Some(seg_len));
+        let fused = run_members(&trace, &pixel, &members, None, false).0;
+        let image = trace2_image(&trace, seg_len);
+        let streamed = run_members(&trace, &pixel, &members, Some(&image), false).0;
 
         for ((m, s), (f, st)) in members.iter().zip(&solo).zip(fused.iter().zip(&streamed)) {
             prop_assert!(
@@ -267,11 +302,9 @@ proptest! {
     }
 }
 
-/// Selective decoding is observable: a sparse subscription over a
-/// multi-segment image decodes strictly fewer stream bytes than it skips,
-/// while a full-battery run still skips the regset streams nobody reads.
-#[test]
-fn streamed_sparse_subset_skips_column_bytes() {
+/// The fixture of the decode-ledger tests: a session spanning many
+/// 64-instruction segments, its pixel slice and its `WPTRACE2` image.
+fn multi_segment_fixture() -> (Trace, SliceResult, Vec<u8>) {
     let hops: Vec<(u8, u32)> = (0..12).map(|i| (i as u8 % 3, 3)).collect();
     let trace = random_session(&hops, 2);
     let fwd = ForwardPass::build(&trace);
@@ -282,26 +315,22 @@ fn streamed_sparse_subset_skips_column_bytes() {
         &SliceOptions::default(),
     );
     let image = trace2_image(&trace, 64);
+    (trace, pixel, image)
+}
 
+/// Selective decoding is observable: a sparse subscription over a
+/// multi-segment image decodes strictly fewer stream bytes than it skips,
+/// while a full-battery run still skips the regset streams nobody reads.
+#[test]
+fn streamed_sparse_subset_skips_column_bytes() {
+    let (trace, pixel, image) = multi_segment_fixture();
     let stats_for = |members: &[Member]| {
-        let mut reader = TraceReader::open(Cursor::new(image.clone())).unwrap();
-        let out = {
-            let mut category = CategoryAnalysis::new(&pixel);
-            let mut lint_reg = Registry::with_default_lints();
-            let mut battery = lint_reg.as_analysis("lints");
-            let mut driver = AnalysisDriver::new();
-            if members.contains(&Member::Category) {
-                driver.register(&mut category);
-            }
-            if members.contains(&Member::Lints) {
-                driver.register(&mut battery);
-            }
-            driver.run_streamed(&mut reader).unwrap();
-            drop(driver);
-            reader.decode_stats()
-        };
-        assert!(out.chunks_decoded > 1, "fixture must span several segments");
-        out
+        let (_, stats) = run_members(&trace, &pixel, members, Some(&image), false);
+        assert!(
+            stats.chunks_decoded > 1,
+            "fixture must span several segments"
+        );
+        stats
     };
 
     let sparse = stats_for(&[Member::Category]);
@@ -317,5 +346,46 @@ fn streamed_sparse_subset_skips_column_bytes() {
     assert!(
         battery.decoded_stream_bytes > sparse.decoded_stream_bytes,
         "wider union must decode more: {battery:?} vs {sparse:?}"
+    );
+}
+
+/// Why the engine fuses its `analyze` stage, as counters: its four
+/// consumers (the verify battery, dead writes, Figure 5 categories and
+/// the waste cross) in one selective pass make fewer chunk decodes, and
+/// decode fewer stream bytes, than four separate passes that each decode
+/// every column. Each consumer's output is the same both ways.
+#[test]
+fn fused_selective_pass_decodes_less_than_separate_full_passes() {
+    let (trace, pixel, image) = multi_segment_fixture();
+    let consumers = [
+        Member::Lints,
+        Member::DeadWrites,
+        Member::Category,
+        Member::Waste,
+    ];
+    let (fused, fused_stats) = run_members(&trace, &pixel, &consumers, Some(&image), false);
+    let mut separate = DecodeStats::default();
+    for (&m, fused_out) in consumers.iter().zip(&fused) {
+        let (mut outs, stats) = run_members(&trace, &pixel, &[m], Some(&image), true);
+        separate.chunks_decoded += stats.chunks_decoded;
+        separate.decoded_stream_bytes += stats.decoded_stream_bytes;
+        let alone = outs.pop().unwrap();
+        let same = match (&alone, fused_out) {
+            (Out::Diags(x), Out::Diags(y)) => x == y,
+            _ => outs_equal(&alone, fused_out),
+        };
+        assert!(
+            same,
+            "{m:?}: fused output differs from its separate pass\n\
+             separate: {alone:#?}\nfused: {fused_out:#?}"
+        );
+    }
+    assert!(
+        fused_stats.chunks_decoded < separate.chunks_decoded,
+        "one fused pass must decode fewer chunks: {fused_stats:?} vs {separate:?}"
+    );
+    assert!(
+        fused_stats.decoded_stream_bytes < separate.decoded_stream_bytes,
+        "one selective pass must decode fewer stream bytes: {fused_stats:?} vs {separate:?}"
     );
 }

@@ -29,7 +29,7 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
     for key in sessions {
         let session = store.session(key);
         let trace = &session.trace;
-        let forward = store.forward_for(key);
+        let forward = store.forward(key);
         let criteria = pixel_criteria(trace);
         for witness in [false, true] {
             let opts = SliceOptions {
@@ -61,7 +61,7 @@ fn incremental_slices_match_from_scratch_on_all_sessions() {
     let again = cache.slice(&session.trace, &criteria, &opts);
     assert_eq!(
         again,
-        slice(&session.trace, &store.forward_for(key), &criteria, &opts)
+        slice(&session.trace, &store.forward(key), &criteria, &opts)
     );
     let s = cache.stats();
     assert_eq!(s.hits, before.hits + 1, "re-slice must hit: {s:?}");

@@ -92,16 +92,29 @@ impl AddrRange {
     ///
     /// # Panics
     ///
-    /// Panics if `len` is zero — empty operands are never recorded.
+    /// Panics if `len` is zero — empty operands are never recorded — or if
+    /// the range would end past `u64::MAX` (see [`AddrRange::try_new`]).
     pub fn new(start: Addr, len: u32) -> Self {
         assert!(len > 0, "memory operand must not be empty");
-        AddrRange { start, len }
+        AddrRange::try_new(start, len).expect("memory operand wraps the 64-bit address space")
+    }
+
+    /// Creates a range of `len` bytes starting at `start`, or `None` if it
+    /// would be empty or end past `u64::MAX`. Readers of untrusted input
+    /// use this to refuse such operands with an error of their own.
+    pub fn try_new(start: Addr, len: u32) -> Option<Self> {
+        let fits = len > 0 && start.raw().checked_add(u64::from(len)).is_some();
+        fits.then_some(AddrRange { start, len })
     }
 
     /// Creates a single 8-byte cell range: the natural word of the virtual
     /// machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell would end past `u64::MAX`.
     pub fn cell(start: Addr) -> Self {
-        AddrRange { start, len: CELL }
+        AddrRange::new(start, CELL)
     }
 
     /// First byte of the range.
@@ -109,12 +122,8 @@ impl AddrRange {
         self.start
     }
 
-    /// One past the last byte of the range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range ends past `u64::MAX` (see [`Addr::offset`];
-    /// ranges never wrap the address space).
+    /// One past the last byte of the range. Never panics: no range that
+    /// ends past `u64::MAX` can be built.
     pub fn end(self) -> Addr {
         self.start.offset(self.len as u64)
     }
@@ -411,9 +420,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overflowed")]
-    fn range_end_overflow_panics() {
-        let _ = AddrRange::new(Addr::new(u64::MAX - 3), 8).end();
+    #[should_panic(expected = "wraps")]
+    fn wrapping_range_panics() {
+        let _ = AddrRange::new(Addr::new(u64::MAX - 3), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "wraps")]
+    fn wrapping_cell_panics() {
+        let _ = AddrRange::cell(Addr::new(u64::MAX - 3));
+    }
+
+    #[test]
+    fn try_new_refuses_wrapping_and_empty_ranges() {
+        assert_eq!(AddrRange::try_new(Addr::new(u64::MAX - 3), 8), None);
+        assert_eq!(AddrRange::try_new(Region::Heap.base(), 0), None);
+        let last = AddrRange::try_new(Addr::new(u64::MAX - 7), 7).expect("ends at u64::MAX");
+        assert_eq!(last.end(), Addr::new(u64::MAX));
     }
 
     #[test]

@@ -156,12 +156,11 @@ fn parse_footer(bytes: &[u8], payload_end: u64) -> Result<Footer, TraceIoError> 
         if len == 0 {
             return Err(bad("zero-length marker tile"));
         }
-        if start.checked_add(u64::from(len)).is_none() {
-            return Err(bad("marker tile wraps the address space"));
-        }
+        let tile = AddrRange::try_new(Addr::new(start), len)
+            .ok_or_else(|| bad("marker tile wraps the address space"))?;
         markers.push(MarkerRecord {
             pos: TracePos(pos),
-            tile: AddrRange::new(Addr::new(start), len),
+            tile,
         });
     }
 
@@ -1083,6 +1082,31 @@ mod tests {
     fn footer_rejects_duplicate_symbol() {
         let msg = footer_err(&symbols(&[(1, b"f"), (1, b"f")]));
         assert_eq!(msg, "duplicate symbol name `f`");
+    }
+
+    /// A footer with an instruction total of 1, no symbols or threads,
+    /// and one marker tile of `len` bytes at `start`.
+    fn marker_footer(start: u64, len: u32) -> Vec<u8> {
+        let mut f = 1u64.to_le_bytes().to_vec();
+        f.extend_from_slice(&0u32.to_le_bytes()); // symbols
+        f.extend_from_slice(&0u32.to_le_bytes()); // threads
+        f.extend_from_slice(&1u64.to_le_bytes()); // markers
+        f.extend_from_slice(&0u64.to_le_bytes()); // marker position
+        f.extend_from_slice(&start.to_le_bytes());
+        f.extend_from_slice(&len.to_le_bytes());
+        f
+    }
+
+    #[test]
+    fn footer_rejects_empty_and_wrapping_marker_tiles() {
+        assert_eq!(
+            footer_err(&marker_footer(0x1000, 0)),
+            "zero-length marker tile"
+        );
+        assert_eq!(
+            footer_err(&marker_footer(u64::MAX - 3, 8)),
+            "marker tile wraps the address space"
+        );
     }
 
     #[test]

@@ -581,11 +581,9 @@ pub fn decode_segment_masked(
             if len == 0 {
                 return Err(bad("zero-length memory operand"));
             }
-            let s = starts[i];
-            if s.checked_add(u64::from(len)).is_none() {
-                return Err(bad("memory operand wraps the address space"));
-            }
-            arena.push(AddrRange::new(Addr::new(s), len));
+            let op = AddrRange::try_new(Addr::new(starts[i]), len)
+                .ok_or_else(|| bad("memory operand wraps the address space"))?;
+            arena.push(op);
         }
         stats.decoded_bytes += (before - r.remaining()) as u64;
         (mem, arena)
@@ -682,6 +680,37 @@ mod tests {
         let back = decode_segment(&buf, 300, 4).unwrap();
         assert_eq!(back.len(), 300);
         assert_columns_eq(&cols, &back, 0);
+    }
+
+    /// No operand can end past `u64::MAX`, so a segment that declares one
+    /// is a typed error. One ending exactly there roundtrips.
+    #[test]
+    fn wrapping_operand_is_refused() {
+        let mut cols = Columns::default();
+        let top = AddrRange::new(Addr::new(u64::MAX - 7), 7);
+        cols.push(
+            ThreadId(0),
+            FuncId(0),
+            Pc(1),
+            InstrKind::Load,
+            RegSet::EMPTY,
+            RegSet::EMPTY,
+            &[top],
+            &[],
+        );
+        let mut buf = Vec::new();
+        encode_segment(&cols, 0, 1, &mut buf).unwrap();
+        assert_columns_eq(&cols, &decode_segment(&buf, 1, 1).unwrap(), 0);
+        // The operand-length stream comes last: one plain varint, 7.
+        assert_eq!(buf.last(), Some(&7));
+        *buf.last_mut().unwrap() = 8;
+        match decode_segment(&buf, 1, 1) {
+            Err(TraceIoError::Format(msg)) => {
+                assert_eq!(msg, "memory operand wraps the address space")
+            }
+            Err(e) => panic!("expected a format error, got {e:?}"),
+            Ok(_) => panic!("wrapping operand accepted"),
+        }
     }
 
     #[test]

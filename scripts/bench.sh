@@ -6,8 +6,6 @@
 #
 #   scripts/bench.sh [--smoke] [N]
 #   scripts/bench.sh --out-of-core [SYNTH_INSTRS]
-#   scripts/bench.sh --fused [REPS]
-#   scripts/bench.sh --static
 #
 # --smoke uses 2 threads for the parallel run and skips nothing else — it
 # exists so scripts/check.sh can exercise the harness end to end without
@@ -21,21 +19,11 @@
 # override with SYNTH_INSTRS) is generated straight to disk and sliced
 # with bounded RSS. Writes results/BENCH_6.json.
 #
-# --fused runs the fused-analysis bench (DESIGN.md §12): per benchmark,
-# the verifier lint battery, WP0012 dead-write metric, Figure 5 category
-# breakdown, and Table II × Fig 5 waste cross timed one-sweep-each vs ONE
-# fused AnalysisDriver sweep (best of REPS, default 3), every fused output
-# asserted equal to its solo twin; plus an out-of-core section comparing
-# separate full-decode WPTRACE2 passes (the pre-framework reader) against
-# one fused selectively-decoded pass, with the decoded-vs-skipped stream
-# byte ledger. Writes results/BENCH_8.json.
-#
-# --static runs the static-vs-dynamic referee bench (DESIGN.md §13-14): the
-# wasteprof-staticjs ahead-of-time analyzer over every benchmark's script
-# sources, scored against the execution witness and pixel slice of all
-# six canonical sessions — per-analysis precision/recall plus the
-# soundness-violation count (refuted unreachable or dead-store claims
-# exit 1). Writes results/BENCH_10.json.
+# The fused-analysis and static-referee generators of results/BENCH_8.json
+# and results/BENCH_10.json are retired; both files are frozen history.
+# Their claims are checked live: crates/bench/tests/fused_differential.rs
+# counts the decodes a fused pass saves, and scripts/check.sh holds
+# run_all's results/static_vs_dynamic.txt to the referee floors.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,31 +37,18 @@ if [[ "${1:-}" == "--out-of-core" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "--fused" ]]; then
-    REPS="${2:-3}"
-    echo "== building release fused-analysis bench =="
-    cargo build --release --quiet -p wasteprof-bench
-    echo "== fused-analysis bench ($REPS reps) =="
-    ./target/release/fused_bench "$REPS"
-    echo "wrote results/BENCH_8.json"
-    exit 0
-fi
-
-if [[ "${1:-}" == "--static" ]]; then
-    echo "== building release static referee bench =="
-    cargo build --release --quiet -p wasteprof-bench
-    echo "== static-vs-dynamic referee bench =="
-    ./target/release/static_bench
-    echo "wrote results/BENCH_10.json"
-    exit 0
-fi
-
 THREADS="$(nproc 2>/dev/null || echo 4)"
 if [[ "${1:-}" == "--smoke" ]]; then
     THREADS=2
     shift
 fi
 if [[ -n "${1:-}" ]]; then
+    # A thread count; anything else (a retired mode such as --fused or
+    # --static included) is a usage error.
+    if [[ ! "$1" =~ ^[1-9][0-9]*$ ]]; then
+        echo "usage: scripts/bench.sh [--smoke] [N] | --out-of-core [SYNTH_INSTRS]" >&2
+        exit 2
+    fi
     THREADS="$1"
 fi
 

@@ -32,6 +32,30 @@ cargo test -q
 echo "== full workspace tests (includes the ~2 min engine determinism run) =="
 cargo test -q --workspace
 
+echo "== static referee floors (results/static_vs_dynamic.txt) =="
+# engine_determinism, in the workspace tests above, requires the committed
+# artifact to equal fresh engine output, so these floors gate live
+# output: all six sessions refereed with no refuted must-be-sound claim,
+# every unreachable claim confirmed, and static waste predictions at
+# precision > 0.475 with recall >= 0.85 over all sessions.
+referee_txt=results/static_vs_dynamic.txt
+grep -qx '6 sessions refereed, 0 soundness violations.' "$referee_txt"
+awk '
+    function field(name,   i) {
+        for (i = 1; i < NF; i++) if ($i == name) return $(i + 1)
+        return "n/a"
+    }
+    $0 == "all sessions" { all = 1; next }
+    all && $1 == "unreachable" { up = field("precision") }
+    all && $1 == "wasted" { wp = field("precision"); wr = field("recall") }
+    END {
+        if (up + 0 == 1 && wp + 0 > 0.475 && wr + 0 >= 0.85) exit 0
+        printf "referee floors missed: unreachable precision %s, wasted precision %s recall %s\n", \
+            up, wp, wr > "/dev/stderr"
+        exit 1
+    }
+' "$referee_txt"
+
 echo "== race-shadow differential (release, CI case counts) =="
 # The race detector's compact shadow against the previous lint, kept
 # verbatim in the test: the same diagnostics in emission order on 256
@@ -120,6 +144,9 @@ expect_exit 2 target/release/trace_tool slice "$smoke_trace" --no-cache
 # So is the retired segment-count flag: there is one backward walk.
 expect_exit 2 target/release/trace_tool slice "$smoke_trace" --segments 8
 expect_exit 2 target/release/trace_tool certify "$smoke_trace" --segments 8
+# And `static --referee --per-function`: the per-function rows are always
+# printed.
+expect_exit 2 target/release/trace_tool static amazon_mobile --referee --per-function
 
 echo "== fused analyze smoke (subset selection, in-memory vs streamed identical) =="
 # The full fused pass and every subset must agree between the in-memory
@@ -173,6 +200,29 @@ elif [ $? -ne 2 ]; then
     echo "trace_tool static usage error did not exit 2" >&2
     exit 1
 fi
+
+echo "== static referee CLI (each site prints its block of the artifact) =="
+# `trace_tool static <site> --referee` runs the engine's referee over the
+# site's base session and prints that session's block of
+# results/static_vs_dynamic.txt, byte for byte, after the findings. The
+# block starts at the session label, the line before the first metric row.
+for site in amazon_desktop amazon_mobile maps bing; do
+    rc=0
+    target/release/trace_tool static "$site" --referee >"$static_out/$site.referee" || rc=$?
+    if [ "$rc" -gt 1 ]; then
+        echo "trace_tool static $site --referee failed (exit $rc)" >&2
+        exit 1
+    fi
+    awk 'NR > 1 && /^  unreachable / { print prev; p = 1 } p; { prev = $0 }' \
+        "$static_out/$site.referee" >"$static_out/$site.block"
+    label=$(head -n 1 "$static_out/$site.block")
+    if [ -z "$label" ]; then
+        echo "trace_tool static $site --referee printed no referee block" >&2
+        exit 1
+    fi
+    diff <(awk -v l="$label" '$0 == l { p = 1 } p && /^$/ { exit } p' "$referee_txt") \
+        "$static_out/$site.block"
+done
 
 echo "== static referee artifact sanity (results/BENCH_10.json) =="
 # The committed static-vs-dynamic artifact must show a sound
