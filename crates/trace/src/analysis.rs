@@ -59,10 +59,18 @@ impl ColumnMask {
     pub const MARKERS: ColumnMask = ColumnMask(1 << 6);
     /// Every column group.
     pub const ALL: ColumnMask = ColumnMask(0x7f);
+    /// The groups a `WPTRACE2` segment payload stores: all but
+    /// [`ColumnMask::MARKERS`].
+    pub const SEGMENT: ColumnMask = ColumnMask(0x3f);
 
     /// Union of two masks.
     pub const fn union(self, other: ColumnMask) -> ColumnMask {
         ColumnMask(self.0 | other.0)
+    }
+
+    /// The groups present in both masks.
+    pub const fn intersection(self, other: ColumnMask) -> ColumnMask {
+        ColumnMask(self.0 & other.0)
     }
 
     /// True if every group of `other` is present in `self`.

@@ -19,7 +19,7 @@ use crate::thread::ThreadId;
 
 /// One instruction's memory operands: a contiguous run in the shared
 /// operand arena, reads first, then writes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MemOpsRef {
     /// First operand's index in the arena.
     pub start: u32,
@@ -47,27 +47,30 @@ fn kind_to_tag(kind: InstrKind) -> (u8, u32) {
 /// Packed per-field instruction columns plus the memory-operand arena.
 ///
 /// Every column has exactly one entry per instruction; `arena` holds all
-/// operand ranges back to back, addressed through the `mem` column.
+/// operand ranges back to back, addressed through the `mem` column. The
+/// fields are visible to the crate so the `WPTRACE2` segment decoder can
+/// refill a reused store in place; it restores both conditions before it
+/// returns the store.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Columns {
     /// Opcode-class tag (same values as the trace wire format).
-    kinds: Vec<u8>,
+    pub(crate) kinds: Vec<u8>,
     /// Kind payload: branch direction, callee id, or syscall number.
-    kind_data: Vec<u32>,
+    pub(crate) kind_data: Vec<u32>,
     /// Executing thread per instruction.
-    tids: Vec<u8>,
+    pub(crate) tids: Vec<u8>,
     /// Enclosing function per instruction.
-    funcs: Vec<u32>,
+    pub(crate) funcs: Vec<u32>,
     /// Static PC per instruction.
-    pcs: Vec<u32>,
+    pub(crate) pcs: Vec<u32>,
     /// Registers read, as a bitset.
-    reg_reads: Vec<u16>,
+    pub(crate) reg_reads: Vec<u16>,
     /// Registers written, as a bitset.
-    reg_writes: Vec<u16>,
+    pub(crate) reg_writes: Vec<u16>,
     /// Memory-operand reference per instruction.
-    mem: Vec<MemOpsRef>,
+    pub(crate) mem: Vec<MemOpsRef>,
     /// All memory operands of all instructions, reads before writes.
-    arena: Vec<AddrRange>,
+    pub(crate) arena: Vec<AddrRange>,
 }
 
 impl Columns {
@@ -299,47 +302,17 @@ impl Columns {
         self.mem[idx]
     }
 
-    /// Assembles a store directly from decoded column vectors.
-    ///
-    /// Used by the `WPTRACE2` segment decoder, which reconstructs each
-    /// column wholesale instead of pushing row by row. Lengths must agree;
-    /// `mem` entries must index inside `arena`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_raw_parts(
-        kinds: Vec<u8>,
-        kind_data: Vec<u32>,
-        tids: Vec<u8>,
-        funcs: Vec<u32>,
-        pcs: Vec<u32>,
-        reg_reads: Vec<u16>,
-        reg_writes: Vec<u16>,
-        mem: Vec<MemOpsRef>,
-        arena: Vec<AddrRange>,
-    ) -> Columns {
-        let n = kinds.len();
-        debug_assert!(
-            kind_data.len() == n
-                && tids.len() == n
-                && funcs.len() == n
-                && pcs.len() == n
-                && reg_reads.len() == n
-                && reg_writes.len() == n
-                && mem.len() == n
-        );
-        debug_assert!(mem
-            .iter()
-            .all(|m| m.start as usize + m.nreads as usize + m.nwrites as usize <= arena.len()));
-        Columns {
-            kinds,
-            kind_data,
-            tids,
-            funcs,
-            pcs,
-            reg_reads,
-            reg_writes,
-            mem,
-            arena,
-        }
+    /// Empties every column, keeping their capacity for the next rows.
+    pub(crate) fn clear(&mut self) {
+        self.kinds.clear();
+        self.kind_data.clear();
+        self.tids.clear();
+        self.funcs.clear();
+        self.pcs.clear();
+        self.reg_reads.clear();
+        self.reg_writes.clear();
+        self.mem.clear();
+        self.arena.clear();
     }
 
     /// A copy of the first `n` instructions' columns.

@@ -16,7 +16,9 @@
 //! Decoding is fully bounds-checked through [`ByteReader`]: every length
 //! and count is validated against the bytes that actually remain, so a
 //! corrupt or truncated chunk yields a [`TraceIoError::Format`] instead of
-//! a panic or an attacker-sized allocation.
+//! a panic or an attacker-sized allocation. [`decode_runs`] reads a block
+//! as runs of equal values, so a decoder converts each value once per run
+//! and writes it straight into its typed column.
 
 use crate::io::{bad, TraceIoError};
 
@@ -130,6 +132,45 @@ impl<'a> ByteReader<'a> {
             }
         }
     }
+
+    /// Reads one varint as [`ByteReader::varint`] does, eight bytes at a
+    /// time: a varint of at most eight bytes that lies wholly inside the
+    /// buffer is gathered from one little-endian word. Longer varints, the
+    /// buffer's last seven bytes and every error take the byte-at-a-time
+    /// path, so both accept exactly the same input.
+    #[inline]
+    fn varint_fast(&mut self) -> Result<u64, TraceIoError> {
+        if let Some(window) = self.buf.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(window.try_into().expect("an 8-byte window"));
+            if word & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(word & 0x7f);
+            }
+            let stops = !word & 0x8080_8080_8080_8080;
+            if stops != 0 {
+                let len = stops.trailing_zeros() / 8 + 1;
+                self.pos += len as usize;
+                return Ok(gather7(word & (u64::MAX >> (64 - 8 * len))));
+            }
+        }
+        self.varint()
+    }
+}
+
+/// Packs the low seven bits of each byte of `w` into 56 contiguous bits,
+/// byte 0 lowest: the value of an up-to-8-byte LEB128 varint read as one
+/// little-endian word with the bytes past its end cleared.
+#[inline]
+fn gather7(w: u64) -> u64 {
+    let w = w & 0x7f7f_7f7f_7f7f_7f7f;
+    let w = (w & 0x007f_007f_007f_007f) | ((w & 0x7f00_7f00_7f00_7f00) >> 1);
+    let w = (w & 0x0000_3fff_0000_3fff) | ((w & 0x3fff_0000_3fff_0000) >> 2);
+    (w & 0x0000_0000_0fff_ffff) | ((w & 0x0fff_ffff_0000_0000) >> 4)
+}
+
+/// Bytes [`put_varint`] spends on `v`.
+fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
 }
 
 // ----- dual-encoding u64 stream blocks ----------------------------------
@@ -142,89 +183,87 @@ const ENC_RLE: u8 = 1;
 /// Encodes `values` as one column block: a varint byte length covering the
 /// rest of the block, a 1-byte encoder tag, then either a plain varint
 /// stream or a run-length stream — whichever is smaller for this column of
-/// this segment. The length prefix lets a selective decoder skip a block
-/// it never subscribed to in O(1) without touching its payload.
+/// this segment, plain on a tie. The length prefix lets a selective
+/// decoder skip a block it never subscribed to in O(1) without touching
+/// its payload. Both encodings are sized first, so only the chosen one is
+/// written, straight into `out`.
 pub fn encode_stream(out: &mut Vec<u8>, values: &[u64]) {
-    let mut plain = Vec::new();
-    for &v in values {
-        put_varint(&mut plain, v);
-    }
-    let mut rle = Vec::new();
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i];
-        let mut j = i + 1;
-        while j < values.len() && values[j] == v {
-            j += 1;
-        }
-        put_varint(&mut rle, v);
-        put_varint(&mut rle, (j - i) as u64);
-        i = j;
-    }
-    let body = if rle.len() < plain.len() {
-        &rle
-    } else {
-        &plain
+    let runs = || {
+        values
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
     };
-    put_varint(out, (body.len() + 1) as u64);
-    out.push(if rle.len() < plain.len() {
-        ENC_RLE
+    let plain: usize = values.iter().map(|&v| varint_len(v)).sum();
+    let rle: usize = runs()
+        .map(|(v, run)| varint_len(v) + varint_len(run as u64))
+        .sum();
+    put_varint(out, (plain.min(rle) + 1) as u64);
+    if rle < plain {
+        out.push(ENC_RLE);
+        for (v, run) in runs() {
+            put_varint(out, v);
+            put_varint(out, run as u64);
+        }
     } else {
-        ENC_PLAIN
-    });
-    out.extend_from_slice(body);
+        out.push(ENC_PLAIN);
+        for &v in values {
+            put_varint(out, v);
+        }
+    }
 }
 
-/// Decodes exactly `n` values of a block written by [`encode_stream`],
-/// appending them to `out`.
+/// Decodes one block written by [`encode_stream`] that must hold exactly
+/// `n` values, handing `f` each run of equal values as `(value, run
+/// length)`: a plain block yields runs of one, a run-length block its
+/// pairs. The segment decoder fills each typed column from these runs
+/// directly, converting a value once per run; an error from `f` ends the
+/// decode.
 ///
 /// # Errors
 ///
-/// [`TraceIoError::Format`] on an unknown encoder tag, a truncated
-/// stream, a run-length stream whose runs do not sum to `n` exactly, or a
-/// block whose decoded payload does not consume its declared byte length.
-pub fn decode_stream(
+/// [`TraceIoError::Format`] on a zero or truncated block length, an
+/// unknown encoder tag, a truncated stream, a run of zero values or of
+/// more than the block still owes, or a block whose values do not consume
+/// its declared byte length.
+#[inline]
+pub fn decode_runs(
     r: &mut ByteReader<'_>,
     n: usize,
-    out: &mut Vec<u64>,
+    mut f: impl FnMut(u64, usize) -> Result<(), TraceIoError>,
 ) -> Result<(), TraceIoError> {
     let len = r.varint()?;
     let len = usize::try_from(len).map_err(|_| bad("block length overflows usize"))?;
     if len == 0 {
         return Err(bad("column block with zero length"));
     }
-    let mut r = ByteReader::new(r.bytes(len)?);
-    out.reserve(n.min(len));
-    match r.u8()? {
+    let mut body = ByteReader::new(r.bytes(len)?);
+    match body.u8()? {
         ENC_PLAIN => {
             for _ in 0..n {
-                out.push(r.varint()?);
+                f(body.varint_fast()?, 1)?;
             }
         }
         ENC_RLE => {
-            let mut got = 0usize;
-            while got < n {
-                let v = r.varint()?;
-                let run = r.varint()?;
+            let mut left = n;
+            while left > 0 {
+                let v = body.varint_fast()?;
+                let run = body.varint_fast()?;
                 let run = usize::try_from(run).map_err(|_| bad("run length overflows usize"))?;
-                if run == 0 || run > n - got {
+                if run == 0 || run > left {
                     return Err(bad(format!(
-                        "run of {run} values does not fit the {} still expected",
-                        n - got
+                        "run of {run} values does not fit the {left} still expected"
                     )));
                 }
-                for _ in 0..run {
-                    out.push(v);
-                }
-                got += run;
+                f(v, run)?;
+                left -= run;
             }
         }
         tag => return Err(bad(format!("unknown column encoder tag {tag}"))),
     }
-    if !r.is_exhausted() {
+    if !body.is_exhausted() {
         return Err(bad(format!(
             "column block declares {len} bytes but decoding left {}",
-            r.remaining()
+            body.remaining()
         )));
     }
     Ok(())
@@ -252,6 +291,18 @@ pub fn skip_stream(r: &mut ByteReader<'_>) -> Result<usize, TraceIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes exactly `n` values of one block, appending them to `out`.
+    fn decode_stream(
+        r: &mut ByteReader<'_>,
+        n: usize,
+        out: &mut Vec<u64>,
+    ) -> Result<(), TraceIoError> {
+        decode_runs(r, n, |v, run| {
+            out.extend(std::iter::repeat_n(v, run));
+            Ok(())
+        })
+    }
 
     fn roundtrip(values: &[u64]) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -365,6 +416,70 @@ mod tests {
         let buf = framed(&[]);
         let err = skip_stream(&mut ByteReader::new(&buf)).unwrap_err();
         assert!(matches!(err, TraceIoError::Format(_)), "{err:?}");
+    }
+
+    /// The encoder before it sized both encodings up front: it built
+    /// each in a buffer of its own and copied the smaller one out. Kept
+    /// verbatim as the byte-identity reference.
+    fn encode_stream_buffered(out: &mut Vec<u8>, values: &[u64]) {
+        let mut plain = Vec::new();
+        for &v in values {
+            put_varint(&mut plain, v);
+        }
+        let mut rle = Vec::new();
+        let mut i = 0;
+        while i < values.len() {
+            let v = values[i];
+            let mut j = i + 1;
+            while j < values.len() && values[j] == v {
+                j += 1;
+            }
+            put_varint(&mut rle, v);
+            put_varint(&mut rle, (j - i) as u64);
+            i = j;
+        }
+        let body = if rle.len() < plain.len() {
+            &rle
+        } else {
+            &plain
+        };
+        put_varint(out, (body.len() + 1) as u64);
+        out.push(if rle.len() < plain.len() {
+            ENC_RLE
+        } else {
+            ENC_PLAIN
+        });
+        out.extend_from_slice(body);
+    }
+
+    fn assert_encodes_like_buffered(values: &[u64]) {
+        let (mut got, mut want) = (vec![0xaa], vec![0xaa]);
+        encode_stream(&mut got, values);
+        encode_stream_buffered(&mut want, values);
+        assert_eq!(got, want, "encoding of {values:?}");
+    }
+
+    #[test]
+    fn sized_encoder_matches_the_buffered_one_byte_for_byte() {
+        assert_encodes_like_buffered(&[]);
+        assert_encodes_like_buffered(&[7; 1000]);
+        assert_encodes_like_buffered(&[u64::MAX; 3]);
+        // Ties go to plain: `[5, 5]` is two bytes either way.
+        assert_encodes_like_buffered(&[5, 5]);
+        assert_eq!(block_tag(&roundtrip(&[5, 5])), ENC_PLAIN);
+        assert_encodes_like_buffered(&[200, 200, 1]);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sized_encoder_matches_on_random_streams(
+            values in proptest::collection::vec(
+                proptest::prop_oneof![0u64..4, 0u64..300, proptest::prelude::any::<u64>()],
+                0..200,
+            )
+        ) {
+            assert_encodes_like_buffered(&values);
+        }
     }
 
     #[test]

@@ -35,8 +35,8 @@ use crate::io::{
 use crate::pc::Pc;
 use crate::reg::RegSet;
 use crate::segment::{
-    decode_segment_masked, encode_segment, segment_content_hash, SegmentMeta, MAGIC2,
-    MAX_SEGMENT_INSTRS, SEGMENT_LEN, TRAILER2,
+    decode_segment_masked, encode_segment, segment_content_hash, DecodeScratch, SegmentMeta,
+    MAGIC2, MAX_SEGMENT_INSTRS, SEGMENT_LEN, TRAILER2,
 };
 use crate::source::ColumnSource;
 use crate::thread::{ThreadId, ThreadTable};
@@ -365,7 +365,7 @@ impl<W: Write> Trace2Writer<W> {
         });
         self.offset += self.enc.len() as u64;
         self.total += n as u64;
-        self.buf = Columns::default();
+        self.buf.clear();
         Ok(())
     }
 
@@ -474,13 +474,18 @@ pub struct TraceReader<R: Read + Seek> {
     markers: Vec<MarkerRecord>,
     segs: Vec<SegmentMeta>,
     /// Most-recently-used decoded chunks, front first, each tagged with
-    /// the mask it was decoded under: a cached chunk only serves requests
-    /// whose mask it covers, so a narrowly decoded chunk can never leak
-    /// default-filled columns to a consumer that subscribed to them.
+    /// the segment column groups it was decoded under: a cached chunk only
+    /// serves requests whose groups it covers, so a narrowly decoded chunk
+    /// can never leak default-filled columns to a consumer that subscribed
+    /// to them.
     cache: Vec<(usize, ColumnMask, Columns)>,
     /// Column groups [`TraceReader::chunk`] decodes; defaults to
     /// [`ColumnMask::ALL`].
     decode_mask: ColumnMask,
+    /// The segment payload being decoded, reused from chunk to chunk.
+    payload: Vec<u8>,
+    /// The decoder's working storage, reused from chunk to chunk.
+    scratch: DecodeScratch,
     /// Cumulative decode accounting.
     stats: DecodeStats,
 }
@@ -531,6 +536,8 @@ impl<R: Read + Seek> TraceReader<R> {
             segs: footer.segs,
             cache: Vec::new(),
             decode_mask: ColumnMask::ALL,
+            payload: Vec::new(),
+            scratch: DecodeScratch::default(),
             stats: DecodeStats::default(),
         })
     }
@@ -569,34 +576,51 @@ impl<R: Read + Seek> TraceReader<R> {
     /// Decodes chunk `i` (or serves it from the bounded cache), returning
     /// its physical column store.
     ///
+    /// A decode first evicts, then refills the evicted store in place: a
+    /// copy of chunk `i` decoded under narrower column groups is stale for
+    /// this request, otherwise a full cache gives up its least recently
+    /// used chunk. So at most `MAX_CACHED_CHUNKS` (4) stores ever exist, and
+    /// once they and the payload buffer reach their working size a decode
+    /// allocates nothing.
+    ///
     /// # Errors
     ///
     /// [`TraceIoError::Format`] if the segment payload is corrupt,
     /// [`TraceIoError::Io`] on read failure.
     pub fn chunk(&mut self, i: usize) -> Result<&Columns, TraceIoError> {
+        // The marker table lives in the footer: only the segment groups
+        // decide what a decode reads, checks and can serve.
+        let mask = self.decode_mask.intersection(ColumnMask::SEGMENT);
         if let Some(p) = self
             .cache
             .iter()
-            .position(|(j, m, _)| *j == i && m.contains(self.decode_mask))
+            .position(|(j, m, _)| *j == i && m.contains(mask))
         {
             let hit = self.cache.remove(p);
             self.cache.insert(0, hit);
             return Ok(&self.cache[0].2);
         }
-        // Any cached copy decoded under a narrower mask is stale for this
-        // request; drop it before decoding fresh.
-        self.cache.retain(|(j, _, _)| *j != i);
+        let mut cols = match self.cache.iter().position(|(j, _, _)| *j == i) {
+            Some(stale) => self.cache.remove(stale).2,
+            None if self.cache.len() >= MAX_CACHED_CHUNKS => {
+                self.cache.pop().expect("a full cache").2
+            }
+            None => Columns::default(),
+        };
         let meta = &self.segs[i];
         self.r.seek(SeekFrom::Start(meta.offset))?;
         // Bounded: offset + byte_len was validated against the payload
         // area when the footer was parsed.
-        let mut buf = vec![0u8; meta.byte_len as usize];
-        self.r.read_exact(&mut buf)?;
-        let (cols, seg_stats) = decode_segment_masked(
-            &buf,
+        self.payload.clear();
+        self.payload.resize(meta.byte_len as usize, 0);
+        self.r.read_exact(&mut self.payload)?;
+        let seg_stats = decode_segment_masked(
+            &self.payload,
             meta.n_instr as usize,
             self.funcs.len(),
-            self.decode_mask,
+            mask,
+            &mut cols,
+            &mut self.scratch,
         )?;
         self.stats.chunks_decoded += 1;
         self.stats.decoded_stream_bytes += seg_stats.decoded_bytes;
@@ -605,10 +629,10 @@ impl<R: Read + Seek> TraceReader<R> {
         // payload bit-flip the per-column codecs happen to decode
         // "successfully" still changes the decoded rows, and is caught
         // here instead of silently corrupting downstream analyses. It
-        // covers every column, so it is only checkable on a full decode;
-        // a narrowed mask trades it for skipping (see
-        // [`ColumnSource::swap_decode_mask`]).
-        if self.decode_mask == ColumnMask::ALL {
+        // covers every segment column, so it is checked whenever all of
+        // them are decoded; a mask that skips one trades it for skipping
+        // (see [`ColumnSource::swap_decode_mask`]).
+        if mask == ColumnMask::SEGMENT {
             let got = segment_content_hash(&cols, 0, cols.len());
             if got != meta.content_hash {
                 return Err(bad(format!(
@@ -617,10 +641,7 @@ impl<R: Read + Seek> TraceReader<R> {
                 )));
             }
         }
-        if self.cache.len() >= MAX_CACHED_CHUNKS {
-            self.cache.pop();
-        }
-        self.cache.insert(0, (i, self.decode_mask, cols));
+        self.cache.insert(0, (i, mask, cols));
         Ok(&self.cache[0].2)
     }
 
@@ -724,12 +745,14 @@ impl<R: Read + Seek> ColumnSource for TraceReader<R> {
     /// length prefixes instead of decompressed, and come back as default
     /// values.
     ///
-    /// Under any mask other than [`ColumnMask::ALL`] the footer's
-    /// per-segment content hash — which covers every column — cannot be
-    /// recomputed, so the end-to-end integrity check is skipped; block
-    /// framing and per-value domain checks on the decoded columns still
-    /// apply. Cached chunks are tagged with their decode mask, so
-    /// narrowing then widening never serves default-filled columns.
+    /// Under a mask that skips any segment column group the footer's
+    /// per-segment content hash — which covers every segment column —
+    /// cannot be recomputed, so the end-to-end integrity check is skipped;
+    /// block framing and per-value domain checks on the decoded columns
+    /// still apply. [`ColumnMask::MARKERS`] reads the footer only, so it
+    /// neither decides the check nor the cache tag. Cached chunks are
+    /// tagged with their segment column groups, so narrowing then widening
+    /// never serves default-filled columns.
     fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask {
         std::mem::replace(&mut self.decode_mask, mask)
     }
@@ -747,6 +770,11 @@ mod tests {
     use std::io::Cursor;
 
     fn sample() -> Trace {
+        sample_with(300)
+    }
+
+    /// A two-thread trace whose parse loop runs `iters` times.
+    fn sample_with(iters: usize) -> Trace {
         let mut rec = Recorder::new();
         rec.spawn_thread(ThreadKind::Main, "main");
         rec.spawn_thread(ThreadKind::Raster(0), "cc::RasterMain");
@@ -756,7 +784,7 @@ mod tests {
         let cell = rec.alloc_cell(Region::Heap);
         let tile = rec.alloc(Region::PixelTile, 128);
         rec.in_func(site!(), f, |rec| {
-            for _ in 0..300 {
+            for _ in 0..iters {
                 rec.compute(site!(), &[cell.into()], &[tile]);
                 rec.branch_mem(site!(), cell, true);
             }
@@ -1006,6 +1034,52 @@ mod tests {
         assert_eq!(rd.decode_stats().chunks_decoded, 2, "cache hit expected");
         rd.reset_decode_stats();
         assert_eq!(rd.decode_stats(), DecodeStats::default());
+    }
+
+    /// `MARKERS` lives in the footer, so a mask of the six segment groups
+    /// without it still decodes every segment column: the footer hash is
+    /// checked, and the chunk serves a later `ALL` request from the cache.
+    #[test]
+    fn segment_groups_without_markers_check_the_hash_and_serve_all() {
+        let t = sample_with(20);
+        let mut buf = Vec::new();
+        write_trace2(&mut buf, &t).unwrap();
+        let segment_groups = ColumnMask::KINDS
+            .union(ColumnMask::TIDS)
+            .union(ColumnMask::FUNCS)
+            .union(ColumnMask::PCS)
+            .union(ColumnMask::REGSETS)
+            .union(ColumnMask::OPERANDS);
+
+        let mut rd = TraceReader::open(Cursor::new(buf.clone())).unwrap();
+        rd.swap_decode_mask(segment_groups);
+        rd.chunk(0).unwrap();
+        rd.swap_decode_mask(ColumnMask::ALL);
+        let cur = rd.clipped_chunk(0, 0, usize::MAX).unwrap();
+        assert_eq!(cur.instr(0), t.instr(TracePos(0)));
+        assert_eq!(rd.decode_stats().chunks_decoded, 1, "the ALL request hits");
+
+        let meta = rd.chunk_meta(0).clone();
+        let mut caught_by_hash = 0usize;
+        for pos in meta.offset..meta.offset + meta.byte_len {
+            for bit in [0u8, 3, 7] {
+                let mut b = buf.clone();
+                b[pos as usize] ^= 1 << bit;
+                let mut rd = TraceReader::open(Cursor::new(b)).unwrap();
+                rd.swap_decode_mask(segment_groups);
+                match rd.chunk(0) {
+                    Err(TraceIoError::Format(msg)) if msg.contains("content hash mismatch") => {
+                        caught_by_hash += 1
+                    }
+                    Err(TraceIoError::Format(_)) => {}
+                    Err(e) => panic!("unexpected error kind: {e:?}"),
+                    // A clean decode is a flip that left the rows as they
+                    // were: the hash was checked.
+                    Ok(cols) => assert_eq!(cols.instr(0), t.instr(TracePos(0))),
+                }
+            }
+        }
+        assert!(caught_by_hash > 0, "no flip reached the content-hash check");
     }
 
     /// A sink that accepts every write but fails to flush, like a full

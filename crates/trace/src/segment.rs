@@ -33,7 +33,7 @@
 use crate::addr::{Addr, AddrRange};
 use crate::analysis::ColumnMask;
 use crate::columns::{ColumnCursor, Columns, MemOpsRef};
-use crate::compress::{decode_stream, encode_stream, skip_stream, unzigzag, zigzag, ByteReader};
+use crate::compress::{decode_runs, encode_stream, skip_stream, unzigzag, zigzag, ByteReader};
 use crate::io::{bad, TraceIoError};
 use crate::syscall::Syscall;
 use crate::thread::ThreadId;
@@ -235,10 +235,8 @@ pub fn encode_segment(
         vals.push(if i == 0 { f } else { f - prev });
         prev = f;
     }
-    let mut dict_block = Vec::new();
-    encode_stream(&mut dict_block, &vals);
     crate::compress::put_varint(out, dict.len() as u64);
-    out.extend_from_slice(&dict_block);
+    encode_stream(out, &vals);
     vals.clear();
     for idx in lo..hi {
         let i = dict
@@ -344,27 +342,85 @@ impl SegmentDecodeStats {
 /// out-of-domain values, dictionary misuse, operand caps exceeded, or
 /// trailing bytes after the last column.
 pub fn decode_segment(bytes: &[u8], n: usize, nfuncs: usize) -> Result<Columns, TraceIoError> {
-    decode_segment_masked(bytes, n, nfuncs, ColumnMask::ALL).map(|(cols, _)| cols)
+    let mut cols = Columns::default();
+    decode_segment_masked(
+        bytes,
+        n,
+        nfuncs,
+        ColumnMask::ALL,
+        &mut cols,
+        &mut DecodeScratch::default(),
+    )?;
+    Ok(cols)
 }
 
-/// Selective variant of [`decode_segment`]: decompresses only the column
-/// groups present in `mask`, skipping the rest through their block length
-/// prefixes. Skipped columns come back as defaults (kind `Op`, tid 0,
-/// func 0, pc 0, empty register sets, no memory operands), so the result
-/// is a structurally valid store whose unsubscribed columns must simply
-/// never be read — the [`crate::analysis::Subscription`] contract.
+/// Working storage [`decode_segment_masked`] keeps between calls: the
+/// segment's function dictionary, and the operand start addresses, which
+/// the payload stores before the lengths they pair with.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    dict: Vec<u32>,
+    starts: Vec<u64>,
+}
+
+/// Appends `run` copies of `v` to `col`.
+#[inline]
+fn push_run<T: Copy>(col: &mut Vec<T>, v: T, run: usize) {
+    if run == 1 {
+        col.push(v);
+    } else {
+        col.resize(col.len() + run, v);
+    }
+}
+
+/// Refills `col` from one block of `n` values through `conv`, called
+/// once per run.
+fn decode_column<T: Copy>(
+    r: &mut ByteReader<'_>,
+    n: usize,
+    col: &mut Vec<T>,
+    conv: impl Fn(u64) -> Result<T, TraceIoError>,
+) -> Result<(), TraceIoError> {
+    col.clear();
+    col.reserve(n);
+    decode_runs(r, n, |v, run| {
+        push_run(col, conv(v)?, run);
+        Ok(())
+    })
+}
+
+/// Refills `col` with `n` default values: a column the mask skips.
+fn default_column<T: Copy + Default>(col: &mut Vec<T>, n: usize) {
+    col.clear();
+    col.resize(n, T::default());
+}
+
+/// Selective variant of [`decode_segment`] that refills a caller-owned
+/// store: decompresses only the column groups present in `mask`, skipping
+/// the rest through their block length prefixes. Skipped columns come
+/// back as defaults (kind `Op`, tid 0, func 0, pc 0, empty register sets,
+/// no memory operands), so the result is a structurally valid store whose
+/// unsubscribed columns must simply never be read — the
+/// [`crate::analysis::Subscription`] contract.
+///
+/// Each column is cleared and filled straight from its block, with its
+/// domain check applied once per run, so a store and `scratch` reused
+/// across segments reach their working size once and then decode without
+/// allocating. On error the store's contents are unspecified.
 ///
 /// Every block-level length is still validated and the payload must be
 /// consumed exactly, so truncation and framing corruption are caught even
 /// under a narrow mask; value-domain validation only happens for decoded
 /// columns, and whole-row integrity (the footer content hash) is only
-/// checkable on a full decode.
+/// checkable when every segment column group is decoded.
 pub fn decode_segment_masked(
     bytes: &[u8],
     n: usize,
     nfuncs: usize,
     mask: ColumnMask,
-) -> Result<(Columns, SegmentDecodeStats), TraceIoError> {
+    cols: &mut Columns,
+    scratch: &mut DecodeScratch,
+) -> Result<SegmentDecodeStats, TraceIoError> {
     if n > MAX_SEGMENT_INSTRS {
         return Err(bad(format!(
             "segment claims {n} instructions, above the {MAX_SEGMENT_INSTRS} format cap"
@@ -372,239 +428,235 @@ pub fn decode_segment_masked(
     }
     let r = &mut ByteReader::new(bytes);
     let mut stats = SegmentDecodeStats::default();
-    let mut vals: Vec<u64> = Vec::new();
+    let mut account = |r: &ByteReader<'_>, before: usize, decoded: bool| {
+        let used = (before - r.remaining()) as u64;
+        if decoded {
+            stats.decoded_bytes += used;
+        } else {
+            stats.skipped_bytes += used;
+        }
+    };
 
     // 1–2. kind tags and payloads. The payload stream's value count is
     // only known from the decoded tags, but skipping needs no count —
     // that is what the block length prefix buys.
-    let (kinds, kind_data) = if mask.contains(ColumnMask::KINDS) {
-        let before = r.remaining();
-        decode_stream(r, n, &mut vals)?;
-        let mut kinds = Vec::with_capacity(n);
+    let before = r.remaining();
+    let decoded = mask.contains(ColumnMask::KINDS);
+    default_column(&mut cols.kind_data, n);
+    if decoded {
+        let kinds = &mut cols.kinds;
+        kinds.clear();
+        kinds.reserve(n);
         let mut payload_rows = 0usize;
-        for &v in &vals {
+        decode_runs(r, n, |v, run| {
             let tag = u8::try_from(v).map_err(|_| bad("kind tag overflows u8"))?;
             if tag > 7 {
                 return Err(bad(format!("unknown instr tag {tag}")));
             }
             if matches!(tag, 3 | 4 | 6) {
-                payload_rows += 1;
+                payload_rows += run;
             }
-            kinds.push(tag);
-        }
-        vals.clear();
-        decode_stream(r, payload_rows, &mut vals)?;
-        let mut kind_data = vec![0u32; n];
-        let mut pi = 0usize;
-        for (i, &tag) in kinds.iter().enumerate() {
-            if matches!(tag, 3 | 4 | 6) {
-                let data =
-                    u32::try_from(vals[pi]).map_err(|_| bad("kind payload overflows u32"))?;
-                if tag == 6 && Syscall::from_number(data).is_none() {
+            push_run(kinds, tag, run);
+            Ok(())
+        })?;
+        let mut rows = kinds
+            .iter()
+            .zip(&mut cols.kind_data)
+            .filter(|(tag, _)| matches!(tag, 3 | 4 | 6));
+        decode_runs(r, payload_rows, |v, run| {
+            let data = u32::try_from(v).map_err(|_| bad("kind payload overflows u32"))?;
+            let syscall = Syscall::from_number(data).is_some();
+            for (&tag, slot) in rows.by_ref().take(run) {
+                if tag == 6 && !syscall {
                     return Err(bad(format!("unknown syscall {data}")));
                 }
-                kind_data[i] = data;
-                pi += 1;
+                *slot = data;
             }
-        }
-        stats.decoded_bytes += (before - r.remaining()) as u64;
-        (kinds, kind_data)
+            Ok(())
+        })?;
     } else {
-        let before = r.remaining();
         skip_stream(r)?;
         skip_stream(r)?;
-        stats.skipped_bytes += (before - r.remaining()) as u64;
-        (vec![0u8; n], vec![0u32; n])
-    };
+        default_column(&mut cols.kinds, n);
+    }
+    account(r, before, decoded);
 
     // 3. tids.
-    let tids = if mask.contains(ColumnMask::TIDS) {
-        let before = r.remaining();
-        vals.clear();
-        decode_stream(r, n, &mut vals)?;
-        let mut tids = Vec::with_capacity(n);
-        for &v in &vals {
-            tids.push(u8::try_from(v).map_err(|_| bad("tid overflows u8"))?);
-        }
-        stats.decoded_bytes += (before - r.remaining()) as u64;
-        tids
+    let before = r.remaining();
+    let decoded = mask.contains(ColumnMask::TIDS);
+    if decoded {
+        decode_column(r, n, &mut cols.tids, |v| {
+            u8::try_from(v).map_err(|_| bad("tid overflows u8"))
+        })?;
     } else {
-        let before = r.remaining();
         skip_stream(r)?;
-        stats.skipped_bytes += (before - r.remaining()) as u64;
-        vec![0u8; n]
-    };
+        default_column(&mut cols.tids, n);
+    }
+    account(r, before, decoded);
 
     // 4. funcs: dictionary length (raw varint), dictionary, indices.
-    let funcs = if mask.contains(ColumnMask::FUNCS) {
-        let before = r.remaining();
-        let dict_len = r.varint()?;
+    let before = r.remaining();
+    let decoded = mask.contains(ColumnMask::FUNCS);
+    let dict_len = r.varint()?;
+    if decoded {
         let dict_len = usize::try_from(dict_len).map_err(|_| bad("dictionary too large"))?;
         if dict_len > n {
             return Err(bad(format!(
                 "function dictionary of {dict_len} entries for {n} instructions"
             )));
         }
-        vals.clear();
-        decode_stream(r, dict_len, &mut vals)?;
-        let mut dict: Vec<u32> = Vec::with_capacity(dict_len);
+        let dict = &mut scratch.dict;
+        dict.clear();
         let mut acc = 0u64;
-        for (i, &d) in vals.iter().enumerate() {
-            acc = if i == 0 {
-                d
-            } else {
-                acc.checked_add(d)
-                    .ok_or_else(|| bad("function dictionary overflows"))?
-            };
-            let f = u32::try_from(acc).map_err(|_| bad("function id overflows u32"))?;
-            if f as usize >= nfuncs {
-                return Err(bad(format!(
-                    "function id {f} outside the {nfuncs}-entry symbol table"
-                )));
+        decode_runs(r, dict_len, |d, run| {
+            for _ in 0..run {
+                acc = if dict.is_empty() {
+                    d
+                } else {
+                    acc.checked_add(d)
+                        .ok_or_else(|| bad("function dictionary overflows"))?
+                };
+                let f = u32::try_from(acc).map_err(|_| bad("function id overflows u32"))?;
+                if f as usize >= nfuncs {
+                    return Err(bad(format!(
+                        "function id {f} outside the {nfuncs}-entry symbol table"
+                    )));
+                }
+                dict.push(f);
             }
-            dict.push(f);
-        }
-        vals.clear();
-        decode_stream(r, n, &mut vals)?;
-        let mut funcs = Vec::with_capacity(n);
-        for &v in &vals {
+            Ok(())
+        })?;
+        decode_column(r, n, &mut cols.funcs, |v| {
             let i = usize::try_from(v).map_err(|_| bad("dictionary index overflows"))?;
-            let f = *dict
-                .get(i)
-                .ok_or_else(|| bad(format!("dictionary index {i} out of range {dict_len}")))?;
-            funcs.push(f);
-        }
-        stats.decoded_bytes += (before - r.remaining()) as u64;
-        funcs
+            dict.get(i)
+                .copied()
+                .ok_or_else(|| bad(format!("dictionary index {i} out of range {dict_len}")))
+        })?;
     } else {
-        let before = r.remaining();
-        r.varint()?; // dictionary length, unused under the mask
         skip_stream(r)?;
         skip_stream(r)?;
-        stats.skipped_bytes += (before - r.remaining()) as u64;
-        vec![0u32; n]
-    };
+        default_column(&mut cols.funcs, n);
+    }
+    account(r, before, decoded);
 
-    // 5. pcs.
-    let pcs = if mask.contains(ColumnMask::PCS) {
-        let before = r.remaining();
-        vals.clear();
-        decode_stream(r, n, &mut vals)?;
-        let mut pcs = Vec::with_capacity(n);
+    // 5. pcs: zigzag deltas, so each run's delta repeats per row.
+    let before = r.remaining();
+    let decoded = mask.contains(ColumnMask::PCS);
+    if decoded {
+        let pcs = &mut cols.pcs;
+        pcs.clear();
+        pcs.reserve(n);
         let mut prev = 0i64;
-        for &v in &vals {
-            let pc = prev
-                .checked_add(unzigzag(v))
-                .ok_or_else(|| bad("pc delta overflows"))?;
-            pcs.push(u32::try_from(pc).map_err(|_| bad("pc outside u32 range"))?);
-            prev = pc;
-        }
-        stats.decoded_bytes += (before - r.remaining()) as u64;
-        pcs
+        decode_runs(r, n, |v, run| {
+            let delta = unzigzag(v);
+            for _ in 0..run {
+                prev = prev
+                    .checked_add(delta)
+                    .ok_or_else(|| bad("pc delta overflows"))?;
+                pcs.push(u32::try_from(prev).map_err(|_| bad("pc outside u32 range"))?);
+            }
+            Ok(())
+        })?;
     } else {
-        let before = r.remaining();
         skip_stream(r)?;
-        stats.skipped_bytes += (before - r.remaining()) as u64;
-        vec![0u32; n]
-    };
+        default_column(&mut cols.pcs, n);
+    }
+    account(r, before, decoded);
 
     // 6–7. register bitsets.
-    let (reg_reads, reg_writes) = if mask.contains(ColumnMask::REGSETS) {
-        let before = r.remaining();
-        let mut reg_cols: [Vec<u16>; 2] = [Vec::with_capacity(n), Vec::with_capacity(n)];
-        for col in reg_cols.iter_mut() {
-            vals.clear();
-            decode_stream(r, n, &mut vals)?;
-            for &v in &vals {
-                col.push(u16::try_from(v).map_err(|_| bad("register bitset overflows u16"))?);
-            }
+    let before = r.remaining();
+    let decoded = mask.contains(ColumnMask::REGSETS);
+    for col in [&mut cols.reg_reads, &mut cols.reg_writes] {
+        if decoded {
+            decode_column(r, n, col, |v| {
+                u16::try_from(v).map_err(|_| bad("register bitset overflows u16"))
+            })?;
+        } else {
+            skip_stream(r)?;
+            default_column(col, n);
         }
-        stats.decoded_bytes += (before - r.remaining()) as u64;
-        let [rr, rw] = reg_cols;
-        (rr, rw)
-    } else {
-        let before = r.remaining();
-        skip_stream(r)?;
-        skip_stream(r)?;
-        stats.skipped_bytes += (before - r.remaining()) as u64;
-        (vec![0u16; n], vec![0u16; n])
-    };
+    }
+    account(r, before, decoded);
 
     // 8–11. operand counts, start addresses, and lengths. Like the kind
     // payloads, the start/length streams' counts derive from the decoded
-    // counts, and skipping needs none of them.
-    let (mem, arena) = if mask.contains(ColumnMask::OPERANDS) {
-        let before = r.remaining();
-        let mut count_cols: [Vec<u16>; 2] = [Vec::with_capacity(n), Vec::with_capacity(n)];
-        for col in count_cols.iter_mut() {
-            vals.clear();
-            decode_stream(r, n, &mut vals)?;
-            let mut total = 0usize;
-            for &v in &vals {
-                let c = u16::try_from(v).map_err(|_| bad("operand count overflows u16"))?;
-                total += c as usize;
-                if total > MAX_SEGMENT_ARENA {
-                    return Err(bad(format!(
-                        "segment claims more than {MAX_SEGMENT_ARENA} memory operands"
-                    )));
-                }
-                col.push(c);
+    // counts, and skipping needs none of them. The counts go straight
+    // into each row's arena reference: reads first, then writes, which
+    // also fixes every row's first arena index.
+    let before = r.remaining();
+    let decoded = mask.contains(ColumnMask::OPERANDS);
+    cols.arena.clear();
+    if decoded {
+        let count = |v: u64, run: usize, total: &mut usize| {
+            let c = u16::try_from(v).map_err(|_| bad("operand count overflows u16"))?;
+            *total = total.saturating_add(usize::from(c).saturating_mul(run));
+            if *total > MAX_SEGMENT_ARENA {
+                return Err(bad(format!(
+                    "segment claims more than {MAX_SEGMENT_ARENA} memory operands"
+                )));
             }
-        }
-        let [nreads, nwrites] = count_cols;
-        let mut mem = Vec::with_capacity(n);
-        let mut start = 0u32;
-        for i in 0..n {
-            mem.push(MemOpsRef {
-                start,
-                nreads: nreads[i],
-                nwrites: nwrites[i],
-            });
-            start += u32::from(nreads[i]) + u32::from(nwrites[i]);
-        }
+            Ok(c)
+        };
+        let mem = &mut cols.mem;
+        mem.clear();
+        mem.reserve(n);
+        let mut total = 0usize;
+        decode_runs(r, n, |v, run| {
+            let nreads = count(v, run, &mut total)?;
+            let row = MemOpsRef {
+                start: 0,
+                nreads,
+                nwrites: 0,
+            };
+            push_run(mem, row, run);
+            Ok(())
+        })?;
+        let (mut total, mut start, mut at) = (0usize, 0u32, 0usize);
+        decode_runs(r, n, |v, run| {
+            let nwrites = count(v, run, &mut total)?;
+            for m in &mut mem[at..at + run] {
+                m.start = start;
+                m.nwrites = nwrites;
+                start += u32::from(m.nreads) + u32::from(nwrites);
+            }
+            at += run;
+            Ok(())
+        })?;
         let total_ops = start as usize;
 
-        vals.clear();
-        decode_stream(r, total_ops, &mut vals)?;
-        let mut starts: Vec<u64> = Vec::with_capacity(total_ops);
+        let starts = &mut scratch.starts;
+        starts.clear();
+        starts.reserve(total_ops);
         let mut prev = 0i64;
-        for &v in &vals {
-            let s = prev.wrapping_add(unzigzag(v));
-            starts.push(s as u64);
-            prev = s;
-        }
-        vals.clear();
-        decode_stream(r, total_ops, &mut vals)?;
-        let mut arena = Vec::with_capacity(total_ops);
-        for (i, &lv) in vals.iter().enumerate() {
-            let len = u32::try_from(lv).map_err(|_| bad("operand length overflows u32"))?;
+        decode_runs(r, total_ops, |v, run| {
+            let delta = unzigzag(v);
+            for _ in 0..run {
+                prev = prev.wrapping_add(delta);
+                starts.push(prev as u64);
+            }
+            Ok(())
+        })?;
+        let arena = &mut cols.arena;
+        arena.reserve(total_ops);
+        decode_runs(r, total_ops, |v, run| {
+            let len = u32::try_from(v).map_err(|_| bad("operand length overflows u32"))?;
             if len == 0 {
                 return Err(bad("zero-length memory operand"));
             }
-            let op = AddrRange::try_new(Addr::new(starts[i]), len)
-                .ok_or_else(|| bad("memory operand wraps the address space"))?;
-            arena.push(op);
-        }
-        stats.decoded_bytes += (before - r.remaining()) as u64;
-        (mem, arena)
+            for &s in &starts[arena.len()..arena.len() + run] {
+                let op = AddrRange::try_new(Addr::new(s), len)
+                    .ok_or_else(|| bad("memory operand wraps the address space"))?;
+                arena.push(op);
+            }
+            Ok(())
+        })?;
     } else {
-        let before = r.remaining();
         for _ in 0..4 {
             skip_stream(r)?;
         }
-        stats.skipped_bytes += (before - r.remaining()) as u64;
-        (
-            vec![
-                MemOpsRef {
-                    start: 0,
-                    nreads: 0,
-                    nwrites: 0
-                };
-                n
-            ],
-            Vec::new(),
-        )
-    };
+        default_column(&mut cols.mem, n);
+    }
+    account(r, before, decoded);
 
     if !r.is_exhausted() {
         return Err(bad(format!(
@@ -612,12 +664,25 @@ pub fn decode_segment_masked(
             r.remaining()
         )));
     }
-    Ok((
-        Columns::from_raw_parts(
-            kinds, kind_data, tids, funcs, pcs, reg_reads, reg_writes, mem, arena,
-        ),
-        stats,
-    ))
+    debug_assert!(
+        [
+            cols.kind_data.len(),
+            cols.tids.len(),
+            cols.funcs.len(),
+            cols.pcs.len(),
+            cols.reg_reads.len(),
+            cols.reg_writes.len(),
+            cols.mem.len(),
+        ]
+        .iter()
+        .all(|&len| len == n)
+            && cols.kinds.len() == n
+            && cols.mem.last().map_or(0, |m| {
+                m.start as usize + m.nreads as usize + m.nwrites as usize
+            }) == cols.arena.len(),
+        "one entry per row in every column, and every operand in the arena"
+    );
+    Ok(stats)
 }
 
 #[cfg(test)]
@@ -783,9 +848,22 @@ mod tests {
         let cols = sample_columns(300);
         let mut buf = Vec::new();
         encode_segment(&cols, 0, 300, &mut buf).unwrap();
+        // One store and scratch serve both decodes, so the narrowed one
+        // must reset every column the full one filled and it skips.
+        let mut back = Columns::default();
+        let mut scratch = DecodeScratch::default();
+
+        // The full mask decodes everything and skips nothing.
+        let fstats =
+            decode_segment_masked(&buf, 300, 4, ColumnMask::ALL, &mut back, &mut scratch).unwrap();
+        assert_columns_eq(&cols, &back, 0);
+        assert_eq!(fstats.skipped_bytes, 0);
+        assert_eq!(fstats.decoded_bytes, buf.len() as u64);
+
         let mask = ColumnMask::KINDS.union(ColumnMask::TIDS);
-        let (back, stats) = decode_segment_masked(&buf, 300, 4, mask).unwrap();
+        let stats = decode_segment_masked(&buf, 300, 4, mask, &mut back, &mut scratch).unwrap();
         assert_eq!(back.len(), 300);
+        assert_eq!(back.arena_len(), 0, "skipped operands leave no arena");
         for i in 0..300 {
             assert_eq!(back.kind(i), cols.kind(i), "kind at {i}");
             assert_eq!(back.tid(i), cols.tid(i));
@@ -800,12 +878,6 @@ mod tests {
             buf.len() as u64,
             "every payload byte is either decoded or skipped"
         );
-
-        // The full mask decodes everything and skips nothing.
-        let (full, fstats) = decode_segment_masked(&buf, 300, 4, ColumnMask::ALL).unwrap();
-        assert_columns_eq(&cols, &full, 0);
-        assert_eq!(fstats.skipped_bytes, 0);
-        assert_eq!(fstats.decoded_bytes, buf.len() as u64);
     }
 
     #[test]
@@ -815,7 +887,14 @@ mod tests {
         encode_segment(&cols, 0, 64, &mut buf).unwrap();
         for cut in 0..buf.len() {
             for mask in [ColumnMask::NONE, ColumnMask::TIDS, ColumnMask::OPERANDS] {
-                let res = decode_segment_masked(&buf[..cut], 64, 4, mask);
+                let res = decode_segment_masked(
+                    &buf[..cut],
+                    64,
+                    4,
+                    mask,
+                    &mut Columns::default(),
+                    &mut DecodeScratch::default(),
+                );
                 assert!(res.is_err(), "prefix {cut} decoded under mask {mask:?}");
             }
         }

@@ -63,6 +63,15 @@ echo "== race-shadow differential (release, CI case counts) =="
 # and of AmazonMobile, and on the six canonical sessions.
 cargo test -q --release -p wasteprof-checker --test race_differential
 
+echo "== segment codec differential (release, CI case counts) =="
+# The typed segment decoder against the previous one, kept verbatim in
+# the test: the same rows and decode accounting, or both a format error,
+# on random segments re-encoded with boundary, non-canonical and
+# over-long varints, under every column mask, at every truncation prefix
+# and under random byte mutations; plus interleaved forward and reverse
+# reader sweeps under narrowed and widened masks.
+cargo test -q --release -p wasteprof-trace --test codec_differential
+
 echo "== wpbench test suite (seeded inputs, statistics, compare, smoke runs) =="
 # wpbench is a package of its own (crates/bench/src/bin/wpbench), so the
 # workspace test run above does not build it.
@@ -280,6 +289,17 @@ jq -e '(.workloads | length == 4)
        and .workloads.streamed.metrics.peak_rss_mb.verdict == "improved"
        and all(.workloads[].metrics[]; .verdict != "regressed")' \
     results/BENCH_22.json >/dev/null
+
+echo "== chunk-decode bench artifact sanity (results/BENCH_24.json) =="
+# The committed seed-paired benchmark of the allocation-free typed chunk
+# decode: all four workloads, no failed check on either side, the
+# streamed workload's wall time improved, and no end-to-end metric
+# regressed anywhere.
+jq -e '(.workloads | length == 4)
+       and all(.workloads[]; .failed.parent == 0 and .failed.change == 0)
+       and .workloads.streamed.metrics.wall_s.verdict == "improved"
+       and all(.workloads[].metrics[]; .verdict != "regressed")' \
+    results/BENCH_24.json >/dev/null
 
 echo "== rustdoc (no warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
