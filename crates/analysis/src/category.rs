@@ -7,16 +7,15 @@
 //! has a telling namespace, so 26–47% of unnecessary instructions stay
 //! uncategorized.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use wasteprof_slicer::SliceResult;
-use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnMask, FunctionRegistry, Subscription, Trace, TraceAnalysis,
-    TracePos,
-};
+use wasteprof_trace::{AnalysisCtx, ColumnMask, Trace, TraceAnalysis};
 
-/// The paper's eight categories (§V-B).
+use crate::waste::{WasteAnalysis, WasteBreakdown, WasteRow};
+
+/// The paper's eight categories (§V-B), declared in [`Category::ALL`]
+/// order, so `category as usize` is its position there.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum Category {
     /// `v8::*` — parsing, compiling, and executing JavaScript (including
@@ -109,32 +108,34 @@ impl fmt::Display for Category {
 }
 
 /// The Figure 5 breakdown: distribution of non-slice ("potentially
-/// unnecessary") instructions across categories.
-#[derive(Debug, Clone, Default)]
+/// unnecessary") instructions across categories. It is the `All` row of
+/// the Table II × Figure 5 cross ([`WasteBreakdown`]): the same counts,
+/// whatever thread executed them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CategoryBreakdown {
-    counts: HashMap<Category, u64>,
-    /// Non-slice instructions whose function had no telling namespace.
-    pub uncategorized: u64,
-    /// Total non-slice instructions examined.
-    pub total_unnecessary: u64,
+    all: WasteRow,
 }
 
 impl CategoryBreakdown {
-    /// Classifies every instruction *outside* the slice. This is a
-    /// solo-driver run of [`CategoryAnalysis`]; fused callers register the
-    /// analysis directly and get the same breakdown from one shared sweep.
+    /// Classifies every instruction *outside* the slice: the `All` row of
+    /// [`WasteBreakdown::compute`].
     pub fn compute(trace: &Trace, slice: &SliceResult) -> Self {
-        let mut analysis = CategoryAnalysis::new(slice);
-        let mut driver = AnalysisDriver::new();
-        driver.register(&mut analysis);
-        driver.run(trace);
-        drop(driver);
-        analysis.into_breakdown()
+        CategoryBreakdown::from(&WasteBreakdown::compute(trace, slice))
     }
 
     /// Instructions in `category`.
     pub fn count(&self, category: Category) -> u64 {
-        self.counts.get(&category).copied().unwrap_or(0)
+        self.all.counts[category as usize]
+    }
+
+    /// Non-slice instructions whose function had no telling namespace.
+    pub fn uncategorized(&self) -> u64 {
+        self.all.uncategorized
+    }
+
+    /// Total non-slice instructions examined.
+    pub fn total_unnecessary(&self) -> u64 {
+        self.all.total()
     }
 
     /// Share of *categorized* unnecessary instructions in `category`
@@ -150,54 +151,45 @@ impl CategoryBreakdown {
 
     /// Unnecessary instructions that could be categorized.
     pub fn categorized(&self) -> u64 {
-        self.total_unnecessary - self.uncategorized
+        self.total_unnecessary() - self.uncategorized()
     }
 
     /// Fraction of unnecessary instructions the namespace analysis covers
     /// (the paper reports 74%, 59%, 53%, 61% for its four benchmarks).
     pub fn coverage(&self) -> f64 {
-        if self.total_unnecessary == 0 {
+        if self.total_unnecessary() == 0 {
             0.0
         } else {
-            self.categorized() as f64 / self.total_unnecessary as f64
+            self.categorized() as f64 / self.total_unnecessary() as f64
         }
     }
 }
 
-/// Resolves [`Category::of_function`] once per function id, so the
-/// per-instruction hot path is a table lookup instead of prefix matching.
-pub(crate) fn categories_of(funcs: &FunctionRegistry) -> Vec<Option<Category>> {
-    let mut cat_of: Vec<Option<Category>> = Vec::with_capacity(funcs.len());
-    for (_, info) in funcs.iter() {
-        cat_of.push(Category::of_function(info.name()));
+impl From<&WasteBreakdown> for CategoryBreakdown {
+    /// The breakdown's `All` row.
+    fn from(waste: &WasteBreakdown) -> Self {
+        CategoryBreakdown {
+            all: waste.rows[0].clone(),
+        }
     }
-    cat_of
 }
 
-/// The Figure 5 computation as a fusable [`TraceAnalysis`]: categorizes
-/// every non-slice instruction by its function's namespace.
+/// The Figure 5 computation as a fusable [`TraceAnalysis`]: a
+/// [`WasteAnalysis`] whose `All` row is the breakdown.
 ///
-/// Subscribes to the funcs column only; slice membership comes from the
-/// borrowed [`SliceResult`], not from the trace.
-pub struct CategoryAnalysis<'s> {
-    slice: &'s SliceResult,
-    cat_of: Vec<Option<Category>>,
-    breakdown: CategoryBreakdown,
-}
+/// Reads what the waste cross reads (tids and funcs); slice membership
+/// comes from the borrowed [`SliceResult`].
+pub struct CategoryAnalysis<'s>(WasteAnalysis<'s>);
 
 impl<'s> CategoryAnalysis<'s> {
     /// An analysis classifying every instruction outside `slice`.
     pub fn new(slice: &'s SliceResult) -> CategoryAnalysis<'s> {
-        CategoryAnalysis {
-            slice,
-            cat_of: Vec::new(),
-            breakdown: CategoryBreakdown::default(),
-        }
+        CategoryAnalysis(WasteAnalysis::new(slice))
     }
 
     /// The computed breakdown; call after the driver run.
     pub fn into_breakdown(self) -> CategoryBreakdown {
-        self.breakdown
+        CategoryBreakdown::from(&self.0.into_breakdown())
     }
 }
 
@@ -206,30 +198,16 @@ impl TraceAnalysis for CategoryAnalysis<'_> {
         "category"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::FUNCS)
+    fn columns(&self) -> ColumnMask {
+        self.0.columns()
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {
-        self.cat_of = categories_of(ctx.funcs);
-        self.breakdown = CategoryBreakdown::default();
+        self.0.begin(ctx);
     }
 
     fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
-        if self.slice.contains(TracePos(idx as u64)) {
-            return;
-        }
-        self.breakdown.total_unnecessary += 1;
-        // An out-of-table function id (a malformed trace) is uncategorized.
-        match self
-            .cat_of
-            .get(ctx.cols.func(idx).index())
-            .copied()
-            .flatten()
-        {
-            Some(c) => *self.breakdown.counts.entry(c).or_insert(0) += 1,
-            None => self.breakdown.uncategorized += 1,
-        }
+        self.0.on_instr(ctx, idx);
     }
 }
 
@@ -269,6 +247,14 @@ mod tests {
                 "no instructions categorized as {cat}: an interned function \
                  name no longer matches its namespace prefix"
             );
+        }
+    }
+
+    /// The breakdowns index their count arrays by `category as usize`.
+    #[test]
+    fn all_lists_the_categories_in_declaration_order() {
+        for (i, c) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c}");
         }
     }
 
@@ -353,7 +339,7 @@ mod tests {
         let _ = Criteria::default();
         let b = CategoryBreakdown::compute(&trace, &r);
         assert!(b.count(Category::Debugging) > 0);
-        assert!(b.total_unnecessary > 0);
+        assert!(b.total_unnecessary() > 0);
         assert!(b.coverage() > 0.0 && b.coverage() <= 1.0);
         let share_sum: f64 = Category::ALL.iter().map(|&c| b.share(c)).sum();
         assert!((share_sum - 1.0).abs() < 1e-9 || b.categorized() == 0);

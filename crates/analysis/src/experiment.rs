@@ -1,121 +1,7 @@
-//! Shared experiment driver: run a benchmark, slice its trace, and shape
-//! the results the way the paper's tables present them.
+//! Table II shaping: per-thread slice rows and the paper's count format.
 
-use std::sync::Arc;
-
-use wasteprof_browser::Session;
-use wasteprof_slicer::{
-    pixel_criteria, slice, syscall_criteria, ForwardPass, SliceOptions, SliceResult,
-};
-use wasteprof_trace::{ThreadKind, Trace};
-use wasteprof_workloads::Benchmark;
-
-/// A completed benchmark run: the session plus its pixel-based slice (and
-/// optionally the syscall-based one).
-#[derive(Debug)]
-pub struct BenchmarkRun {
-    /// Which benchmark ran.
-    pub benchmark: Benchmark,
-    /// The session (trace + measurements).
-    pub session: Session,
-    /// The forward pass (reusable across criteria).
-    pub forward: ForwardPass,
-    /// Pixel-criteria slice.
-    pub pixel: SliceResult,
-    /// Syscall-criteria slice, when requested.
-    pub syscall: Option<SliceResult>,
-}
-
-/// The canonical full-session pixel slice of a trace: pixel criteria over
-/// the whole session with default options. Every experiment that reports
-/// "the pixel slice" means exactly this computation.
-pub fn pixel_slice_of(trace: &Trace, forward: &ForwardPass) -> SliceResult {
-    pixel_slice_with(trace, forward, &SliceOptions::default())
-}
-
-/// [`pixel_slice_of`] with explicit options (a bounded prefix, or a
-/// dependence witness for the certifier).
-pub fn pixel_slice_with(
-    trace: &Trace,
-    forward: &ForwardPass,
-    options: &SliceOptions,
-) -> SliceResult {
-    slice(trace, forward, &pixel_criteria(trace), options)
-}
-
-/// The canonical full-session syscall slice (the §V comparison criteria).
-pub fn syscall_slice_of(trace: &Trace, forward: &ForwardPass) -> SliceResult {
-    syscall_slice_with(trace, forward, &SliceOptions::default())
-}
-
-/// [`syscall_slice_of`] with explicit options (see [`pixel_slice_with`]).
-pub fn syscall_slice_with(
-    trace: &Trace,
-    forward: &ForwardPass,
-    options: &SliceOptions,
-) -> SliceResult {
-    slice(trace, forward, &syscall_criteria(trace), options)
-}
-
-/// Runs a benchmark and slices its trace with pixel criteria (and syscall
-/// criteria when `with_syscall`).
-///
-/// Every call recomputes from scratch. When several experiments need the
-/// same benchmark, share the work instead: [`SharedBenchmarkRun`] (served
-/// memoized by `wasteprof-bench`'s session store) holds the same artifacts
-/// behind `Arc` so one computation feeds them all.
-pub fn run_benchmark(benchmark: Benchmark, with_syscall: bool) -> BenchmarkRun {
-    let session = benchmark.run();
-    let forward = ForwardPass::build(&session.trace);
-    let pixel = pixel_slice_of(&session.trace, &forward);
-    let syscall = with_syscall.then(|| syscall_slice_of(&session.trace, &forward));
-    BenchmarkRun {
-        benchmark,
-        session,
-        forward,
-        pixel,
-        syscall,
-    }
-}
-
-/// The cached counterpart of [`BenchmarkRun`]: the same artifacts behind
-/// `Arc`, so a memoizing store can hand the one computed instance to every
-/// experiment (and every thread) that asks.
-#[derive(Debug, Clone)]
-pub struct SharedBenchmarkRun {
-    /// Which benchmark ran.
-    pub benchmark: Benchmark,
-    /// The session (trace + measurements).
-    pub session: Arc<Session>,
-    /// The forward pass (reusable across criteria).
-    pub forward: Arc<ForwardPass>,
-    /// Pixel-criteria slice.
-    pub pixel: Arc<SliceResult>,
-    /// Syscall-criteria slice, when requested.
-    pub syscall: Option<Arc<SliceResult>>,
-}
-
-impl SharedBenchmarkRun {
-    /// Computes a run from scratch, Arc-wrapped for sharing. Produces
-    /// artifacts identical to [`run_benchmark`] — same session, same
-    /// slice recipes.
-    pub fn compute(benchmark: Benchmark, with_syscall: bool) -> SharedBenchmarkRun {
-        let BenchmarkRun {
-            benchmark,
-            session,
-            forward,
-            pixel,
-            syscall,
-        } = run_benchmark(benchmark, with_syscall);
-        SharedBenchmarkRun {
-            benchmark,
-            session: Arc::new(session),
-            forward: Arc::new(forward),
-            pixel: Arc::new(pixel),
-            syscall: syscall.map(Arc::new),
-        }
-    }
-}
+use wasteprof_slicer::SliceResult;
+use wasteprof_trace::ThreadKind;
 
 /// One Table II row: a thread's slice percentage and instruction count.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,6 +73,7 @@ pub fn format_count(n: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wasteprof_slicer::{pixel_criteria, slice, ForwardPass, SliceOptions};
 
     #[test]
     fn count_formatting() {

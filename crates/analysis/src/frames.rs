@@ -1,13 +1,11 @@
-//! Call-frame and syscall profile of a trace, via derived events.
+//! Call-frame and syscall profile of a trace.
 //!
-//! Subscribes to the driver's *derived* call/ret/syscall callbacks (plus
-//! the tid column) instead of `on_instr`, so a fused sweep dispatches this
-//! analysis only at frame boundaries and syscalls — the common case of an
-//! analysis that looks at a sparse subset of the stream. Used by
-//! `trace_tool analyze` to summarize arbitrary `WPTRACE2` files.
+//! Reads the kind column for calls, returns and syscalls, and the tid
+//! column for per-thread nesting depth. Used by `trace_tool analyze` to
+//! summarize arbitrary `WPTRACE2` files.
 
 use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnMask, FuncId, Subscription, Syscall, Trace, TraceAnalysis,
+    AnalysisCtx, AnalysisDriver, ColumnMask, InstrKind, Syscall, Trace, TraceAnalysis,
 };
 
 /// Call-frame nesting and syscall counts for one trace.
@@ -67,16 +65,8 @@ impl TraceAnalysis for FrameAnalysis {
         "frames"
     }
 
-    fn subscription(&self) -> Subscription {
-        // Derived events only — no per-instruction callback. The driver
-        // pulls the kind column in implicitly; tids key the depth stacks.
-        Subscription {
-            columns: ColumnMask::TIDS,
-            instructions: false,
-            calls: true,
-            rets: true,
-            syscalls: true,
-        }
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::KINDS.union(ColumnMask::TIDS)
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {
@@ -84,27 +74,30 @@ impl TraceAnalysis for FrameAnalysis {
         self.profile = FrameProfile::default();
     }
 
-    fn on_call(&mut self, ctx: &AnalysisCtx<'_>, idx: usize, _callee: FuncId) {
-        self.profile.calls += 1;
-        let t = ctx.cols.tid(idx).index();
-        if let Some(d) = self.depth.get_mut(t) {
-            *d += 1;
-            self.profile.max_depth = self.profile.max_depth.max(*d);
+    fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
+        match ctx.cols.kind(idx) {
+            InstrKind::Call { .. } => {
+                self.profile.calls += 1;
+                let t = ctx.cols.tid(idx).index();
+                if let Some(d) = self.depth.get_mut(t) {
+                    *d += 1;
+                    self.profile.max_depth = self.profile.max_depth.max(*d);
+                }
+            }
+            InstrKind::Ret => {
+                self.profile.rets += 1;
+                let t = ctx.cols.tid(idx).index();
+                match self.depth.get_mut(t) {
+                    Some(d) if *d > 0 => *d -= 1,
+                    _ => self.profile.unmatched_rets += 1,
+                }
+            }
+            InstrKind::Syscall { nr } => {
+                let slot = Syscall::ALL.iter().position(|&s| s == nr).expect("ALL");
+                self.profile.syscalls[slot] += 1;
+            }
+            _ => {}
         }
-    }
-
-    fn on_ret(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
-        self.profile.rets += 1;
-        let t = ctx.cols.tid(idx).index();
-        match self.depth.get_mut(t) {
-            Some(d) if *d > 0 => *d -= 1,
-            _ => self.profile.unmatched_rets += 1,
-        }
-    }
-
-    fn on_syscall(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize, nr: Syscall) {
-        let slot = Syscall::ALL.iter().position(|&s| s == nr).expect("ALL");
-        self.profile.syscalls[slot] += 1;
     }
 }
 

@@ -4,13 +4,14 @@
 //! behind every table and figure of the paper's evaluation (§V).
 //!
 //! * [`Category`] / [`CategoryBreakdown`] — the Figure 5 namespace-based
-//!   categorization of potentially unnecessary instructions.
+//!   categorization of potentially unnecessary instructions: the `All`
+//!   row of [`WasteBreakdown`].
 //! * [`Table1Row`] — unused JS/CSS byte accounting (Table I).
 //! * [`UtilizationSeries`] — main-thread CPU utilization over a session
 //!   (Figure 2).
 //! * [`WasteBreakdown`] — the Table II × Figure 5 cross: per-thread-role
 //!   namespace categorization of non-slice instructions.
-//! * [`run_benchmark`] / [`thread_rows`] — the Table II driver.
+//! * [`thread_rows`] — the Table II rows of a slice.
 //! * [`TextTable`], [`ascii_chart`], [`bar_chart`], [`to_csv`] — plain-text
 //!   rendering used by the experiment binaries.
 //!
@@ -31,10 +32,7 @@ mod utilization;
 mod waste;
 
 pub use category::{Category, CategoryAnalysis, CategoryBreakdown};
-pub use experiment::{
-    format_count, pixel_slice_of, pixel_slice_with, run_benchmark, syscall_slice_of,
-    syscall_slice_with, thread_rows, BenchmarkRun, SharedBenchmarkRun, ThreadRow,
-};
+pub use experiment::{format_count, thread_rows, ThreadRow};
 pub use frames::{FrameAnalysis, FrameProfile};
 pub use render::{ascii_chart, bar_chart, to_csv, TextTable};
 pub use table1::{Table1Row, UnusedBytes};

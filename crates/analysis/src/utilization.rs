@@ -8,9 +8,7 @@
 //! executing.
 
 use wasteprof_browser::IdleSpan;
-use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnMask, Subscription, ThreadId, Trace, TraceAnalysis,
-};
+use wasteprof_trace::{AnalysisCtx, AnalysisDriver, ColumnMask, ThreadId, Trace, TraceAnalysis};
 
 /// A utilization time series for one thread.
 #[derive(Debug, Clone)]
@@ -113,8 +111,8 @@ impl TraceAnalysis for UtilizationAnalysis {
         "utilization"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::TIDS)
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::TIDS
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

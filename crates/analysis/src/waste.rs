@@ -6,18 +6,18 @@
 //! instruction outside the slice it attributes the waste to both the
 //! executing thread's role (Main, Compositor, the rasterizer pool) and the
 //! function's namespace category, answering "which thread wastes its
-//! cycles on what". It is the first analysis written *against* the fused
-//! [`TraceAnalysis`] API rather than ported onto it, and runs fused with
-//! the lint batteries and figure computations in the engine's `analyze`
-//! stage (rendered as `results/table2_waste.txt`).
+//! cycles on what". It is the one namespace classifier: its `All` row is
+//! Figure 5 ([`crate::CategoryBreakdown`]), so the engine's `analyze`
+//! stage runs it once per session, fused with the lint batteries, and
+//! renders both `results/fig5.txt` and `results/table2_waste.txt` from it.
 
 use wasteprof_slicer::SliceResult;
 use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnMask, Subscription, ThreadKind, Trace, TraceAnalysis,
+    AnalysisCtx, AnalysisDriver, ColumnMask, FunctionRegistry, ThreadKind, Trace, TraceAnalysis,
     TracePos,
 };
 
-use crate::category::{categories_of, Category};
+use crate::category::Category;
 use crate::render::TextTable;
 
 /// Thread-role groups the breakdown reports, in presentation order.
@@ -28,7 +28,8 @@ const GROUPS: [&str; 5] = ["All", "Main", "Compositor", "Rasterizers", "Other th
 pub struct WasteRow {
     /// Thread-role label (`All`, `Main`, `Compositor`, ...).
     pub label: &'static str,
-    /// Counts parallel to [`Category::ALL`].
+    /// Counts parallel to [`Category::ALL`], indexed by `category as
+    /// usize`.
     pub counts: [u64; Category::ALL.len()],
     /// Non-slice instructions whose function had no telling namespace.
     pub uncategorized: u64,
@@ -88,17 +89,31 @@ impl WasteBreakdown {
     }
 }
 
+/// Resolves [`Category::of_function`] once per function id, so the
+/// per-instruction hot path is a table lookup instead of prefix matching.
+fn categories_of(funcs: &FunctionRegistry) -> Vec<Option<Category>> {
+    funcs
+        .iter()
+        .map(|(_, info)| Category::of_function(info.name()))
+        .collect()
+}
+
 /// The thread × namespace waste categorization as a fusable
 /// [`TraceAnalysis`].
 ///
-/// Subscribes to the tid and funcs columns; slice membership comes from
-/// the borrowed [`SliceResult`].
+/// Reads the tid and funcs columns; slice membership comes from the
+/// borrowed [`SliceResult`].
 pub struct WasteAnalysis<'s> {
     slice: &'s SliceResult,
     cat_of: Vec<Option<Category>>,
     /// Row index (1-based into [`GROUPS`]) per thread id; 0 is `All`.
     group_of_tid: Vec<usize>,
+    /// One row per [`GROUPS`] entry, `All` first.
     rows: Vec<WasteRow>,
+}
+
+fn empty_rows() -> Vec<WasteRow> {
+    GROUPS.iter().map(|label| WasteRow::empty(label)).collect()
 }
 
 impl<'s> WasteAnalysis<'s> {
@@ -108,7 +123,7 @@ impl<'s> WasteAnalysis<'s> {
             slice,
             cat_of: Vec::new(),
             group_of_tid: Vec::new(),
-            rows: Vec::new(),
+            rows: empty_rows(),
         }
     }
 
@@ -123,8 +138,8 @@ impl TraceAnalysis for WasteAnalysis<'_> {
         "waste"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::TIDS.union(ColumnMask::FUNCS))
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::TIDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {
@@ -139,7 +154,7 @@ impl TraceAnalysis for WasteAnalysis<'_> {
                 _ => 4,
             })
             .collect();
-        self.rows = GROUPS.iter().map(|label| WasteRow::empty(label)).collect();
+        self.rows = empty_rows();
     }
 
     fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
@@ -159,9 +174,7 @@ impl TraceAnalysis for WasteAnalysis<'_> {
         for g in groups.into_iter().flatten() {
             let row = &mut self.rows[g];
             match cat {
-                Some(c) => {
-                    row.counts[Category::ALL.iter().position(|&x| x == c).expect("ALL")] += 1;
-                }
+                Some(c) => row.counts[c as usize] += 1,
                 None => row.uncategorized += 1,
             }
         }

@@ -40,8 +40,8 @@ fn out_of_table_function_is_counted_as_uncategorized() {
     let outside = result.considered() - result.slice_count();
     let stray_outside = total - in_slice;
     let categories = CategoryBreakdown::compute(&trace, &result);
-    assert_eq!(categories.total_unnecessary, outside);
-    assert!(categories.uncategorized >= stray_outside);
+    assert_eq!(categories.total_unnecessary(), outside);
+    assert!(categories.uncategorized() >= stray_outside);
     let waste = WasteBreakdown::compute(&trace, &result);
     let all = &waste.rows[0];
     assert_eq!(all.total(), outside, "the All row partitions the waste");

@@ -13,9 +13,9 @@
 //!   output bytes do not depend on the thread count. The `analyze` stage
 //!   is one fused [`AnalysisDriver`] sweep per session: the verifier lint
 //!   battery, the dead-write metric, and the per-instruction figure
-//!   computations (Figure 2 utilization, Figure 5 categories, the
-//!   Table II × Figure 5 waste cross) all share a single pass over each
-//!   trace instead of sweeping it once per consumer.
+//!   computations (Figure 2 utilization, and the Table II × Figure 5
+//!   waste cross whose `All` row is Figure 5) all share a single pass
+//!   over each trace instead of sweeping it once per consumer.
 //! * [`EngineReport`] carries per-stage wall time and instruction
 //!   throughput, rendered into `results/perf.txt` and
 //!   `results/bench_engine.json`.
@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 use wasteprof_analysis::{
-    ascii_chart, bar_chart, format_count, pixel_slice_of, pixel_slice_with, syscall_slice_with,
-    thread_rows, to_csv, Category, CategoryAnalysis, CategoryBreakdown, SharedBenchmarkRun,
+    ascii_chart, bar_chart, format_count, thread_rows, to_csv, Category, CategoryBreakdown,
     Table1Row, TextTable, UnusedBytes, UtilizationAnalysis, UtilizationSeries, WasteAnalysis,
     WasteBreakdown,
 };
@@ -43,8 +42,8 @@ use wasteprof_browser::{BrowserConfig, Session, Tab};
 use wasteprof_checker::{DeadWriteLint, Registry};
 use wasteprof_gfx::CompositorConfig;
 use wasteprof_slicer::{
-    pixel_criteria, slice, strip_allocator_deps, syscall_criteria, CacheStats, ForwardPass,
-    SegmentHashes, SliceOptions, SliceResult, SummaryCache,
+    pixel_criteria, slice, strip_allocator_deps, syscall_criteria, CacheStats, Criteria,
+    ForwardPass, SegmentHashes, SliceOptions, SliceResult, SummaryCache,
 };
 use wasteprof_staticjs::{Metric, ProgramAnalysis, RefereeReport};
 use wasteprof_trace::{AnalysisDriver, ThreadKind, Trace, TracePos};
@@ -192,29 +191,34 @@ impl SessionStore {
 
     /// The full-session pixel slice of the session for `key`.
     pub fn pixel_slice(&self, key: SessionKey) -> Arc<SliceResult> {
-        self.slice(&self.pixel, key, pixel_slice_with)
+        self.slice(&self.pixel, key, pixel_criteria)
     }
 
     /// The syscall-criteria slice of the session for `key` (§V
     /// comparison).
     pub fn syscall_slice(&self, key: SessionKey) -> Arc<SliceResult> {
-        self.slice(&self.syscall, key, syscall_slice_with)
+        self.slice(&self.syscall, key, syscall_criteria)
     }
 
-    /// The memoized slice of `key`'s session in `cells`, computed by
-    /// `compute` under the session's forward pass.
+    /// The memoized slice of `key`'s session in `cells`, from the
+    /// session's `criteria` under its forward pass.
     fn slice(
         &self,
         cells: &[OnceLock<Arc<SliceResult>>; SLOTS],
         key: SessionKey,
-        compute: fn(&Trace, &ForwardPass, &SliceOptions) -> SliceResult,
+        criteria: fn(&Trace) -> Criteria,
     ) -> Arc<SliceResult> {
         cells[slot(key)]
             .get_or_init(|| {
                 let session = self.session(key);
                 let forward = self.forward(key);
                 self.stats.slices_run.fetch_add(1, Ordering::SeqCst);
-                Arc::new(compute(&session.trace, &forward, &WITNESSED))
+                Arc::new(slice(
+                    &session.trace,
+                    &forward,
+                    &criteria(&session.trace),
+                    &WITNESSED,
+                ))
             })
             .clone()
     }
@@ -240,19 +244,6 @@ impl SessionStore {
                 ))
             })
             .clone()
-    }
-
-    /// Assembles the cached counterpart of
-    /// [`wasteprof_analysis::run_benchmark`] from memoized artifacts.
-    pub fn benchmark_run(&self, b: Benchmark, with_syscall: bool) -> SharedBenchmarkRun {
-        let key = SessionKey::Base(b);
-        SharedBenchmarkRun {
-            benchmark: b,
-            session: self.session(key),
-            forward: self.forward(key),
-            pixel: self.pixel_slice(key),
-            syscall: with_syscall.then(|| self.syscall_slice(key)),
-        }
     }
 }
 
@@ -458,8 +449,9 @@ fn table2(store: &SessionStore) -> View {
 
     let mut comparison = String::new();
     for benchmark in Benchmark::ALL {
-        let run = store.benchmark_run(benchmark, true);
-        let rows = thread_rows(run.session.trace.threads(), &run.pixel);
+        let key = SessionKey::Base(benchmark);
+        let pixel = store.pixel_slice(key);
+        let rows = thread_rows(store.session(key).trace.threads(), &pixel);
         let mut table = TextTable::new(vec!["Threads", "Pixels slice", "Total instructions"]);
         for r in &rows {
             table.row(vec![
@@ -474,12 +466,11 @@ fn table2(store: &SessionStore) -> View {
             table.render()
         ));
 
-        let sys = run.syscall.as_ref().expect("syscall slice requested");
         comparison.push_str(&format!(
             "{:<32} pixel slice {:>5.1}%   syscall slice {:>5.1}%\n",
             benchmark.label(),
-            run.pixel.fraction() * 100.0,
-            sys.fraction() * 100.0,
+            pixel.fraction() * 100.0,
+            store.syscall_slice(key).fraction() * 100.0,
         ));
     }
     out.push_str(
@@ -545,8 +536,8 @@ fn fig4(store: &SessionStore) -> View {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
 
     for benchmark in Benchmark::ALL {
-        let run = store.benchmark_run(benchmark, false);
-        let timeline = run.pixel.timeline();
+        let pixel = store.pixel_slice(SessionKey::Base(benchmark));
+        let timeline = pixel.timeline();
         let all: Vec<f64> = timeline.iter().map(|p| p.fraction()).collect();
         let main: Vec<f64> = timeline.iter().map(|p| p.tracked_fraction()).collect();
 
@@ -602,20 +593,21 @@ fn fig4(store: &SessionStore) -> View {
 }
 
 /// Figure 5: categorization of potentially unnecessary computations,
-/// rendered from the fused `analyze` stage's breakdowns, one per
-/// benchmark in [`Benchmark::ALL`] order.
+/// rendered from the `All` rows of the fused `analyze` stage's waste
+/// breakdowns, one per benchmark in [`Benchmark::ALL`] order.
 ///
 /// # Panics
 ///
 /// Panics if `breakdowns.len() != Benchmark::ALL.len()`.
-fn fig5_from(breakdowns: &[CategoryBreakdown]) -> View {
+fn fig5_from(breakdowns: &[WasteBreakdown]) -> View {
     assert_eq!(breakdowns.len(), Benchmark::ALL.len());
     let mut out = String::new();
     out.push_str("Figure 5: categorization of potentially unnecessary computations\n");
     out.push_str("(distribution over the categorized portion of non-slice instructions).\n\n");
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
 
-    for (benchmark, breakdown) in Benchmark::ALL.into_iter().zip(breakdowns) {
+    for (benchmark, waste) in Benchmark::ALL.into_iter().zip(breakdowns) {
+        let breakdown = CategoryBreakdown::from(waste);
         let items: Vec<(String, f64)> = Category::ALL
             .iter()
             .map(|&c| (c.label().to_owned(), breakdown.share(c)))
@@ -637,7 +629,7 @@ fn fig5_from(breakdowns: &[CategoryBreakdown]) -> View {
         csv_rows.push(vec![
             benchmark.short_name().to_owned(),
             "UNCATEGORIZED".to_owned(),
-            breakdown.uncategorized.to_string(),
+            breakdown.uncategorized().to_string(),
             String::new(),
         ]);
     }
@@ -712,8 +704,15 @@ fn bing_backslice(store: &SessionStore) -> View {
 }
 
 fn config_pixel_fraction(session: &Session) -> f64 {
-    let fwd = ForwardPass::build(&session.trace);
-    pixel_slice_of(&session.trace, &fwd).fraction()
+    let trace = &session.trace;
+    let fwd = ForwardPass::build(trace);
+    slice(
+        trace,
+        &fwd,
+        &pixel_criteria(trace),
+        &SliceOptions::default(),
+    )
+    .fraction()
 }
 
 fn ablate_deferred_compilation(store: &SessionStore) -> (String, u64) {
@@ -799,8 +798,14 @@ fn ablate_prepaint() -> (String, u64) {
                 ..b.browser_config()
             };
             let session = b.run_with_config(cfg);
-            let fwd = ForwardPass::build(&session.trace);
-            let r = pixel_slice_of(&session.trace, &fwd);
+            let trace = &session.trace;
+            let fwd = ForwardPass::build(trace);
+            let r = slice(
+                trace,
+                &fwd,
+                &pixel_criteria(trace),
+                &SliceOptions::default(),
+            );
             let mut raster_total = 0u64;
             let mut raster_slice = 0u64;
             for info in session.trace.threads().iter() {
@@ -861,8 +866,14 @@ fn ablate_backing_stores() -> (String, u64) {
             tab.pump_vsync(60);
             let bytes = tab.compositor().backing_store_bytes();
             let session = tab.finish();
-            let fwd = ForwardPass::build(&session.trace);
-            let r = pixel_slice_of(&session.trace, &fwd);
+            let trace = &session.trace;
+            let fwd = ForwardPass::build(trace);
+            let r = slice(
+                trace,
+                &fwd,
+                &pixel_criteria(trace),
+                &SliceOptions::default(),
+            );
             let comp = session
                 .trace
                 .threads()
@@ -1197,10 +1208,10 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
     // Stage 3½: one *fused* analysis sweep per session. A single
     // [`AnalysisDriver`] carries the verifier lint battery (WP0001-WP0007)
     // and the WP0012 dead-write metric together with the per-instruction
-    // figure computations: Figure 5 categories and the Table II × Figure 5
-    // waste cross for every base session, Figure 2 utilization for the
-    // browse session it plots. Each trace is walked once for all of them
-    // instead of once per consumer. Fused results are identical to solo
+    // figure computations: the Table II × Figure 5 waste cross for every
+    // base session (its `All` row is Figure 5), Figure 2 utilization for
+    // the browse session it plots. Each trace is walked once for all of
+    // them instead of once per consumer. Fused results are identical to solo
     // runs — the driver dispatches each analysis independently and lint
     // batteries sort their own diagnostics — so `check.txt` and the figure
     // artifacts keep their bytes (the `fused_differential` proptest pins
@@ -1211,7 +1222,6 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         bytes: u64,
         diags: Vec<wasteprof_checker::Diag>,
         dead: usize,
-        category: Option<CategoryBreakdown>,
         waste: Option<WasteBreakdown>,
         utilization: Option<UtilizationSeries>,
     }
@@ -1225,14 +1235,12 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
             let mut dead_reg = Registry::new();
             dead_reg.register(Box::new(DeadWriteLint::default()));
             // Base sessions own the canonical pixel slice (memoized by the
-            // slices stage above), which the category and waste analyses
-            // classify against; the browse sessions have no slice-derived
-            // figures.
+            // slices stage above), which the waste analysis classifies
+            // against; the browse sessions have no slice-derived figures.
             let pixel = match k {
                 SessionKey::Base(_) => Some(store.pixel_slice(*k)),
                 SessionKey::Browse(_) => None,
             };
-            let mut category = pixel.as_deref().map(CategoryAnalysis::new);
             let mut waste = pixel.as_deref().map(WasteAnalysis::new);
             let mut utilization =
                 matches!(k, SessionKey::Browse(Benchmark::AmazonDesktop)).then(|| {
@@ -1244,9 +1252,6 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
             let mut driver = AnalysisDriver::new();
             driver.register(&mut verify_battery);
             driver.register(&mut dead_battery);
-            if let Some(a) = category.as_mut() {
-                driver.register(a);
-            }
             if let Some(a) = waste.as_mut() {
                 driver.register(a);
             }
@@ -1261,7 +1266,6 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
                 bytes: trace.storage_bytes(),
                 diags: verify_battery.take_diags(),
                 dead: dead_battery.take_diags().len(),
-                category: category.map(CategoryAnalysis::into_breakdown),
                 waste: waste.map(WasteAnalysis::into_breakdown),
                 utilization: utilization.map(UtilizationAnalysis::into_series),
             }
@@ -1329,10 +1333,6 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
     // The fused figure results, pulled out of the rows for the views
     // stage. `sessions[..4]` are the base sessions in `Benchmark::ALL`
     // order, so the breakdown vectors line up benchmark-by-benchmark.
-    let fig5_breakdowns: Vec<CategoryBreakdown> = rows[..Benchmark::ALL.len()]
-        .iter()
-        .map(|r| r.category.clone().expect("base session breakdown"))
-        .collect();
     let waste_breakdowns: Vec<WasteBreakdown> = rows[..Benchmark::ALL.len()]
         .iter()
         .map(|r| r.waste.clone().expect("base session waste breakdown"))
@@ -1546,7 +1546,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
             2 => table2_waste_from(&waste_breakdowns),
             3 => fig2_from(&store, &fig2_series),
             4 => fig4(&store),
-            5 => fig5_from(&fig5_breakdowns),
+            5 => fig5_from(&waste_breakdowns),
             6 => bing_backslice(&store),
             _ => ablations(&store),
         })

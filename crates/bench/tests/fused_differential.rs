@@ -3,13 +3,12 @@
 //! analysis produces when run alone — in memory and streamed from a
 //! multi-segment `WPTRACE2` image.
 //!
-//! The pool deliberately spans the subscription space: the full lint
+//! The pool deliberately spans the column-mask space: the full lint
 //! battery (all columns but regsets), the dead-write battery (operands +
-//! funcs), the Figure 5 category breakdown (funcs), the Table II × Fig 5
-//! waste cross (tids + funcs), main-thread utilization (tids), and the
-//! frame profile (derived call/ret/syscall events only) — so random
-//! subsets exercise random decode-mask unions and the driver's per-event
-//! dispatch lists.
+//! funcs), the Figure 5 category breakdown and the Table II × Fig 5 waste
+//! cross (tids + funcs), main-thread utilization (tids), and the frame
+//! profile (kinds + tids) — so random subsets exercise random decode-mask
+//! unions.
 //!
 //! Race diagnostics are compared by `(code, pos)` plus non-race message
 //! equality, matching `streamed_differential`: the earlier side of a
@@ -24,14 +23,14 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use wasteprof_analysis::{
-    Category, CategoryAnalysis, CategoryBreakdown, FrameAnalysis, FrameProfile,
-    UtilizationAnalysis, UtilizationSeries, WasteAnalysis, WasteBreakdown,
+    CategoryAnalysis, CategoryBreakdown, FrameAnalysis, FrameProfile, UtilizationAnalysis,
+    UtilizationSeries, WasteAnalysis, WasteBreakdown,
 };
 use wasteprof_browser::Sched;
 use wasteprof_checker::{Code, DeadWriteLint, Diag, Registry};
 use wasteprof_slicer::{pixel_criteria, slice, ForwardPass, SliceOptions, SliceResult};
 use wasteprof_trace::{
-    site, AnalysisDriver, ColumnMask, DecodeStats, Recorder, Region, Subscription, ThreadKind,
+    site, AnalysisCtx, AnalysisDriver, ColumnMask, DecodeStats, Recorder, Region, ThreadKind,
     Trace, Trace2Writer, TraceAnalysis, TraceReader,
 };
 
@@ -65,13 +64,6 @@ enum Out {
     Frames(FrameProfile),
 }
 
-/// `CategoryBreakdown` holds a map, so compare it field by field.
-fn categories_equal(a: &CategoryBreakdown, b: &CategoryBreakdown) -> bool {
-    a.total_unnecessary == b.total_unnecessary
-        && a.uncategorized == b.uncategorized
-        && Category::ALL.iter().all(|&c| a.count(c) == b.count(c))
-}
-
 /// Equality with the cross-chunk race-message caveat.
 fn outs_equal(a: &Out, b: &Out) -> bool {
     match (a, b) {
@@ -82,7 +74,7 @@ fn outs_equal(a: &Out, b: &Out) -> bool {
                     .zip(y)
                     .all(|(dx, dy)| dx.code == Code::Race || dx.message == dy.message)
         }
-        (Out::Category(x), Out::Category(y)) => categories_equal(x, y),
+        (Out::Category(x), Out::Category(y)) => x == y,
         (Out::Waste(x), Out::Waste(y)) => x == y,
         (Out::Utilization(x), Out::Utilization(y)) => {
             x.bucket_width == y.bucket_width && x.buckets == y.buckets
@@ -116,8 +108,8 @@ fn trace2_image(trace: &Trace, seg_len: usize) -> Vec<u8> {
     buf
 }
 
-/// Subscribes to every column and handles no event. Registered next to
-/// an analysis, it pins the reader's decode mask wide open, as the reader
+/// Declares every column and reads none. Registered next to an
+/// analysis, it pins the reader's decode mask wide open, as the reader
 /// was before selective decoding: every column stream of every chunk.
 struct FullDecode;
 
@@ -126,12 +118,11 @@ impl TraceAnalysis for FullDecode {
         "full-decode"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription {
-            columns: ColumnMask::ALL,
-            ..Subscription::default()
-        }
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::ALL
     }
+
+    fn on_instr(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize) {}
 }
 
 /// Runs `members` in one fused driver sweep — over `trace` in memory, or
@@ -318,7 +309,7 @@ fn multi_segment_fixture() -> (Trace, SliceResult, Vec<u8>) {
     (trace, pixel, image)
 }
 
-/// Selective decoding is observable: a sparse subscription over a
+/// Selective decoding is observable: a sparse column mask over a
 /// multi-segment image decodes strictly fewer stream bytes than it skips,
 /// while a full-battery run still skips the regset streams nobody reads.
 #[test]

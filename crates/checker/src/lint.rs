@@ -15,8 +15,8 @@
 //! in one driver and sweeps each trace once. The lint context [`Ctx`] *is*
 //! [`wasteprof_trace::AnalysisCtx`] — lints and external analyses read the
 //! trace through one vocabulary — and each lint declares a
-//! [`Subscription`] naming the columns it reads, so a run from a
-//! `WPTRACE2` reader decodes only the subscribed column streams and skips
+//! [`ColumnMask`] naming the columns it reads, so a run from a
+//! `WPTRACE2` reader decodes only the declared column streams and skips
 //! the rest (the verify battery reads everything except register bitsets).
 //!
 //! The battery is written once, against [`ColumnSource`]:
@@ -29,9 +29,7 @@
 //! end-of-trace reporting works from state captured during the sweep,
 //! not by random access back into the columns.
 
-use wasteprof_trace::{
-    AnalysisDriver, ColumnMask, ColumnSource, Subscription, Trace, TraceAnalysis,
-};
+use wasteprof_trace::{AnalysisDriver, ColumnMask, ColumnSource, Trace, TraceAnalysis};
 
 use crate::diag::{sort_diags, Diag};
 use crate::lints;
@@ -54,13 +52,13 @@ pub trait Lint {
     /// Stable lint name, used in logs and registry listings.
     fn name(&self) -> &'static str;
 
-    /// The columns this lint reads. The default subscribes to everything;
-    /// lints narrow it so fused streamed runs can skip decoding column
+    /// The columns this lint reads. The default is every column; lints
+    /// narrow it so fused streamed runs can skip decoding column
     /// streams no registered lint reads. The mask is a contract: on a
     /// masked streamed run an undeclared column decodes to default values,
     /// so an under-declared lint silently diverges from its in-memory run.
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::ALL)
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::ALL
     }
 
     /// Called once before the sweep; allocate per-trace state here.
@@ -105,18 +103,13 @@ impl Registry {
         self.lints.push(lint);
     }
 
-    /// Names of the registered lints, in registration order.
-    pub fn lint_names(&self) -> Vec<&'static str> {
-        self.lints.iter().map(|l| l.name()).collect()
-    }
-
-    /// Union of every registered lint's subscription — what one fused
-    /// sweep over this battery decodes and dispatches.
-    pub fn subscription(&self) -> Subscription {
+    /// Union of every registered lint's columns — what one fused sweep
+    /// over this battery decodes.
+    pub fn columns(&self) -> ColumnMask {
         self.lints
             .iter()
-            .map(|l| l.subscription())
-            .fold(Subscription::default(), Subscription::union)
+            .map(|l| l.columns())
+            .fold(ColumnMask::NONE, ColumnMask::union)
     }
 
     /// Borrows the whole battery as ONE fusable [`TraceAnalysis`], so a
@@ -141,7 +134,7 @@ impl Registry {
     /// [`Registry::run`] over any [`ColumnSource`]: the battery is one
     /// analysis of an [`AnalysisDriver`] sweep, so a `WPTRACE2` reader
     /// holds only its bounded chunk window and decodes only the
-    /// battery's subscription union.
+    /// battery's column union.
     ///
     /// # Errors
     ///
@@ -182,11 +175,11 @@ impl TraceAnalysis for LintBattery<'_> {
         self.name
     }
 
-    fn subscription(&self) -> Subscription {
+    fn columns(&self) -> ColumnMask {
         self.lints
             .iter()
-            .map(|l| l.subscription())
-            .fold(Subscription::default(), Subscription::union)
+            .map(|l| l.columns())
+            .fold(ColumnMask::NONE, ColumnMask::union)
     }
 
     fn begin(&mut self, ctx: &Ctx<'_>) {

@@ -10,9 +10,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use wasteprof_trace::{
-    AddrRange, ColumnMask, InstrKind, Region, Subscription, ThreadId, REGION_SHIFT,
-};
+use wasteprof_trace::{AddrRange, ColumnMask, InstrKind, Region, ThreadId, REGION_SHIFT};
 
 use crate::diag::{Code, Diag};
 use crate::lint::{Ctx, Lint};
@@ -48,14 +46,12 @@ impl Lint for CallRetLint {
         "call-ret"
     }
 
-    fn subscription(&self) -> Subscription {
+    fn columns(&self) -> ColumnMask {
         // Kinds to see the call/ret stream, tids to keep per-thread
         // stacks, funcs to name the frame in diagnostics.
-        Subscription::instructions(
-            ColumnMask::KINDS
-                .union(ColumnMask::TIDS)
-                .union(ColumnMask::FUNCS),
-        )
+        ColumnMask::KINDS
+            .union(ColumnMask::TIDS)
+            .union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, ctx: &Ctx<'_>) {
@@ -186,8 +182,8 @@ impl Lint for UninitReadLint {
         "uninit-read"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::OPERANDS.union(ColumnMask::FUNCS))
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::OPERANDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, _ctx: &Ctx<'_>) {
@@ -250,8 +246,8 @@ impl Lint for RegionOverlapLint {
         "region-overlap"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::OPERANDS)
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::OPERANDS
     }
 
     fn on_instr(&mut self, ctx: &Ctx<'_>, idx: usize, out: &mut Vec<Diag>) {
@@ -286,8 +282,8 @@ impl Lint for InvalidTidLint {
         "invalid-tid"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::TIDS)
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::TIDS
     }
 
     fn on_instr(&mut self, ctx: &Ctx<'_>, idx: usize, out: &mut Vec<Diag>) {
@@ -322,12 +318,8 @@ impl Lint for MarkerPairingLint {
         "marker-pairing"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(
-            ColumnMask::KINDS
-                .union(ColumnMask::FUNCS)
-                .union(ColumnMask::MARKERS),
-        )
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::KINDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, _ctx: &Ctx<'_>) {
@@ -402,8 +394,8 @@ impl Lint for UndefinedCalleeLint {
         "undefined-callee"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::KINDS.union(ColumnMask::FUNCS))
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::KINDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, ctx: &Ctx<'_>) {
@@ -499,8 +491,8 @@ impl Lint for DeadWriteLint {
         "dead-write"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::OPERANDS.union(ColumnMask::FUNCS))
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::OPERANDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, _ctx: &Ctx<'_>) {

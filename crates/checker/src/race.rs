@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use wasteprof_trace::{ColumnMask, FuncId, InstrKind, Region, Subscription, ThreadId, TracePos};
+use wasteprof_trace::{ColumnMask, FuncId, InstrKind, Region, ThreadId, TracePos};
 
 use crate::diag::{Code, Diag};
 use crate::lint::{Ctx, Lint};
@@ -403,17 +403,15 @@ impl Lint for RaceLint {
         "race"
     }
 
-    fn subscription(&self) -> Subscription {
+    fn columns(&self) -> ColumnMask {
         // Everything except register bitsets: kinds for syscalls, tids and
         // funcs for clocks and lock frames, operands for shadow memory,
         // pcs for `describe` in race messages.
-        Subscription::instructions(
-            ColumnMask::KINDS
-                .union(ColumnMask::TIDS)
-                .union(ColumnMask::FUNCS)
-                .union(ColumnMask::PCS)
-                .union(ColumnMask::OPERANDS),
-        )
+        ColumnMask::KINDS
+            .union(ColumnMask::TIDS)
+            .union(ColumnMask::FUNCS)
+            .union(ColumnMask::PCS)
+            .union(ColumnMask::OPERANDS)
     }
 
     fn begin(&mut self, ctx: &Ctx<'_>) {

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use wasteprof_browser::Sched;
 use wasteprof_checker::{Diag, Lint, Mutation, RaceLint, TraceMutator};
 use wasteprof_trace::{
-    site, AddrRange, AnalysisCtx, AnalysisDriver, Pc, Recorder, Reg, Region, Subscription, Syscall,
+    site, AddrRange, AnalysisCtx, AnalysisDriver, ColumnMask, Pc, Recorder, Reg, Region, Syscall,
     ThreadKind, Trace, TraceAnalysis,
 };
 use wasteprof_workloads::Benchmark;
@@ -26,9 +26,7 @@ use wasteprof_workloads::Benchmark;
 mod reference {
     use std::collections::{BTreeMap, HashSet};
 
-    use wasteprof_trace::{
-        ColumnMask, FuncId, InstrKind, Region, Subscription, ThreadId, TracePos,
-    };
+    use wasteprof_trace::{ColumnMask, FuncId, InstrKind, Region, ThreadId, TracePos};
 
     use wasteprof_checker::{Code, Ctx, Diag, Lint};
 
@@ -279,17 +277,15 @@ mod reference {
             "race"
         }
 
-        fn subscription(&self) -> Subscription {
+        fn columns(&self) -> ColumnMask {
             // Everything except register bitsets: kinds for syscalls, tids and
             // funcs for clocks and lock frames, operands for shadow memory,
             // pcs for `describe` in race messages.
-            Subscription::instructions(
-                ColumnMask::KINDS
-                    .union(ColumnMask::TIDS)
-                    .union(ColumnMask::FUNCS)
-                    .union(ColumnMask::PCS)
-                    .union(ColumnMask::OPERANDS),
-            )
+            ColumnMask::KINDS
+                .union(ColumnMask::TIDS)
+                .union(ColumnMask::FUNCS)
+                .union(ColumnMask::PCS)
+                .union(ColumnMask::OPERANDS)
         }
 
         fn begin(&mut self, ctx: &Ctx<'_>) {
@@ -416,8 +412,8 @@ fn emitted(lint: &mut dyn Lint, trace: &Trace) -> Vec<Diag> {
         fn name(&self) -> &'static str {
             self.lint.name()
         }
-        fn subscription(&self) -> Subscription {
-            self.lint.subscription()
+        fn columns(&self) -> ColumnMask {
+            self.lint.columns()
         }
         fn begin(&mut self, ctx: &AnalysisCtx<'_>) {
             self.lint.begin(ctx);

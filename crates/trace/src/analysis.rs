@@ -4,39 +4,37 @@
 //! well-formedness lints, a race detector, waste categorization,
 //! utilization views — and each used to be its own full sweep over the
 //! columns. This module generalizes the checker's shared-sweep idea into a
-//! public, Wasabi-style analysis API (PAPERS.md):
+//! public analysis API:
 //!
-//! * every analysis implements [`TraceAnalysis`] and *declares* what it
-//!   reads as a [`Subscription`] — a [`ColumnMask`] over the per-column
-//!   streams plus optional derived events (call/ret frames, syscalls);
+//! * every analysis implements [`TraceAnalysis`]: it *declares* the column
+//!   groups it reads as a [`ColumnMask`] and sees every instruction
+//!   through one hook, [`TraceAnalysis::on_instr`];
 //! * an [`AnalysisDriver`] fuses any set of registered analyses into ONE
 //!   sweep over any [`ColumnSource`]: packed in-memory [`Columns`] or a
 //!   `WPTRACE2` [`TraceReader`](crate::TraceReader)'s chunk stream;
 //! * on the streamed path the driver narrows the reader's decode mask to
-//!   the union of all subscriptions, so column streams nobody subscribed
-//!   to are *skipped, not decompressed* (see
+//!   the union of all declared masks, so column streams nobody reads are
+//!   *skipped, not decompressed* (see
 //!   [`decode_segment_masked`](crate::segment::decode_segment_masked)).
 //!
-//! The subscription is a contract, not a hint: an analysis must only read
-//! the columns (and derived events) it declared. On the masked streamed
-//! path an undeclared column decodes to default values, so a misdeclared
-//! analysis diverges from its in-memory run — exactly what the
-//! differential tests compare to catch it.
+//! The mask is a contract, not a hint: an analysis must only read the
+//! columns it declared. On the masked streamed path an undeclared column
+//! decodes to default values, so a misdeclared analysis diverges from its
+//! in-memory run — exactly what the differential tests compare to catch
+//! it. The footer tables (`funcs`, `threads`, `markers`) are always there.
 
 use crate::columns::{ColumnCursor, Columns};
-use crate::func::{FuncId, FunctionRegistry};
-use crate::instr::InstrKind;
+use crate::func::FunctionRegistry;
 use crate::source::ColumnSource;
-use crate::syscall::Syscall;
 use crate::thread::ThreadTable;
 use crate::trace::{MarkerRecord, Trace};
 
-/// Bitmask over the trace's per-instruction column groups (plus the
-/// footer-resident marker table). Each bit maps to the column streams a
-/// `WPTRACE2` segment stores for that group, so the streamed driver can
-/// translate a subscription union directly into decode-or-skip decisions.
+/// Bitmask over the trace's per-instruction column groups. Each bit maps
+/// to the column streams a `WPTRACE2` segment stores for that group, so the
+/// streamed driver can translate a mask union directly into decode-or-skip
+/// decisions.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ColumnMask(u16);
+pub struct ColumnMask(u8);
 
 impl ColumnMask {
     /// No columns at all (an analysis that only counts instructions).
@@ -53,95 +51,17 @@ impl ColumnMask {
     pub const REGSETS: ColumnMask = ColumnMask(1 << 4);
     /// Memory operand counts, addresses, and lengths.
     pub const OPERANDS: ColumnMask = ColumnMask(1 << 5);
-    /// The marker (tile-log) table. Markers live in the `WPTRACE2` footer,
-    /// not in segment payloads, so this bit never costs segment decoding —
-    /// it documents that the analysis reads `ctx.markers`.
-    pub const MARKERS: ColumnMask = ColumnMask(1 << 6);
     /// Every column group.
-    pub const ALL: ColumnMask = ColumnMask(0x7f);
-    /// The groups a `WPTRACE2` segment payload stores: all but
-    /// [`ColumnMask::MARKERS`].
-    pub const SEGMENT: ColumnMask = ColumnMask(0x3f);
+    pub const ALL: ColumnMask = ColumnMask(0x3f);
 
     /// Union of two masks.
     pub const fn union(self, other: ColumnMask) -> ColumnMask {
         ColumnMask(self.0 | other.0)
     }
 
-    /// The groups present in both masks.
-    pub const fn intersection(self, other: ColumnMask) -> ColumnMask {
-        ColumnMask(self.0 & other.0)
-    }
-
     /// True if every group of `other` is present in `self`.
     pub const fn contains(self, other: ColumnMask) -> bool {
         self.0 & other.0 == other.0
-    }
-
-    /// True if no group is selected.
-    pub const fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Raw bit representation (stable across runs; used in bench output).
-    pub const fn bits(self) -> u16 {
-        self.0
-    }
-}
-
-/// What one analysis reads from the trace: a column mask plus the event
-/// callbacks it wants dispatched.
-///
-/// Derived events (calls, rets, syscalls) are decoded from the kind
-/// column, so subscribing to any of them implicitly pulls
-/// [`ColumnMask::KINDS`] into the effective decode mask.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct Subscription {
-    /// Column groups the analysis reads through the cursor.
-    pub columns: ColumnMask,
-    /// Dispatch [`TraceAnalysis::on_instr`] for every instruction.
-    pub instructions: bool,
-    /// Dispatch [`TraceAnalysis::on_call`] for every call instruction.
-    pub calls: bool,
-    /// Dispatch [`TraceAnalysis::on_ret`] for every return instruction.
-    pub rets: bool,
-    /// Dispatch [`TraceAnalysis::on_syscall`] for every syscall.
-    pub syscalls: bool,
-}
-
-impl Subscription {
-    /// The common shape: `on_instr` for every instruction, reading
-    /// `columns`.
-    pub const fn instructions(columns: ColumnMask) -> Subscription {
-        Subscription {
-            columns,
-            instructions: true,
-            calls: false,
-            rets: false,
-            syscalls: false,
-        }
-    }
-
-    /// Union of two subscriptions (columns and events).
-    pub const fn union(self, other: Subscription) -> Subscription {
-        Subscription {
-            columns: self.columns.union(other.columns),
-            instructions: self.instructions | other.instructions,
-            calls: self.calls | other.calls,
-            rets: self.rets | other.rets,
-            syscalls: self.syscalls | other.syscalls,
-        }
-    }
-
-    /// The columns a driver must actually decode to honor this
-    /// subscription: the declared mask, plus [`ColumnMask::KINDS`] when
-    /// any derived event is requested.
-    pub const fn effective_columns(self) -> ColumnMask {
-        if self.calls | self.rets | self.syscalls {
-            self.columns.union(ColumnMask::KINDS)
-        } else {
-            self.columns
-        }
     }
 }
 
@@ -168,11 +88,9 @@ pub struct AnalysisCtx<'a> {
 
 /// A streaming analysis over one trace.
 ///
-/// Analyses are driven front to back: `begin`, then the subscribed event
-/// callbacks for every index in `0..ctx.total` in program order, then
-/// `finish`. On an instruction that is both an instruction and a derived
-/// event (every call/ret/syscall is), `on_instr` fires before the derived
-/// callback. Analyses must only read what their [`Subscription`] declares,
+/// Analyses are driven front to back: `begin`, then `on_instr` for every
+/// index in `0..ctx.total` in program order, then `finish`. Analyses must
+/// only read the column groups their [`TraceAnalysis::columns`] declares,
 /// and must only touch `ctx.cols` at indices inside the cursor's window —
 /// end-of-trace reporting works from state captured during the sweep.
 pub trait TraceAnalysis {
@@ -180,42 +98,18 @@ pub trait TraceAnalysis {
     /// analyze --analyses`.
     fn name(&self) -> &'static str;
 
-    /// What this analysis reads; the driver unions these across all
-    /// registered analyses to choose the decode mask.
-    fn subscription(&self) -> Subscription;
+    /// The column groups this analysis reads; the driver unions these
+    /// across all registered analyses to choose the decode mask.
+    fn columns(&self) -> ColumnMask;
 
     /// Called once before the sweep; allocate per-trace state here.
     fn begin(&mut self, _ctx: &AnalysisCtx<'_>) {}
 
-    /// Called for every instruction index when subscribed.
-    fn on_instr(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize) {}
-
-    /// Called for every call instruction when subscribed.
-    fn on_call(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize, _callee: FuncId) {}
-
-    /// Called for every return instruction when subscribed.
-    fn on_ret(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize) {}
-
-    /// Called for every syscall instruction when subscribed.
-    fn on_syscall(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize, _nr: Syscall) {}
+    /// Called for every instruction index, in program order.
+    fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize);
 
     /// Called once after the last instruction.
     fn finish(&mut self, _ctx: &AnalysisCtx<'_>) {}
-}
-
-/// Per-event subscriber index lists, precomputed so the hot loop only
-/// walks analyses that actually asked for each event.
-struct SubIndex {
-    instrs: Vec<usize>,
-    calls: Vec<usize>,
-    rets: Vec<usize>,
-    syscalls: Vec<usize>,
-}
-
-impl SubIndex {
-    fn dispatches_derived(&self) -> bool {
-        !(self.calls.is_empty() && self.rets.is_empty() && self.syscalls.is_empty())
-    }
 }
 
 /// Fuses N registered analyses into one shared sweep.
@@ -239,74 +133,12 @@ impl<'d> AnalysisDriver<'d> {
         self.analyses.push(analysis);
     }
 
-    /// Names of the registered analyses, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.analyses.iter().map(|a| a.name()).collect()
-    }
-
-    /// Union of every registered analysis's subscription — what one fused
-    /// sweep must decode and dispatch.
-    pub fn subscription(&self) -> Subscription {
+    /// Union of every registered analysis's columns — what one fused
+    /// sweep must decode.
+    fn columns(&self) -> ColumnMask {
         self.analyses
             .iter()
-            .map(|a| a.subscription())
-            .fold(Subscription::default(), Subscription::union)
-    }
-
-    fn sub_index(&self) -> SubIndex {
-        let mut subs = SubIndex {
-            instrs: Vec::new(),
-            calls: Vec::new(),
-            rets: Vec::new(),
-            syscalls: Vec::new(),
-        };
-        for (k, a) in self.analyses.iter().enumerate() {
-            let s = a.subscription();
-            if s.instructions {
-                subs.instrs.push(k);
-            }
-            if s.calls {
-                subs.calls.push(k);
-            }
-            if s.rets {
-                subs.rets.push(k);
-            }
-            if s.syscalls {
-                subs.syscalls.push(k);
-            }
-        }
-        subs
-    }
-
-    /// One fused pass over the cursor's window, dispatching each event to
-    /// its subscribers in registration order.
-    fn sweep(&mut self, ctx: &AnalysisCtx<'_>, subs: &SubIndex) {
-        let derived = subs.dispatches_derived();
-        for idx in ctx.cols.lo()..ctx.cols.hi() {
-            for &k in &subs.instrs {
-                self.analyses[k].on_instr(ctx, idx);
-            }
-            if derived {
-                match ctx.cols.kind(idx) {
-                    InstrKind::Call { callee } => {
-                        for &k in &subs.calls {
-                            self.analyses[k].on_call(ctx, idx, callee);
-                        }
-                    }
-                    InstrKind::Ret => {
-                        for &k in &subs.rets {
-                            self.analyses[k].on_ret(ctx, idx);
-                        }
-                    }
-                    InstrKind::Syscall { nr } => {
-                        for &k in &subs.syscalls {
-                            self.analyses[k].on_syscall(ctx, idx, nr);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
+            .fold(ColumnMask::NONE, |m, a| m.union(a.columns()))
     }
 
     /// Runs every registered analysis over the in-memory trace in one
@@ -319,19 +151,19 @@ impl<'d> AnalysisDriver<'d> {
     /// Runs every registered analysis in one fused sweep over any
     /// [`ColumnSource`]. A `WPTRACE2` reader holds only its bounded chunk
     /// window in memory and *decodes selectively*: for the sweep its
-    /// decode mask is narrowed to the subscription union, so column
-    /// streams nobody subscribed to are skipped instead of decompressed.
+    /// decode mask is narrowed to the union of the declared masks, so
+    /// column streams nobody reads are skipped instead of decompressed.
     /// The previous mask is restored before returning.
     ///
     /// `begin` and `finish` see an empty cursor (but the real tables and
-    /// `total`) on every source; per-instruction callbacks see a cursor
-    /// over the window containing the current index.
+    /// `total`) on every source; `on_instr` sees a cursor over the window
+    /// containing the current index, and each instruction is dispatched
+    /// to every analysis in registration order before the next one.
     ///
     /// # Errors
     ///
     /// Any read or decode error of the source.
     pub fn run_streamed<S: ColumnSource>(&mut self, src: &mut S) -> Result<(), S::Error> {
-        let subs = self.sub_index();
         // The source is borrowed mutably while it streams, so the
         // callbacks read owned copies of its (footer-sized) tables.
         let funcs = src.functions().clone();
@@ -349,10 +181,15 @@ impl<'d> AnalysisDriver<'d> {
         for a in &mut self.analyses {
             a.begin(&edge);
         }
-        let prev_mask = src.swap_decode_mask(self.subscription().effective_columns());
-        // `sweep` walks each window's own bounds.
+        let prev_mask = src.swap_decode_mask(self.columns());
+        let analyses = &mut self.analyses;
         let swept = src.stream_range(0, total, |cur| {
-            self.sweep(&AnalysisCtx { cols: *cur, ..edge }, &subs)
+            let ctx = AnalysisCtx { cols: *cur, ..edge };
+            for idx in cur.lo()..cur.hi() {
+                for a in analyses.iter_mut() {
+                    a.on_instr(&ctx, idx);
+                }
+            }
         });
         src.swap_decode_mask(prev_mask);
         swept?;
@@ -370,15 +207,13 @@ mod tests {
     use crate::reader::TraceReader;
     use crate::recorder::Recorder;
     use crate::site;
+    use crate::syscall::Syscall;
     use crate::thread::ThreadKind;
 
-    /// Counts events per kind; subscribes to everything derived plus tids.
+    /// Counts instructions and sums tids; reads only the tid column.
     #[derive(Default)]
     struct Counter {
         instrs: u64,
-        calls: u64,
-        rets: u64,
-        syscalls: u64,
         tid_sum: u64,
         began: u32,
         finished: u32,
@@ -388,14 +223,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "counter"
         }
-        fn subscription(&self) -> Subscription {
-            Subscription {
-                columns: ColumnMask::TIDS,
-                instructions: true,
-                calls: true,
-                rets: true,
-                syscalls: true,
-            }
+        fn columns(&self) -> ColumnMask {
+            ColumnMask::TIDS
         }
         fn begin(&mut self, _ctx: &AnalysisCtx<'_>) {
             self.began += 1;
@@ -403,15 +232,6 @@ mod tests {
         fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
             self.instrs += 1;
             self.tid_sum += u64::from(ctx.cols.tid(idx).0);
-        }
-        fn on_call(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize, _callee: FuncId) {
-            self.calls += 1;
-        }
-        fn on_ret(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize) {
-            self.rets += 1;
-        }
-        fn on_syscall(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize, _nr: Syscall) {
-            self.syscalls += 1;
         }
         fn finish(&mut self, _ctx: &AnalysisCtx<'_>) {
             self.finished += 1;
@@ -439,40 +259,21 @@ mod tests {
         assert!(m.contains(ColumnMask::TIDS));
         assert!(!m.contains(ColumnMask::PCS));
         assert!(ColumnMask::ALL.contains(m));
-        assert!(ColumnMask::NONE.is_empty());
+        assert_eq!(AnalysisDriver::new().columns(), ColumnMask::NONE);
     }
 
     #[test]
-    fn derived_events_imply_kinds() {
-        let s = Subscription {
-            columns: ColumnMask::TIDS,
-            calls: true,
-            ..Default::default()
-        };
-        assert!(s.effective_columns().contains(ColumnMask::KINDS));
-        let plain = Subscription::instructions(ColumnMask::TIDS);
-        assert!(!plain.effective_columns().contains(ColumnMask::KINDS));
-    }
-
-    #[test]
-    fn driver_dispatches_every_subscribed_event_once() {
+    fn driver_dispatches_every_instruction_once() {
         let trace = sample_trace();
         let mut c = Counter::default();
         {
             let mut d = AnalysisDriver::new();
             d.register(&mut c);
-            assert_eq!(d.names(), vec!["counter"]);
-            assert!(d
-                .subscription()
-                .effective_columns()
-                .contains(ColumnMask::KINDS.union(ColumnMask::TIDS)));
+            assert_eq!(d.columns(), ColumnMask::TIDS);
             d.run(&trace);
         }
         assert_eq!(c.instrs, trace.len() as u64);
         assert_eq!((c.began, c.finished), (1, 1));
-        assert_eq!(c.calls, 1, "one in_func call frame");
-        assert_eq!(c.rets, 1);
-        assert_eq!(c.syscalls, 1);
     }
 
     #[test]
@@ -484,7 +285,7 @@ mod tests {
             d.register(&mut c);
             d.run(&trace);
             drop(d);
-            (c.instrs, c.calls, c.rets, c.syscalls, c.tid_sum)
+            (c.instrs, c.tid_sum)
         };
         let solo = run_solo();
         let mut a = Counter::default();
@@ -496,15 +297,8 @@ mod tests {
             d.run(&trace);
         }
         for c in [a, b] {
-            assert_eq!((c.instrs, c.calls, c.rets, c.syscalls, c.tid_sum), solo);
+            assert_eq!((c.instrs, c.tid_sum), solo);
         }
-    }
-
-    #[test]
-    fn empty_driver_union_is_empty() {
-        let d = AnalysisDriver::new();
-        assert_eq!(d.subscription(), Subscription::default());
-        assert!(d.subscription().effective_columns().is_empty());
     }
 
     /// A tid histogram that deliberately reads only the tid column — used
@@ -518,8 +312,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "tid-hist"
         }
-        fn subscription(&self) -> Subscription {
-            Subscription::instructions(ColumnMask::TIDS)
+        fn columns(&self) -> ColumnMask {
+            ColumnMask::TIDS
         }
         fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
             let t = ctx.cols.tid(idx).0 as usize;
@@ -557,7 +351,7 @@ mod tests {
         let stats = reader.decode_stats();
         assert!(
             stats.skipped_stream_bytes > 0,
-            "a tids-only subscription must skip column bytes, stats {stats:?}"
+            "a tids-only mask must skip column bytes, stats {stats:?}"
         );
     }
 }

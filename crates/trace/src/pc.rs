@@ -24,11 +24,18 @@ impl Pc {
 
     /// Hashes a source location string into a PC (FNV-1a, 32-bit).
     ///
+    /// Only the workspace-relative part of the location is hashed: from its
+    /// last `crates/` path component on, or all of it if it has none.
+    /// `file!()` is workspace-relative in a workspace member but absolute
+    /// in a path dependency built from another workspace (a benchmark or
+    /// downstream crate), so both spellings give the same PC wherever the
+    /// checkout lives.
+    ///
     /// Used by the [`crate::site!`] macro at compile time; stable across runs.
     pub const fn from_location(loc: &str) -> Pc {
         let bytes = loc.as_bytes();
         let mut hash: u32 = 0x811c_9dc5;
-        let mut i = 0;
+        let mut i = workspace_relative_start(bytes);
         while i < bytes.len() {
             hash ^= bytes[i] as u32;
             hash = hash.wrapping_mul(0x0100_0193);
@@ -50,6 +57,25 @@ impl Pc {
         let v = self.0.wrapping_add(i.wrapping_mul(0x9e37_79b9)) | 1;
         Pc(v)
     }
+}
+
+/// Where the workspace-relative part of a source path starts: at its last
+/// `crates/` component (one that opens the path or follows a `/`), or 0.
+const fn workspace_relative_start(path: &[u8]) -> usize {
+    const DIR: &[u8] = b"crates/";
+    let mut start = 0;
+    let mut i = 0;
+    while i + DIR.len() <= path.len() {
+        let mut j = 0;
+        while j < DIR.len() && path[i + j] == DIR[j] {
+            j += 1;
+        }
+        if j == DIR.len() && (i == 0 || path[i - 1] == b'/') {
+            start = i;
+        }
+        i += 1;
+    }
+    start
 }
 
 impl fmt::Debug for Pc {
@@ -100,6 +126,20 @@ mod tests {
         let a = Pc::from_location("x.rs:10:5");
         let b = Pc::from_location("x.rs:11:5");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn absolute_and_workspace_relative_spellings_agree() {
+        let rel = Pc::from_location("crates/trace/src/pc.rs:10:5");
+        for abs in [
+            "/home/dev/wasteprof/crates/trace/src/pc.rs:10:5",
+            "/srv/crates/checkout/crates/trace/src/pc.rs:10:5",
+        ] {
+            assert_eq!(Pc::from_location(abs), rel, "{abs}");
+        }
+        assert_ne!(Pc::from_location("/x/crates/slicer/src/pc.rs:10:5"), rel);
+        // Only a whole path component counts.
+        assert_ne!(Pc::from_location("/x/subcrates/trace/src/pc.rs:10:5"), rel);
     }
 
     #[test]

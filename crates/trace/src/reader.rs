@@ -474,10 +474,10 @@ pub struct TraceReader<R: Read + Seek> {
     markers: Vec<MarkerRecord>,
     segs: Vec<SegmentMeta>,
     /// Most-recently-used decoded chunks, front first, each tagged with
-    /// the segment column groups it was decoded under: a cached chunk only
-    /// serves requests whose groups it covers, so a narrowly decoded chunk
-    /// can never leak default-filled columns to a consumer that subscribed
-    /// to them.
+    /// the column groups it was decoded under: a cached chunk only serves
+    /// requests whose groups it covers, so a narrowly decoded chunk can
+    /// never leak default-filled columns to a consumer that declared
+    /// them.
     cache: Vec<(usize, ColumnMask, Columns)>,
     /// Column groups [`TraceReader::chunk`] decodes; defaults to
     /// [`ColumnMask::ALL`].
@@ -588,9 +588,7 @@ impl<R: Read + Seek> TraceReader<R> {
     /// [`TraceIoError::Format`] if the segment payload is corrupt,
     /// [`TraceIoError::Io`] on read failure.
     pub fn chunk(&mut self, i: usize) -> Result<&Columns, TraceIoError> {
-        // The marker table lives in the footer: only the segment groups
-        // decide what a decode reads, checks and can serve.
-        let mask = self.decode_mask.intersection(ColumnMask::SEGMENT);
+        let mask = self.decode_mask;
         if let Some(p) = self
             .cache
             .iter()
@@ -629,10 +627,10 @@ impl<R: Read + Seek> TraceReader<R> {
         // payload bit-flip the per-column codecs happen to decode
         // "successfully" still changes the decoded rows, and is caught
         // here instead of silently corrupting downstream analyses. It
-        // covers every segment column, so it is checked whenever all of
-        // them are decoded; a mask that skips one trades it for skipping
-        // (see [`ColumnSource::swap_decode_mask`]).
-        if mask == ColumnMask::SEGMENT {
+        // covers every column, so it is checked whenever all of them are
+        // decoded; a mask that skips one trades it for skipping (see
+        // [`ColumnSource::swap_decode_mask`]).
+        if mask == ColumnMask::ALL {
             let got = segment_content_hash(&cols, 0, cols.len());
             if got != meta.content_hash {
                 return Err(bad(format!(
@@ -660,12 +658,13 @@ impl<R: Read + Seek> TraceReader<R> {
     }
 
     /// Materializes the whole trace in memory (every in-memory load of a
-    /// trace file goes through here) and validates it structurally.
+    /// trace file goes through here). It accepts exactly what the streamed
+    /// reader accepts: structural defects such as an unmatched return are
+    /// the checker's to report, not a load error.
     ///
     /// # Errors
     ///
-    /// Any chunk error, or [`TraceIoError::Format`] if the assembled
-    /// trace fails [`Trace::validate`].
+    /// Any chunk error.
     pub fn read_to_trace(mut self) -> Result<Trace, TraceIoError> {
         let mut cols = Columns::default();
         for i in 0..self.n_chunks() {
@@ -683,9 +682,12 @@ impl<R: Read + Seek> TraceReader<R> {
                 );
             }
         }
-        let trace = Trace::from_parts(cols, self.funcs, self.threads, self.markers);
-        trace.validate().map_err(bad)?;
-        Ok(trace)
+        Ok(Trace::from_parts(
+            cols,
+            self.funcs,
+            self.threads,
+            self.markers,
+        ))
     }
 }
 
@@ -749,10 +751,8 @@ impl<R: Read + Seek> ColumnSource for TraceReader<R> {
     /// per-segment content hash — which covers every segment column —
     /// cannot be recomputed, so the end-to-end integrity check is skipped;
     /// block framing and per-value domain checks on the decoded columns
-    /// still apply. [`ColumnMask::MARKERS`] reads the footer only, so it
-    /// neither decides the check nor the cache tag. Cached chunks are
-    /// tagged with their segment column groups, so narrowing then widening
-    /// never serves default-filled columns.
+    /// still apply. Cached chunks are tagged with their column groups, so
+    /// narrowing then widening never serves default-filled columns.
     fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask {
         std::mem::replace(&mut self.decode_mask, mask)
     }
@@ -1034,52 +1034,6 @@ mod tests {
         assert_eq!(rd.decode_stats().chunks_decoded, 2, "cache hit expected");
         rd.reset_decode_stats();
         assert_eq!(rd.decode_stats(), DecodeStats::default());
-    }
-
-    /// `MARKERS` lives in the footer, so a mask of the six segment groups
-    /// without it still decodes every segment column: the footer hash is
-    /// checked, and the chunk serves a later `ALL` request from the cache.
-    #[test]
-    fn segment_groups_without_markers_check_the_hash_and_serve_all() {
-        let t = sample_with(20);
-        let mut buf = Vec::new();
-        write_trace2(&mut buf, &t).unwrap();
-        let segment_groups = ColumnMask::KINDS
-            .union(ColumnMask::TIDS)
-            .union(ColumnMask::FUNCS)
-            .union(ColumnMask::PCS)
-            .union(ColumnMask::REGSETS)
-            .union(ColumnMask::OPERANDS);
-
-        let mut rd = TraceReader::open(Cursor::new(buf.clone())).unwrap();
-        rd.swap_decode_mask(segment_groups);
-        rd.chunk(0).unwrap();
-        rd.swap_decode_mask(ColumnMask::ALL);
-        let cur = rd.clipped_chunk(0, 0, usize::MAX).unwrap();
-        assert_eq!(cur.instr(0), t.instr(TracePos(0)));
-        assert_eq!(rd.decode_stats().chunks_decoded, 1, "the ALL request hits");
-
-        let meta = rd.chunk_meta(0).clone();
-        let mut caught_by_hash = 0usize;
-        for pos in meta.offset..meta.offset + meta.byte_len {
-            for bit in [0u8, 3, 7] {
-                let mut b = buf.clone();
-                b[pos as usize] ^= 1 << bit;
-                let mut rd = TraceReader::open(Cursor::new(b)).unwrap();
-                rd.swap_decode_mask(segment_groups);
-                match rd.chunk(0) {
-                    Err(TraceIoError::Format(msg)) if msg.contains("content hash mismatch") => {
-                        caught_by_hash += 1
-                    }
-                    Err(TraceIoError::Format(_)) => {}
-                    Err(e) => panic!("unexpected error kind: {e:?}"),
-                    // A clean decode is a flip that left the rows as they
-                    // were: the hash was checked.
-                    Ok(cols) => assert_eq!(cols.instr(0), t.instr(TracePos(0))),
-                }
-            }
-        }
-        assert!(caught_by_hash > 0, "no flip reached the content-hash check");
     }
 
     /// A sink that accepts every write but fails to flush, like a full

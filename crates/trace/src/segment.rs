@@ -401,7 +401,7 @@ fn default_column<T: Copy + Default>(col: &mut Vec<T>, n: usize) {
 /// back as defaults (kind `Op`, tid 0, func 0, pc 0, empty register sets,
 /// no memory operands), so the result is a structurally valid store whose
 /// unsubscribed columns must simply never be read — the
-/// [`crate::analysis::Subscription`] contract.
+/// [`crate::TraceAnalysis::columns`] contract.
 ///
 /// Each column is cleared and filled straight from its block, with its
 /// domain check applied once per run, so a store and `scratch` reused

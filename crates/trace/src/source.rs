@@ -89,7 +89,7 @@ pub trait ColumnSource {
     /// Sets the column groups later reads must decode and returns the
     /// previous setting. Columns outside `mask` may read as default
     /// values until the previous mask is restored (the
-    /// [`crate::Subscription`] contract).
+    /// [`crate::TraceAnalysis::columns`] contract).
     fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask;
 }
 

@@ -915,8 +915,7 @@ fn reader_sweeps_match_the_resident_rows() {
     assert_eq!(rd.n_chunks(), 24);
     for step in 0..400 {
         let mask = match rng.below(6) {
-            0 => ColumnMask::ALL,
-            1 => ColumnMask::SEGMENT,
+            0 | 1 => ColumnMask::ALL,
             2 => ColumnMask::NONE,
             _ => mask_of(rng.below(64)),
         };

@@ -10,8 +10,7 @@ use std::io::Cursor;
 use proptest::prelude::*;
 use wasteprof_trace::{
     AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnMask, ColumnSource, Instr, Pc, Recorder, Reg,
-    RegSet, Region, Subscription, Syscall, ThreadKind, Trace, Trace2Writer, TraceAnalysis,
-    TraceReader,
+    RegSet, Region, Syscall, ThreadKind, Trace, Trace2Writer, TraceAnalysis, TraceReader,
 };
 
 /// Records a trace from random bytes: ALU ops, memory traffic, branches,
@@ -142,8 +141,8 @@ impl TraceAnalysis for Edges {
         "edges"
     }
 
-    fn subscription(&self) -> Subscription {
-        Subscription::instructions(ColumnMask::TIDS)
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::TIDS
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

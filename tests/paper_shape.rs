@@ -5,13 +5,29 @@
 //! preserve (who wins, roughly by what factor) with generous tolerances —
 //! exact values live in EXPERIMENTS.md.
 
-use wasteprof::analysis::{run_benchmark, thread_rows, Category, CategoryBreakdown};
+use wasteprof::analysis::{thread_rows, Category, CategoryBreakdown};
+use wasteprof::browser::Session;
+use wasteprof::slicer::{pixel_criteria, slice, ForwardPass, SliceOptions, SliceResult};
 use wasteprof::workloads::Benchmark;
+
+/// The Amazon mobile session and its pixel slice.
+fn amazon_mobile() -> (Session, SliceResult) {
+    let session = Benchmark::AmazonMobile.run();
+    let trace = &session.trace;
+    let forward = ForwardPass::build(trace);
+    let pixel = slice(
+        trace,
+        &forward,
+        &pixel_criteria(trace),
+        &SliceOptions::default(),
+    );
+    (session, pixel)
+}
 
 #[test]
 fn amazon_mobile_matches_paper_shape() {
-    let run = run_benchmark(Benchmark::AmazonMobile, false);
-    let rows = thread_rows(run.session.trace.threads(), &run.pixel);
+    let (session, pixel) = amazon_mobile();
+    let rows = thread_rows(session.trace.threads(), &pixel);
     let pct = |label: &str| {
         rows.iter()
             .find(|r| r.label == label)
@@ -54,8 +70,8 @@ fn amazon_mobile_matches_paper_shape() {
 
 #[test]
 fn javascript_dominates_the_unnecessary_categories() {
-    let run = run_benchmark(Benchmark::AmazonMobile, false);
-    let b = CategoryBreakdown::compute(&run.session.trace, &run.pixel);
+    let (session, pixel) = amazon_mobile();
+    let b = CategoryBreakdown::compute(&session.trace, &pixel);
     let js = b.share(Category::JavaScript);
     for c in Category::ALL {
         if c != Category::JavaScript {
