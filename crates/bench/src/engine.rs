@@ -8,14 +8,16 @@
 //! * [`SessionStore`] memoizes sessions, forward passes, and slices behind
 //!   `Arc` — the first caller computes, everyone else shares.
 //! * [`run`] stages the work (sessions → forward passes → slices →
-//!   analyze → certify → views) and fans each stage across a thread pool,
-//!   then the caller emits artifacts sequentially in a fixed order, so
-//!   output bytes do not depend on the thread count. The `analyze` stage
-//!   is one fused [`AnalysisDriver`] sweep per session: the verifier lint
-//!   battery, the dead-write metric, and the per-instruction figure
-//!   computations (Figure 2 utilization, and the Table II × Figure 5
-//!   waste cross whose `All` row is Figure 5) all share a single pass
-//!   over each trace instead of sweeping it once per consumer.
+//!   analyze → static → incremental → views) and fans each stage across a
+//!   thread pool, then the caller emits artifacts sequentially in a fixed
+//!   order, so output bytes do not depend on the thread count. The
+//!   `analyze` stage is the one sweep after slicing: one fused
+//!   [`AnalysisDriver`] pass per session in which the verifier lint
+//!   battery, the dead-write metric, the slice certifier, and the
+//!   per-instruction figure computations (Figure 2 utilization, and the
+//!   Table II × Figure 5 waste cross whose `All` row is Figure 5) all
+//!   share a single pass over each trace instead of sweeping it once per
+//!   consumer.
 //! * [`EngineReport`] carries per-stage wall time and instruction
 //!   throughput, rendered into `results/perf.txt` and
 //!   `results/bench_engine.json`.
@@ -39,7 +41,7 @@ use wasteprof_analysis::{
     WasteBreakdown,
 };
 use wasteprof_browser::{BrowserConfig, Session, Tab};
-use wasteprof_checker::{DeadWriteLint, Registry};
+use wasteprof_checker::{CertifyAnalysis, DeadWriteLint, Registry};
 use wasteprof_gfx::CompositorConfig;
 use wasteprof_slicer::{
     pixel_criteria, slice, strip_allocator_deps, syscall_criteria, CacheStats, Criteria,
@@ -141,7 +143,7 @@ pub struct SessionStore {
 impl SessionStore {
     /// Creates an empty store; nothing is computed until asked for. Every
     /// slice it computes carries its dependence witness, so the engine's
-    /// certify stage can re-check it.
+    /// analyze stage can certify it.
     pub fn new() -> Self {
         SessionStore::default()
     }
@@ -940,8 +942,8 @@ fn ablations(store: &SessionStore) -> View {
 /// Timing for one engine stage.
 #[derive(Debug, Clone)]
 pub struct StageReport {
-    /// Stage name (`sessions`, `forward`, `slices`, `analyze`, `certify`,
-    /// `static`, `incremental`, `views`).
+    /// Stage name (`sessions`, `forward`, `slices`, `analyze`, `static`,
+    /// `incremental`, `views`).
     pub name: &'static str,
     /// Parallel work items in the stage.
     pub items: usize,
@@ -1140,7 +1142,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
     }
     // The slices stage fans `jobs.len()` concurrent slicing runs across
     // the pool; each run is one backward walk, and every slice carries its
-    // dependence witness for the certify stage.
+    // dependence witness for the certifier in the analyze stage.
     let store = SessionStore::new();
     let started = Instant::now();
     let mut stages = Vec::new();
@@ -1205,17 +1207,19 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         wall: t.elapsed(),
     });
 
-    // Stage 3½: one *fused* analysis sweep per session. A single
-    // [`AnalysisDriver`] carries the verifier lint battery (WP0001-WP0007)
-    // and the WP0012 dead-write metric together with the per-instruction
-    // figure computations: the Table II × Figure 5 waste cross for every
-    // base session (its `All` row is Figure 5), Figure 2 utilization for
-    // the browse session it plots. Each trace is walked once for all of
-    // them instead of once per consumer. Fused results are identical to solo
-    // runs — the driver dispatches each analysis independently and lint
-    // batteries sort their own diagnostics — so `check.txt` and the figure
-    // artifacts keep their bytes (the `fused_differential` proptest pins
-    // this).
+    // Stage 4: one *fused* analysis sweep per session, the only sweep
+    // after slicing. A single [`AnalysisDriver`] carries the verifier lint
+    // battery (WP0001-WP0007), the WP0012 dead-write metric and the slice
+    // certifier (WP0008-WP0011, both of the session's slices) together
+    // with the per-instruction figure computations: the Table II ×
+    // Figure 5 waste cross for every base session (its `All` row is
+    // Figure 5), Figure 2 utilization for the browse session it plots.
+    // Each trace is walked once for all of them instead of once per
+    // consumer. Fused results are identical to solo runs — the driver
+    // dispatches each analysis independently, and lint batteries and
+    // certifier jobs sort their own diagnostics — so `check.txt`,
+    // `certify.txt` and the figure artifacts keep their bytes (the
+    // `fused_differential` proptest pins this).
     struct AnalyzeRow {
         label: String,
         len: u64,
@@ -1224,6 +1228,9 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         dead: usize,
         waste: Option<WasteBreakdown>,
         utilization: Option<UtilizationSeries>,
+        /// Per certified slice, pixel then syscall: its label, witness
+        /// rows and certifier diagnostics.
+        certified: Vec<(String, u64, Vec<wasteprof_checker::Diag>)>,
     }
     let t = Instant::now();
     let rows: Vec<AnalyzeRow> = sessions
@@ -1234,14 +1241,20 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
             let mut verify_reg = Registry::with_default_lints();
             let mut dead_reg = Registry::new();
             dead_reg.register(Box::new(DeadWriteLint::default()));
-            // Base sessions own the canonical pixel slice (memoized by the
-            // slices stage above), which the waste analysis classifies
-            // against; the browse sessions have no slice-derived figures.
-            let pixel = match k {
-                SessionKey::Base(_) => Some(store.pixel_slice(*k)),
-                SessionKey::Browse(_) => None,
-            };
-            let mut waste = pixel.as_deref().map(WasteAnalysis::new);
+            // The session's pixel and syscall slices, memoized by the
+            // slices stage above, are certified against shared last-writer
+            // shadows in this sweep. Base sessions own the canonical pixel
+            // slice, which the waste analysis classifies against; the
+            // browse sessions have no slice-derived figures.
+            let forward = store.forward(*k);
+            let criteria = [pixel_criteria(trace), syscall_criteria(trace)];
+            let slices = [store.pixel_slice(*k), store.syscall_slice(*k)];
+            let mut certify = CertifyAnalysis::new(
+                &forward,
+                &[(&criteria[0], &slices[0]), (&criteria[1], &slices[1])],
+            );
+            let mut waste =
+                matches!(k, SessionKey::Base(_)).then(|| WasteAnalysis::new(&slices[0]));
             let mut utilization =
                 matches!(k, SessionKey::Browse(Benchmark::AmazonDesktop)).then(|| {
                     let main = trace.threads().find(ThreadKind::Main).expect("main thread");
@@ -1258,8 +1271,21 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
             if let Some(a) = utilization.as_mut() {
                 driver.register(a);
             }
+            driver.register(&mut certify);
             driver.run(trace);
             drop(driver);
+            let certified = ["pixel", "syscall"]
+                .into_iter()
+                .zip(&slices)
+                .zip(certify.into_diags())
+                .map(|((kind, result), diags)| {
+                    (
+                        format!("{} [{kind}]", k.label()),
+                        result.witness().map_or(0, |w| w.len() as u64),
+                        diags,
+                    )
+                })
+                .collect();
             AnalyzeRow {
                 label: k.label(),
                 len: trace.len() as u64,
@@ -1268,6 +1294,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
                 dead: dead_battery.take_diags().len(),
                 waste: waste.map(WasteAnalysis::into_breakdown),
                 utilization: utilization.map(UtilizationAnalysis::into_series),
+                certified,
             }
         })
         .collect();
@@ -1330,6 +1357,56 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         View::new("check", out.clone(), vec![("check.txt".to_owned(), out)])
     };
 
+    // The certifier report (`results/certify.txt`): every dependence
+    // witness replayed and complement safety checked (codes
+    // WP0008-WP0011) over the pixel and syscall slices of all six
+    // sessions, inside the `analyze` sweeps above. Diagnostics are
+    // pre-sorted and slices render in session order, pixel before
+    // syscall, so the artifact bytes do not depend on the thread count.
+    let certify_view = {
+        let certified: Vec<_> = rows.iter().flat_map(|r| &r.certified).collect();
+        let mut out = String::from(
+            "Slice certification: dependence-witness replay + complement\n\
+             safety (wasteprof-checker certify, codes WP0008-WP0011) over\n\
+             the pixel and syscall slices of every engine session.\n\n",
+        );
+        let mut total_diags = 0usize;
+        for (label, witness_rows, diags) in &certified {
+            if diags.is_empty() {
+                out.push_str(&format!(
+                    "{:<54} certified  {:>12} witness rows\n",
+                    label,
+                    format_count(*witness_rows)
+                ));
+            } else {
+                total_diags += diags.len();
+                out.push_str(&format!(
+                    "{:<54} {} diagnostic{}  {:>12} witness rows\n",
+                    label,
+                    diags.len(),
+                    if diags.len() == 1 { "" } else { "s" },
+                    format_count(*witness_rows)
+                ));
+                for d in diags.iter().take(20) {
+                    out.push_str(&format!("    {d}\n"));
+                }
+                if diags.len() > 20 {
+                    out.push_str(&format!("    ... {} more\n", diags.len() - 20));
+                }
+            }
+        }
+        out.push_str(&format!(
+            "\n{} slices certified, {} diagnostics.\n",
+            certified.len(),
+            total_diags
+        ));
+        View::new(
+            "certify",
+            out.clone(),
+            vec![("certify.txt".to_owned(), out)],
+        )
+    };
+
     // The fused figure results, pulled out of the rows for the views
     // stage. `sessions[..4]` are the base sessions in `Benchmark::ALL`
     // order, so the breakdown vectors line up benchmark-by-benchmark.
@@ -1343,96 +1420,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         .expect("browse-session utilization series");
     drop(rows);
 
-    // Stage 3b: the independent slice certifier — replay every
-    // dependence witness against the columnar trace and check complement
-    // safety (codes WP0008-WP0011) over the pixel and syscall slices of
-    // all six sessions. Slices and forward passes are memoized above, so
-    // this stage measures exactly the certifier sweeps: one per session,
-    // certifying both of its slices against shared last-writer shadows.
-    // Diagnostics are pre-sorted and jobs render in a fixed order, so the
-    // artifact bytes do not depend on the thread count.
-    let certify_view = {
-        let t = Instant::now();
-        type CertifyRow = (String, u64, u64, u64, Vec<wasteprof_checker::Diag>);
-        let results: Vec<CertifyRow> = sessions
-            .par_iter()
-            .map(|&k| {
-                let session = store.session(k);
-                let forward = store.forward(k);
-                let trace = &session.trace;
-                let (pixel, syscall) = (pixel_criteria(trace), syscall_criteria(trace));
-                let slices = [store.pixel_slice(k), store.syscall_slice(k)];
-                let jobs = [(&pixel, &*slices[0]), (&syscall, &*slices[1])];
-                let diags = wasteprof_checker::certify_all(trace, &forward, &jobs);
-                ["pixel", "syscall"]
-                    .into_iter()
-                    .zip(slices)
-                    .zip(diags)
-                    .map(|((kind, result), diags)| {
-                        (
-                            format!("{} [{kind}]", k.label()),
-                            result.considered(),
-                            result.witness().map_or(0, |w| w.len() as u64),
-                            trace.storage_bytes(),
-                            diags,
-                        )
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
-        let mut out = String::from(
-            "Slice certification: dependence-witness replay + complement\n\
-             safety (wasteprof-checker certify, codes WP0008-WP0011) over\n\
-             the pixel and syscall slices of every engine session.\n\n",
-        );
-        let mut total_diags = 0usize;
-        for (label, _, rows, _, diags) in &results {
-            if diags.is_empty() {
-                out.push_str(&format!(
-                    "{:<54} certified  {:>12} witness rows\n",
-                    label,
-                    format_count(*rows)
-                ));
-            } else {
-                total_diags += diags.len();
-                out.push_str(&format!(
-                    "{:<54} {} diagnostic{}  {:>12} witness rows\n",
-                    label,
-                    diags.len(),
-                    if diags.len() == 1 { "" } else { "s" },
-                    format_count(*rows)
-                ));
-                for d in diags.iter().take(20) {
-                    out.push_str(&format!("    {d}\n"));
-                }
-                if diags.len() > 20 {
-                    out.push_str(&format!("    ... {} more\n", diags.len() - 20));
-                }
-            }
-        }
-        out.push_str(&format!(
-            "\n{} slices certified, {} diagnostics.\n",
-            results.len(),
-            total_diags
-        ));
-        stages.push(StageReport {
-            name: "certify",
-            items: results.len(),
-            instructions: results.iter().map(|r| r.1).sum(),
-            trace_bytes: results.iter().map(|r| r.3).sum(),
-            wall: t.elapsed(),
-        });
-        View::new(
-            "certify",
-            out.clone(),
-            vec![("certify.txt".to_owned(), out)],
-        )
-    };
-
-    // Stage 3d: the static-vs-dynamic referee. The ahead-of-time
+    // Stage 5: the static-vs-dynamic referee. The ahead-of-time
     // analyzer (wasteprof-staticjs) sees only each benchmark's script
     // sources; [`referee`] scores its predictions against the execution
     // witness and the stripped pixel slice of every engine session.
@@ -1496,7 +1484,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         )
     };
 
-    // Stage 3c: the incremental slicing tier. Drives the re-query memo
+    // Stage 6: the incremental slicing tier. Drives the re-query memo
     // over a short multi-frame Bing browse sequence — each frame extends
     // the previous one by one interaction, hashes are maintained via
     // [`SegmentHashes::extend_appended`] — then re-slices the final
@@ -1534,7 +1522,7 @@ pub fn run(_opts: &EngineOptions) -> EngineReport {
         cache.stats()
     };
 
-    // Stage 4: the experiment views. Everything shared is already in the
+    // Stage 7: the experiment views. Everything shared is already in the
     // store — fig2, fig5, and the waste cross render the fused `analyze`
     // results; the rest only format and run their unique extra work.
     let t = Instant::now();

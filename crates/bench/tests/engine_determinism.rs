@@ -138,13 +138,28 @@ fn engine_output_is_byte_identical_across_thread_counts() {
             "no certifier diagnostic lines expected:\n{}",
             certify.stdout
         );
+        // Certification runs inside the analyze sweeps: no certify stage
+        // is recorded, and analyze keeps one sweep per session.
+        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "sessions",
+                "forward",
+                "slices",
+                "analyze",
+                "static",
+                "incremental",
+                "views"
+            ],
+            "no separate certify stage"
+        );
         let stage = report
             .stages
             .iter()
-            .find(|s| s.name == "certify")
-            .expect("certify stage recorded");
-        assert_eq!(stage.items, 12, "pixel + syscall per session");
-        assert!(stage.instructions > 0, "certify stage counts instructions");
+            .find(|s| s.name == "analyze")
+            .expect("analyze stage recorded");
+        assert_eq!(stage.items, 6, "one fused sweep per session");
     }
 
     // The store computed each shared artifact exactly once per run:

@@ -6,9 +6,11 @@
 //! The pool deliberately spans the column-mask space: the full lint
 //! battery (all columns but regsets), the dead-write battery (operands +
 //! funcs), the Figure 5 category breakdown and the Table II × Fig 5 waste
-//! cross (tids + funcs), main-thread utilization (tids), and the frame
-//! profile (kinds + tids) — so random subsets exercise random decode-mask
-//! unions.
+//! cross (tids + funcs), main-thread utilization (tids), the frame
+//! profile (kinds + tids), and the slice certifier (every column) — so
+//! random subsets exercise random decode-mask unions. The certifier's
+//! solo reference is [`certify`] itself, and its fused runs must certify
+//! the witnessed pixel slice clean.
 //!
 //! Race diagnostics are compared by `(code, pos)` plus non-race message
 //! equality, matching `streamed_differential`: the earlier side of a
@@ -27,8 +29,8 @@ use wasteprof_analysis::{
     UtilizationSeries, WasteAnalysis, WasteBreakdown,
 };
 use wasteprof_browser::Sched;
-use wasteprof_checker::{Code, DeadWriteLint, Diag, Registry};
-use wasteprof_slicer::{pixel_criteria, slice, ForwardPass, SliceOptions, SliceResult};
+use wasteprof_checker::{certify, CertifyAnalysis, Code, DeadWriteLint, Diag, Registry};
+use wasteprof_slicer::{pixel_criteria, slice, Criteria, ForwardPass, SliceOptions, SliceResult};
 use wasteprof_trace::{
     site, AnalysisCtx, AnalysisDriver, ColumnMask, DecodeStats, Recorder, Region, ThreadKind,
     Trace, Trace2Writer, TraceAnalysis, TraceReader,
@@ -43,15 +45,17 @@ enum Member {
     Waste,
     Utilization,
     Frames,
+    Certify,
 }
 
-const POOL: [Member; 6] = [
+const POOL: [Member; 7] = [
     Member::Lints,
     Member::DeadWrites,
     Member::Category,
     Member::Waste,
     Member::Utilization,
     Member::Frames,
+    Member::Certify,
 ];
 
 /// One member's captured output.
@@ -125,17 +129,50 @@ impl TraceAnalysis for FullDecode {
     fn on_instr(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize) {}
 }
 
-/// Runs `members` in one fused driver sweep — over `trace` in memory, or
-/// streamed from a fresh reader over `image`, with [`FullDecode`] riding
-/// along when `full_decode` — and returns their outputs in pool order
-/// plus the reader's decode ledger (zero in memory).
+/// A session and what the slice-derived members read: its forward pass,
+/// pixel criteria and witnessed pixel slice (the engine's slices carry
+/// witnesses too).
+struct Session {
+    trace: Trace,
+    fwd: ForwardPass,
+    criteria: Criteria,
+    pixel: SliceResult,
+}
+
+impl Session {
+    fn new(trace: Trace) -> Session {
+        let fwd = ForwardPass::build(&trace);
+        let criteria = pixel_criteria(&trace);
+        let witness = SliceOptions {
+            witness: true,
+            ..Default::default()
+        };
+        let pixel = slice(&trace, &fwd, &criteria, &witness);
+        Session {
+            trace,
+            fwd,
+            criteria,
+            pixel,
+        }
+    }
+}
+
+/// Runs `members` in one fused driver sweep — over the session's trace in
+/// memory, or streamed from a fresh reader over `image`, with
+/// [`FullDecode`] riding along when `full_decode` — and returns their
+/// outputs in pool order plus the reader's decode ledger (zero in memory).
 fn run_members(
-    trace: &Trace,
-    pixel: &SliceResult,
+    session: &Session,
     members: &[Member],
     image: Option<&[u8]>,
     full_decode: bool,
 ) -> (Vec<Out>, DecodeStats) {
+    let Session {
+        trace,
+        fwd,
+        criteria,
+        pixel,
+    } = session;
     let main_tid = trace.threads().find(ThreadKind::Main).expect("main thread");
     let mut lint_reg = members
         .contains(&Member::Lints)
@@ -157,6 +194,9 @@ fn run_members(
         .contains(&Member::Utilization)
         .then(|| UtilizationAnalysis::new(Vec::new(), main_tid, 8));
     let mut frames = members.contains(&Member::Frames).then(FrameAnalysis::new);
+    let mut certifier = members
+        .contains(&Member::Certify)
+        .then(|| CertifyAnalysis::new(fwd, &[(criteria, pixel)]));
     let mut sentinel = full_decode.then_some(FullDecode);
 
     // Straight-line registration (one `&mut` borrow per member) — a loop
@@ -178,6 +218,9 @@ fn run_members(
         driver.register(a);
     }
     if let Some(a) = frames.as_mut() {
+        driver.register(a);
+    }
+    if let Some(a) = certifier.as_mut() {
         driver.register(a);
     }
     if let Some(a) = sentinel.as_mut() {
@@ -205,6 +248,7 @@ fn run_members(
             Member::Waste => Out::Waste(waste.take().unwrap().into_breakdown()),
             Member::Utilization => Out::Utilization(utilization.take().unwrap().into_series()),
             Member::Frames => Out::Frames(frames.take().unwrap().into_profile()),
+            Member::Certify => Out::Diags(certifier.take().unwrap().into_diags().pop().unwrap()),
         })
         .collect();
     (outs, stats)
@@ -255,58 +299,64 @@ proptest! {
     fn fused_subsets_match_solo_runs_in_memory_and_streamed(
         hops in proptest::collection::vec((0..3u8, 1..4u32), 3..12),
         dead_writes in 0..4usize,
-        subset_bits in 1..64u32,
-        seg_sel in 0..3usize,
+        subset_bits in 1..128u32,
     ) {
-        let trace = random_session(&hops, dead_writes);
-        let fwd = ForwardPass::build(&trace);
-        let pixel = slice(&trace, &fwd, &pixel_criteria(&trace), &SliceOptions::default());
+        let session = Session::new(random_session(&hops, dead_writes));
         let members: Vec<Member> = POOL
             .iter()
             .enumerate()
             .filter(|&(i, _)| subset_bits & (1 << i) != 0)
             .map(|(_, &m)| m)
             .collect();
-        let seg_len = [64, 128, 256][seg_sel];
 
-        // Each member alone, in memory: the reference outputs.
+        // Each member alone, in memory: the reference outputs. The
+        // certifier's is `certify` itself, and the slice must certify
+        // clean.
         let solo: Vec<Out> = members
             .iter()
-            .map(|&m| run_members(&trace, &pixel, &[m], None, false).0.pop().unwrap())
+            .map(|&m| match m {
+                Member::Certify => {
+                    let s = &session;
+                    Out::Diags(certify(&s.trace, &s.fwd, &s.criteria, &s.pixel))
+                }
+                _ => run_members(&session, &[m], None, false).0.pop().unwrap(),
+            })
             .collect();
-        // All members in one fused sweep, in memory and streamed.
-        let fused = run_members(&trace, &pixel, &members, None, false).0;
-        let image = trace2_image(&trace, seg_len);
-        let streamed = run_members(&trace, &pixel, &members, Some(&image), false).0;
-
-        for ((m, s), (f, st)) in members.iter().zip(&solo).zip(fused.iter().zip(&streamed)) {
+        for (m, s) in members.iter().zip(&solo) {
+            if let (Member::Certify, Out::Diags(diags)) = (m, s) {
+                prop_assert!(diags.is_empty(), "the witnessed slice must certify clean: {diags:#?}");
+            }
+        }
+        // All members in one fused sweep, in memory and streamed at every
+        // segment length.
+        let fused = run_members(&session, &members, None, false).0;
+        for (m, (s, f)) in members.iter().zip(solo.iter().zip(&fused)) {
             prop_assert!(
                 outs_equal(s, f),
                 "{m:?}: fused in-memory diverged from solo\nsolo: {s:#?}\nfused: {f:#?}"
             );
-            prop_assert!(
-                outs_equal(s, st),
-                "{m:?}: fused streamed (seg_len {seg_len}) diverged from solo\n\
-                 solo: {s:#?}\nstreamed: {st:#?}"
-            );
+        }
+        for seg_len in [64, 128, 256] {
+            let image = trace2_image(&session.trace, seg_len);
+            let streamed = run_members(&session, &members, Some(&image), false).0;
+            for (m, (s, st)) in members.iter().zip(solo.iter().zip(&streamed)) {
+                prop_assert!(
+                    outs_equal(s, st),
+                    "{m:?}: fused streamed (seg_len {seg_len}) diverged from solo\n\
+                     solo: {s:#?}\nstreamed: {st:#?}"
+                );
+            }
         }
     }
 }
 
 /// The fixture of the decode-ledger tests: a session spanning many
-/// 64-instruction segments, its pixel slice and its `WPTRACE2` image.
-fn multi_segment_fixture() -> (Trace, SliceResult, Vec<u8>) {
+/// 64-instruction segments, with its `WPTRACE2` image.
+fn multi_segment_fixture() -> (Session, Vec<u8>) {
     let hops: Vec<(u8, u32)> = (0..12).map(|i| (i as u8 % 3, 3)).collect();
-    let trace = random_session(&hops, 2);
-    let fwd = ForwardPass::build(&trace);
-    let pixel = slice(
-        &trace,
-        &fwd,
-        &pixel_criteria(&trace),
-        &SliceOptions::default(),
-    );
-    let image = trace2_image(&trace, 64);
-    (trace, pixel, image)
+    let session = Session::new(random_session(&hops, 2));
+    let image = trace2_image(&session.trace, 64);
+    (session, image)
 }
 
 /// Selective decoding is observable: a sparse column mask over a
@@ -314,9 +364,9 @@ fn multi_segment_fixture() -> (Trace, SliceResult, Vec<u8>) {
 /// while a full-battery run still skips the regset streams nobody reads.
 #[test]
 fn streamed_sparse_subset_skips_column_bytes() {
-    let (trace, pixel, image) = multi_segment_fixture();
+    let (session, image) = multi_segment_fixture();
     let stats_for = |members: &[Member]| {
-        let (_, stats) = run_members(&trace, &pixel, members, Some(&image), false);
+        let (_, stats) = run_members(&session, members, Some(&image), false);
         assert!(
             stats.chunks_decoded > 1,
             "fixture must span several segments"
@@ -347,17 +397,17 @@ fn streamed_sparse_subset_skips_column_bytes() {
 /// every column. Each consumer's output is the same both ways.
 #[test]
 fn fused_selective_pass_decodes_less_than_separate_full_passes() {
-    let (trace, pixel, image) = multi_segment_fixture();
+    let (session, image) = multi_segment_fixture();
     let consumers = [
         Member::Lints,
         Member::DeadWrites,
         Member::Category,
         Member::Waste,
     ];
-    let (fused, fused_stats) = run_members(&trace, &pixel, &consumers, Some(&image), false);
+    let (fused, fused_stats) = run_members(&session, &consumers, Some(&image), false);
     let mut separate = DecodeStats::default();
     for (&m, fused_out) in consumers.iter().zip(&fused) {
-        let (mut outs, stats) = run_members(&trace, &pixel, &[m], Some(&image), true);
+        let (mut outs, stats) = run_members(&session, &[m], Some(&image), true);
         separate.chunks_decoded += stats.chunks_decoded;
         separate.decoded_stream_bytes += stats.decoded_stream_bytes;
         let alone = outs.pop().unwrap();

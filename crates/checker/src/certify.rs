@@ -10,12 +10,13 @@
 //! sweeps forward over the packed columns — no `Instr` materialization,
 //! the same streaming style as the race detector — and shares no code
 //! with the backward walk, so a bug in the slicer's liveness machinery
-//! cannot hide itself. The sweep is written once over a `ColumnSource`:
-//! [`certify_streamed`] runs it from a `WPTRACE2` reader without ever
-//! holding the whole trace in memory, and [`certify_all`] certifies
-//! several slices of one trace in a single sweep: the last-writer shadows
-//! and call stacks are criterion-independent, so they are built once and
-//! every slice's checks read them at their own points.
+//! cannot hide itself. The sweep is one fused analysis,
+//! [`CertifyAnalysis`], so any `AnalysisDriver` run carries it:
+//! [`certify_streamed`] drives it from a `WPTRACE2` reader without ever
+//! holding the whole trace in memory, and one analysis certifies several
+//! slices of one trace in a single sweep: the last-writer shadows and call
+//! stacks are criterion-independent, so they are built once and every
+//! slice's checks read them at their own points.
 //!
 //! Three properties are checked:
 //!
@@ -42,105 +43,24 @@
 //! considered prefix, rows whose member is not in the bitmap, two rows
 //! for one member — report [`Code::CertifyMismatch`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use wasteprof_slicer::{
     ControlDeps, Criteria, ForwardPass, SliceResult, SlicingCriterion, WitnessKind, WitnessRow,
 };
 use wasteprof_trace::{
-    ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, Reg, ThreadId, Trace, TracePos,
+    AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnMask, ColumnSource, FuncId, InstrKind, Pc,
+    Reg, ThreadId, Trace, TraceAnalysis, TracePos,
 };
 
 use crate::diag::{sort_diags, Code, Diag};
-
-/// Last-writer shadow over byte intervals: disjoint `[start, end)` spans
-/// mapping to the instruction index that last wrote them. Spans are split
-/// on demand and never merged.
-#[derive(Default)]
-struct MemShadow {
-    map: BTreeMap<u64, (u64, u32)>,
-}
-
-impl MemShadow {
-    /// Records `writer` as the last writer of `[lo, hi)`.
-    fn write(&mut self, lo: u64, hi: u64, writer: u32) {
-        if lo >= hi {
-            return;
-        }
-        // Fast path: operands are cell-granular and heavily rewritten, so
-        // the range is usually exactly one span already — retarget it in
-        // place (the race detector's shadow does the same).
-        if let Some(span) = self.map.get_mut(&lo) {
-            if span.0 == hi {
-                span.1 = writer;
-                return;
-            }
-        }
-        // Otherwise truncate the spans straddling either edge and drop
-        // everything in between — what splitting at `lo` and `hi` would
-        // leave, without allocating.
-        if let Some((_, span)) = self.map.range_mut(..lo).next_back() {
-            let (end, wr) = *span;
-            if end > lo {
-                span.0 = lo;
-                if end > hi {
-                    self.map.insert(hi, (end, wr));
-                }
-            }
-        }
-        while let Some((&s, &(end, wr))) = self.map.range(lo..hi).next() {
-            self.map.remove(&s);
-            if end > hi {
-                self.map.insert(hi, (end, wr));
-                break;
-            }
-        }
-        self.map.insert(lo, (hi, writer));
-    }
-
-    /// Visits every sub-interval of `[lo, hi)` with its last writer,
-    /// `None` for bytes never written. Gaps are materialized so callers
-    /// see full coverage of the query.
-    fn for_range(&self, lo: u64, hi: u64, mut f: impl FnMut(u64, u64, Option<u32>)) {
-        if lo >= hi {
-            return;
-        }
-        let mut at = lo;
-        if let Some((_, &(end, wr))) = self.map.range(..=lo).next_back() {
-            if end > lo {
-                let stop = end.min(hi);
-                f(at, stop, Some(wr));
-                // One span covers the whole query (the common case for
-                // cell-granular operands): no second probe.
-                if stop == hi {
-                    return;
-                }
-                at = stop;
-            }
-        }
-        for (&s, &(end, wr)) in self.map.range(at..hi) {
-            if s > at {
-                f(at, s, None);
-            }
-            let stop = end.min(hi);
-            f(s, stop, Some(wr));
-            at = stop;
-            if at >= hi {
-                break;
-            }
-        }
-        if at < hi {
-            f(at, hi, None);
-        }
-    }
-}
+use crate::mem_shadow::MemShadow;
 
 /// Criterion-independent sweep state: the byte and register last-writer
 /// shadows and the dynamic call stacks. Built once per sweep and read by
 /// every job's checks.
 struct Shadows {
-    mem: MemShadow,
+    mem: MemShadow<u32>,
     regs: Vec<[Option<u32>; 16]>,
     stacks: Vec<Vec<u32>>,
 }
@@ -568,90 +488,56 @@ fn prepare<'a>(
     })
 }
 
-/// One forward sweep certifying several slices of the same trace: the
-/// shared [`Shadows`] advance once per position, and every job runs its
-/// checks at the same points around them as it would alone.
-struct Sweep<'a> {
+/// The certifier as one fused analysis: certifies several slices of the
+/// same trace in a single forward sweep. Each job is a `(criteria, slice)`
+/// pair whose slice carries a witness table; jobs may consider different
+/// prefixes. The last-writer shadows and call stacks advance once per
+/// position and are shared by every job, so certifying a session's pixel
+/// and syscall slices together costs one shadow sweep, not two, and the
+/// engine sweeps them inside the same [`AnalysisDriver`] pass as its lint
+/// batteries and figure analyses. Every job runs its checks at the same
+/// points around the shared shadows as it would alone, so
+/// [`CertifyAnalysis::into_diags`] returns, per job, exactly what
+/// [`certify`] returns for that job.
+///
+/// The driver sweeps the whole trace, `0..ctx.total`. A job ignores
+/// positions at or past its own considered prefix, so only a sweep whose
+/// jobs all certify prefix slices pays for the tail.
+///
+/// The mask is [`ColumnMask::ALL`]: the checks read kinds, threads,
+/// functions, pcs, register sets and operands. A `WPTRACE2` reader holds
+/// only its bounded chunk window (plus the rows, their meta and one bit
+/// per position of each job) in memory.
+pub struct CertifyAnalysis<'a> {
     deps: &'a ControlDeps,
+    /// The jobs as given, prepared against the trace length in `begin`.
+    inputs: Vec<(&'a Criteria, &'a SliceResult)>,
     shadows: Shadows,
     /// Per input job: its sweep state, or the diagnostics that stopped it
     /// before the sweep.
     jobs: Vec<Result<Job<'a>, Vec<Diag>>>,
 }
 
-impl<'a> Sweep<'a> {
-    fn new(
+impl<'a> CertifyAnalysis<'a> {
+    /// Certifies each `(criteria, slice)` job against `forward`, which
+    /// must be the forward pass the slices were built from (the
+    /// control-dependence edges are checked against its recovered CDG).
+    pub fn new(
         forward: &'a ForwardPass,
-        trace_len: usize,
         jobs: &[(&'a Criteria, &'a SliceResult)],
-    ) -> Sweep<'a> {
-        Sweep {
+    ) -> CertifyAnalysis<'a> {
+        CertifyAnalysis {
             deps: forward.control_deps(),
+            inputs: jobs.to_vec(),
             shadows: Shadows::new(),
-            jobs: jobs
-                .iter()
-                .map(|&(criteria, result)| prepare(trace_len, criteria, result))
-                .collect(),
+            jobs: Vec::new(),
         }
     }
 
-    /// Positions the sweep must cover: the longest swept prefix.
-    fn len(&self) -> usize {
-        self.jobs.iter().flatten().map(|j| j.n).max().unwrap_or(0)
-    }
-
-    /// Advances the sweep over one cursor window, running every check
-    /// whose position falls inside it.
-    fn feed(&mut self, cur: &ColumnCursor<'_>) {
-        let Sweep {
-            deps,
-            shadows: sh,
-            jobs,
-        } = self;
-        for idx in cur.lo()..cur.hi() {
-            let ti = cur.tid(idx).index();
-
-            // 0–2. Row meta, the rows consumed here, and how this
-            // position's reads are checked, per job.
-            let mut reads = false;
-            for job in jobs.iter_mut().flatten() {
-                reads |= job.before_writes(idx, cur, deps, sh);
-            }
-
-            // 3. The member's reads: one shadow probe per read serves
-            // every job that checks it.
-            if reads {
-                for &rd in cur.mem_reads(idx) {
-                    sh.mem
-                        .for_range(rd.start().raw(), rd.end().raw(), |s, e, wr| {
-                            for job in jobs.iter_mut().flatten() {
-                                job.read(idx, Fact::Mem(s, e), wr);
-                            }
-                        });
-                }
-                for r in cur.reg_reads(idx).iter() {
-                    let wr = sh.regs[ti][r.index()];
-                    for job in jobs.iter_mut().flatten() {
-                        job.read(idx, Fact::Reg(r), wr);
-                    }
-                }
-            }
-
-            // 4. The instruction's own writes become the last writers.
-            sh.apply_writes(cur, idx, ti);
-
-            // 5. The facts of the criteria anchored here.
-            for job in jobs.iter_mut().flatten() {
-                job.after_writes(idx, sh, ti);
-            }
-
-            // 6. Dynamic call stack maintenance.
-            sh.track_calls(cur, idx, ti);
-        }
-    }
-
-    /// Each input job's diagnostics, in canonical sorted order.
-    fn finish(self) -> Vec<Vec<Diag>> {
+    /// Each job's diagnostics after a driver run, in job order and
+    /// canonical sorted order; empty means that slice and its complement
+    /// check out.
+    pub fn into_diags(self) -> Vec<Vec<Diag>> {
         self.jobs
             .into_iter()
             .map(|job| job.map_or_else(|out| out, Job::finish))
@@ -659,37 +545,71 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Certifies several slices of `trace` in one forward sweep. Each job is
-/// a `(criteria, slice)` pair whose slice carries a witness table; jobs
-/// may consider different prefixes. Returns each job's diagnostics, in
-/// job order and canonical sorted order — exactly what [`certify`] would
-/// return for that job alone. The last-writer shadows and call stacks
-/// are built once for all jobs, so certifying a session's pixel and
-/// syscall slices together costs one shadow sweep, not two.
-///
-/// `forward` must be the forward pass the slices were built from (the
-/// control-dependence edges are checked against its recovered CDG).
-pub fn certify_all(
-    trace: &Trace,
-    forward: &ForwardPass,
-    jobs: &[(&Criteria, &SliceResult)],
-) -> Vec<Vec<Diag>> {
-    let Ok(out) = sweep(&mut { trace }, forward, jobs);
-    out
-}
+impl TraceAnalysis for CertifyAnalysis<'_> {
+    fn name(&self) -> &'static str {
+        "certify"
+    }
 
-/// [`certify_all`] over any [`ColumnSource`]: the one sweep body. A
-/// `WPTRACE2` reader holds only its bounded chunk window (plus the rows,
-/// their meta and one bit per position of each job) in memory.
-fn sweep<S: ColumnSource>(
-    src: &mut S,
-    forward: &ForwardPass,
-    jobs: &[(&Criteria, &SliceResult)],
-) -> Result<Vec<Vec<Diag>>, S::Error> {
-    let mut sweep = Sweep::new(forward, src.len(), jobs);
-    let n = sweep.len();
-    src.stream_range(0, n, |cur| sweep.feed(cur))?;
-    Ok(sweep.finish())
+    fn columns(&self) -> ColumnMask {
+        ColumnMask::ALL
+    }
+
+    fn begin(&mut self, ctx: &AnalysisCtx<'_>) {
+        self.shadows = Shadows::new();
+        self.jobs = self
+            .inputs
+            .iter()
+            .map(|&(criteria, result)| prepare(ctx.total, criteria, result))
+            .collect();
+    }
+
+    fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
+        let CertifyAnalysis {
+            deps,
+            shadows: sh,
+            jobs,
+            ..
+        } = self;
+        let cur = &ctx.cols;
+        let ti = cur.tid(idx).index();
+
+        // 0–2. Row meta, the rows consumed here, and how this position's
+        // reads are checked, per job.
+        let mut reads = false;
+        for job in jobs.iter_mut().flatten() {
+            reads |= job.before_writes(idx, cur, deps, sh);
+        }
+
+        // 3. The member's reads: one shadow probe per read serves every
+        // job that checks it.
+        if reads {
+            for &rd in cur.mem_reads(idx) {
+                sh.mem
+                    .for_range(rd.start().raw(), rd.end().raw(), |s, e, wr| {
+                        for job in jobs.iter_mut().flatten() {
+                            job.read(idx, Fact::Mem(s, e), wr);
+                        }
+                    });
+            }
+            for r in cur.reg_reads(idx).iter() {
+                let wr = sh.regs[ti][r.index()];
+                for job in jobs.iter_mut().flatten() {
+                    job.read(idx, Fact::Reg(r), wr);
+                }
+            }
+        }
+
+        // 4. The instruction's own writes become the last writers.
+        sh.apply_writes(cur, idx, ti);
+
+        // 5. The facts of the criteria anchored here.
+        for job in jobs.iter_mut().flatten() {
+            job.after_writes(idx, sh, ti);
+        }
+
+        // 6. Dynamic call stack maintenance.
+        sh.track_calls(cur, idx, ti);
+    }
 }
 
 /// Certifies `result` — a slice of `trace` under `criteria`, carrying a
@@ -708,7 +628,8 @@ pub fn certify(
     diags
 }
 
-/// [`certify`] over any [`ColumnSource`].
+/// [`certify`] over any [`ColumnSource`]: one [`CertifyAnalysis`] job in
+/// its own [`AnalysisDriver`] run.
 ///
 /// # Errors
 ///
@@ -719,83 +640,11 @@ pub fn certify_streamed<S: ColumnSource>(
     criteria: &Criteria,
     result: &SliceResult,
 ) -> Result<Vec<Diag>, S::Error> {
-    let mut out = sweep(src, forward, &[(criteria, result)])?;
-    Ok(out.pop().expect("one job, one result"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// Reference model of [`MemShadow::write`]: split at both edges,
-    /// collect the doomed keys, remove them — no fast paths.
-    #[derive(Default)]
-    struct SplitShadow {
-        map: BTreeMap<u64, (u64, u32)>,
-    }
-
-    impl SplitShadow {
-        fn split_at(&mut self, at: u64) {
-            let split = match self.map.range(..at).next_back() {
-                Some((&s, &(end, wr))) if end > at => Some((s, end, wr)),
-                _ => None,
-            };
-            if let Some((s, end, wr)) = split {
-                self.map.get_mut(&s).expect("entry just observed").0 = at;
-                self.map.insert(at, (end, wr));
-            }
-        }
-
-        fn write(&mut self, lo: u64, hi: u64, writer: u32) {
-            if lo >= hi {
-                return;
-            }
-            self.split_at(lo);
-            self.split_at(hi);
-            let doomed: Vec<u64> = self.map.range(lo..hi).map(|(&s, _)| s).collect();
-            for s in doomed {
-                self.map.remove(&s);
-            }
-            self.map.insert(lo, (hi, writer));
-        }
-    }
-
-    fn spans(shadow: &MemShadow, lo: u64, hi: u64) -> Vec<(u64, u64, Option<u32>)> {
-        let mut out = Vec::new();
-        shadow.for_range(lo, hi, |s, e, wr| out.push((s, e, wr)));
-        out
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Random write sequences over a small address grid —
-        /// exact-interval repeats, straddles, adjacent and nested ranges —
-        /// leave the fast-pathed shadow with exactly the reference spans
-        /// and the same `for_range` answers.
-        #[test]
-        fn mem_shadow_matches_split_reference(
-            ops in proptest::collection::vec((0..2u8, 0..12u8, 0..4u8), 1..60),
-        ) {
-            let mut fast = MemShadow::default();
-            let mut reference = SplitShadow::default();
-            let mut prev = (0u64, 8u64);
-            for (writer, &(op, a, b)) in ops.iter().enumerate() {
-                let fresh = (a as u64 * 4, a as u64 * 4 + [1, 4, 8, 16][b as usize]);
-                // Op 1 repeats the previous interval exactly.
-                let (lo, hi) = if op == 1 { prev } else { fresh };
-                prev = (lo, hi);
-                fast.write(lo, hi, writer as u32);
-                reference.write(lo, hi, writer as u32);
-                prop_assert_eq!(&fast.map, &reference.map);
-                let model = MemShadow { map: reference.map.clone() };
-                let probe = (fresh.0.saturating_sub(2), fresh.1 + 3);
-                prop_assert_eq!(
-                    spans(&fast, probe.0, probe.1),
-                    spans(&model, probe.0, probe.1)
-                );
-            }
-        }
-    }
+    let mut analysis = CertifyAnalysis::new(forward, &[(criteria, result)]);
+    let mut driver = AnalysisDriver::new();
+    driver.register(&mut analysis);
+    let swept = driver.run_streamed(src);
+    drop(driver);
+    swept?;
+    Ok(analysis.into_diags().pop().expect("one job, one result"))
 }

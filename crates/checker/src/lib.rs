@@ -29,8 +29,9 @@
 //!   member or criterion (a data edge found in the sweep's own last-writer
 //!   shadows, or a structural witness row that is a real CDG or
 //!   call-stack edge), and no non-slice instruction feeds a value into
-//!   the slice (`WP0008…WP0011`); [`certify_all`] certifies several
-//!   slices of one trace in a single shared sweep;
+//!   the slice (`WP0008…WP0011`); [`CertifyAnalysis`] is that sweep as
+//!   one fused analysis, certifying several slices of one trace in a
+//!   single shared pass next to whatever else the driver runs;
 //! - [`dead_writes`] runs the `WP0012` dead-producer-write lint, the
 //!   simplest waste category the paper motivates.
 
@@ -38,10 +39,11 @@ pub mod certify;
 pub mod diag;
 pub mod lint;
 pub mod lints;
+mod mem_shadow;
 pub mod mutate;
 pub mod race;
 
-pub use certify::{certify, certify_all, certify_streamed};
+pub use certify::{certify, certify_streamed, CertifyAnalysis};
 pub use diag::{render_json, render_text, sort_diags, Code, Diag};
 pub use lint::{Ctx, Lint, LintBattery, Registry};
 pub use lints::{

@@ -14,6 +14,7 @@ use wasteprof_trace::{AddrRange, ColumnMask, InstrKind, Region, ThreadId, REGION
 
 use crate::diag::{Code, Diag};
 use crate::lint::{Ctx, Lint};
+use crate::mem_shadow::MemShadow;
 
 /// Resolves a function name, tolerating malformed ids.
 fn func_name<'a>(ctx: &Ctx<'a>, id: wasteprof_trace::FuncId) -> &'a str {
@@ -96,53 +97,6 @@ impl Lint for CallRetLint {
     }
 }
 
-/// Byte-interval coverage set: merged, non-overlapping `[start, end)`
-/// intervals keyed by start.
-#[derive(Default)]
-pub(crate) struct Coverage {
-    spans: BTreeMap<u64, u64>,
-}
-
-impl Coverage {
-    /// Marks `[start, end)` as covered, merging with neighbours.
-    pub(crate) fn insert(&mut self, start: u64, end: u64) {
-        let mut start = start;
-        let mut end = end;
-        // Absorb a predecessor that reaches into (or touches) the new span.
-        if let Some((&s, &e)) = self.spans.range(..=start).next_back() {
-            if e >= start {
-                if e >= end {
-                    return;
-                }
-                start = s;
-                end = end.max(e);
-                self.spans.remove(&s);
-            }
-        }
-        // Absorb successors the new span reaches.
-        while let Some((&s, &e)) = self.spans.range(start..).next() {
-            if s > end {
-                break;
-            }
-            end = end.max(e);
-            self.spans.remove(&s);
-        }
-        self.spans.insert(start, end);
-    }
-
-    /// First uncovered byte of `[start, end)`, or `None` if fully covered.
-    pub(crate) fn first_gap(&self, start: u64, end: u64) -> Option<u64> {
-        let mut at = start;
-        while at < end {
-            match self.spans.range(..=at).next_back() {
-                Some((_, &e)) if e > at => at = e,
-                _ => return Some(at),
-            }
-        }
-        None
-    }
-}
-
 /// `WP0003`: reads of *producer-region* bytes that nothing ever wrote.
 ///
 /// Scoped to the regions with a single well-defined producer — IPC
@@ -154,8 +108,11 @@ impl Coverage {
 /// rastered yet (checkerboarding), which is a scheduling artifact, not a
 /// malformed trace.
 pub struct UninitReadLint {
-    /// Per-region coverage of written bytes, indexed by `Region::index()`.
-    written: Vec<Coverage>,
+    /// Per-region written bytes, indexed by `Region::index()`. A write is
+    /// recorded in its start region's map only, so one that crosses from
+    /// `Input` into `Framebuffer` (a `WP0004` operand) leaves the bytes
+    /// past the boundary unwritten as far as a `Framebuffer` read goes.
+    written: Vec<MemShadow<()>>,
     scope: &'static [Region],
 }
 
@@ -188,7 +145,7 @@ impl Lint for UninitReadLint {
 
     fn begin(&mut self, _ctx: &Ctx<'_>) {
         self.written = (0..=Region::ALL.len())
-            .map(|_| Coverage::default())
+            .map(|_| MemShadow::default())
             .collect();
     }
 
@@ -201,8 +158,8 @@ impl Lint for UninitReadLint {
                 continue;
             }
             let region = region.expect("in_scope implies a region");
-            let cov = &self.written[region.index() as usize];
-            if let Some(gap) = cov.first_gap(r.start().raw(), r.end().raw()) {
+            let written = &self.written[region.index() as usize];
+            if let Some(gap) = written.first_gap(r.start().raw(), r.end().raw()) {
                 out.push(Diag::at(
                     Code::UninitRead,
                     idx,
@@ -223,7 +180,7 @@ impl Lint for UninitReadLint {
                 continue;
             }
             let region = region.expect("in_scope implies a region");
-            self.written[region.index() as usize].insert(w.start().raw(), w.end().raw());
+            self.written[region.index() as usize].write(w.start().raw(), w.end().raw(), ());
         }
     }
 }
@@ -441,15 +398,6 @@ impl Lint for UndefinedCalleeLint {
     }
 }
 
-/// One tracked producer-region span: who wrote it last and whether any
-/// read consumed it since.
-#[derive(Clone, Copy)]
-struct DeadSpan {
-    end: u64,
-    writer: usize,
-    read: bool,
-}
-
 /// `WP0012`: a write to a single-producer region (IPC channel, network
 /// input, framebuffer) overwritten before any read — the simplest
 /// unnecessary computation the paper motivates: the producer paid for
@@ -462,28 +410,15 @@ struct DeadSpan {
 /// frame and unconsumed channel tails are ordinary shutdown state.
 #[derive(Default)]
 pub struct DeadWriteLint {
-    /// Disjoint `[start, end)` spans of producer bytes, keyed by start.
-    spans: BTreeMap<u64, DeadSpan>,
+    /// Producer bytes by the write that last covered them, and whether a
+    /// read consumed them since.
+    spans: MemShadow<(usize, bool)>,
 }
 
 fn in_producer(r: AddrRange) -> bool {
     r.start()
         .region()
         .is_some_and(|reg| PRODUCER_REGIONS.contains(&reg))
-}
-
-impl DeadWriteLint {
-    /// Splits any span straddling `at` so no span crosses it.
-    fn split_at(&mut self, at: u64) {
-        let split = match self.spans.range(..at).next_back() {
-            Some((&s, sp)) if sp.end > at => Some((s, *sp)),
-            _ => None,
-        };
-        if let Some((s, sp)) = split {
-            self.spans.get_mut(&s).expect("entry just observed").end = at;
-            self.spans.insert(at, DeadSpan { end: sp.end, ..sp });
-        }
-    }
 }
 
 impl Lint for DeadWriteLint {
@@ -496,20 +431,25 @@ impl Lint for DeadWriteLint {
     }
 
     fn begin(&mut self, _ctx: &Ctx<'_>) {
-        self.spans.clear();
+        self.spans = MemShadow::default();
     }
 
     fn on_instr(&mut self, ctx: &Ctx<'_>, idx: usize, out: &mut Vec<Diag>) {
-        // Reads first: a read-modify-write consumes the old bytes.
+        // Reads first: a read-modify-write consumes the old bytes. A read
+        // rewrites its unread pieces as read.
         for r in ctx.cols.mem_reads(idx) {
             if !in_producer(*r) {
                 continue;
             }
-            let (lo, hi) = (r.start().raw(), r.end().raw());
-            self.split_at(lo);
-            self.split_at(hi);
-            for (_, sp) in self.spans.range_mut(lo..hi) {
-                sp.read = true;
+            let mut unread = Vec::new();
+            self.spans
+                .for_range(r.start().raw(), r.end().raw(), |s, e, span| {
+                    if let Some((writer, false)) = span {
+                        unread.push((s, e, writer));
+                    }
+                });
+            for (s, e, writer) in unread {
+                self.spans.write(s, e, (writer, true));
             }
         }
         for w in ctx.cols.mem_writes(idx) {
@@ -518,16 +458,16 @@ impl Lint for DeadWriteLint {
             }
             let region = w.start().region().expect("in_producer implies a region");
             let (lo, hi) = (w.start().raw(), w.end().raw());
-            self.split_at(lo);
-            self.split_at(hi);
-            let doomed: Vec<u64> = self.spans.range(lo..hi).map(|(&s, _)| s).collect();
+            // The distinct unread writers this write overwrites, other than
+            // itself, in address order.
             let mut dead: Vec<usize> = Vec::new();
-            for s in doomed {
-                let sp = self.spans.remove(&s).expect("span just listed");
-                if !sp.read && sp.writer != idx && !dead.contains(&sp.writer) {
-                    dead.push(sp.writer);
+            self.spans.for_range(lo, hi, |_, _, span| {
+                if let Some((writer, false)) = span {
+                    if writer != idx && !dead.contains(&writer) {
+                        dead.push(writer);
+                    }
                 }
-            }
+            });
             for wpos in dead {
                 out.push(Diag::at(
                     Code::DeadWrite,
@@ -540,14 +480,7 @@ impl Lint for DeadWriteLint {
                     ),
                 ));
             }
-            self.spans.insert(
-                lo,
-                DeadSpan {
-                    end: hi,
-                    writer: idx,
-                    read: false,
-                },
-            );
+            self.spans.write(lo, hi, (idx, false));
         }
     }
 }
@@ -555,31 +488,6 @@ impl Lint for DeadWriteLint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn coverage_merges_and_finds_gaps() {
-        let mut cov = Coverage::default();
-        cov.insert(10, 20);
-        cov.insert(30, 40);
-        assert_eq!(cov.first_gap(10, 20), None);
-        assert_eq!(cov.first_gap(10, 25), Some(20));
-        assert_eq!(cov.first_gap(25, 30), Some(25));
-        cov.insert(20, 30); // bridges the two spans
-        assert_eq!(cov.first_gap(10, 40), None);
-        assert_eq!(cov.spans.len(), 1);
-        cov.insert(5, 12); // extends left
-        assert_eq!(cov.first_gap(5, 40), None);
-        assert_eq!(cov.first_gap(0, 5), Some(0));
-    }
-
-    #[test]
-    fn coverage_subsumed_insert_is_noop() {
-        let mut cov = Coverage::default();
-        cov.insert(0, 100);
-        cov.insert(10, 20);
-        assert_eq!(cov.spans.len(), 1);
-        assert_eq!(cov.first_gap(0, 100), None);
-    }
 
     #[test]
     fn dead_write_fires_only_on_unread_overwrite() {

@@ -27,7 +27,8 @@ use wasteprof_trace::{
 };
 
 use crate::diag::Code;
-use crate::lints::{Coverage, PRODUCER_REGIONS};
+use crate::lints::PRODUCER_REGIONS;
+use crate::mem_shadow::MemShadow;
 use crate::race::LOCK_SYMBOL;
 
 /// One way of corrupting a trace, each paired with the lint that must
@@ -381,24 +382,15 @@ impl<'a> TraceMutator<'a> {
                 .region()
                 .is_some_and(|reg| PRODUCER_REGIONS.contains(&reg))
         };
-        // Bytes written exactly once so far, as *disjoint* intervals:
-        // start → (end, writer).
-        let mut once: BTreeMap<u64, (u64, usize)> = BTreeMap::new();
+        // Bytes written exactly once so far, by writer. A write enters only
+        // when it overlaps none of them, so entries are never split.
+        let mut once = MemShadow::default();
         // Bytes written at least twice (their first writer is not load-bearing).
-        let mut twice = Coverage::default();
-        // Entries of `once` overlapping `[lo, hi)`: the predecessor that
-        // reaches past `lo`, plus all entries starting inside the range
-        // (disjointness makes this complete).
-        let overlaps = |once: &BTreeMap<u64, (u64, usize)>, lo: u64, hi: u64| {
+        let mut twice = MemShadow::default();
+        // The pieces of `once` inside `[lo, hi)`, clipped, with their writers.
+        let overlaps = |once: &MemShadow<usize>, lo: u64, hi: u64| {
             let mut found: Vec<(u64, u64, usize)> = Vec::new();
-            if let Some((&s, &(e, w))) = once.range(..=lo).next_back() {
-                if e > lo {
-                    found.push((s, e, w));
-                }
-            }
-            for (&s, &(e, w)) in once.range(lo + 1..hi) {
-                found.push((s, e, w));
-            }
+            once.for_range(lo, hi, |s, e, w| found.extend(w.map(|w| (s, e, w))));
             found
         };
         for i in 0..cols.len() {
@@ -406,9 +398,7 @@ impl<'a> TraceMutator<'a> {
                 if !in_scope(r) {
                     continue;
                 }
-                let (lo, hi) = (r.start().raw(), r.end().raw());
-                for (s, e, writer) in overlaps(&once, lo, hi) {
-                    let (olo, ohi) = (s.max(lo), e.min(hi));
+                for (olo, ohi, writer) in overlaps(&once, r.start().raw(), r.end().raw()) {
                     if twice.first_gap(olo, ohi).is_some() && !self.disturbs_spawn_edge(writer) {
                         return Some(Edit::Drop(writer));
                     }
@@ -421,10 +411,10 @@ impl<'a> TraceMutator<'a> {
                 let (lo, hi) = (w.start().raw(), w.end().raw());
                 let covered = overlaps(&once, lo, hi);
                 for &(s, e, _) in &covered {
-                    twice.insert(s.max(lo), e.min(hi));
+                    twice.write(s, e, ());
                 }
                 if covered.is_empty() {
-                    once.insert(lo, (hi, i));
+                    once.write(lo, hi, i);
                 }
             }
         }

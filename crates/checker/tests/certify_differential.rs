@@ -1,21 +1,24 @@
 //! Differential certifier tests: witnessed slices of every canonical
-//! session must certify clean, alone and in one shared sweep, and every [`SliceMutation`] must trigger exactly its own
-//! certifier code — in its own job only when it shares a sweep.
+//! session must certify clean, alone and in one shared sweep, and every
+//! [`SliceMutation`] must trigger exactly its own certifier code — in its
+//! own job only when it shares a sweep. A shared sweep is one
+//! [`CertifyAnalysis`] with several jobs in an [`AnalysisDriver`] run.
 
 use std::io::Cursor;
 use std::sync::OnceLock;
 
 use wasteprof_browser::Session;
 use wasteprof_checker::{
-    certify, certify_all, certify_streamed, render_text, Code, Diag, SliceMutation, TraceMutator,
+    certify, certify_streamed, render_text, CertifyAnalysis, Code, Diag, SliceMutation,
+    TraceMutator,
 };
 use wasteprof_slicer::{
     pixel_criteria, slice, syscall_criteria, Criteria, ForwardPass, SliceOptions, SliceResult,
     WitnessKind, WitnessRow, Witnesses,
 };
 use wasteprof_trace::{
-    site, write_trace2, InstrKind, MemOps, Recorder, Reg, RegSet, Syscall, ThreadKind, Trace,
-    TracePos, TraceReader,
+    site, write_trace2, AnalysisDriver, InstrKind, MemOps, Recorder, Reg, RegSet, Region, Syscall,
+    ThreadKind, Trace, TracePos, TraceReader,
 };
 use wasteprof_workloads::Benchmark;
 
@@ -32,6 +35,21 @@ fn canonical_sessions() -> Vec<(String, Session)> {
         ));
     }
     out
+}
+
+/// Certifies every job in one shared sweep: a [`CertifyAnalysis`] alone
+/// in a driver run over `trace`.
+fn certify_jobs(
+    trace: &Trace,
+    fwd: &ForwardPass,
+    jobs: &[(&Criteria, &SliceResult)],
+) -> Vec<Vec<Diag>> {
+    let mut analysis = CertifyAnalysis::new(fwd, jobs);
+    let mut driver = AnalysisDriver::new();
+    driver.register(&mut analysis);
+    driver.run(trace);
+    drop(driver);
+    analysis.into_diags()
 }
 
 fn witnessed() -> SliceOptions {
@@ -62,8 +80,9 @@ fn certify_clean(
     result
 }
 
-/// Every canonical slice certifies clean, and one shared sweep over a session's pixel and syscall slices reports exactly what
-/// two separate certifications do. On Bing, the load-prefix slice shares
+/// Every canonical slice certifies clean, and one shared sweep over a
+/// session's pixel and syscall slices reports exactly what two separate
+/// certifications do. On Bing, the load-prefix slice shares
 /// a sweep with the full pixel slice: jobs with different considered
 /// prefixes.
 #[test]
@@ -83,7 +102,7 @@ fn canonical_slices_certify_clean() {
             .map(|&(c, r)| certify(trace, &fwd, c, r))
             .collect();
         assert_eq!(
-            certify_all(trace, &fwd, &jobs),
+            certify_jobs(trace, &fwd, &jobs),
             separate,
             "{label}: the shared sweep disagrees with separate certifications"
         );
@@ -96,7 +115,7 @@ fn canonical_slices_certify_clean() {
             };
             let prefix = slice(trace, &fwd, &prefix_criteria, &bounded);
             assert!(prefix.considered() < pixel_slice.considered());
-            let diags = certify_all(
+            let diags = certify_jobs(
                 trace,
                 &fwd,
                 &[(&prefix_criteria, &prefix), (&pixel, &pixel_slice)],
@@ -209,14 +228,14 @@ fn a_slice_mutation_fires_only_in_its_own_job_of_a_shared_sweep() {
         let name = m.name();
         let pixel = mutator.apply_slice(m, &f.pixel_slice).unwrap();
         let clean = (&f.syscall, &f.syscall_slice);
-        let [a, b] = two(certify_all(trace, &f.fwd, &[(&f.pixel, &pixel), clean]));
+        let [a, b] = two(certify_jobs(trace, &f.fwd, &[(&f.pixel, &pixel), clean]));
         assert_eq!(
             render_text(&a),
             pinned_text(m),
             "{name}: mutated job, first"
         );
         assert!(b.is_empty(), "{name}: clean job, second: {b:?}");
-        let [b, a] = two(certify_all(trace, &f.fwd, &[clean, (&f.pixel, &pixel)]));
+        let [b, a] = two(certify_jobs(trace, &f.fwd, &[clean, (&f.pixel, &pixel)]));
         assert_eq!(
             render_text(&a),
             pinned_text(m),
@@ -227,7 +246,7 @@ fn a_slice_mutation_fires_only_in_its_own_job_of_a_shared_sweep() {
         let syscall = mutator.apply_slice(m, &f.syscall_slice).unwrap();
         let alone = certify(trace, &f.fwd, &f.syscall, &syscall);
         assert!(alone.iter().all(|d| d.code == m.expected_code()) && !alone.is_empty());
-        let [p, s] = two(certify_all(
+        let [p, s] = two(certify_jobs(
             trace,
             &f.fwd,
             &[(&f.pixel, &f.pixel_slice), (&f.syscall, &syscall)],
@@ -385,4 +404,62 @@ fn late_check_skips_the_reads_of_an_unconsumed_anchor() {
     let result = slice(&trace, &fwd, &criteria, &witnessed());
     assert_eq!(result.slice_count(), 1, "only the anchor joins");
     assert_eq!(certify_witnessed(&trace, &criteria, |_| {}), "");
+}
+
+/// A one-thread trace for write-granular leak text: `@0` writes two
+/// adjacent 8-byte channel operands, `@1` reads all 16 bytes into `RAX`,
+/// and an output syscall at `@2` reads `RAX`.
+fn two_writes_one_read() -> (Trace, Criteria) {
+    let mut rec = Recorder::new();
+    rec.spawn_thread(ThreadKind::Main, "main_root");
+    let buf = rec.alloc(Region::Channel, 16);
+    let rax = RegSet::of(&[Reg::Rax]);
+    rec.raw(
+        site!(),
+        InstrKind::Op,
+        RegSet::EMPTY,
+        RegSet::EMPTY,
+        MemOps::new(Vec::new(), vec![buf.slice(0, 8), buf.slice(8, 8)]),
+    );
+    rec.raw(
+        site!(),
+        InstrKind::Op,
+        RegSet::EMPTY,
+        rax,
+        MemOps::Read(buf),
+    );
+    rec.raw(
+        site!(),
+        InstrKind::Syscall {
+            nr: Syscall::Sendto,
+        },
+        rax,
+        RegSet::EMPTY,
+        MemOps::None,
+    );
+    let trace = rec.finish();
+    let criteria = syscall_criteria(&trace);
+    (trace, criteria)
+}
+
+/// Leak messages print the last writer's spans as it wrote them, one per
+/// write operand: dropping the writer of two adjacent 8-byte operands
+/// that one member reads as 16 bytes reports two leaks, one per 8-byte
+/// range, not one 16-byte range.
+#[test]
+fn a_leak_prints_one_line_per_written_operand() {
+    let (trace, criteria) = two_writes_one_read();
+    let fwd = ForwardPass::build(&trace);
+    let result = slice(&trace, &fwd, &criteria, &witnessed());
+    assert_eq!(result.slice_count(), 3, "writer, reader and syscall join");
+    let text = certify_witnessed(&trace, &criteria, |r| {
+        assert!(r.remove_member(TracePos(0)));
+    });
+    assert_eq!(
+        text,
+        "WP0010 @0: non-slice write to 0x500000000000..0x500000000008 read by \
+         slice member @1 (non-slice write reaches a consumer)\n\
+         WP0010 @0: non-slice write to 0x500000000008..0x500000000010 read by \
+         slice member @1 (non-slice write reaches a consumer)\n"
+    );
 }

@@ -63,6 +63,14 @@ echo "== race-shadow differential (release, CI case counts) =="
 # and of AmazonMobile, and on the six canonical sessions.
 cargo test -q --release -p wasteprof-checker --test race_differential
 
+echo "== producer-lint differential (release, CI case counts) =="
+# WP0003 and WP0012 on the checker's one write-granular map against the
+# previous lints, kept verbatim in the test: the same diagnostics in
+# emission order on 256 random multi-thread programs over channel, input
+# and framebuffer bytes (region-crossing operands included), on every
+# mutation of AmazonMobile, and on the six canonical sessions.
+cargo test -q --release -p wasteprof-checker --test producer_differential
+
 echo "== segment codec differential (release, CI case counts) =="
 # The typed segment decoder against the previous one, kept verbatim in
 # the test: the same rows and decode accounting, or both a format error,
