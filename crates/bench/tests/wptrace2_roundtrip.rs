@@ -2,17 +2,48 @@
 //! session serialized as `WPTRACE2`, streamed back through the bounded
 //! chunk window, and compared field for field against the in-memory
 //! [`Columns`] — tables, markers, and all eight per-instruction columns.
+//! The same session pushed row by row through [`Trace2Writer`] must give
+//! exactly the bytes [`write_trace2`] gives, across every segment
+//! boundary.
 
 use std::io::Cursor;
 
-use wasteprof_trace::{write_trace2, ColumnSource, Trace, TraceReader};
+use wasteprof_trace::{write_trace2, ColumnSource, Trace, Trace2Writer, TraceReader};
 use wasteprof_workloads::Benchmark;
+
+/// `trace` written row by row through a default [`Trace2Writer`].
+fn streamed(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut w = Trace2Writer::new(&mut buf).unwrap();
+    let cols = trace.columns();
+    for idx in 0..cols.len() {
+        w.push(
+            cols.tid(idx),
+            cols.func(idx),
+            cols.pc(idx),
+            cols.kind(idx),
+            cols.reg_reads(idx),
+            cols.reg_writes(idx),
+            cols.mem_reads(idx),
+            cols.mem_writes(idx),
+        )
+        .unwrap();
+    }
+    w.finish(trace.functions(), trace.threads(), trace.markers())
+        .unwrap();
+    buf
+}
 
 fn assert_roundtrip(label: &str, trace: &Trace) {
     let mut buf = Vec::new();
     let stats = write_trace2(&mut buf, trace).unwrap();
     assert_eq!(stats.instrs, trace.len() as u64, "{label}: count");
     assert_eq!(stats.file_bytes, buf.len() as u64, "{label}: file size");
+    assert!(stats.segments > 1, "{label}: one segment only");
+    assert!(
+        streamed(trace) == buf,
+        "{label}: the row-by-row writer and write_trace2 disagree"
+    );
     assert!(
         stats.bytes_per_instr() < 30.5,
         "{label}: compression worse than the in-memory tier ({:.2} bytes/instr)",

@@ -297,9 +297,22 @@ impl Columns {
         (self.kinds[idx], self.kind_data[idx])
     }
 
-    /// Raw memory-operand reference of instruction `idx`.
-    pub(crate) fn raw_mem(&self, idx: usize) -> MemOpsRef {
-        self.mem[idx]
+    /// The memory operands of rows `[lo, hi)`, reads before writes row by
+    /// row. Every store lays its rows' operands out back to back in row
+    /// order (`push`, `retain_mem_ops`, `prefix` and the segment decoder
+    /// all do), so they are one slice of the arena.
+    pub(crate) fn operands(&self, lo: usize, hi: usize) -> &[AddrRange] {
+        let Some(last) = self.mem[lo..hi].last() else {
+            return &[];
+        };
+        debug_assert!(
+            self.mem[lo..hi].windows(2).all(
+                |w| w[1].start == w[0].start + u32::from(w[0].nreads) + u32::from(w[0].nwrites)
+            ),
+            "rows [{lo}, {hi}) keep their operands back to back"
+        );
+        let end = last.start as usize + usize::from(last.nreads) + usize::from(last.nwrites);
+        &self.arena[self.mem[lo].start as usize..end]
     }
 
     /// Empties every column, keeping their capacity for the next rows.

@@ -1,11 +1,11 @@
 //! Per-column compression primitives for the `WPTRACE2` chunked format.
 //!
-//! Everything here operates on streams of `u64` values; the segment codec
-//! (`segment.rs`) chooses a per-column *pre-transform* (zigzag delta for
-//! monotone-ish columns like pcs and operand start addresses, dictionary
-//! indices for funcs, raw values otherwise) and then encodes the
-//! transformed stream through [`encode_stream`], which emits the smaller
-//! of two wire encodings per column:
+//! Everything here operates on blocks of unsigned integers; the segment
+//! codec (`segment.rs`) chooses a per-column *pre-transform* (zigzag delta
+//! for monotone-ish columns like pcs and operand start addresses,
+//! dictionary indices for funcs, raw values otherwise) and then encodes the
+//! column, as stored or as transformed, through [`encode_block`], which
+//! emits the smaller of two wire encodings per column:
 //!
 //! * **plain** — each value as a LEB128 varint;
 //! * **run-length** — `(value, run length)` varint pairs, which collapses
@@ -168,51 +168,223 @@ fn gather7(w: u64) -> u64 {
     (w & 0x0000_0000_0fff_ffff) | ((w & 0x0fff_ffff_0000_0000) >> 4)
 }
 
-/// Bytes [`put_varint`] spends on `v`.
-fn varint_len(v: u64) -> usize {
-    (70 - (v | 1).leading_zeros() as usize) / 7
+/// Bytes [`put_varint`] spends on a value whose `v | 1` has `zeros`
+/// leading zero bits.
+const VARINT_LEN_BY_ZEROS: [u8; 64] = {
+    let mut lens = [0; 64];
+    let mut zeros = 0;
+    while zeros < 64 {
+        lens[zeros] = ((70 - zeros) / 7) as u8;
+        zeros += 1;
+    }
+    lens
+};
+
+/// Bytes [`put_varint`] spends on `v`: one comparison per seven bits a
+/// type narrower than `u64` can hold, which vectorizes, and a table lookup
+/// for `u64`.
+#[inline]
+fn value_len<T: Copy + Into<u64>>(v: T) -> usize {
+    let bits = 8 * std::mem::size_of::<T>();
+    let v: u64 = v.into();
+    if bits >= 64 {
+        return usize::from(VARINT_LEN_BY_ZEROS[(v | 1).leading_zeros() as usize]);
+    }
+    let mut len = 1;
+    let mut shift = 7;
+    while shift < bits {
+        len += usize::from(v >> shift != 0);
+        shift += 7;
+    }
+    len
 }
 
-// ----- dual-encoding u64 stream blocks ----------------------------------
+/// Spreads the low 56 bits of `v` over the low seven bits of each byte,
+/// byte 0 lowest: the inverse of [`gather7`].
+#[inline]
+fn scatter7(v: u64) -> u64 {
+    let v = (v & 0x0000_0000_0fff_ffff) | (v & 0x00ff_ffff_f000_0000) << 4;
+    let v = (v & 0x0000_3fff_0000_3fff) | (v & 0x0fff_c000_0fff_c000) << 2;
+    (v & 0x007f_007f_007f_007f) | (v & 0x3f80_3f80_3f80_3f80) << 1
+}
+
+/// The continuation bits of a varint of up to eight bytes, by its length:
+/// set on every byte but the last.
+const CONTINUED: [u64; 9] = {
+    let mut bits = [0; 9];
+    let mut len = 2;
+    while len <= 8 {
+        bits[len] = 0x8080_8080_8080_8080 & ((1u64 << (8 * len - 8)) - 1);
+        len += 1;
+    }
+    bits
+};
+
+/// Writes `v` as the `len`-byte varint [`put_varint`] writes, at
+/// `buf[pos..]`. A varint of up to eight bytes goes out as one
+/// little-endian word, so `buf` must hold eight bytes from `pos`; the
+/// word's bytes past the varint are zeros, for the next store to
+/// overwrite.
+#[inline]
+fn store_varint(buf: &mut [u8], pos: usize, v: u64, len: usize) {
+    if len <= 8 {
+        let continued = CONTINUED[len];
+        buf[pos..pos + 8].copy_from_slice(&(scatter7(v) | continued).to_le_bytes());
+    } else {
+        let mut v = v;
+        for b in &mut buf[pos..pos + len - 1] {
+            *b = (v as u8) | 0x80;
+            v >>= 7;
+        }
+        buf[pos + len - 1] = v as u8;
+    }
+}
+
+// ----- dual-encoding column blocks --------------------------------------
 
 /// Wire tag for a plain varint stream.
 const ENC_PLAIN: u8 = 0;
 /// Wire tag for a run-length (`value`,`runlen`) varint-pair stream.
 const ENC_RLE: u8 = 1;
 
+/// Values per partial sum of [`encode_block`]'s sizing sweep: few enough
+/// that a `u16` holds any sum, since no value adds more than 11.
+const SUM_CHUNK: usize = 1 << 12;
+
 /// Encodes `values` as one column block: a varint byte length covering the
 /// rest of the block, a 1-byte encoder tag, then either a plain varint
 /// stream or a run-length stream — whichever is smaller for this column of
 /// this segment, plain on a tie. The length prefix lets a selective
 /// decoder skip a block it never subscribed to in O(1) without touching
-/// its payload. Both encodings are sized first, so only the chosen one is
-/// written, straight into `out`.
-pub fn encode_stream(out: &mut Vec<u8>, values: &[u64]) {
-    let runs = || {
-        values
-            .chunk_by(|a, b| a == b)
-            .map(|run| (run[0], run.len()))
+/// its payload.
+///
+/// Generic over the column's integer type, so a column is encoded
+/// straight from its typed store. One sweep with no branch per value sizes
+/// the plain stream, counts the runs and bounds the run-length size from
+/// below; only a block that bound leaves open finds its runs, eight values
+/// at a time, into `runs` (working storage the caller keeps between
+/// blocks), and sizes them exactly. Only the chosen encoding is written, straight
+/// into `out`, a word per varint.
+///
+/// # Panics
+///
+/// Panics if `values` holds `u32::MAX` values or more.
+pub fn encode_block<T: Copy + Eq + Into<u64>>(
+    out: &mut Vec<u8>,
+    values: &[T],
+    runs: &mut Vec<u32>,
+) {
+    let n = values.len();
+    assert!(n < u32::MAX as usize, "column block of {n} values");
+    let Some(&first) = values.first() else {
+        put_varint(out, 1);
+        out.push(ENC_PLAIN);
+        return;
     };
-    let plain: usize = values.iter().map(|&v| varint_len(v)).sum();
-    let rle: usize = runs()
-        .map(|(v, run)| varint_len(v) + varint_len(run as u64))
-        .sum();
-    put_varint(out, (plain.min(rle) + 1) as u64);
+
+    // `floor` counts one byte per run length, the least one takes.
+    let mut plain = value_len(first);
+    let mut floor = plain + 1;
+    let mut heads = 1;
+    for (vs, prevs) in values[1..].chunks(SUM_CHUNK).zip(values.chunks(SUM_CHUNK)) {
+        let sums = (0u16, 0u16, 0u16);
+        let (p, f, h) = vs.iter().zip(prevs).fold(sums, |(p, f, h), (&v, &prev)| {
+            let len = value_len(v) as u16;
+            let head = u16::from(v != prev);
+            (p + len, f + head * (len + 1), h + head)
+        });
+        plain += p as usize;
+        floor += f as usize;
+        heads += h as usize;
+    }
+
+    // Run-length can only win below its floor; exactly, each run length
+    // takes a byte more than the floor counts per seven bits past seven.
+    let mut rle = usize::MAX;
+    if floor < plain {
+        if runs.len() <= heads {
+            runs.resize(heads + 1, 0);
+        }
+        find_runs(values, &mut runs[..=heads]);
+        rle = floor
+            + runs[..=heads]
+                .windows(2)
+                .map(|w| value_len(w[1] - w[0]) - 1)
+                .sum::<usize>();
+    }
+
+    let body = plain.min(rle);
+    put_varint(out, body as u64 + 1);
+    let start = out.len() + 1;
+    if plain == n && plain <= rle {
+        // Every value takes one byte.
+        out.push(ENC_PLAIN);
+        out.extend(values.iter().map(|&v| Into::<u64>::into(v) as u8));
+        return;
+    }
+    out.push(if rle < plain { ENC_RLE } else { ENC_PLAIN });
+    // Eight bytes of slack for the word stores, cut off at the end.
+    out.resize(start + body + 8, 0);
+    let mut pos = start;
     if rle < plain {
-        out.push(ENC_RLE);
-        for (v, run) in runs() {
-            put_varint(out, v);
-            put_varint(out, run as u64);
+        for w in runs[..=heads].windows(2) {
+            let (v, run) = (values[w[0] as usize], w[1] - w[0]);
+            let len = value_len(v);
+            if len == 1 && run < 0x80 {
+                out[pos] = Into::<u64>::into(v) as u8;
+                out[pos + 1] = run as u8;
+                pos += 2;
+            } else {
+                store_varint(out, pos, v.into(), len);
+                pos += len;
+                let len = value_len(run);
+                store_varint(out, pos, run.into(), len);
+                pos += len;
+            }
         }
     } else {
-        out.push(ENC_PLAIN);
         for &v in values {
-            put_varint(out, v);
+            let len = value_len(v);
+            store_varint(out, pos, v.into(), len);
+            pos += len;
         }
     }
+    debug_assert_eq!(pos, start + body, "a body of its sized length");
+    out.truncate(start + body);
 }
 
-/// Decodes one block written by [`encode_stream`] that must hold exactly
+/// Fills `runs`, which holds one slot more than `values` has runs, with
+/// the index of each run's first value, then `values.len()`. It compares
+/// eight values at a time: eight that start no run cost one comparison
+/// mask, and eight that do store all eight indices, advancing past the
+/// run heads only, so there is no branch per value either way.
+fn find_runs<T: Copy + Eq>(values: &[T], runs: &mut [u32]) {
+    let (rest, prevs) = (&values[1..], &values[..values.len() - 1]);
+    let (mut rest, mut prevs) = (rest.chunks_exact(8), prevs.chunks_exact(8));
+    runs[0] = 0;
+    let mut h = 1;
+    let mut at = 1u32;
+    for (vs, ps) in rest.by_ref().zip(prevs.by_ref()) {
+        let mut mask = 0u32;
+        for k in 0..8 {
+            mask |= u32::from(vs[k] != ps[k]) << k;
+        }
+        if mask != 0 {
+            for k in 0..8 {
+                runs[h] = at + k;
+                h += (mask >> k & 1) as usize;
+            }
+        }
+        at += 8;
+    }
+    for ((v, p), k) in rest.remainder().iter().zip(prevs.remainder()).zip(0..) {
+        runs[h] = at + k;
+        h += usize::from(v != p);
+    }
+    runs[h] = values.len() as u32;
+}
+
+/// Decodes one block written by [`encode_block`] that must hold exactly
 /// `n` values, handing `f` each run of equal values as `(value, run
 /// length)`: a plain block yields runs of one, a run-length block its
 /// pairs. The segment decoder fills each typed column from these runs
@@ -269,7 +441,7 @@ pub fn decode_runs(
     Ok(())
 }
 
-/// Skips one block written by [`encode_stream`] without decoding its
+/// Skips one block written by [`encode_block`] without decoding its
 /// payload, returning the number of payload bytes (tag included) skipped.
 /// This is the selective-decode fast path: a column no registered analysis
 /// subscribed to costs one varint read and a cursor bump.
@@ -304,14 +476,14 @@ mod tests {
         })
     }
 
-    fn roundtrip(values: &[u64]) -> Vec<u8> {
+    fn roundtrip<T: Copy + Eq + Into<u64>>(values: &[T]) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_stream(&mut buf, values);
+        encode_block(&mut buf, values, &mut Vec::new());
         let mut r = ByteReader::new(&buf);
         let mut back = Vec::new();
         decode_stream(&mut r, values.len(), &mut back).unwrap();
         assert!(r.is_exhausted(), "trailing bytes after decode");
-        assert_eq!(back, values);
+        assert!(back.iter().copied().eq(values.iter().map(|&v| v.into())));
         buf
     }
 
@@ -346,6 +518,7 @@ mod tests {
         let buf = roundtrip(&[7u64; 1000]);
         assert_eq!(block_tag(&buf), ENC_RLE);
         assert!(buf.len() < 8, "1000 constants in {} bytes", buf.len());
+        assert_eq!(roundtrip(&[7u8; 1000]), buf, "the same block from u8");
     }
 
     #[test]
@@ -357,14 +530,16 @@ mod tests {
 
     #[test]
     fn empty_stream_roundtrips() {
-        roundtrip(&[]);
+        roundtrip::<u64>(&[]);
+        roundtrip::<u16>(&[]);
     }
 
     #[test]
     fn skip_stream_advances_exactly_one_block() {
         let mut buf = Vec::new();
-        encode_stream(&mut buf, &[3u64; 500]);
-        encode_stream(&mut buf, &[1, 2, 3, 4]);
+        let runs = &mut Vec::new();
+        encode_block(&mut buf, &[3u16; 500], runs);
+        encode_block(&mut buf, &[1u64, 2, 3, 4], runs);
         let mut r = ByteReader::new(&buf);
         let skipped = skip_stream(&mut r).unwrap();
         assert!(skipped > 0);
@@ -452,33 +627,67 @@ mod tests {
         out.extend_from_slice(body);
     }
 
-    fn assert_encodes_like_buffered(values: &[u64]) {
+    /// `values` encoded by the typed block encoder, with `runs` as its
+    /// working storage, against the buffered reference over the same
+    /// values widened to `u64`.
+    fn assert_encodes_like_buffered<T: Copy + Eq + Into<u64> + std::fmt::Debug>(
+        values: &[T],
+        runs: &mut Vec<u32>,
+    ) {
+        let wide: Vec<u64> = values.iter().map(|&v| v.into()).collect();
         let (mut got, mut want) = (vec![0xaa], vec![0xaa]);
-        encode_stream(&mut got, values);
-        encode_stream_buffered(&mut want, values);
+        encode_block(&mut got, values, runs);
+        encode_stream_buffered(&mut want, &wide);
         assert_eq!(got, want, "encoding of {values:?}");
     }
 
     #[test]
-    fn sized_encoder_matches_the_buffered_one_byte_for_byte() {
-        assert_encodes_like_buffered(&[]);
-        assert_encodes_like_buffered(&[7; 1000]);
-        assert_encodes_like_buffered(&[u64::MAX; 3]);
+    fn typed_encoder_matches_the_buffered_one_byte_for_byte() {
+        let runs = &mut Vec::new();
+        assert_encodes_like_buffered::<u64>(&[], runs);
+        assert_encodes_like_buffered(&[7u64; 1000], runs);
+        assert_encodes_like_buffered(&[u64::MAX; 3], runs);
         // Ties go to plain: `[5, 5]` is two bytes either way.
-        assert_encodes_like_buffered(&[5, 5]);
-        assert_eq!(block_tag(&roundtrip(&[5, 5])), ENC_PLAIN);
-        assert_encodes_like_buffered(&[200, 200, 1]);
+        assert_encodes_like_buffered(&[5u8, 5], runs);
+        assert_eq!(block_tag(&roundtrip(&[5u64, 5])), ENC_PLAIN);
+        assert_encodes_like_buffered(&[200u16, 200, 1], runs);
+        // Every varint width, 1 to 10 bytes, on both sides of each
+        // boundary: the word stores up to 8 bytes, the byte loop past.
+        let mut edges = vec![0u64, u64::MAX, 1 << 63];
+        for k in 1..10 {
+            edges.extend([(1u64 << (7 * k)) - 1, 1u64 << (7 * k)]);
+        }
+        assert_encodes_like_buffered(&edges, runs);
+        let pairs: Vec<u64> = edges.iter().flat_map(|&v| [v, v]).collect();
+        assert_encodes_like_buffered(&pairs, runs);
+        for &v in &edges {
+            assert_encodes_like_buffered(&[v], runs);
+        }
     }
 
     proptest::proptest! {
         #[test]
-        fn sized_encoder_matches_on_random_streams(
-            values in proptest::collection::vec(
-                proptest::prop_oneof![0u64..4, 0u64..300, proptest::prelude::any::<u64>()],
-                0..200,
+        fn typed_encoder_matches_on_random_streams(
+            blocks in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::prop_oneof![0u64..4, 0u64..300, proptest::prelude::any::<u64>()],
+                    0..200,
+                ),
+                1..4,
             )
         ) {
-            assert_encodes_like_buffered(&values);
+            // One run buffer for every block and width, so a run head left
+            // from a longer block shows.
+            let runs = &mut Vec::new();
+            for values in &blocks {
+                assert_encodes_like_buffered(values, runs);
+                let narrow: Vec<u32> = values.iter().map(|&v| v as u32).collect();
+                assert_encodes_like_buffered(&narrow, runs);
+                let narrow: Vec<u16> = values.iter().map(|&v| v as u16).collect();
+                assert_encodes_like_buffered(&narrow, runs);
+                let narrow: Vec<u8> = values.iter().map(|&v| v as u8).collect();
+                assert_encodes_like_buffered(&narrow, runs);
+            }
         }
     }
 

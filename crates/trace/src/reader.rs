@@ -35,8 +35,8 @@ use crate::io::{
 use crate::pc::Pc;
 use crate::reg::RegSet;
 use crate::segment::{
-    decode_segment_masked, encode_segment, segment_content_hash, DecodeScratch, SegmentMeta,
-    MAGIC2, MAX_SEGMENT_INSTRS, SEGMENT_LEN, TRAILER2,
+    decode_segment_masked, encode_segment, segment_content_hash, DecodeScratch, EncodeScratch,
+    SegmentMeta, MAGIC2, MAX_SEGMENT_INSTRS, SEGMENT_LEN, TRAILER2,
 };
 use crate::source::ColumnSource;
 use crate::thread::{ThreadId, ThreadTable};
@@ -264,6 +264,72 @@ impl Trace2Stats {
     }
 }
 
+/// The segment half of both writers: the output, the encoder's buffer and
+/// scratch, the segment index and the running offset. It writes the magic
+/// on creation, one segment per [`SegmentSink::push`], and the footer on
+/// [`SegmentSink::finish`].
+struct SegmentSink<W: Write> {
+    w: W,
+    enc: Vec<u8>,
+    scratch: EncodeScratch,
+    segs: Vec<SegmentMeta>,
+    offset: u64,
+    total: u64,
+}
+
+impl<W: Write> SegmentSink<W> {
+    fn new(mut w: W) -> Result<Self, TraceIoError> {
+        w.write_all(MAGIC2)?;
+        Ok(SegmentSink {
+            w,
+            enc: Vec::new(),
+            scratch: EncodeScratch::default(),
+            segs: Vec::new(),
+            offset: 8,
+            total: 0,
+        })
+    }
+
+    /// Writes rows `[lo, hi)` of `cols` as the next segment.
+    fn push(&mut self, cols: &Columns, lo: usize, hi: usize) -> Result<(), TraceIoError> {
+        self.enc.clear();
+        let (thread_bits, region_bits) =
+            encode_segment(cols, lo, hi, &mut self.enc, &mut self.scratch)?;
+        self.w.write_all(&self.enc)?;
+        let n = (hi - lo) as u64;
+        self.segs.push(SegmentMeta {
+            offset: self.offset,
+            byte_len: self.enc.len() as u64,
+            first_instr: self.total,
+            n_instr: n,
+            thread_bits,
+            region_bits,
+            content_hash: segment_content_hash(cols, lo, hi),
+        });
+        self.offset += self.enc.len() as u64;
+        self.total += n;
+        Ok(())
+    }
+
+    /// Writes the footer, flushes, and returns the size accounting.
+    fn finish(
+        mut self,
+        funcs: &FunctionRegistry,
+        threads: &ThreadTable,
+        markers: &[MarkerRecord],
+    ) -> Result<Trace2Stats, TraceIoError> {
+        let footer_bytes =
+            write_footer(&mut self.w, self.total, funcs, threads, markers, &self.segs)?;
+        self.w.flush()?;
+        Ok(Trace2Stats {
+            instrs: self.total,
+            payload_bytes: self.offset - 8,
+            file_bytes: self.offset + footer_bytes,
+            segments: self.segs.len() as u64,
+        })
+    }
+}
+
 /// Streams a trace out as `WPTRACE2`, holding at most one segment's
 /// instructions in memory.
 ///
@@ -272,15 +338,13 @@ impl Trace2Stats {
 /// rows the buffer is compressed and flushed. [`Trace2Writer::finish`]
 /// writes the final partial segment and the footer. This is how the
 /// synthetic large-session generator produces billion-instruction traces
-/// without ever materializing them.
+/// without ever materializing them. With the default segment length it
+/// writes exactly the bytes [`write_trace2`] writes for the same rows and
+/// tables.
 pub struct Trace2Writer<W: Write> {
-    w: W,
+    sink: SegmentSink<W>,
     segment_len: usize,
     buf: Columns,
-    segs: Vec<SegmentMeta>,
-    enc: Vec<u8>,
-    offset: u64,
-    total: u64,
 }
 
 impl<W: Write> Trace2Writer<W> {
@@ -297,26 +361,21 @@ impl<W: Write> Trace2Writer<W> {
     /// Panics unless `segment_len` is a positive multiple of 64 no larger
     /// than [`MAX_SEGMENT_INSTRS`] — a writer-configuration bug, not a
     /// data error.
-    pub fn with_segment_len(mut w: W, segment_len: usize) -> Result<Self, TraceIoError> {
+    pub fn with_segment_len(w: W, segment_len: usize) -> Result<Self, TraceIoError> {
         assert!(
             segment_len > 0 && segment_len.is_multiple_of(64) && segment_len <= MAX_SEGMENT_INSTRS,
             "segment length must be a positive multiple of 64 within the format cap"
         );
-        w.write_all(MAGIC2)?;
         Ok(Trace2Writer {
-            w,
+            sink: SegmentSink::new(w)?,
             segment_len,
             buf: Columns::default(),
-            segs: Vec::new(),
-            enc: Vec::new(),
-            offset: 8,
-            total: 0,
         })
     }
 
     /// Instructions accepted so far.
     pub fn instrs(&self) -> u64 {
-        self.total + self.buf.len() as u64
+        self.sink.total + self.buf.len() as u64
     }
 
     /// Appends one instruction, flushing a compressed segment when the
@@ -347,25 +406,10 @@ impl<W: Write> Trace2Writer<W> {
     }
 
     fn flush_segment(&mut self) -> Result<(), TraceIoError> {
-        let n = self.buf.len();
-        if n == 0 {
-            return Ok(());
+        if !self.buf.is_empty() {
+            self.sink.push(&self.buf, 0, self.buf.len())?;
+            self.buf.clear();
         }
-        self.enc.clear();
-        let (thread_bits, region_bits) = encode_segment(&self.buf, 0, n, &mut self.enc)?;
-        self.w.write_all(&self.enc)?;
-        self.segs.push(SegmentMeta {
-            offset: self.offset,
-            byte_len: self.enc.len() as u64,
-            first_instr: self.total,
-            n_instr: n as u64,
-            thread_bits,
-            region_bits,
-            content_hash: segment_content_hash(&self.buf, 0, n),
-        });
-        self.offset += self.enc.len() as u64;
-        self.total += n as u64;
-        self.buf.clear();
         Ok(())
     }
 
@@ -383,20 +427,13 @@ impl<W: Write> Trace2Writer<W> {
         markers: &[MarkerRecord],
     ) -> Result<Trace2Stats, TraceIoError> {
         self.flush_segment()?;
-        let footer_bytes =
-            write_footer(&mut self.w, self.total, funcs, threads, markers, &self.segs)?;
-        self.w.flush()?;
-        Ok(Trace2Stats {
-            instrs: self.total,
-            payload_bytes: self.offset - 8,
-            file_bytes: self.offset + footer_bytes,
-            segments: self.segs.len() as u64,
-        })
+        self.sink.finish(funcs, threads, markers)
     }
 }
 
 /// Serializes an in-memory [`Trace`] as `WPTRACE2` with the default
-/// segment size, flushes `w`, and returns the size accounting.
+/// segment size, flushes `w`, and returns the size accounting. Each
+/// segment is encoded straight from the trace's own columns.
 ///
 /// # Errors
 ///
@@ -404,45 +441,12 @@ impl<W: Write> Trace2Writer<W> {
 /// buffer holds the footer), or [`TraceIoError::Format`] if a table or
 /// segment exceeds a wire-format cap.
 pub fn write_trace2(w: &mut impl Write, trace: &Trace) -> Result<Trace2Stats, TraceIoError> {
-    w.write_all(MAGIC2)?;
+    let mut sink = SegmentSink::new(w)?;
     let cols = trace.columns();
-    let n = cols.len();
-    let mut segs = Vec::new();
-    let mut enc = Vec::new();
-    let mut offset = 8u64;
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + SEGMENT_LEN).min(n);
-        enc.clear();
-        let (thread_bits, region_bits) = encode_segment(cols, lo, hi, &mut enc)?;
-        w.write_all(&enc)?;
-        segs.push(SegmentMeta {
-            offset,
-            byte_len: enc.len() as u64,
-            first_instr: lo as u64,
-            n_instr: (hi - lo) as u64,
-            thread_bits,
-            region_bits,
-            content_hash: segment_content_hash(cols, lo, hi),
-        });
-        offset += enc.len() as u64;
-        lo = hi;
+    for lo in (0..cols.len()).step_by(SEGMENT_LEN) {
+        sink.push(cols, lo, (lo + SEGMENT_LEN).min(cols.len()))?;
     }
-    let footer_bytes = write_footer(
-        w,
-        n as u64,
-        trace.functions(),
-        trace.threads(),
-        trace.markers(),
-        &segs,
-    )?;
-    w.flush()?;
-    Ok(Trace2Stats {
-        instrs: n as u64,
-        payload_bytes: offset - 8,
-        file_bytes: offset + footer_bytes,
-        segments: segs.len() as u64,
-    })
+    sink.finish(trace.functions(), trace.threads(), trace.markers())
 }
 
 // ----- reader ------------------------------------------------------------

@@ -13,7 +13,7 @@
 //! can seek straight to any chunk. Each segment covers a contiguous
 //! instruction range whose start is 64-aligned.
 //!
-//! Inside a segment every column is one [`crate::compress`] stream with a
+//! Inside a segment every column is one [`crate::compress`] block with a
 //! column-specific pre-transform:
 //!
 //! * `pc` and operand start addresses: zigzag delta (straight-line code
@@ -30,10 +30,12 @@
 //! [`TraceIoError::Format`] — never a panic, and never an allocation the
 //! input's own size does not justify.
 
-use crate::addr::{Addr, AddrRange};
+use crate::addr::{Addr, AddrRange, Region, REGION_SHIFT};
 use crate::analysis::ColumnMask;
 use crate::columns::{ColumnCursor, Columns, MemOpsRef};
-use crate::compress::{decode_runs, encode_stream, skip_stream, unzigzag, zigzag, ByteReader};
+use crate::compress::{
+    decode_runs, encode_block, put_varint, skip_stream, unzigzag, zigzag, ByteReader,
+};
 use crate::io::{bad, TraceIoError};
 use crate::syscall::Syscall;
 use crate::thread::ThreadId;
@@ -170,143 +172,162 @@ pub fn segment_content_hash(cols: &Columns, lo: usize, hi: usize) -> [u64; 2] {
     h.finish((hi - lo) as u64)
 }
 
+/// Working storage [`encode_segment`] keeps between calls: the run heads
+/// of the block being written, the segment's function dictionary, and the
+/// columns the payload stores transformed — pc and operand-start deltas,
+/// kind payloads, dictionary indices, operand counts and lengths.
+#[derive(Debug, Default)]
+pub struct EncodeScratch {
+    runs: Vec<u32>,
+    dict: Vec<u32>,
+    wide: Vec<u64>,
+    narrow: Vec<u32>,
+    counts: Vec<u16>,
+}
+
 /// Encodes the instruction range `[lo, hi)` of `cols` (physical indices)
 /// as one segment payload appended to `out`, returning the thread and
 /// region bitmaps for the footer index.
 ///
+/// Each column is encoded straight from the store's typed slice, or from
+/// its transform staged in `scratch`, through [`encode_block`]; a
+/// `scratch` reused across segments reaches its working size once and
+/// then encodes without allocating. The function dictionary is built
+/// from the heads of the func column's runs, and each run looks its index
+/// up once.
+///
 /// # Errors
 ///
-/// [`TraceIoError::Format`] if the range's operand arena exceeds the
-/// per-segment cap ([`MAX_SEGMENT_ARENA`]) — a format limit, reported
-/// loudly rather than written unreadably.
+/// [`TraceIoError::Format`] if the range holds more instructions than
+/// [`MAX_SEGMENT_INSTRS`] or more memory operands than
+/// [`MAX_SEGMENT_ARENA`] — format limits a reader enforces, reported
+/// before a byte is written rather than written unreadably.
 pub fn encode_segment(
     cols: &Columns,
     lo: usize,
     hi: usize,
     out: &mut Vec<u8>,
+    scratch: &mut EncodeScratch,
 ) -> Result<([u64; 4], u16), TraceIoError> {
     let n = hi - lo;
-    debug_assert!(n <= MAX_SEGMENT_INSTRS);
-    let mut thread_bits = [0u64; 4];
-    let mut region_bits = 0u16;
-
-    // Column working buffers, reused stream by stream.
-    let mut vals: Vec<u64> = Vec::with_capacity(n);
-
-    // 1. kind tags.
-    let mut payload_rows = 0usize;
-    for idx in lo..hi {
-        let (tag, _) = cols.raw_kind(idx);
-        if matches!(tag, 3 | 4 | 6) {
-            payload_rows += 1;
-        }
-        vals.push(u64::from(tag));
-    }
-    encode_stream(out, &vals);
-
-    // 2. kind payloads, only for rows that carry one.
-    vals.clear();
-    vals.reserve(payload_rows);
-    for idx in lo..hi {
-        let (tag, data) = cols.raw_kind(idx);
-        if matches!(tag, 3 | 4 | 6) {
-            vals.push(u64::from(data));
-        }
-    }
-    encode_stream(out, &vals);
-
-    // 3. tids.
-    vals.clear();
-    for idx in lo..hi {
-        let t = cols.tid(idx);
-        thread_bits[t.index() / 64] |= 1 << (t.index() % 64);
-        vals.push(u64::from(t.0));
-    }
-    encode_stream(out, &vals);
-
-    // 4. funcs: per-segment sorted dictionary + indices.
-    let mut dict: Vec<u32> = (lo..hi).map(|idx| cols.func(idx).0).collect();
-    dict.sort_unstable();
-    dict.dedup();
-    vals.clear();
-    let mut prev = 0u64;
-    for (i, &f) in dict.iter().enumerate() {
-        let f = u64::from(f);
-        vals.push(if i == 0 { f } else { f - prev });
-        prev = f;
-    }
-    crate::compress::put_varint(out, dict.len() as u64);
-    encode_stream(out, &vals);
-    vals.clear();
-    for idx in lo..hi {
-        let i = dict
-            .binary_search(&cols.func(idx).0)
-            .expect("dictionary built from this column");
-        vals.push(i as u64);
-    }
-    encode_stream(out, &vals);
-
-    // 5. pcs: zigzag delta.
-    vals.clear();
-    let mut prev = 0i64;
-    for idx in lo..hi {
-        let pc = i64::from(cols.pc(idx).0);
-        vals.push(zigzag(pc - prev));
-        prev = pc;
-    }
-    encode_stream(out, &vals);
-
-    // 6–7. register bitsets.
-    for writes in [false, true] {
-        vals.clear();
-        for idx in lo..hi {
-            let bits = if writes {
-                cols.reg_writes(idx).bits()
-            } else {
-                cols.reg_reads(idx).bits()
-            };
-            vals.push(u64::from(bits));
-        }
-        encode_stream(out, &vals);
-    }
-
-    // 8–9. operand counts.
-    let mut total_ops = 0usize;
-    for writes in [false, true] {
-        vals.clear();
-        for idx in lo..hi {
-            let m = cols.raw_mem(idx);
-            let c = if writes { m.nwrites } else { m.nreads };
-            total_ops += c as usize;
-            vals.push(u64::from(c));
-        }
-        encode_stream(out, &vals);
-    }
-    if total_ops > MAX_SEGMENT_ARENA {
+    if n > MAX_SEGMENT_INSTRS {
         return Err(bad(format!(
-            "segment carries {total_ops} memory operands, above the {MAX_SEGMENT_ARENA} format cap"
+            "segment of {n} instructions, above the {MAX_SEGMENT_INSTRS} format cap"
         )));
     }
+    let ops = cols.operands(lo, hi);
+    if ops.len() > MAX_SEGMENT_ARENA {
+        return Err(bad(format!(
+            "segment carries {} memory operands, above the {MAX_SEGMENT_ARENA} format cap",
+            ops.len()
+        )));
+    }
+    let EncodeScratch {
+        runs,
+        dict,
+        wide,
+        narrow,
+        counts,
+    } = scratch;
+
+    // 1–2. kind tags, then the payloads of the few rows that carry one.
+    let kinds = &cols.kinds[lo..hi];
+    encode_block(out, kinds, runs);
+    narrow.clear();
+    narrow.extend(
+        kinds
+            .iter()
+            .zip(&cols.kind_data[lo..hi])
+            .filter(|(&tag, _)| matches!(tag, 3 | 4 | 6))
+            .map(|(_, &data)| data),
+    );
+    encode_block(out, narrow, runs);
+
+    // 3. tids.
+    let tids = &cols.tids[lo..hi];
+    let mut seen = [false; 256];
+    for &t in tids {
+        seen[usize::from(t)] = true;
+    }
+    let mut thread_bits = [0u64; 4];
+    for t in (0..256).filter(|&t| seen[t]) {
+        thread_bits[t / 64] |= 1 << (t % 64);
+    }
+    encode_block(out, tids, runs);
+
+    // 4. funcs: the sorted dictionary of the column's run heads
+    // (delta-coded), then each row's index, looked up once per run.
+    let funcs = &cols.funcs[lo..hi];
+    dict.clear();
+    dict.extend(funcs.chunk_by(|a, b| a == b).map(|run| run[0]));
+    dict.sort_unstable();
+    dict.dedup();
+    narrow.clear();
+    narrow.extend(
+        dict.iter()
+            .scan(0, |prev, &f| Some(f - std::mem::replace(prev, f))),
+    );
+    put_varint(out, dict.len() as u64);
+    encode_block(out, narrow, runs);
+    narrow.clear();
+    let (mut func, mut index) = (None, 0);
+    narrow.extend(funcs.iter().map(|&f| {
+        if func != Some(f) {
+            func = Some(f);
+            index = dict.binary_search(&f).expect("a run head of this column") as u32;
+        }
+        index
+    }));
+    encode_block(out, narrow, runs);
+
+    // 5. pcs: zigzag delta, the first from 0.
+    let pcs = &cols.pcs[lo..hi];
+    wide.clear();
+    wide.extend(pcs.first().map(|&pc| zigzag(i64::from(pc))));
+    wide.extend(
+        pcs.iter()
+            .skip(1)
+            .zip(pcs)
+            .map(|(&pc, &prev)| zigzag(i64::from(pc) - i64::from(prev))),
+    );
+    encode_block(out, wide, runs);
+
+    // 6–7. register bitsets.
+    encode_block(out, &cols.reg_reads[lo..hi], runs);
+    encode_block(out, &cols.reg_writes[lo..hi], runs);
+
+    // 8–9. operand counts, split out of the rows' arena references in
+    // one sweep.
+    counts.resize(2 * n, 0);
+    let (nreads, nwrites) = counts.split_at_mut(n);
+    for ((r, w), m) in nreads.iter_mut().zip(&mut *nwrites).zip(&cols.mem[lo..hi]) {
+        (*r, *w) = (m.nreads, m.nwrites);
+    }
+    encode_block(out, nreads, runs);
+    encode_block(out, nwrites, runs);
 
     // 10–11. operand start addresses (zigzag delta over the arena
     // sequence, reads before writes per instruction) and lengths.
-    vals.clear();
-    let mut lens: Vec<u64> = Vec::with_capacity(total_ops);
+    let mut region_bits = 0u16;
+    wide.clear();
     let mut prev = 0i64;
-    for idx in lo..hi {
-        for r in cols.mem_reads(idx).iter().chain(cols.mem_writes(idx)) {
-            let start = r.start().raw() as i64;
-            vals.push(zigzag(start.wrapping_sub(prev)));
-            prev = start;
-            lens.push(u64::from(r.len()));
-            match r.start().region() {
-                Some(reg) => region_bits |= 1 << reg.index(),
-                None => region_bits |= 1 << 15,
-            }
-        }
-    }
-    encode_stream(out, &vals);
-    encode_stream(out, &lens);
+    wide.extend(ops.iter().map(|r| {
+        let start = r.start().raw();
+        let region = start >> REGION_SHIFT;
+        region_bits |= 1
+            << if (1..=Region::ALL.len() as u64).contains(&region) {
+                region
+            } else {
+                15
+            };
+        let delta = zigzag((start as i64).wrapping_sub(prev));
+        prev = start as i64;
+        delta
+    }));
+    encode_block(out, wide, runs);
+    narrow.clear();
+    narrow.extend(ops.iter().map(|r| r.len()));
+    encode_block(out, narrow, runs);
 
     Ok((thread_bits, region_bits))
 }
@@ -739,7 +760,8 @@ mod tests {
     fn segment_roundtrip_preserves_all_columns() {
         let cols = sample_columns(300);
         let mut buf = Vec::new();
-        let (threads, regions) = encode_segment(&cols, 0, 300, &mut buf).unwrap();
+        let (threads, regions) =
+            encode_segment(&cols, 0, 300, &mut buf, &mut EncodeScratch::default()).unwrap();
         assert_eq!(threads[0], 0b111);
         assert_ne!(regions & (1 << Region::Heap.index()), 0);
         let back = decode_segment(&buf, 300, 4).unwrap();
@@ -764,7 +786,7 @@ mod tests {
             &[],
         );
         let mut buf = Vec::new();
-        encode_segment(&cols, 0, 1, &mut buf).unwrap();
+        encode_segment(&cols, 0, 1, &mut buf, &mut EncodeScratch::default()).unwrap();
         assert_columns_eq(&cols, &decode_segment(&buf, 1, 1).unwrap(), 0);
         // The operand-length stream comes last: one plain varint, 7.
         assert_eq!(buf.last(), Some(&7));
@@ -782,7 +804,7 @@ mod tests {
     fn partial_range_roundtrips_with_rebased_arena() {
         let cols = sample_columns(200);
         let mut buf = Vec::new();
-        encode_segment(&cols, 64, 192, &mut buf).unwrap();
+        encode_segment(&cols, 64, 192, &mut buf, &mut EncodeScratch::default()).unwrap();
         let back = decode_segment(&buf, 128, 4).unwrap();
         assert_eq!(back.len(), 128);
         assert_columns_eq(&cols, &back, 64);
@@ -806,7 +828,7 @@ mod tests {
             );
         }
         let mut buf = Vec::new();
-        encode_segment(&cols, 0, 10_000, &mut buf).unwrap();
+        encode_segment(&cols, 0, 10_000, &mut buf, &mut EncodeScratch::default()).unwrap();
         assert!(
             buf.len() * 2 < 10_000,
             "loop encodes at {} bytes for 10k instrs",
@@ -820,7 +842,7 @@ mod tests {
     fn decode_rejects_bad_tags_funcs_and_truncation() {
         let cols = sample_columns(64);
         let mut buf = Vec::new();
-        encode_segment(&cols, 0, 64, &mut buf).unwrap();
+        encode_segment(&cols, 0, 64, &mut buf, &mut EncodeScratch::default()).unwrap();
 
         // Symbol table smaller than the func ids used.
         let err = decode_segment(&buf, 64, 2).unwrap_err();
@@ -837,6 +859,75 @@ mod tests {
         }
     }
 
+    /// The message of the format error `res` must hold.
+    fn format_err<T: std::fmt::Debug>(res: Result<T, TraceIoError>) -> String {
+        match res {
+            Err(TraceIoError::Format(msg)) => msg,
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn encode_refuses_a_range_over_the_row_cap_before_writing() {
+        // `MAX_SEGMENT_INSTRS + 1` operand-free rows, column by column.
+        let n = MAX_SEGMENT_INSTRS + 1;
+        let cols = Columns {
+            kinds: vec![0; n],
+            kind_data: vec![0; n],
+            tids: vec![0; n],
+            funcs: vec![0; n],
+            pcs: vec![0; n],
+            reg_reads: vec![0; n],
+            reg_writes: vec![0; n],
+            mem: vec![MemOpsRef::default(); n],
+            arena: Vec::new(),
+        };
+        let scratch = &mut EncodeScratch::default();
+        let mut buf = vec![0xaa];
+        let msg = format_err(encode_segment(&cols, 0, n, &mut buf, scratch));
+        assert_eq!(
+            msg,
+            "segment of 4194305 instructions, above the 4194304 format cap"
+        );
+        assert_eq!(buf, [0xaa], "nothing written");
+        // One row fewer is a segment a reader accepts.
+        encode_segment(&cols, 1, n, &mut buf, scratch).unwrap();
+    }
+
+    #[test]
+    fn encode_refuses_operands_over_the_arena_cap_before_writing() {
+        // 33 rows of 2 × 65,535 operands carry 4,325,310, above the
+        // 4,194,304 cap; 32 of them carry 4,194,240, within it.
+        let ops = vec![AddrRange::new(Region::Heap.base(), 8); u16::MAX as usize];
+        let mut cols = Columns::default();
+        cols.arena.reserve_exact(33 * 2 * ops.len());
+        for _ in 0..33 {
+            cols.push(
+                ThreadId(0),
+                FuncId(0),
+                Pc(1),
+                InstrKind::Op,
+                RegSet::EMPTY,
+                RegSet::EMPTY,
+                &ops,
+                &ops,
+            );
+        }
+        let scratch = &mut EncodeScratch::default();
+        let mut buf = vec![0xaa];
+        let msg = format_err(encode_segment(&cols, 0, 33, &mut buf, scratch));
+        assert_eq!(
+            msg,
+            "segment carries 4325310 memory operands, above the 4194304 format cap"
+        );
+        assert_eq!(buf, [0xaa], "nothing written");
+        buf.clear();
+        encode_segment(&cols, 1, 33, &mut buf, scratch).unwrap();
+        let back = decode_segment(&buf, 32, 1).unwrap();
+        assert_eq!(back.arena_len(), 32 * 2 * ops.len());
+        assert_eq!(back.mem_writes(31), &ops[..]);
+    }
+
     #[test]
     fn decode_rejects_oversized_claims() {
         let err = decode_segment(&[], MAX_SEGMENT_INSTRS + 1, 1).unwrap_err();
@@ -847,7 +938,7 @@ mod tests {
     fn masked_decode_keeps_subscribed_columns_and_defaults_the_rest() {
         let cols = sample_columns(300);
         let mut buf = Vec::new();
-        encode_segment(&cols, 0, 300, &mut buf).unwrap();
+        encode_segment(&cols, 0, 300, &mut buf, &mut EncodeScratch::default()).unwrap();
         // One store and scratch serve both decodes, so the narrowed one
         // must reset every column the full one filled and it skips.
         let mut back = Columns::default();
@@ -884,7 +975,7 @@ mod tests {
     fn masked_decode_rejects_truncation_at_every_prefix() {
         let cols = sample_columns(64);
         let mut buf = Vec::new();
-        encode_segment(&cols, 0, 64, &mut buf).unwrap();
+        encode_segment(&cols, 0, 64, &mut buf, &mut EncodeScratch::default()).unwrap();
         for cut in 0..buf.len() {
             for mask in [ColumnMask::NONE, ColumnMask::TIDS, ColumnMask::OPERANDS] {
                 let res = decode_segment_masked(
@@ -906,7 +997,7 @@ mod tests {
         // Same rows materialized at physical offset 0 hash identically to
         // the windowed range — the property the cache and footer rely on.
         let mut buf = Vec::new();
-        encode_segment(&cols, 64, 192, &mut buf).unwrap();
+        encode_segment(&cols, 64, 192, &mut buf, &mut EncodeScratch::default()).unwrap();
         let rebased = decode_segment(&buf, 128, 4).unwrap();
         assert_eq!(
             segment_content_hash(&cols, 64, 192),

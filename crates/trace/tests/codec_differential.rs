@@ -1,9 +1,24 @@
-//! Differential test: the typed segment decoder, which refills a
-//! caller-owned store straight from the byte stream, against the decoder
-//! it replaced, which staged every column in a `Vec<u64>` and built a
-//! fresh store per segment.
+//! Differential test of the segment codec, each direction against the
+//! code it replaced.
 //!
-//! `reference` below keeps the previous `ByteReader::varint`,
+//! The typed segment encoder writes each column straight from the store's
+//! typed slices through reused buffers; `reference_encode` keeps the
+//! encoder before it, which staged every column in a `Vec<u64>` through
+//! per-row accessors, verbatim with the helpers it called. The one change:
+//! it reads the raw kind and operand counts through a local `Raw` trait
+//! built on the public accessors, since `Columns::raw_kind` and
+//! `Columns::raw_mem` are private to the crate (and the latter is gone).
+//! Both encoders run over random segments (every kind, sparse and large
+//! function ids, multi-byte pc and address deltas, operand deltas that
+//! wrap `u64`, long runs and runs of one, rows without operands) and
+//! sub-ranges of them that start past row 0, with one `EncodeScratch`
+//! throughout. They must write the same payload bytes and bitmaps, or fail
+//! with the same format error.
+//!
+//! The typed segment decoder refills a caller-owned store straight from
+//! the byte stream; `reference` keeps the decoder it replaced, which
+//! staged every column in a `Vec<u64>` and built a fresh store per
+//! segment. It keeps the previous `ByteReader::varint`,
 //! `decode_stream` and `decode_segment_masked` verbatim, with the reader
 //! helpers they call. The one change: the reference decoder returns its
 //! nine column vectors, since the raw `Columns` constructor it called is
@@ -26,7 +41,9 @@
 use std::io::Cursor;
 
 use proptest::prelude::*;
-use wasteprof_trace::segment::{decode_segment_masked, encode_segment, DecodeScratch};
+use wasteprof_trace::segment::{
+    decode_segment_masked, encode_segment, DecodeScratch, EncodeScratch,
+};
 use wasteprof_trace::{
     segment_content_hash, Addr, AddrRange, ColumnMask, ColumnSource, Columns, ContentHasher,
     FuncId, FunctionRegistry, InstrKind, Pc, RegSet, Syscall, ThreadId, ThreadKind, ThreadTable,
@@ -447,6 +464,245 @@ mod reference {
     }
 }
 
+/// The segment encoder as it was before it encoded from the typed columns.
+mod reference_encode {
+    use wasteprof_trace::segment::{MAX_SEGMENT_ARENA, MAX_SEGMENT_INSTRS};
+    use wasteprof_trace::{Columns, InstrKind, MemOpsRef, TraceIoError};
+
+    fn bad(msg: impl Into<String>) -> TraceIoError {
+        TraceIoError::Format(msg.into())
+    }
+
+    /// The crate-private raw accessors the encoder called, rebuilt from
+    /// the public ones.
+    trait Raw {
+        fn raw_kind(&self, idx: usize) -> (u8, u32);
+        fn raw_mem(&self, idx: usize) -> MemOpsRef;
+    }
+
+    impl Raw for Columns {
+        fn raw_kind(&self, idx: usize) -> (u8, u32) {
+            match self.kind(idx) {
+                InstrKind::Op => (0, 0),
+                InstrKind::Load => (1, 0),
+                InstrKind::Store => (2, 0),
+                InstrKind::Branch { taken } => (3, taken as u32),
+                InstrKind::Call { callee } => (4, callee.0),
+                InstrKind::Ret => (5, 0),
+                InstrKind::Syscall { nr } => (6, nr.number()),
+                InstrKind::Marker => (7, 0),
+            }
+        }
+
+        fn raw_mem(&self, idx: usize) -> MemOpsRef {
+            MemOpsRef {
+                start: 0,
+                nreads: self.mem_reads(idx).len() as u16,
+                nwrites: self.mem_writes(idx).len() as u16,
+            }
+        }
+    }
+
+    /// Appends `v` to `out` as an LEB128 varint (7 bits per byte, high bit =
+    /// continuation).
+    pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    /// Zigzag-encodes a signed delta so small magnitudes of either sign stay
+    /// small varints.
+    pub fn zigzag(v: i64) -> u64 {
+        ((v << 1) ^ (v >> 63)) as u64
+    }
+
+    /// Bytes [`put_varint`] spends on `v`.
+    fn varint_len(v: u64) -> usize {
+        (70 - (v | 1).leading_zeros() as usize) / 7
+    }
+
+    /// Wire tag for a plain varint stream.
+    const ENC_PLAIN: u8 = 0;
+    /// Wire tag for a run-length (`value`,`runlen`) varint-pair stream.
+    const ENC_RLE: u8 = 1;
+
+    /// Encodes `values` as one column block: a varint byte length covering the
+    /// rest of the block, a 1-byte encoder tag, then either a plain varint
+    /// stream or a run-length stream — whichever is smaller for this column of
+    /// this segment, plain on a tie. The length prefix lets a selective
+    /// decoder skip a block it never subscribed to in O(1) without touching
+    /// its payload. Both encodings are sized first, so only the chosen one is
+    /// written, straight into `out`.
+    pub fn encode_stream(out: &mut Vec<u8>, values: &[u64]) {
+        let runs = || {
+            values
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len()))
+        };
+        let plain: usize = values.iter().map(|&v| varint_len(v)).sum();
+        let rle: usize = runs()
+            .map(|(v, run)| varint_len(v) + varint_len(run as u64))
+            .sum();
+        put_varint(out, (plain.min(rle) + 1) as u64);
+        if rle < plain {
+            out.push(ENC_RLE);
+            for (v, run) in runs() {
+                put_varint(out, v);
+                put_varint(out, run as u64);
+            }
+        } else {
+            out.push(ENC_PLAIN);
+            for &v in values {
+                put_varint(out, v);
+            }
+        }
+    }
+
+    /// Encodes the instruction range `[lo, hi)` of `cols` (physical indices)
+    /// as one segment payload appended to `out`, returning the thread and
+    /// region bitmaps for the footer index.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::Format`] if the range's operand arena exceeds the
+    /// per-segment cap ([`MAX_SEGMENT_ARENA`]) — a format limit, reported
+    /// loudly rather than written unreadably.
+    pub fn encode_segment(
+        cols: &Columns,
+        lo: usize,
+        hi: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<([u64; 4], u16), TraceIoError> {
+        let n = hi - lo;
+        debug_assert!(n <= MAX_SEGMENT_INSTRS);
+        let mut thread_bits = [0u64; 4];
+        let mut region_bits = 0u16;
+
+        // Column working buffers, reused stream by stream.
+        let mut vals: Vec<u64> = Vec::with_capacity(n);
+
+        // 1. kind tags.
+        let mut payload_rows = 0usize;
+        for idx in lo..hi {
+            let (tag, _) = cols.raw_kind(idx);
+            if matches!(tag, 3 | 4 | 6) {
+                payload_rows += 1;
+            }
+            vals.push(u64::from(tag));
+        }
+        encode_stream(out, &vals);
+
+        // 2. kind payloads, only for rows that carry one.
+        vals.clear();
+        vals.reserve(payload_rows);
+        for idx in lo..hi {
+            let (tag, data) = cols.raw_kind(idx);
+            if matches!(tag, 3 | 4 | 6) {
+                vals.push(u64::from(data));
+            }
+        }
+        encode_stream(out, &vals);
+
+        // 3. tids.
+        vals.clear();
+        for idx in lo..hi {
+            let t = cols.tid(idx);
+            thread_bits[t.index() / 64] |= 1 << (t.index() % 64);
+            vals.push(u64::from(t.0));
+        }
+        encode_stream(out, &vals);
+
+        // 4. funcs: per-segment sorted dictionary + indices.
+        let mut dict: Vec<u32> = (lo..hi).map(|idx| cols.func(idx).0).collect();
+        dict.sort_unstable();
+        dict.dedup();
+        vals.clear();
+        let mut prev = 0u64;
+        for (i, &f) in dict.iter().enumerate() {
+            let f = u64::from(f);
+            vals.push(if i == 0 { f } else { f - prev });
+            prev = f;
+        }
+        put_varint(out, dict.len() as u64);
+        encode_stream(out, &vals);
+        vals.clear();
+        for idx in lo..hi {
+            let i = dict
+                .binary_search(&cols.func(idx).0)
+                .expect("dictionary built from this column");
+            vals.push(i as u64);
+        }
+        encode_stream(out, &vals);
+
+        // 5. pcs: zigzag delta.
+        vals.clear();
+        let mut prev = 0i64;
+        for idx in lo..hi {
+            let pc = i64::from(cols.pc(idx).0);
+            vals.push(zigzag(pc - prev));
+            prev = pc;
+        }
+        encode_stream(out, &vals);
+
+        // 6–7. register bitsets.
+        for writes in [false, true] {
+            vals.clear();
+            for idx in lo..hi {
+                let bits = if writes {
+                    cols.reg_writes(idx).bits()
+                } else {
+                    cols.reg_reads(idx).bits()
+                };
+                vals.push(u64::from(bits));
+            }
+            encode_stream(out, &vals);
+        }
+
+        // 8–9. operand counts.
+        let mut total_ops = 0usize;
+        for writes in [false, true] {
+            vals.clear();
+            for idx in lo..hi {
+                let m = cols.raw_mem(idx);
+                let c = if writes { m.nwrites } else { m.nreads };
+                total_ops += c as usize;
+                vals.push(u64::from(c));
+            }
+            encode_stream(out, &vals);
+        }
+        if total_ops > MAX_SEGMENT_ARENA {
+            return Err(bad(format!(
+                "segment carries {total_ops} memory operands, above the {MAX_SEGMENT_ARENA} format cap"
+            )));
+        }
+
+        // 10–11. operand start addresses (zigzag delta over the arena
+        // sequence, reads before writes per instruction) and lengths.
+        vals.clear();
+        let mut lens: Vec<u64> = Vec::with_capacity(total_ops);
+        let mut prev = 0i64;
+        for idx in lo..hi {
+            for r in cols.mem_reads(idx).iter().chain(cols.mem_writes(idx)) {
+                let start = r.start().raw() as i64;
+                vals.push(zigzag(start.wrapping_sub(prev)));
+                prev = start;
+                lens.push(u64::from(r.len()));
+                match r.start().region() {
+                    Some(reg) => region_bits |= 1 << reg.index(),
+                    None => region_bits |= 1 << 15,
+                }
+            }
+        }
+        encode_stream(out, &vals);
+        encode_stream(out, &lens);
+
+        Ok((thread_bits, region_bits))
+    }
+}
+
 /// A small deterministic generator (xorshift64*), seeded per case.
 struct Rng(u64);
 
@@ -522,16 +778,23 @@ type Row = (
     Vec<AddrRange>,
 );
 
-/// `n` random rows: every instruction kind, pcs from small strides to
-/// whole-u32 jumps, and rows that repeat the previous one for long runs.
-fn random_rows(rng: &mut Rng, n: usize) -> Columns {
+/// `n` random rows: every instruction kind, function ids below `nfuncs`
+/// (small, sparse across the range, and at its top), pcs from small
+/// strides to whole-u32 jumps, and rows that repeat the previous one,
+/// now and then for a long run.
+fn random_rows(rng: &mut Rng, n: usize, nfuncs: u32) -> Columns {
     let mut cols = Columns::default();
     let mut prev: Option<Row> = None;
     let mut near = rng.next();
+    let mut repeat = 0;
     for _ in 0..n {
+        if repeat == 0 && rng.chance(2) {
+            repeat = rng.below(300);
+        }
         if let Some((tid, func, pc, kind, rr, rw, reads, writes)) =
-            prev.clone().filter(|_| rng.chance(40))
+            prev.clone().filter(|_| repeat > 0 || rng.chance(40))
         {
+            repeat = repeat.saturating_sub(1);
             cols.push(tid, func, pc, kind, rr, rw, &reads, &writes);
             continue;
         }
@@ -556,7 +819,12 @@ fn random_rows(rng: &mut Rng, n: usize) -> Columns {
         } else {
             rng.next() as u8
         });
-        let func = FuncId(rng.below(NFUNCS as u64) as u32);
+        let small = u64::from(nfuncs.min(NFUNCS as u32));
+        let func = FuncId(match rng.below(3) {
+            0 => rng.below(small) as u32,
+            1 => (rng.next() % u64::from(nfuncs)) as u32,
+            _ => nfuncs - 1 - rng.below(small) as u32,
+        });
         let pc = Pc(match rng.below(3) {
             0 => 1000 + rng.below(64) as u32,
             1 => rng.next() as u32,
@@ -766,6 +1034,136 @@ fn assert_same_rows(d: &reference::Decoded, got: &Columns, what: &str) {
     );
 }
 
+/// Both encoders on rows `[lo, hi)` of `cols`: the same payload bytes and
+/// bitmaps, or the same format error. Each appends after a byte already in
+/// its output. Returns the current encoder's payload.
+fn assert_same_encode(
+    cols: &Columns,
+    lo: usize,
+    hi: usize,
+    scratch: &mut EncodeScratch,
+    what: &str,
+) -> Vec<u8> {
+    let (mut want, mut got) = (vec![0xaa], vec![0xaa]);
+    let want_bits = reference_encode::encode_segment(cols, lo, hi, &mut want);
+    let got_bits = encode_segment(cols, lo, hi, &mut got, scratch);
+    match (want_bits, got_bits) {
+        (Ok(want_bits), Ok(got_bits)) => {
+            assert_eq!(got_bits, want_bits, "{what}: thread and region bitmaps");
+            if got != want {
+                let at = got.iter().zip(&want).take_while(|(a, b)| a == b).count();
+                panic!(
+                    "{what}: payloads of {} and {} bytes differ from byte {at}",
+                    got.len() - 1,
+                    want.len() - 1
+                );
+            }
+        }
+        (Err(TraceIoError::Format(want)), Err(TraceIoError::Format(got))) => {
+            assert_eq!(got, want, "{what}: error")
+        }
+        (want, got) => panic!("{what}: reference {want:?}, current {got:?}"),
+    }
+    got.split_off(1)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn encoders_agree_on_random_segments(seed in any::<u64>()) {
+        let mut rng = Rng(seed | 1);
+        // One scratch throughout, so whatever a segment leaves in it
+        // reaches the next.
+        let mut scratch = EncodeScratch::default();
+        for seg in 0..4 {
+            let n = match rng.below(4) {
+                0 => rng.below(4) as usize,
+                1 => rng.below(2000) as usize,
+                _ => rng.below(200) as usize,
+            };
+            let nfuncs = if rng.chance(50) { NFUNCS as u32 } else { u32::MAX };
+            let mut cols = random_rows(&mut rng, n, nfuncs);
+            if rng.chance(15) {
+                cols.retain_mem_ops(|_| false);
+            }
+            assert_same_encode(&cols, 0, n, &mut scratch, &format!("segment {seg}"));
+            for _ in 0..4 {
+                let lo = rng.below(n as u64 + 1) as usize;
+                let hi = lo + rng.below((n - lo) as u64 + 1) as usize;
+                let what = format!("segment {seg}, rows {lo}..{hi}");
+                assert_same_encode(&cols, lo, hi, &mut scratch, &what);
+            }
+        }
+    }
+}
+
+/// A tie goes to plain in both encoders. Two equal rows tie most blocks,
+/// since `[v, v]` takes as many bytes plain as run-length. The tids of the
+/// second segment tie after a run of 128, which takes a two-byte run
+/// length: 128 zeros then 125 alternating ones and twos take 253 bytes
+/// either way.
+#[test]
+fn ties_go_to_plain_in_both_encoders() {
+    let row = |cols: &mut Columns, tid: u8| {
+        cols.push(
+            ThreadId(tid),
+            FuncId(7),
+            Pc(100),
+            InstrKind::Load,
+            RegSet::from_bits(5),
+            RegSet::EMPTY,
+            &[AddrRange::new(Addr::new(0x1000), 8)],
+            &[],
+        )
+    };
+    let scratch = &mut EncodeScratch::default();
+    let mut cols = Columns::default();
+    row(&mut cols, 3);
+    row(&mut cols, 3);
+    let payload = assert_same_encode(&cols, 0, 2, scratch, "two rows");
+    let (_, bodies) = split(&payload);
+    // Kinds, tids, function indices, both register sets, both operand
+    // counts and the operand lengths.
+    for block in [0, 2, 4, 6, 7, 8, 9, 11] {
+        assert_eq!(bodies[block][0], 0, "block {block}: a tie goes to plain");
+    }
+
+    let mut cols = Columns::default();
+    for i in 0..253 {
+        row(&mut cols, if i < 128 { 0 } else { 1 + i as u8 % 2 });
+    }
+    let payload = assert_same_encode(&cols, 0, 253, scratch, "a tid run of 128");
+    let (_, bodies) = split(&payload);
+    assert_eq!(bodies[2].len(), 1 + 253, "the tid block ties at 253 bytes");
+    assert_eq!(bodies[2][0], 0, "a tie goes to plain");
+}
+
+/// Over the operand cap both encoders refuse the segment with the same
+/// message: 33 rows of 2 × 65,535 operands carry 4,325,310, above the
+/// 4,194,304 the format allows. (The row cap has no such twin: the
+/// reference only debug-asserted it.)
+#[test]
+fn operand_cap_errors_agree() {
+    let ops = vec![AddrRange::new(Addr::new(0x1000), 8); u16::MAX as usize];
+    let mut cols = Columns::default();
+    for _ in 0..33 {
+        cols.push(
+            ThreadId(0),
+            FuncId(0),
+            Pc(1),
+            InstrKind::Op,
+            RegSet::EMPTY,
+            RegSet::EMPTY,
+            &ops,
+            &ops,
+        );
+    }
+    let scratch = &mut EncodeScratch::default();
+    assert_same_encode(&cols, 0, 33, scratch, "33 rows");
+    assert_same_encode(&cols, 1, 33, scratch, "32 rows");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -781,9 +1179,9 @@ proptest! {
                 0 => rng.below(4) as usize,
                 _ => rng.below(96) as usize,
             };
-            let cols = random_rows(&mut rng, n);
+            let cols = random_rows(&mut rng, n, NFUNCS as u32);
             let mut canonical = Vec::new();
-            encode_segment(&cols, 0, n, &mut canonical).unwrap();
+            encode_segment(&cols, 0, n, &mut canonical, &mut EncodeScratch::default()).unwrap();
             let padded = repad(&canonical, &mut rng, false);
             let overlong = repad(&canonical, &mut rng, true);
 
@@ -847,7 +1245,7 @@ fn boundary_and_overlong_varints_agree() {
         &[],
     );
     let mut canonical = Vec::new();
-    encode_segment(&cols, 0, 1, &mut canonical).unwrap();
+    encode_segment(&cols, 0, 1, &mut canonical, &mut EncodeScratch::default()).unwrap();
     let (dict_len, mut bodies) = split(&canonical);
     let mut store = Columns::default();
     let mut scratch = DecodeScratch::default();
@@ -875,7 +1273,7 @@ fn boundary_and_overlong_varints_agree() {
 
 /// A resident trace of random rows and its file of 64-row chunks.
 fn chunked_file(rng: &mut Rng, n: usize) -> (Columns, Vec<u8>) {
-    let cols = random_rows(rng, n);
+    let cols = random_rows(rng, n, NFUNCS as u32);
     let mut funcs = FunctionRegistry::new();
     for f in 0..NFUNCS {
         funcs.intern(&format!("f{f}"));

@@ -72,8 +72,11 @@ echo "== producer-lint differential (release, CI case counts) =="
 cargo test -q --release -p wasteprof-checker --test producer_differential
 
 echo "== segment codec differential (release, CI case counts) =="
-# The typed segment decoder against the previous one, kept verbatim in
-# the test: the same rows and decode accounting, or both a format error,
+# The typed segment encoder and decoder against the previous ones, kept
+# verbatim in the test. The encoders must write the same payload bytes
+# and bitmaps, or the same error, on random segments and on sub-ranges
+# that start past row 0, ties and the operand cap included. The decoders
+# must give the same rows and decode accounting, or both a format error,
 # on random segments re-encoded with boundary, non-canonical and
 # over-long varints, under every column mask, at every truncation prefix
 # and under random byte mutations; plus interleaved forward and reverse
