@@ -210,8 +210,8 @@ pub enum Region {
 
 /// Bits below a region's index in an address: `addr >> REGION_SHIFT` is the
 /// region index ([`Region::index`]), or `0` for addresses below every
-/// region. Public so clients can classify addresses by region without the
-/// linear lookup of [`Region::of`].
+/// region. Public so clients can classify addresses by region index
+/// without going through [`Region`].
 pub const REGION_SHIFT: u64 = 44;
 
 impl Region {
@@ -247,10 +247,11 @@ impl Region {
         Addr(self.index() << REGION_SHIFT)
     }
 
-    /// Maps an address back to its region.
+    /// Maps an address back to its region: the one whose index its high
+    /// bits hold, which is its position in [`Region::ALL`] plus one.
     pub fn of(addr: Addr) -> Option<Region> {
-        let idx = addr.raw() >> REGION_SHIFT;
-        Region::ALL.into_iter().find(|r| r.index() == idx)
+        let idx = usize::try_from(addr.raw() >> REGION_SHIFT).ok()?;
+        Region::ALL.get(idx.checked_sub(1)?).copied()
     }
 
     /// Human-readable name used in reports.
@@ -384,6 +385,13 @@ mod tests {
     #[test]
     fn null_addr_has_no_region() {
         assert_eq!(Region::of(Addr::new(0)), None);
+    }
+
+    #[test]
+    fn addresses_past_the_last_region_have_none() {
+        let past = Region::Framebuffer.index() + 1;
+        assert_eq!(Region::of(Addr::new(past << REGION_SHIFT)), None);
+        assert_eq!(Region::of(Addr::new(u64::MAX)), None);
     }
 
     #[test]

@@ -168,27 +168,15 @@ fn gather7(w: u64) -> u64 {
     (w & 0x0000_0000_0fff_ffff) | ((w & 0x0fff_ffff_0000_0000) >> 4)
 }
 
-/// Bytes [`put_varint`] spends on a value whose `v | 1` has `zeros`
-/// leading zero bits.
-const VARINT_LEN_BY_ZEROS: [u8; 64] = {
-    let mut lens = [0; 64];
-    let mut zeros = 0;
-    while zeros < 64 {
-        lens[zeros] = ((70 - zeros) / 7) as u8;
-        zeros += 1;
-    }
-    lens
-};
-
-/// Bytes [`put_varint`] spends on `v`: one comparison per seven bits a
-/// type narrower than `u64` can hold, which vectorizes, and a table lookup
-/// for `u64`.
+/// Bytes [`put_varint`] spends on `v`: for a `u64`, from its leading
+/// zeros; for a narrower type, one comparison per seven bits it can hold,
+/// which vectorizes where a leading-zero count does not.
 #[inline]
 fn value_len<T: Copy + Into<u64>>(v: T) -> usize {
     let bits = 8 * std::mem::size_of::<T>();
     let v: u64 = v.into();
     if bits >= 64 {
-        return usize::from(VARINT_LEN_BY_ZEROS[(v | 1).leading_zeros() as usize]);
+        return (70 - (v | 1).leading_zeros() as usize) / 7;
     }
     let mut len = 1;
     let mut shift = 7;
@@ -220,24 +208,25 @@ const CONTINUED: [u64; 9] = {
     bits
 };
 
-/// Writes `v` as the `len`-byte varint [`put_varint`] writes, at
-/// `buf[pos..]`. A varint of up to eight bytes goes out as one
-/// little-endian word, so `buf` must hold eight bytes from `pos`; the
-/// word's bytes past the varint are zeros, for the next store to
+/// Writes `v` as the varint [`put_varint`] writes, at `buf[pos..]`, and
+/// returns the position past it. A varint of up to eight bytes goes out
+/// as one little-endian word, so `buf` must hold eight bytes from `pos`;
+/// the word's bytes past the varint are zeros, for the next store to
 /// overwrite.
 #[inline]
-fn store_varint(buf: &mut [u8], pos: usize, v: u64, len: usize) {
+fn store_varint<T: Copy + Into<u64>>(buf: &mut [u8], pos: usize, v: T) -> usize {
+    let len = value_len(v);
+    let mut v: u64 = v.into();
     if len <= 8 {
-        let continued = CONTINUED[len];
-        buf[pos..pos + 8].copy_from_slice(&(scatter7(v) | continued).to_le_bytes());
+        buf[pos..pos + 8].copy_from_slice(&(scatter7(v) | CONTINUED[len]).to_le_bytes());
     } else {
-        let mut v = v;
         for b in &mut buf[pos..pos + len - 1] {
             *b = (v as u8) | 0x80;
             v >>= 7;
         }
         buf[pos + len - 1] = v as u8;
     }
+    pos + len
 }
 
 // ----- dual-encoding column blocks --------------------------------------
@@ -263,8 +252,8 @@ const SUM_CHUNK: usize = 1 << 12;
 /// the plain stream, counts the runs and bounds the run-length size from
 /// below; only a block that bound leaves open finds its runs, eight values
 /// at a time, into `runs` (working storage the caller keeps between
-/// blocks), and sizes them exactly. Only the chosen encoding is written, straight
-/// into `out`, a word per varint.
+/// blocks), and sizes them exactly. Only the chosen encoding is written,
+/// straight into `out`, a word per varint of up to eight bytes.
 ///
 /// # Panics
 ///
@@ -315,38 +304,19 @@ pub fn encode_block<T: Copy + Eq + Into<u64>>(
 
     let body = plain.min(rle);
     put_varint(out, body as u64 + 1);
-    let start = out.len() + 1;
-    if plain == n && plain <= rle {
-        // Every value takes one byte.
-        out.push(ENC_PLAIN);
-        out.extend(values.iter().map(|&v| Into::<u64>::into(v) as u8));
-        return;
-    }
     out.push(if rle < plain { ENC_RLE } else { ENC_PLAIN });
     // Eight bytes of slack for the word stores, cut off at the end.
+    let start = out.len();
     out.resize(start + body + 8, 0);
     let mut pos = start;
     if rle < plain {
         for w in runs[..=heads].windows(2) {
-            let (v, run) = (values[w[0] as usize], w[1] - w[0]);
-            let len = value_len(v);
-            if len == 1 && run < 0x80 {
-                out[pos] = Into::<u64>::into(v) as u8;
-                out[pos + 1] = run as u8;
-                pos += 2;
-            } else {
-                store_varint(out, pos, v.into(), len);
-                pos += len;
-                let len = value_len(run);
-                store_varint(out, pos, run.into(), len);
-                pos += len;
-            }
+            pos = store_varint(out, pos, values[w[0] as usize]);
+            pos = store_varint(out, pos, w[1] - w[0]);
         }
     } else {
         for &v in values {
-            let len = value_len(v);
-            store_varint(out, pos, v.into(), len);
-            pos += len;
+            pos = store_varint(out, pos, v);
         }
     }
     debug_assert_eq!(pos, start + body, "a body of its sized length");

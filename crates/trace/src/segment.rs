@@ -30,7 +30,7 @@
 //! [`TraceIoError::Format`] — never a panic, and never an allocation the
 //! input's own size does not justify.
 
-use crate::addr::{Addr, AddrRange, Region, REGION_SHIFT};
+use crate::addr::{Addr, AddrRange, Region};
 use crate::analysis::ColumnMask;
 use crate::columns::{ColumnCursor, Columns, MemOpsRef};
 use crate::compress::{
@@ -312,16 +312,10 @@ pub fn encode_segment(
     wide.clear();
     let mut prev = 0i64;
     wide.extend(ops.iter().map(|r| {
-        let start = r.start().raw();
-        let region = start >> REGION_SHIFT;
-        region_bits |= 1
-            << if (1..=Region::ALL.len() as u64).contains(&region) {
-                region
-            } else {
-                15
-            };
-        let delta = zigzag((start as i64).wrapping_sub(prev));
-        prev = start as i64;
+        region_bits |= 1 << r.start().region().map_or(15, Region::index);
+        let start = r.start().raw() as i64;
+        let delta = zigzag(start.wrapping_sub(prev));
+        prev = start;
         delta
     }));
     encode_block(out, wide, runs);

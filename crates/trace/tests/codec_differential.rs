@@ -780,15 +780,16 @@ type Row = (
 
 /// `n` random rows: every instruction kind, function ids below `nfuncs`
 /// (small, sparse across the range, and at its top), pcs from small
-/// strides to whole-u32 jumps, and rows that repeat the previous one,
-/// now and then for a long run.
-fn random_rows(rng: &mut Rng, n: usize, nfuncs: u32) -> Columns {
+/// strides to whole-u32 jumps, and rows that repeat the previous one.
+/// With `long_runs`, a row now and then starts a run of up to 299
+/// repeats.
+fn random_rows(rng: &mut Rng, n: usize, nfuncs: u32, long_runs: bool) -> Columns {
     let mut cols = Columns::default();
     let mut prev: Option<Row> = None;
     let mut near = rng.next();
     let mut repeat = 0;
     for _ in 0..n {
-        if repeat == 0 && rng.chance(2) {
+        if long_runs && repeat == 0 && rng.chance(2) {
             repeat = rng.below(300);
         }
         if let Some((tid, func, pc, kind, rr, rw, reads, writes)) =
@@ -1083,7 +1084,7 @@ proptest! {
                 _ => rng.below(200) as usize,
             };
             let nfuncs = if rng.chance(50) { NFUNCS as u32 } else { u32::MAX };
-            let mut cols = random_rows(&mut rng, n, nfuncs);
+            let mut cols = random_rows(&mut rng, n, nfuncs, true);
             if rng.chance(15) {
                 cols.retain_mem_ops(|_| false);
             }
@@ -1179,7 +1180,7 @@ proptest! {
                 0 => rng.below(4) as usize,
                 _ => rng.below(96) as usize,
             };
-            let cols = random_rows(&mut rng, n, NFUNCS as u32);
+            let cols = random_rows(&mut rng, n, NFUNCS as u32, false);
             let mut canonical = Vec::new();
             encode_segment(&cols, 0, n, &mut canonical, &mut EncodeScratch::default()).unwrap();
             let padded = repad(&canonical, &mut rng, false);
@@ -1273,7 +1274,7 @@ fn boundary_and_overlong_varints_agree() {
 
 /// A resident trace of random rows and its file of 64-row chunks.
 fn chunked_file(rng: &mut Rng, n: usize) -> (Columns, Vec<u8>) {
-    let cols = random_rows(rng, n, NFUNCS as u32);
+    let cols = random_rows(rng, n, NFUNCS as u32, false);
     let mut funcs = FunctionRegistry::new();
     for f in 0..NFUNCS {
         funcs.intern(&format!("f{f}"));
