@@ -312,6 +312,17 @@ jq -e '(.workloads | length == 4)
        and all(.workloads[].metrics[]; .verdict != "regressed")' \
     results/BENCH_24.json >/dev/null
 
+echo "== chunk-encode bench artifact sanity (results/BENCH_27.json) =="
+# The committed seed-paired benchmark of the typed segment encode, over
+# every pair run: all four workloads, no failed check on either side, and
+# no end-to-end metric regressed anywhere. The streamed set-up gain it
+# was run for is not gated: the host's run-to-run spread left it
+# unresolved.
+jq -e '(.workloads | length == 4)
+       and all(.workloads[]; .failed.parent == 0 and .failed.change == 0)
+       and all(.workloads[].metrics[]; .verdict != "regressed")' \
+    results/BENCH_27.json >/dev/null
+
 echo "== rustdoc (no warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
