@@ -10,7 +10,7 @@
 use std::fmt;
 
 use wasteprof_slicer::SliceResult;
-use wasteprof_trace::{AnalysisCtx, ColumnMask, Trace, TraceAnalysis};
+use wasteprof_trace::{AnalysisCtx, Trace, TraceAnalysis};
 
 use crate::waste::{WasteAnalysis, WasteBreakdown, WasteRow};
 
@@ -196,10 +196,6 @@ impl<'s> CategoryAnalysis<'s> {
 impl TraceAnalysis for CategoryAnalysis<'_> {
     fn name(&self) -> &'static str {
         "category"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        self.0.columns()
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

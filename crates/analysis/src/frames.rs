@@ -4,9 +4,7 @@
 //! column for per-thread nesting depth. Used by `trace_tool analyze` to
 //! summarize arbitrary `WPTRACE2` files.
 
-use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnMask, InstrKind, Syscall, Trace, TraceAnalysis,
-};
+use wasteprof_trace::{AnalysisCtx, AnalysisDriver, InstrKind, Syscall, Trace, TraceAnalysis};
 
 /// Call-frame nesting and syscall counts for one trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -63,10 +61,6 @@ impl FrameAnalysis {
 impl TraceAnalysis for FrameAnalysis {
     fn name(&self) -> &'static str {
         "frames"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::KINDS.union(ColumnMask::TIDS)
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

@@ -8,7 +8,7 @@
 //! executing.
 
 use wasteprof_browser::IdleSpan;
-use wasteprof_trace::{AnalysisCtx, AnalysisDriver, ColumnMask, ThreadId, Trace, TraceAnalysis};
+use wasteprof_trace::{AnalysisCtx, AnalysisDriver, ThreadId, Trace, TraceAnalysis};
 
 /// A utilization time series for one thread.
 #[derive(Debug, Clone)]
@@ -59,9 +59,7 @@ impl UtilizationSeries {
 
 /// The Figure 2 computation as a fusable [`TraceAnalysis`]: buckets one
 /// thread's instructions over virtual time (`instructions + idle ticks`).
-///
-/// Subscribes to the tid column only, so a streamed fused run that carries
-/// just this analysis decodes two of the eleven segment streams.
+/// Reads the tid column only.
 pub struct UtilizationAnalysis {
     idle_spans: Vec<IdleSpan>,
     tid: ThreadId,
@@ -109,10 +107,6 @@ impl UtilizationAnalysis {
 impl TraceAnalysis for UtilizationAnalysis {
     fn name(&self) -> &'static str {
         "utilization"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::TIDS
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

@@ -13,8 +13,7 @@
 
 use wasteprof_slicer::SliceResult;
 use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnMask, FunctionRegistry, ThreadKind, Trace, TraceAnalysis,
-    TracePos,
+    AnalysisCtx, AnalysisDriver, FunctionRegistry, ThreadKind, Trace, TraceAnalysis, TracePos,
 };
 
 use crate::category::Category;
@@ -136,10 +135,6 @@ impl<'s> WasteAnalysis<'s> {
 impl TraceAnalysis for WasteAnalysis<'_> {
     fn name(&self) -> &'static str {
         "waste"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::TIDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

@@ -99,8 +99,7 @@ fn usage() -> ! {
          lints          the full verifier battery (WP0001-WP0007)\n  \
          dead-writes    the WP0012 dead-producer-write metric\n  \
          frames         call-frame nesting + syscall profile\n  \
-         with --out-of-core only the column streams the selected analyses\n  \
-         subscribe to are decompressed; skipped bytes go to stderr.\n\n\
+         with --out-of-core the decoded chunks and bytes go to stderr.\n\n\
          `static` runs the ahead-of-time interprocedural analyzer over a\n  \
          site's scripts — no trace needed: possibly-undefined reads\n  \
          (WP0101), dead stores (WP0102), unreachable code (WP0103),\n  \
@@ -634,13 +633,11 @@ fn main() {
                 let mut reader = open_reader(path);
                 let instrs = analyze_source(&mut reader, &mut driver);
                 let s = reader.decode_stats();
-                // Selective decoding is the point of the fused streamed
-                // pass; stderr keeps stdout diffable against in-memory.
+                // stderr keeps stdout diffable against in-memory.
                 eprintln!(
-                    "decode: {} chunks, {} stream bytes decoded, {} skipped",
+                    "decode: {} chunks, {} stream bytes decoded",
                     s.chunks_decoded,
-                    format_count(s.decoded_stream_bytes),
-                    format_count(s.skipped_stream_bytes)
+                    format_count(s.decoded_stream_bytes)
                 );
                 instrs
             } else {

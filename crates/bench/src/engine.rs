@@ -225,8 +225,9 @@ impl SessionStore {
             .clone()
     }
 
-    /// The §V-A bounded slice: pixel criteria truncated to the load point,
-    /// sliced over the load-time prefix of the Bing session only.
+    /// The §V-A bounded slice: the pixel slice of the Bing session's
+    /// load-time prefix only. Criteria past the load point lie outside the
+    /// considered prefix, so the walk skips them.
     pub fn bing_load_prefix_slice(&self) -> Arc<SliceResult> {
         self.bing_load_prefix
             .get_or_init(|| {
@@ -241,7 +242,7 @@ impl SessionStore {
                 Arc::new(slice(
                     &session.trace,
                     &forward,
-                    &pixel_criteria(&session.trace).truncated(session.load_end),
+                    &pixel_criteria(&session.trace),
                     &bounded,
                 ))
             })

@@ -3,14 +3,11 @@
 //! analysis produces when run alone — in memory and streamed from a
 //! multi-segment `WPTRACE2` image.
 //!
-//! The pool deliberately spans the column-mask space: the full lint
-//! battery (all columns but regsets), the dead-write battery (operands +
-//! funcs), the Figure 5 category breakdown and the Table II × Fig 5 waste
-//! cross (tids + funcs), main-thread utilization (tids), the frame
-//! profile (kinds + tids), and the slice certifier (every column) — so
-//! random subsets exercise random decode-mask unions. The certifier's
-//! solo reference is [`certify`] itself, and its fused runs must certify
-//! the witnessed pixel slice clean.
+//! The pool holds the full lint battery, the dead-write battery, the
+//! Figure 5 category breakdown and the Table II × Fig 5 waste cross,
+//! main-thread utilization, the frame profile, and the slice certifier.
+//! The certifier's solo reference is [`certify`] itself, and its fused
+//! runs must certify the witnessed pixel slice clean.
 //!
 //! Race diagnostics are compared by `(code, pos)` plus non-race message
 //! equality, matching `streamed_differential`: the earlier side of a
@@ -18,8 +15,8 @@
 //! chunk is evicted.
 //!
 //! Fusing pays out of core through decode counts, which are checked here
-//! too: one fused selective pass decodes fewer chunks and fewer stream
-//! bytes than one full-decode pass per consumer.
+//! too: one fused pass decodes fewer chunks and fewer stream bytes than
+//! one pass per consumer.
 
 use std::io::Cursor;
 
@@ -32,8 +29,8 @@ use wasteprof_browser::Sched;
 use wasteprof_checker::{certify, CertifyAnalysis, Code, DeadWriteLint, Diag, Registry};
 use wasteprof_slicer::{pixel_criteria, slice, Criteria, ForwardPass, SliceOptions, SliceResult};
 use wasteprof_trace::{
-    site, AnalysisCtx, AnalysisDriver, ColumnMask, DecodeStats, Recorder, Region, ThreadKind,
-    Trace, Trace2Writer, TraceAnalysis, TraceReader,
+    site, AnalysisDriver, DecodeStats, Recorder, Region, ThreadKind, Trace, Trace2Writer,
+    TraceReader,
 };
 
 /// The analysis pool; one bit per member in the random subset.
@@ -112,23 +109,6 @@ fn trace2_image(trace: &Trace, seg_len: usize) -> Vec<u8> {
     buf
 }
 
-/// Declares every column and reads none. Registered next to an
-/// analysis, it pins the reader's decode mask wide open, as the reader
-/// was before selective decoding: every column stream of every chunk.
-struct FullDecode;
-
-impl TraceAnalysis for FullDecode {
-    fn name(&self) -> &'static str {
-        "full-decode"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::ALL
-    }
-
-    fn on_instr(&mut self, _ctx: &AnalysisCtx<'_>, _idx: usize) {}
-}
-
 /// A session and what the slice-derived members read: its forward pass,
 /// pixel criteria and witnessed pixel slice (the engine's slices carry
 /// witnesses too).
@@ -158,14 +138,13 @@ impl Session {
 }
 
 /// Runs `members` in one fused driver sweep — over the session's trace in
-/// memory, or streamed from a fresh reader over `image`, with
-/// [`FullDecode`] riding along when `full_decode` — and returns their
-/// outputs in pool order plus the reader's decode ledger (zero in memory).
+/// memory, or streamed from a fresh reader over `image` — and returns
+/// their outputs in pool order plus the reader's decode ledger (zero in
+/// memory).
 fn run_members(
     session: &Session,
     members: &[Member],
     image: Option<&[u8]>,
-    full_decode: bool,
 ) -> (Vec<Out>, DecodeStats) {
     let Session {
         trace,
@@ -197,7 +176,6 @@ fn run_members(
     let mut certifier = members
         .contains(&Member::Certify)
         .then(|| CertifyAnalysis::new(fwd, &[(criteria, pixel)]));
-    let mut sentinel = full_decode.then_some(FullDecode);
 
     // Straight-line registration (one `&mut` borrow per member) — a loop
     // would re-borrow the same Option across iterations.
@@ -221,9 +199,6 @@ fn run_members(
         driver.register(a);
     }
     if let Some(a) = certifier.as_mut() {
-        driver.register(a);
-    }
-    if let Some(a) = sentinel.as_mut() {
         driver.register(a);
     }
     let stats = match image {
@@ -319,7 +294,7 @@ proptest! {
                     let s = &session;
                     Out::Diags(certify(&s.trace, &s.fwd, &s.criteria, &s.pixel))
                 }
-                _ => run_members(&session, &[m], None, false).0.pop().unwrap(),
+                _ => run_members(&session, &[m], None).0.pop().unwrap(),
             })
             .collect();
         for (m, s) in members.iter().zip(&solo) {
@@ -329,7 +304,7 @@ proptest! {
         }
         // All members in one fused sweep, in memory and streamed at every
         // segment length.
-        let fused = run_members(&session, &members, None, false).0;
+        let fused = run_members(&session, &members, None).0;
         for (m, (s, f)) in members.iter().zip(solo.iter().zip(&fused)) {
             prop_assert!(
                 outs_equal(s, f),
@@ -338,7 +313,7 @@ proptest! {
         }
         for seg_len in [64, 128, 256] {
             let image = trace2_image(&session.trace, seg_len);
-            let streamed = run_members(&session, &members, Some(&image), false).0;
+            let streamed = run_members(&session, &members, Some(&image)).0;
             for (m, (s, st)) in members.iter().zip(solo.iter().zip(&streamed)) {
                 prop_assert!(
                     outs_equal(s, st),
@@ -350,64 +325,35 @@ proptest! {
     }
 }
 
-/// The fixture of the decode-ledger tests: a session spanning many
-/// 64-instruction segments, with its `WPTRACE2` image.
-fn multi_segment_fixture() -> (Session, Vec<u8>) {
+/// Why the engine fuses its `analyze` stage, as counters: its four
+/// consumers (the verify battery, dead writes, Figure 5 categories and
+/// the waste cross) in one fused pass over a multi-segment image make
+/// fewer chunk decodes, and decode fewer stream bytes, than four separate
+/// passes. Each pass decodes every chunk once. Each consumer's output is
+/// the same both ways.
+#[test]
+fn one_fused_pass_decodes_less_than_four_separate_passes() {
     let hops: Vec<(u8, u32)> = (0..12).map(|i| (i as u8 % 3, 3)).collect();
     let session = Session::new(random_session(&hops, 2));
     let image = trace2_image(&session.trace, 64);
-    (session, image)
-}
-
-/// Selective decoding is observable: a sparse column mask over a
-/// multi-segment image decodes strictly fewer stream bytes than it skips,
-/// while a full-battery run still skips the regset streams nobody reads.
-#[test]
-fn streamed_sparse_subset_skips_column_bytes() {
-    let (session, image) = multi_segment_fixture();
-    let stats_for = |members: &[Member]| {
-        let (_, stats) = run_members(&session, members, Some(&image), false);
-        assert!(
-            stats.chunks_decoded > 1,
-            "fixture must span several segments"
-        );
-        stats
-    };
-
-    let sparse = stats_for(&[Member::Category]);
-    assert!(
-        sparse.skipped_stream_bytes > sparse.decoded_stream_bytes,
-        "category-only run must skip most column streams: {sparse:?}"
-    );
-    let battery = stats_for(&[Member::Lints]);
-    assert!(
-        battery.skipped_stream_bytes > 0,
-        "even the full battery leaves regset streams undecoded: {battery:?}"
-    );
-    assert!(
-        battery.decoded_stream_bytes > sparse.decoded_stream_bytes,
-        "wider union must decode more: {battery:?} vs {sparse:?}"
-    );
-}
-
-/// Why the engine fuses its `analyze` stage, as counters: its four
-/// consumers (the verify battery, dead writes, Figure 5 categories and
-/// the waste cross) in one selective pass make fewer chunk decodes, and
-/// decode fewer stream bytes, than four separate passes that each decode
-/// every column. Each consumer's output is the same both ways.
-#[test]
-fn fused_selective_pass_decodes_less_than_separate_full_passes() {
-    let (session, image) = multi_segment_fixture();
     let consumers = [
         Member::Lints,
         Member::DeadWrites,
         Member::Category,
         Member::Waste,
     ];
-    let (fused, fused_stats) = run_members(&session, &consumers, Some(&image), false);
+    let (fused, fused_stats) = run_members(&session, &consumers, Some(&image));
+    assert!(
+        fused_stats.chunks_decoded > 1,
+        "fixture must span several segments"
+    );
     let mut separate = DecodeStats::default();
     for (&m, fused_out) in consumers.iter().zip(&fused) {
-        let (mut outs, stats) = run_members(&session, &[m], Some(&image), true);
+        let (mut outs, stats) = run_members(&session, &[m], Some(&image));
+        assert_eq!(
+            stats, fused_stats,
+            "{m:?}: every pass decodes every chunk once"
+        );
         separate.chunks_decoded += stats.chunks_decoded;
         separate.decoded_stream_bytes += stats.decoded_stream_bytes;
         let alone = outs.pop().unwrap();
@@ -427,6 +373,6 @@ fn fused_selective_pass_decodes_less_than_separate_full_passes() {
     );
     assert!(
         fused_stats.decoded_stream_bytes < separate.decoded_stream_bytes,
-        "one selective pass must decode fewer stream bytes: {fused_stats:?} vs {separate:?}"
+        "one fused pass must decode fewer stream bytes: {fused_stats:?} vs {separate:?}"
     );
 }

@@ -49,8 +49,8 @@ use wasteprof_slicer::{
     ControlDeps, Criteria, ForwardPass, SliceResult, SlicingCriterion, WitnessKind, WitnessRow,
 };
 use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnMask, ColumnSource, FuncId, InstrKind, Pc,
-    Reg, ThreadId, Trace, TraceAnalysis, TracePos,
+    AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnSource, FuncId, InstrKind, Pc, Reg, ThreadId,
+    Trace, TraceAnalysis, TracePos,
 };
 
 use crate::diag::{sort_diags, Code, Diag};
@@ -504,10 +504,9 @@ fn prepare<'a>(
 /// positions at or past its own considered prefix, so only a sweep whose
 /// jobs all certify prefix slices pays for the tail.
 ///
-/// The mask is [`ColumnMask::ALL`]: the checks read kinds, threads,
-/// functions, pcs, register sets and operands. A `WPTRACE2` reader holds
-/// only its bounded chunk window (plus the rows, their meta and one bit
-/// per position of each job) in memory.
+/// The checks read kinds, threads, functions, pcs, register sets and
+/// operands. A `WPTRACE2` reader holds only its bounded chunk window (plus
+/// the rows, their meta and one bit per position of each job) in memory.
 pub struct CertifyAnalysis<'a> {
     deps: &'a ControlDeps,
     /// The jobs as given, prepared against the trace length in `begin`.
@@ -548,10 +547,6 @@ impl<'a> CertifyAnalysis<'a> {
 impl TraceAnalysis for CertifyAnalysis<'_> {
     fn name(&self) -> &'static str {
         "certify"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::ALL
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

@@ -13,11 +13,8 @@
 //! analyses share the run — the engine's `analyze` stage registers the
 //! verify battery, the dead-write battery, and the figure/table analyses
 //! in one driver and sweeps each trace once. The lint context [`Ctx`] *is*
-//! [`wasteprof_trace::AnalysisCtx`] — lints and external analyses read the
-//! trace through one vocabulary — and each lint declares a
-//! [`ColumnMask`] naming the columns it reads, so a run from a
-//! `WPTRACE2` reader decodes only the declared column streams and skips
-//! the rest (the verify battery reads everything except register bitsets).
+//! [`wasteprof_trace::AnalysisCtx`]: lints and external analyses read the
+//! trace through one vocabulary.
 //!
 //! The battery is written once, against [`ColumnSource`]:
 //! [`Registry::run_streamed`] is the body, and [`Registry::run`] is its
@@ -29,7 +26,7 @@
 //! end-of-trace reporting works from state captured during the sweep,
 //! not by random access back into the columns.
 
-use wasteprof_trace::{AnalysisDriver, ColumnMask, ColumnSource, Trace, TraceAnalysis};
+use wasteprof_trace::{AnalysisDriver, ColumnSource, Trace, TraceAnalysis};
 
 use crate::diag::{sort_diags, Diag};
 use crate::lints;
@@ -51,15 +48,6 @@ pub use wasteprof_trace::AnalysisCtx as Ctx;
 pub trait Lint {
     /// Stable lint name, used in logs and registry listings.
     fn name(&self) -> &'static str;
-
-    /// The columns this lint reads. The default is every column; lints
-    /// narrow it so fused streamed runs can skip decoding column
-    /// streams no registered lint reads. The mask is a contract: on a
-    /// masked streamed run an undeclared column decodes to default values,
-    /// so an under-declared lint silently diverges from its in-memory run.
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::ALL
-    }
 
     /// Called once before the sweep; allocate per-trace state here.
     fn begin(&mut self, _ctx: &Ctx<'_>) {}
@@ -103,15 +91,6 @@ impl Registry {
         self.lints.push(lint);
     }
 
-    /// Union of every registered lint's columns — what one fused sweep
-    /// over this battery decodes.
-    pub fn columns(&self) -> ColumnMask {
-        self.lints
-            .iter()
-            .map(|l| l.columns())
-            .fold(ColumnMask::NONE, ColumnMask::union)
-    }
-
     /// Borrows the whole battery as ONE fusable [`TraceAnalysis`], so a
     /// caller-owned [`AnalysisDriver`] can sweep it together with other
     /// analyses. Diagnostics accumulate inside the battery; take them with
@@ -133,8 +112,7 @@ impl Registry {
 
     /// [`Registry::run`] over any [`ColumnSource`]: the battery is one
     /// analysis of an [`AnalysisDriver`] sweep, so a `WPTRACE2` reader
-    /// holds only its bounded chunk window and decodes only the
-    /// battery's column union.
+    /// holds only its bounded chunk window.
     ///
     /// # Errors
     ///
@@ -173,13 +151,6 @@ impl LintBattery<'_> {
 impl TraceAnalysis for LintBattery<'_> {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    fn columns(&self) -> ColumnMask {
-        self.lints
-            .iter()
-            .map(|l| l.columns())
-            .fold(ColumnMask::NONE, ColumnMask::union)
     }
 
     fn begin(&mut self, ctx: &Ctx<'_>) {

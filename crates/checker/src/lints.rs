@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use wasteprof_trace::{AddrRange, ColumnMask, InstrKind, Region, ThreadId, REGION_SHIFT};
+use wasteprof_trace::{AddrRange, InstrKind, Region, ThreadId, REGION_SHIFT};
 
 use crate::diag::{Code, Diag};
 use crate::lint::{Ctx, Lint};
@@ -45,14 +45,6 @@ pub struct CallRetLint {
 impl Lint for CallRetLint {
     fn name(&self) -> &'static str {
         "call-ret"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        // Kinds to see the call/ret stream, tids to keep per-thread
-        // stacks, funcs to name the frame in diagnostics.
-        ColumnMask::KINDS
-            .union(ColumnMask::TIDS)
-            .union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, ctx: &Ctx<'_>) {
@@ -139,10 +131,6 @@ impl Lint for UninitReadLint {
         "uninit-read"
     }
 
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::OPERANDS.union(ColumnMask::FUNCS)
-    }
-
     fn begin(&mut self, _ctx: &Ctx<'_>) {
         self.written = (0..=Region::ALL.len())
             .map(|_| MemShadow::default())
@@ -203,10 +191,6 @@ impl Lint for RegionOverlapLint {
         "region-overlap"
     }
 
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::OPERANDS
-    }
-
     fn on_instr(&mut self, ctx: &Ctx<'_>, idx: usize, out: &mut Vec<Diag>) {
         let reads = ctx.cols.mem_reads(idx);
         let writes = ctx.cols.mem_writes(idx);
@@ -239,10 +223,6 @@ impl Lint for InvalidTidLint {
         "invalid-tid"
     }
 
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::TIDS
-    }
-
     fn on_instr(&mut self, ctx: &Ctx<'_>, idx: usize, out: &mut Vec<Diag>) {
         let tid = ctx.cols.tid(idx);
         if tid_invalid(ctx, tid) {
@@ -273,10 +253,6 @@ pub struct MarkerPairingLint {
 impl Lint for MarkerPairingLint {
     fn name(&self) -> &'static str {
         "marker-pairing"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::KINDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, _ctx: &Ctx<'_>) {
@@ -351,10 +327,6 @@ impl Lint for UndefinedCalleeLint {
         "undefined-callee"
     }
 
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::KINDS.union(ColumnMask::FUNCS)
-    }
-
     fn begin(&mut self, ctx: &Ctx<'_>) {
         self.seen = vec![false; ctx.funcs.len()];
         self.pending.clear();
@@ -424,10 +396,6 @@ fn in_producer(r: AddrRange) -> bool {
 impl Lint for DeadWriteLint {
     fn name(&self) -> &'static str {
         "dead-write"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::OPERANDS.union(ColumnMask::FUNCS)
     }
 
     fn begin(&mut self, _ctx: &Ctx<'_>) {

@@ -35,7 +35,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use wasteprof_trace::{ColumnMask, FuncId, InstrKind, Region, ThreadId, TracePos};
+use wasteprof_trace::{FuncId, InstrKind, Region, ThreadId, TracePos};
 
 use crate::diag::{Code, Diag};
 use crate::lint::{Ctx, Lint};
@@ -401,17 +401,6 @@ impl RaceLint {
 impl Lint for RaceLint {
     fn name(&self) -> &'static str {
         "race"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        // Everything except register bitsets: kinds for syscalls, tids and
-        // funcs for clocks and lock frames, operands for shadow memory,
-        // pcs for `describe` in race messages.
-        ColumnMask::KINDS
-            .union(ColumnMask::TIDS)
-            .union(ColumnMask::FUNCS)
-            .union(ColumnMask::PCS)
-            .union(ColumnMask::OPERANDS)
     }
 
     fn begin(&mut self, ctx: &Ctx<'_>) {

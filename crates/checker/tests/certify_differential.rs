@@ -108,18 +108,13 @@ fn canonical_slices_certify_clean() {
         );
 
         if label == Benchmark::Bing.label() {
-            let prefix_criteria = pixel.truncated(session.load_end);
             let bounded = SliceOptions {
                 end: Some(session.load_end),
                 ..witnessed()
             };
-            let prefix = slice(trace, &fwd, &prefix_criteria, &bounded);
+            let prefix = slice(trace, &fwd, &pixel, &bounded);
             assert!(prefix.considered() < pixel_slice.considered());
-            let diags = certify_jobs(
-                trace,
-                &fwd,
-                &[(&prefix_criteria, &prefix), (&pixel, &pixel_slice)],
-            );
+            let diags = certify_jobs(trace, &fwd, &[(&pixel, &prefix), (&pixel, &pixel_slice)]);
             assert_eq!(
                 diags,
                 [Vec::new(), Vec::new()],

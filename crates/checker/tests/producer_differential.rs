@@ -16,8 +16,8 @@
 use proptest::prelude::*;
 use wasteprof_checker::{DeadWriteLint, Diag, Lint, Mutation, TraceMutator, UninitReadLint};
 use wasteprof_trace::{
-    site, Addr, AddrRange, AnalysisCtx, AnalysisDriver, ColumnMask, InstrKind, MemOps, Pc,
-    Recorder, RegSet, Region, ThreadKind, Trace, TraceAnalysis,
+    site, Addr, AddrRange, AnalysisCtx, AnalysisDriver, InstrKind, MemOps, Pc, Recorder, RegSet,
+    Region, ThreadKind, Trace, TraceAnalysis,
 };
 use wasteprof_workloads::Benchmark;
 
@@ -26,7 +26,7 @@ use wasteprof_workloads::Benchmark;
 mod reference {
     use std::collections::BTreeMap;
 
-    use wasteprof_trace::{AddrRange, ColumnMask, Region};
+    use wasteprof_trace::{AddrRange, Region};
 
     use wasteprof_checker::{Code, Ctx, Diag, Lint, PRODUCER_REGIONS};
 
@@ -113,10 +113,6 @@ mod reference {
             "uninit-read"
         }
 
-        fn columns(&self) -> ColumnMask {
-            ColumnMask::OPERANDS.union(ColumnMask::FUNCS)
-        }
-
         fn begin(&mut self, _ctx: &Ctx<'_>) {
             self.written = (0..=Region::ALL.len())
                 .map(|_| Coverage::default())
@@ -201,10 +197,6 @@ mod reference {
             "dead-write"
         }
 
-        fn columns(&self) -> ColumnMask {
-            ColumnMask::OPERANDS.union(ColumnMask::FUNCS)
-        }
-
         fn begin(&mut self, _ctx: &Ctx<'_>) {
             self.spans.clear();
         }
@@ -273,9 +265,6 @@ fn emitted(lint: &mut dyn Lint, trace: &Trace) -> Vec<Diag> {
     impl TraceAnalysis for Solo<'_> {
         fn name(&self) -> &'static str {
             self.lint.name()
-        }
-        fn columns(&self) -> ColumnMask {
-            self.lint.columns()
         }
         fn begin(&mut self, ctx: &AnalysisCtx<'_>) {
             self.lint.begin(ctx);

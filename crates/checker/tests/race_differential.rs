@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use wasteprof_browser::Sched;
 use wasteprof_checker::{Diag, Lint, Mutation, RaceLint, TraceMutator};
 use wasteprof_trace::{
-    site, AddrRange, AnalysisCtx, AnalysisDriver, ColumnMask, Pc, Recorder, Reg, Region, Syscall,
-    ThreadKind, Trace, TraceAnalysis,
+    site, AddrRange, AnalysisCtx, AnalysisDriver, Pc, Recorder, Reg, Region, Syscall, ThreadKind,
+    Trace, TraceAnalysis,
 };
 use wasteprof_workloads::Benchmark;
 
@@ -26,7 +26,7 @@ use wasteprof_workloads::Benchmark;
 mod reference {
     use std::collections::{BTreeMap, HashSet};
 
-    use wasteprof_trace::{ColumnMask, FuncId, InstrKind, Region, ThreadId, TracePos};
+    use wasteprof_trace::{FuncId, InstrKind, Region, ThreadId, TracePos};
 
     use wasteprof_checker::{Code, Ctx, Diag, Lint};
 
@@ -277,17 +277,6 @@ mod reference {
             "race"
         }
 
-        fn columns(&self) -> ColumnMask {
-            // Everything except register bitsets: kinds for syscalls, tids and
-            // funcs for clocks and lock frames, operands for shadow memory,
-            // pcs for `describe` in race messages.
-            ColumnMask::KINDS
-                .union(ColumnMask::TIDS)
-                .union(ColumnMask::FUNCS)
-                .union(ColumnMask::PCS)
-                .union(ColumnMask::OPERANDS)
-        }
-
         fn begin(&mut self, ctx: &Ctx<'_>) {
             let n = ctx.threads.len();
             self.vcs = (0..n).map(|_| Vc::with_threads(n)).collect();
@@ -411,9 +400,6 @@ fn emitted(lint: &mut dyn Lint, trace: &Trace) -> Vec<Diag> {
     impl TraceAnalysis for Solo<'_> {
         fn name(&self) -> &'static str {
             self.lint.name()
-        }
-        fn columns(&self) -> ColumnMask {
-            self.lint.columns()
         }
         fn begin(&mut self, ctx: &AnalysisCtx<'_>) {
             self.lint.begin(ctx);

@@ -67,22 +67,6 @@ impl Criteria {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// Drops every criterion at a position greater than `end`.
-    ///
-    /// Used for the paper's Bing experiment (§V-A): slicing "starting from
-    /// the time when the page was completely loaded" means only criteria up
-    /// to that point seed the live sets.
-    pub fn truncated(&self, end: TracePos) -> Criteria {
-        Criteria {
-            items: self
-                .items
-                .iter()
-                .filter(|c| c.pos <= end)
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 impl FromIterator<SlicingCriterion> for Criteria {
@@ -182,19 +166,6 @@ mod tests {
         assert_eq!(c.items()[0].mem, vec![buf]);
         assert!(c.items()[0].include_instr);
         assert!(!c.items()[0].regs.is_empty());
-    }
-
-    #[test]
-    fn truncation_drops_later_criteria() {
-        let items = vec![
-            SlicingCriterion::mem_at(TracePos(5), vec![]),
-            SlicingCriterion::mem_at(TracePos(10), vec![]),
-            SlicingCriterion::mem_at(TracePos(20), vec![]),
-        ];
-        let c = Criteria::new(items);
-        let t = c.truncated(TracePos(10));
-        assert_eq!(t.len(), 2);
-        assert!(t.items().iter().all(|i| i.pos <= TracePos(10)));
     }
 
     #[test]

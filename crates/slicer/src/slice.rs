@@ -1015,23 +1015,42 @@ mod tests {
         rec.spawn_thread(ThreadKind::Main, "root");
         let a = rec.alloc_cell(Region::Heap);
         let tile = rec.alloc(Region::PixelTile, 64);
+        let paint = rec.pos();
         rec.compute(site!(), &[a.into()], &[tile]);
         rec.marker(site!(), tile);
         let cut = rec.pos(); // everything after this is ignored
         rec.compute(site!(), &[], &[a.into()]);
+        // A second frame: its marker is a criterion past the cut.
+        rec.compute(site!(), &[a.into()], &[tile]);
+        rec.marker(site!(), tile);
         let trace = rec.finish();
         let fwd = ForwardPass::build(&trace);
         let opts = SliceOptions {
             end: Some(TracePos(cut.0 - 1)),
             ..Default::default()
         };
-        let r = slice(&trace, &fwd, &pixel_criteria(&trace), &opts);
+        let criteria = pixel_criteria(&trace);
+        assert_eq!(criteria.len(), 2);
+        let r = slice(&trace, &fwd, &criteria, &opts);
         assert_eq!(r.considered(), cut.0);
         // Post-cut instructions can never be members.
         for idx in cut.index()..trace.len() {
             assert!(!r.contains(TracePos(idx as u64)));
         }
-        assert!(r.slice_count() > 0);
+        // The criterion past the cut neither seeds the walk nor blocks the
+        // one before it: the slice is the one of the earlier criterion
+        // alone.
+        assert!(r.contains(paint));
+        let earlier: Criteria = criteria
+            .items()
+            .iter()
+            .filter(|c| c.pos < cut)
+            .cloned()
+            .collect();
+        assert_eq!(earlier.len(), 1);
+        let alone = slice(&trace, &fwd, &earlier, &opts);
+        assert_eq!(r.bitmap_words(), alone.bitmap_words());
+        assert_eq!(r.slice_count(), alone.slice_count());
     }
 
     #[test]

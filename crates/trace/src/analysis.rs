@@ -6,64 +6,22 @@
 //! columns. This module generalizes the checker's shared-sweep idea into a
 //! public analysis API:
 //!
-//! * every analysis implements [`TraceAnalysis`]: it *declares* the column
-//!   groups it reads as a [`ColumnMask`] and sees every instruction
-//!   through one hook, [`TraceAnalysis::on_instr`];
+//! * every analysis implements [`TraceAnalysis`] and sees every
+//!   instruction through one hook, [`TraceAnalysis::on_instr`];
 //! * an [`AnalysisDriver`] fuses any set of registered analyses into ONE
 //!   sweep over any [`ColumnSource`]: packed in-memory [`Columns`] or a
-//!   `WPTRACE2` [`TraceReader`](crate::TraceReader)'s chunk stream;
-//! * on the streamed path the driver narrows the reader's decode mask to
-//!   the union of all declared masks, so column streams nobody reads are
-//!   *skipped, not decompressed* (see
-//!   [`decode_segment_masked`](crate::segment::decode_segment_masked)).
+//!   `WPTRACE2` [`TraceReader`](crate::TraceReader)'s chunk stream.
 //!
-//! The mask is a contract, not a hint: an analysis must only read the
-//! columns it declared. On the masked streamed path an undeclared column
-//! decodes to default values, so a misdeclared analysis diverges from its
-//! in-memory run — exactly what the differential tests compare to catch
-//! it. The footer tables (`funcs`, `threads`, `markers`) are always there.
+//! A streamed sweep decodes every column of every chunk and checks each
+//! chunk's footer content hash, so an analysis reads the same rows in
+//! memory and out of core, and a corrupt chunk fails the sweep. The footer
+//! tables (`funcs`, `threads`, `markers`) are always there.
 
 use crate::columns::{ColumnCursor, Columns};
 use crate::func::FunctionRegistry;
 use crate::source::ColumnSource;
 use crate::thread::ThreadTable;
 use crate::trace::{MarkerRecord, Trace};
-
-/// Bitmask over the trace's per-instruction column groups. Each bit maps
-/// to the column streams a `WPTRACE2` segment stores for that group, so the
-/// streamed driver can translate a mask union directly into decode-or-skip
-/// decisions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ColumnMask(u8);
-
-impl ColumnMask {
-    /// No columns at all (an analysis that only counts instructions).
-    pub const NONE: ColumnMask = ColumnMask(0);
-    /// Kind tags and payloads (branch direction, callee, syscall number).
-    pub const KINDS: ColumnMask = ColumnMask(1 << 0);
-    /// Executing thread ids.
-    pub const TIDS: ColumnMask = ColumnMask(1 << 1);
-    /// Enclosing function ids.
-    pub const FUNCS: ColumnMask = ColumnMask(1 << 2);
-    /// Static PCs.
-    pub const PCS: ColumnMask = ColumnMask(1 << 3);
-    /// Register read/write bitsets.
-    pub const REGSETS: ColumnMask = ColumnMask(1 << 4);
-    /// Memory operand counts, addresses, and lengths.
-    pub const OPERANDS: ColumnMask = ColumnMask(1 << 5);
-    /// Every column group.
-    pub const ALL: ColumnMask = ColumnMask(0x3f);
-
-    /// Union of two masks.
-    pub const fn union(self, other: ColumnMask) -> ColumnMask {
-        ColumnMask(self.0 | other.0)
-    }
-
-    /// True if every group of `other` is present in `self`.
-    pub const fn contains(self, other: ColumnMask) -> bool {
-        self.0 & other.0 == other.0
-    }
-}
 
 /// Shared read-only context handed to every analysis callback.
 ///
@@ -90,17 +48,12 @@ pub struct AnalysisCtx<'a> {
 ///
 /// Analyses are driven front to back: `begin`, then `on_instr` for every
 /// index in `0..ctx.total` in program order, then `finish`. Analyses must
-/// only read the column groups their [`TraceAnalysis::columns`] declares,
-/// and must only touch `ctx.cols` at indices inside the cursor's window —
+/// only touch `ctx.cols` at indices inside the cursor's window —
 /// end-of-trace reporting works from state captured during the sweep.
 pub trait TraceAnalysis {
     /// Stable analysis name, used in registry listings and `trace_tool
     /// analyze --analyses`.
     fn name(&self) -> &'static str;
-
-    /// The column groups this analysis reads; the driver unions these
-    /// across all registered analyses to choose the decode mask.
-    fn columns(&self) -> ColumnMask;
 
     /// Called once before the sweep; allocate per-trace state here.
     fn begin(&mut self, _ctx: &AnalysisCtx<'_>) {}
@@ -133,14 +86,6 @@ impl<'d> AnalysisDriver<'d> {
         self.analyses.push(analysis);
     }
 
-    /// Union of every registered analysis's columns — what one fused
-    /// sweep must decode.
-    fn columns(&self) -> ColumnMask {
-        self.analyses
-            .iter()
-            .fold(ColumnMask::NONE, |m, a| m.union(a.columns()))
-    }
-
     /// Runs every registered analysis over the in-memory trace in one
     /// fused sweep: [`AnalysisDriver::run_streamed`] over a resident
     /// source.
@@ -150,10 +95,7 @@ impl<'d> AnalysisDriver<'d> {
 
     /// Runs every registered analysis in one fused sweep over any
     /// [`ColumnSource`]. A `WPTRACE2` reader holds only its bounded chunk
-    /// window in memory and *decodes selectively*: for the sweep its
-    /// decode mask is narrowed to the union of the declared masks, so
-    /// column streams nobody reads are skipped instead of decompressed.
-    /// The previous mask is restored before returning.
+    /// window in memory.
     ///
     /// `begin` and `finish` see an empty cursor (but the real tables and
     /// `total`) on every source; `on_instr` sees a cursor over the window
@@ -181,18 +123,15 @@ impl<'d> AnalysisDriver<'d> {
         for a in &mut self.analyses {
             a.begin(&edge);
         }
-        let prev_mask = src.swap_decode_mask(self.columns());
         let analyses = &mut self.analyses;
-        let swept = src.stream_range(0, total, |cur| {
+        src.stream_range(0, total, |cur| {
             let ctx = AnalysisCtx { cols: *cur, ..edge };
             for idx in cur.lo()..cur.hi() {
                 for a in analyses.iter_mut() {
                     a.on_instr(&ctx, idx);
                 }
             }
-        });
-        src.swap_decode_mask(prev_mask);
-        swept?;
+        })?;
         for a in &mut self.analyses {
             a.finish(&edge);
         }
@@ -210,7 +149,7 @@ mod tests {
     use crate::syscall::Syscall;
     use crate::thread::ThreadKind;
 
-    /// Counts instructions and sums tids; reads only the tid column.
+    /// Counts instructions and sums tids.
     #[derive(Default)]
     struct Counter {
         instrs: u64,
@@ -222,9 +161,6 @@ mod tests {
     impl TraceAnalysis for Counter {
         fn name(&self) -> &'static str {
             "counter"
-        }
-        fn columns(&self) -> ColumnMask {
-            ColumnMask::TIDS
         }
         fn begin(&mut self, _ctx: &AnalysisCtx<'_>) {
             self.began += 1;
@@ -253,23 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn mask_union_and_containment() {
-        let m = ColumnMask::KINDS.union(ColumnMask::TIDS);
-        assert!(m.contains(ColumnMask::KINDS));
-        assert!(m.contains(ColumnMask::TIDS));
-        assert!(!m.contains(ColumnMask::PCS));
-        assert!(ColumnMask::ALL.contains(m));
-        assert_eq!(AnalysisDriver::new().columns(), ColumnMask::NONE);
-    }
-
-    #[test]
     fn driver_dispatches_every_instruction_once() {
         let trace = sample_trace();
         let mut c = Counter::default();
         {
             let mut d = AnalysisDriver::new();
             d.register(&mut c);
-            assert_eq!(d.columns(), ColumnMask::TIDS);
             d.run(&trace);
         }
         assert_eq!(c.instrs, trace.len() as u64);
@@ -301,8 +226,8 @@ mod tests {
         }
     }
 
-    /// A tid histogram that deliberately reads only the tid column — used
-    /// to pin that a masked streamed run still sees real tids.
+    /// A tid histogram, to pin that a streamed run sees the tids an
+    /// in-memory run sees.
     #[derive(Default)]
     struct TidHist {
         counts: Vec<u64>,
@@ -311,9 +236,6 @@ mod tests {
     impl TraceAnalysis for TidHist {
         fn name(&self) -> &'static str {
             "tid-hist"
-        }
-        fn columns(&self) -> ColumnMask {
-            ColumnMask::TIDS
         }
         fn on_instr(&mut self, ctx: &AnalysisCtx<'_>, idx: usize) {
             let t = ctx.cols.tid(idx).0 as usize;
@@ -325,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_masked_run_matches_in_memory() {
+    fn streamed_run_matches_in_memory() {
         let trace = sample_trace();
         let mut mem = TidHist::default();
         {
@@ -343,15 +265,5 @@ mod tests {
             d.run_streamed(&mut reader).unwrap();
         }
         assert_eq!(mem.counts, streamed.counts);
-        assert_eq!(
-            reader.swap_decode_mask(ColumnMask::ALL),
-            ColumnMask::ALL,
-            "driver restores the reader's mask"
-        );
-        let stats = reader.decode_stats();
-        assert!(
-            stats.skipped_stream_bytes > 0,
-            "a tids-only mask must skip column bytes, stats {stats:?}"
-        );
     }
 }

@@ -243,9 +243,9 @@ const SUM_CHUNK: usize = 1 << 12;
 /// Encodes `values` as one column block: a varint byte length covering the
 /// rest of the block, a 1-byte encoder tag, then either a plain varint
 /// stream or a run-length stream — whichever is smaller for this column of
-/// this segment, plain on a tie. The length prefix lets a selective
-/// decoder skip a block it never subscribed to in O(1) without touching
-/// its payload.
+/// this segment, plain on a tie. The length prefix frames the block:
+/// [`decode_runs`] refuses a block whose values do not consume exactly
+/// that many bytes.
 ///
 /// Generic over the column's integer type, so a column is encoded
 /// straight from its typed store. One sweep with no branch per value sizes
@@ -411,25 +411,6 @@ pub fn decode_runs(
     Ok(())
 }
 
-/// Skips one block written by [`encode_block`] without decoding its
-/// payload, returning the number of payload bytes (tag included) skipped.
-/// This is the selective-decode fast path: a column no registered analysis
-/// subscribed to costs one varint read and a cursor bump.
-///
-/// # Errors
-///
-/// [`TraceIoError::Format`] when the declared length runs past the bytes
-/// that remain.
-pub fn skip_stream(r: &mut ByteReader<'_>) -> Result<usize, TraceIoError> {
-    let len = r.varint()?;
-    let len = usize::try_from(len).map_err(|_| bad("block length overflows usize"))?;
-    if len == 0 {
-        return Err(bad("column block with zero length"));
-    }
-    r.bytes(len)?;
-    Ok(len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,21 +485,6 @@ mod tests {
         roundtrip::<u16>(&[]);
     }
 
-    #[test]
-    fn skip_stream_advances_exactly_one_block() {
-        let mut buf = Vec::new();
-        let runs = &mut Vec::new();
-        encode_block(&mut buf, &[3u16; 500], runs);
-        encode_block(&mut buf, &[1u64, 2, 3, 4], runs);
-        let mut r = ByteReader::new(&buf);
-        let skipped = skip_stream(&mut r).unwrap();
-        assert!(skipped > 0);
-        let mut back = Vec::new();
-        decode_stream(&mut r, 4, &mut back).unwrap();
-        assert_eq!(back, vec![1, 2, 3, 4]);
-        assert!(r.is_exhausted());
-    }
-
     fn framed(body: &[u8]) -> Vec<u8> {
         let mut buf = Vec::new();
         put_varint(&mut buf, body.len() as u64);
@@ -559,7 +525,7 @@ mod tests {
 
         // A zero-length frame is never valid (the tag byte is mandatory).
         let buf = framed(&[]);
-        let err = skip_stream(&mut ByteReader::new(&buf)).unwrap_err();
+        let err = decode_stream(&mut ByteReader::new(&buf), 0, &mut out).unwrap_err();
         assert!(matches!(err, TraceIoError::Format(_)), "{err:?}");
     }
 

@@ -63,7 +63,7 @@ mod thread;
 mod trace;
 
 pub use addr::{Addr, AddrRange, Region, VirtualMemory, CELL, REGION_SHIFT};
-pub use analysis::{AnalysisCtx, AnalysisDriver, ColumnMask, TraceAnalysis};
+pub use analysis::{AnalysisCtx, AnalysisDriver, TraceAnalysis};
 pub use columns::{ColumnCursor, Columns, MemOpsRef};
 pub use func::{FuncId, FuncInfo, FunctionRegistry};
 pub use instr::{Instr, InstrKind, MemMulti, MemOps, TracePos};

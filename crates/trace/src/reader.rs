@@ -24,7 +24,6 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 
 use crate::addr::{Addr, AddrRange};
-use crate::analysis::ColumnMask;
 use crate::columns::{ColumnCursor, Columns};
 use crate::compress::ByteReader;
 use crate::func::{FuncId, FunctionRegistry};
@@ -35,7 +34,7 @@ use crate::io::{
 use crate::pc::Pc;
 use crate::reg::RegSet;
 use crate::segment::{
-    decode_segment_masked, encode_segment, segment_content_hash, DecodeScratch, EncodeScratch,
+    decode_segment_into, encode_segment, segment_content_hash, DecodeScratch, EncodeScratch,
     SegmentMeta, MAGIC2, MAX_SEGMENT_INSTRS, SEGMENT_LEN, TRAILER2,
 };
 use crate::source::ColumnSource;
@@ -452,17 +451,15 @@ pub fn write_trace2(w: &mut impl Write, trace: &Trace) -> Result<Trace2Stats, Tr
 // ----- reader ------------------------------------------------------------
 
 /// Cumulative decode accounting of one [`TraceReader`]: how many segment
-/// decodes it performed and how the payload bytes split between decoded
-/// and mask-skipped column blocks. Selective-decode benchmarks read this
-/// to report the bytes a narrowed mask saved.
+/// decodes it performed and how many payload bytes they read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// Segment payloads decoded from disk (cache hits excluded).
     pub chunks_decoded: u64,
-    /// Payload bytes decompressed into columns.
+    /// Payload bytes decoded: the summed length of every decoded segment.
     pub decoded_stream_bytes: u64,
-    /// Payload bytes skipped via block length prefixes under a narrowed
-    /// [`ColumnMask`].
+    /// Always 0, since every decode reads its whole payload. The benchmark
+    /// still reports it, as `trace.decode_skip_ratio`.
     pub skipped_stream_bytes: u64,
 }
 
@@ -477,15 +474,8 @@ pub struct TraceReader<R: Read + Seek> {
     threads: ThreadTable,
     markers: Vec<MarkerRecord>,
     segs: Vec<SegmentMeta>,
-    /// Most-recently-used decoded chunks, front first, each tagged with
-    /// the column groups it was decoded under: a cached chunk only serves
-    /// requests whose groups it covers, so a narrowly decoded chunk can
-    /// never leak default-filled columns to a consumer that declared
-    /// them.
-    cache: Vec<(usize, ColumnMask, Columns)>,
-    /// Column groups [`TraceReader::chunk`] decodes; defaults to
-    /// [`ColumnMask::ALL`].
-    decode_mask: ColumnMask,
+    /// Most-recently-used decoded chunks by index, front first.
+    cache: Vec<(usize, Columns)>,
     /// The segment payload being decoded, reused from chunk to chunk.
     payload: Vec<u8>,
     /// The decoder's working storage, reused from chunk to chunk.
@@ -539,7 +529,6 @@ impl<R: Read + Seek> TraceReader<R> {
             markers: footer.markers,
             segs: footer.segs,
             cache: Vec::new(),
-            decode_mask: ColumnMask::ALL,
             payload: Vec::new(),
             scratch: DecodeScratch::default(),
             stats: DecodeStats::default(),
@@ -581,33 +570,25 @@ impl<R: Read + Seek> TraceReader<R> {
     /// its physical column store.
     ///
     /// A decode first evicts, then refills the evicted store in place: a
-    /// copy of chunk `i` decoded under narrower column groups is stale for
-    /// this request, otherwise a full cache gives up its least recently
-    /// used chunk. So at most `MAX_CACHED_CHUNKS` (4) stores ever exist, and
-    /// once they and the payload buffer reach their working size a decode
-    /// allocates nothing.
+    /// full cache gives up its least recently used chunk. So at most
+    /// `MAX_CACHED_CHUNKS` (4) stores ever exist, and once they and the
+    /// payload buffer reach their working size a decode allocates nothing.
+    /// Every decode checks the rows against the footer's content hash.
     ///
     /// # Errors
     ///
     /// [`TraceIoError::Format`] if the segment payload is corrupt,
     /// [`TraceIoError::Io`] on read failure.
     pub fn chunk(&mut self, i: usize) -> Result<&Columns, TraceIoError> {
-        let mask = self.decode_mask;
-        if let Some(p) = self
-            .cache
-            .iter()
-            .position(|(j, m, _)| *j == i && m.contains(mask))
-        {
+        if let Some(p) = self.cache.iter().position(|(j, _)| *j == i) {
             let hit = self.cache.remove(p);
             self.cache.insert(0, hit);
-            return Ok(&self.cache[0].2);
+            return Ok(&self.cache[0].1);
         }
-        let mut cols = match self.cache.iter().position(|(j, _, _)| *j == i) {
-            Some(stale) => self.cache.remove(stale).2,
-            None if self.cache.len() >= MAX_CACHED_CHUNKS => {
-                self.cache.pop().expect("a full cache").2
-            }
-            None => Columns::default(),
+        let mut cols = if self.cache.len() >= MAX_CACHED_CHUNKS {
+            self.cache.pop().expect("a full cache").1
+        } else {
+            Columns::default()
         };
         let meta = &self.segs[i];
         self.r.seek(SeekFrom::Start(meta.offset))?;
@@ -616,35 +597,28 @@ impl<R: Read + Seek> TraceReader<R> {
         self.payload.clear();
         self.payload.resize(meta.byte_len as usize, 0);
         self.r.read_exact(&mut self.payload)?;
-        let seg_stats = decode_segment_masked(
+        decode_segment_into(
             &self.payload,
             meta.n_instr as usize,
             self.funcs.len(),
-            mask,
             &mut cols,
             &mut self.scratch,
         )?;
         self.stats.chunks_decoded += 1;
-        self.stats.decoded_stream_bytes += seg_stats.decoded_bytes;
-        self.stats.skipped_stream_bytes += seg_stats.skipped_bytes;
+        self.stats.decoded_stream_bytes += meta.byte_len;
         // The footer's content hash is the end-to-end integrity check: a
         // payload bit-flip the per-column codecs happen to decode
         // "successfully" still changes the decoded rows, and is caught
-        // here instead of silently corrupting downstream analyses. It
-        // covers every column, so it is checked whenever all of them are
-        // decoded; a mask that skips one trades it for skipping (see
-        // [`ColumnSource::swap_decode_mask`]).
-        if mask == ColumnMask::ALL {
-            let got = segment_content_hash(&cols, 0, cols.len());
-            if got != meta.content_hash {
-                return Err(bad(format!(
-                    "segment {i} content hash mismatch: footer {:016x}{:016x}, decoded {:016x}{:016x}",
-                    meta.content_hash[0], meta.content_hash[1], got[0], got[1]
-                )));
-            }
+        // here instead of silently corrupting downstream analyses.
+        let got = segment_content_hash(&cols, 0, cols.len());
+        if got != meta.content_hash {
+            return Err(bad(format!(
+                "segment {i} content hash mismatch: footer {:016x}{:016x}, decoded {:016x}{:016x}",
+                meta.content_hash[0], meta.content_hash[1], got[0], got[1]
+            )));
         }
-        self.cache.insert(0, (i, mask, cols));
-        Ok(&self.cache[0].2)
+        self.cache.insert(0, (i, cols));
+        Ok(&self.cache[0].1)
     }
 
     /// Chunk `i` at its global instruction range, clipped to `[lo, hi)`:
@@ -744,21 +718,6 @@ impl<R: Read + Seek> ColumnSource for TraceReader<R> {
             f(&self.clipped_chunk(i, lo, hi)?);
         }
         Ok(())
-    }
-
-    /// Narrows (or restores) the column groups [`TraceReader::chunk`]
-    /// decodes. Streams outside `mask` are skipped through their block
-    /// length prefixes instead of decompressed, and come back as default
-    /// values.
-    ///
-    /// Under a mask that skips any segment column group the footer's
-    /// per-segment content hash — which covers every segment column —
-    /// cannot be recomputed, so the end-to-end integrity check is skipped;
-    /// block framing and per-value domain checks on the decoded columns
-    /// still apply. Cached chunks are tagged with their column groups, so
-    /// narrowing then widening never serves default-filled columns.
-    fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask {
-        std::mem::replace(&mut self.decode_mask, mask)
     }
 }
 
@@ -1005,37 +964,29 @@ mod tests {
     }
 
     #[test]
-    fn masked_chunks_never_poison_the_cache() {
+    fn decode_stats_count_each_decoded_payload_once() {
         let t = sample();
         let mut buf = Vec::new();
         let mut w = Trace2Writer::with_segment_len(&mut buf, 64).unwrap();
         push_all(&mut w, &t);
         w.finish(t.functions(), t.threads(), t.markers()).unwrap();
         let mut rd = TraceReader::open(Cursor::new(buf)).unwrap();
+        assert!(rd.n_chunks() > MAX_CACHED_CHUNKS, "the sweep must evict");
 
-        // Narrow decode: tids real, everything else skipped.
-        assert_eq!(rd.swap_decode_mask(ColumnMask::TIDS), ColumnMask::ALL);
-        {
-            let cols = rd.chunk(0).unwrap();
-            for idx in 0..cols.len() {
-                assert_eq!(cols.tid(idx), t.columns().tid(idx));
-            }
+        // Two forward sweeps: the second re-decodes every chunk the bounded
+        // cache evicted, and each decode reads its whole payload.
+        for _ in 0..2 {
+            rd.stream_range(0, t.len(), |_| {}).unwrap();
         }
-        let narrow = rd.decode_stats();
-        assert_eq!(narrow.chunks_decoded, 1);
-        assert!(narrow.skipped_stream_bytes > 0, "{narrow:?}");
+        let payload: u64 = (0..rd.n_chunks()).map(|i| rd.chunk_meta(i).byte_len).sum();
+        let stats = rd.decode_stats();
+        assert_eq!(stats.chunks_decoded, 2 * rd.n_chunks() as u64);
+        assert_eq!(stats.decoded_stream_bytes, 2 * payload);
+        assert_eq!(stats.skipped_stream_bytes, 0);
 
-        // Widening re-decodes rather than serving the default-filled copy,
-        // and the full decode re-enables the content-hash check.
-        rd.swap_decode_mask(ColumnMask::ALL);
-        let cur = rd.clipped_chunk(0, 0, usize::MAX).unwrap();
-        assert_eq!(cur.instr(0), t.instr(TracePos(0)));
-        assert_eq!(rd.decode_stats().chunks_decoded, 2);
-
-        // A full-mask cached chunk covers any narrower request.
-        rd.swap_decode_mask(ColumnMask::TIDS);
-        rd.chunk(0).unwrap();
-        assert_eq!(rd.decode_stats().chunks_decoded, 2, "cache hit expected");
+        // The most recent chunk is served from the cache.
+        rd.chunk(rd.n_chunks() - 1).unwrap();
+        assert_eq!(rd.decode_stats(), stats, "cache hit expected");
         rd.reset_decode_stats();
         assert_eq!(rd.decode_stats(), DecodeStats::default());
     }

@@ -31,11 +31,8 @@
 //! input's own size does not justify.
 
 use crate::addr::{Addr, AddrRange, Region};
-use crate::analysis::ColumnMask;
 use crate::columns::{ColumnCursor, Columns, MemOpsRef};
-use crate::compress::{
-    decode_runs, encode_block, put_varint, skip_stream, unzigzag, zigzag, ByteReader,
-};
+use crate::compress::{decode_runs, encode_block, put_varint, unzigzag, zigzag, ByteReader};
 use crate::io::{bad, TraceIoError};
 use crate::syscall::Syscall;
 use crate::thread::ThreadId;
@@ -326,24 +323,6 @@ pub fn encode_segment(
     Ok((thread_bits, region_bits))
 }
 
-/// Byte accounting of one masked segment decode: how much of the payload
-/// was actually decompressed vs. skipped through block length prefixes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SegmentDecodeStats {
-    /// Payload bytes decoded (column blocks some analysis subscribed to).
-    pub decoded_bytes: u64,
-    /// Payload bytes skipped without decompression.
-    pub skipped_bytes: u64,
-}
-
-impl SegmentDecodeStats {
-    /// Accumulates another segment's accounting into this one.
-    pub fn add(&mut self, other: SegmentDecodeStats) {
-        self.decoded_bytes += other.decoded_bytes;
-        self.skipped_bytes += other.skipped_bytes;
-    }
-}
-
 /// Decodes one segment payload of `n` instructions into a fresh physical
 /// [`Columns`] store (indices `0..n`).
 ///
@@ -358,18 +337,11 @@ impl SegmentDecodeStats {
 /// trailing bytes after the last column.
 pub fn decode_segment(bytes: &[u8], n: usize, nfuncs: usize) -> Result<Columns, TraceIoError> {
     let mut cols = Columns::default();
-    decode_segment_masked(
-        bytes,
-        n,
-        nfuncs,
-        ColumnMask::ALL,
-        &mut cols,
-        &mut DecodeScratch::default(),
-    )?;
+    decode_segment_into(bytes, n, nfuncs, &mut cols, &mut DecodeScratch::default())?;
     Ok(cols)
 }
 
-/// Working storage [`decode_segment_masked`] keeps between calls: the
+/// Working storage [`decode_segment_into`] keeps between calls: the
 /// segment's function dictionary, and the operand start addresses, which
 /// the payload stores before the lengths they pair with.
 #[derive(Debug, Default)]
@@ -404,274 +376,196 @@ fn decode_column<T: Copy>(
     })
 }
 
-/// Refills `col` with `n` default values: a column the mask skips.
-fn default_column<T: Copy + Default>(col: &mut Vec<T>, n: usize) {
-    col.clear();
-    col.resize(n, T::default());
-}
-
-/// Selective variant of [`decode_segment`] that refills a caller-owned
-/// store: decompresses only the column groups present in `mask`, skipping
-/// the rest through their block length prefixes. Skipped columns come
-/// back as defaults (kind `Op`, tid 0, func 0, pc 0, empty register sets,
-/// no memory operands), so the result is a structurally valid store whose
-/// unsubscribed columns must simply never be read — the
-/// [`crate::TraceAnalysis::columns`] contract.
+/// [`decode_segment`] into a caller-owned store: every column is cleared
+/// and filled straight from its block, with its domain check applied once
+/// per run, so a store and `scratch` reused across segments reach their
+/// working size once and then decode without allocating. On error the
+/// store's contents are unspecified.
 ///
-/// Each column is cleared and filled straight from its block, with its
-/// domain check applied once per run, so a store and `scratch` reused
-/// across segments reach their working size once and then decode without
-/// allocating. On error the store's contents are unspecified.
+/// # Errors
 ///
-/// Every block-level length is still validated and the payload must be
-/// consumed exactly, so truncation and framing corruption are caught even
-/// under a narrow mask; value-domain validation only happens for decoded
-/// columns, and whole-row integrity (the footer content hash) is only
-/// checkable when every segment column group is decoded.
-pub fn decode_segment_masked(
+/// As [`decode_segment`].
+pub fn decode_segment_into(
     bytes: &[u8],
     n: usize,
     nfuncs: usize,
-    mask: ColumnMask,
     cols: &mut Columns,
     scratch: &mut DecodeScratch,
-) -> Result<SegmentDecodeStats, TraceIoError> {
+) -> Result<(), TraceIoError> {
     if n > MAX_SEGMENT_INSTRS {
         return Err(bad(format!(
             "segment claims {n} instructions, above the {MAX_SEGMENT_INSTRS} format cap"
         )));
     }
     let r = &mut ByteReader::new(bytes);
-    let mut stats = SegmentDecodeStats::default();
-    let mut account = |r: &ByteReader<'_>, before: usize, decoded: bool| {
-        let used = (before - r.remaining()) as u64;
-        if decoded {
-            stats.decoded_bytes += used;
-        } else {
-            stats.skipped_bytes += used;
-        }
-    };
 
-    // 1–2. kind tags and payloads. The payload stream's value count is
-    // only known from the decoded tags, but skipping needs no count —
-    // that is what the block length prefix buys.
-    let before = r.remaining();
-    let decoded = mask.contains(ColumnMask::KINDS);
-    default_column(&mut cols.kind_data, n);
-    if decoded {
-        let kinds = &mut cols.kinds;
-        kinds.clear();
-        kinds.reserve(n);
-        let mut payload_rows = 0usize;
-        decode_runs(r, n, |v, run| {
-            let tag = u8::try_from(v).map_err(|_| bad("kind tag overflows u8"))?;
-            if tag > 7 {
-                return Err(bad(format!("unknown instr tag {tag}")));
+    // 1–2. kind tags, then the payloads of the rows whose tags carry one.
+    let kinds = &mut cols.kinds;
+    kinds.clear();
+    kinds.reserve(n);
+    let mut payload_rows = 0usize;
+    decode_runs(r, n, |v, run| {
+        let tag = u8::try_from(v).map_err(|_| bad("kind tag overflows u8"))?;
+        if tag > 7 {
+            return Err(bad(format!("unknown instr tag {tag}")));
+        }
+        if matches!(tag, 3 | 4 | 6) {
+            payload_rows += run;
+        }
+        push_run(kinds, tag, run);
+        Ok(())
+    })?;
+    cols.kind_data.clear();
+    cols.kind_data.resize(n, 0);
+    let mut rows = kinds
+        .iter()
+        .zip(&mut cols.kind_data)
+        .filter(|(tag, _)| matches!(tag, 3 | 4 | 6));
+    decode_runs(r, payload_rows, |v, run| {
+        let data = u32::try_from(v).map_err(|_| bad("kind payload overflows u32"))?;
+        let syscall = Syscall::from_number(data).is_some();
+        for (&tag, slot) in rows.by_ref().take(run) {
+            if tag == 6 && !syscall {
+                return Err(bad(format!("unknown syscall {data}")));
             }
-            if matches!(tag, 3 | 4 | 6) {
-                payload_rows += run;
-            }
-            push_run(kinds, tag, run);
-            Ok(())
-        })?;
-        let mut rows = kinds
-            .iter()
-            .zip(&mut cols.kind_data)
-            .filter(|(tag, _)| matches!(tag, 3 | 4 | 6));
-        decode_runs(r, payload_rows, |v, run| {
-            let data = u32::try_from(v).map_err(|_| bad("kind payload overflows u32"))?;
-            let syscall = Syscall::from_number(data).is_some();
-            for (&tag, slot) in rows.by_ref().take(run) {
-                if tag == 6 && !syscall {
-                    return Err(bad(format!("unknown syscall {data}")));
-                }
-                *slot = data;
-            }
-            Ok(())
-        })?;
-    } else {
-        skip_stream(r)?;
-        skip_stream(r)?;
-        default_column(&mut cols.kinds, n);
-    }
-    account(r, before, decoded);
+            *slot = data;
+        }
+        Ok(())
+    })?;
 
     // 3. tids.
-    let before = r.remaining();
-    let decoded = mask.contains(ColumnMask::TIDS);
-    if decoded {
-        decode_column(r, n, &mut cols.tids, |v| {
-            u8::try_from(v).map_err(|_| bad("tid overflows u8"))
-        })?;
-    } else {
-        skip_stream(r)?;
-        default_column(&mut cols.tids, n);
-    }
-    account(r, before, decoded);
+    decode_column(r, n, &mut cols.tids, |v| {
+        u8::try_from(v).map_err(|_| bad("tid overflows u8"))
+    })?;
 
     // 4. funcs: dictionary length (raw varint), dictionary, indices.
-    let before = r.remaining();
-    let decoded = mask.contains(ColumnMask::FUNCS);
     let dict_len = r.varint()?;
-    if decoded {
-        let dict_len = usize::try_from(dict_len).map_err(|_| bad("dictionary too large"))?;
-        if dict_len > n {
-            return Err(bad(format!(
-                "function dictionary of {dict_len} entries for {n} instructions"
-            )));
-        }
-        let dict = &mut scratch.dict;
-        dict.clear();
-        let mut acc = 0u64;
-        decode_runs(r, dict_len, |d, run| {
-            for _ in 0..run {
-                acc = if dict.is_empty() {
-                    d
-                } else {
-                    acc.checked_add(d)
-                        .ok_or_else(|| bad("function dictionary overflows"))?
-                };
-                let f = u32::try_from(acc).map_err(|_| bad("function id overflows u32"))?;
-                if f as usize >= nfuncs {
-                    return Err(bad(format!(
-                        "function id {f} outside the {nfuncs}-entry symbol table"
-                    )));
-                }
-                dict.push(f);
-            }
-            Ok(())
-        })?;
-        decode_column(r, n, &mut cols.funcs, |v| {
-            let i = usize::try_from(v).map_err(|_| bad("dictionary index overflows"))?;
-            dict.get(i)
-                .copied()
-                .ok_or_else(|| bad(format!("dictionary index {i} out of range {dict_len}")))
-        })?;
-    } else {
-        skip_stream(r)?;
-        skip_stream(r)?;
-        default_column(&mut cols.funcs, n);
+    let dict_len = usize::try_from(dict_len).map_err(|_| bad("dictionary too large"))?;
+    if dict_len > n {
+        return Err(bad(format!(
+            "function dictionary of {dict_len} entries for {n} instructions"
+        )));
     }
-    account(r, before, decoded);
+    let dict = &mut scratch.dict;
+    dict.clear();
+    let mut acc = 0u64;
+    decode_runs(r, dict_len, |d, run| {
+        for _ in 0..run {
+            acc = if dict.is_empty() {
+                d
+            } else {
+                acc.checked_add(d)
+                    .ok_or_else(|| bad("function dictionary overflows"))?
+            };
+            let f = u32::try_from(acc).map_err(|_| bad("function id overflows u32"))?;
+            if f as usize >= nfuncs {
+                return Err(bad(format!(
+                    "function id {f} outside the {nfuncs}-entry symbol table"
+                )));
+            }
+            dict.push(f);
+        }
+        Ok(())
+    })?;
+    decode_column(r, n, &mut cols.funcs, |v| {
+        let i = usize::try_from(v).map_err(|_| bad("dictionary index overflows"))?;
+        dict.get(i)
+            .copied()
+            .ok_or_else(|| bad(format!("dictionary index {i} out of range {dict_len}")))
+    })?;
 
     // 5. pcs: zigzag deltas, so each run's delta repeats per row.
-    let before = r.remaining();
-    let decoded = mask.contains(ColumnMask::PCS);
-    if decoded {
-        let pcs = &mut cols.pcs;
-        pcs.clear();
-        pcs.reserve(n);
-        let mut prev = 0i64;
-        decode_runs(r, n, |v, run| {
-            let delta = unzigzag(v);
-            for _ in 0..run {
-                prev = prev
-                    .checked_add(delta)
-                    .ok_or_else(|| bad("pc delta overflows"))?;
-                pcs.push(u32::try_from(prev).map_err(|_| bad("pc outside u32 range"))?);
-            }
-            Ok(())
-        })?;
-    } else {
-        skip_stream(r)?;
-        default_column(&mut cols.pcs, n);
-    }
-    account(r, before, decoded);
+    let pcs = &mut cols.pcs;
+    pcs.clear();
+    pcs.reserve(n);
+    let mut prev = 0i64;
+    decode_runs(r, n, |v, run| {
+        let delta = unzigzag(v);
+        for _ in 0..run {
+            prev = prev
+                .checked_add(delta)
+                .ok_or_else(|| bad("pc delta overflows"))?;
+            pcs.push(u32::try_from(prev).map_err(|_| bad("pc outside u32 range"))?);
+        }
+        Ok(())
+    })?;
 
     // 6–7. register bitsets.
-    let before = r.remaining();
-    let decoded = mask.contains(ColumnMask::REGSETS);
     for col in [&mut cols.reg_reads, &mut cols.reg_writes] {
-        if decoded {
-            decode_column(r, n, col, |v| {
-                u16::try_from(v).map_err(|_| bad("register bitset overflows u16"))
-            })?;
-        } else {
-            skip_stream(r)?;
-            default_column(col, n);
-        }
+        decode_column(r, n, col, |v| {
+            u16::try_from(v).map_err(|_| bad("register bitset overflows u16"))
+        })?;
     }
-    account(r, before, decoded);
 
     // 8–11. operand counts, start addresses, and lengths. Like the kind
     // payloads, the start/length streams' counts derive from the decoded
-    // counts, and skipping needs none of them. The counts go straight
-    // into each row's arena reference: reads first, then writes, which
-    // also fixes every row's first arena index.
-    let before = r.remaining();
-    let decoded = mask.contains(ColumnMask::OPERANDS);
-    cols.arena.clear();
-    if decoded {
-        let count = |v: u64, run: usize, total: &mut usize| {
-            let c = u16::try_from(v).map_err(|_| bad("operand count overflows u16"))?;
-            *total = total.saturating_add(usize::from(c).saturating_mul(run));
-            if *total > MAX_SEGMENT_ARENA {
-                return Err(bad(format!(
-                    "segment claims more than {MAX_SEGMENT_ARENA} memory operands"
-                )));
-            }
-            Ok(c)
-        };
-        let mem = &mut cols.mem;
-        mem.clear();
-        mem.reserve(n);
-        let mut total = 0usize;
-        decode_runs(r, n, |v, run| {
-            let nreads = count(v, run, &mut total)?;
-            let row = MemOpsRef {
-                start: 0,
-                nreads,
-                nwrites: 0,
-            };
-            push_run(mem, row, run);
-            Ok(())
-        })?;
-        let (mut total, mut start, mut at) = (0usize, 0u32, 0usize);
-        decode_runs(r, n, |v, run| {
-            let nwrites = count(v, run, &mut total)?;
-            for m in &mut mem[at..at + run] {
-                m.start = start;
-                m.nwrites = nwrites;
-                start += u32::from(m.nreads) + u32::from(nwrites);
-            }
-            at += run;
-            Ok(())
-        })?;
-        let total_ops = start as usize;
-
-        let starts = &mut scratch.starts;
-        starts.clear();
-        starts.reserve(total_ops);
-        let mut prev = 0i64;
-        decode_runs(r, total_ops, |v, run| {
-            let delta = unzigzag(v);
-            for _ in 0..run {
-                prev = prev.wrapping_add(delta);
-                starts.push(prev as u64);
-            }
-            Ok(())
-        })?;
-        let arena = &mut cols.arena;
-        arena.reserve(total_ops);
-        decode_runs(r, total_ops, |v, run| {
-            let len = u32::try_from(v).map_err(|_| bad("operand length overflows u32"))?;
-            if len == 0 {
-                return Err(bad("zero-length memory operand"));
-            }
-            for &s in &starts[arena.len()..arena.len() + run] {
-                let op = AddrRange::try_new(Addr::new(s), len)
-                    .ok_or_else(|| bad("memory operand wraps the address space"))?;
-                arena.push(op);
-            }
-            Ok(())
-        })?;
-    } else {
-        for _ in 0..4 {
-            skip_stream(r)?;
+    // counts. The counts go straight into each row's arena reference:
+    // reads first, then writes, which also fixes every row's first arena
+    // index.
+    let count = |v: u64, run: usize, total: &mut usize| {
+        let c = u16::try_from(v).map_err(|_| bad("operand count overflows u16"))?;
+        *total = total.saturating_add(usize::from(c).saturating_mul(run));
+        if *total > MAX_SEGMENT_ARENA {
+            return Err(bad(format!(
+                "segment claims more than {MAX_SEGMENT_ARENA} memory operands"
+            )));
         }
-        default_column(&mut cols.mem, n);
-    }
-    account(r, before, decoded);
+        Ok(c)
+    };
+    let mem = &mut cols.mem;
+    mem.clear();
+    mem.reserve(n);
+    let mut total = 0usize;
+    decode_runs(r, n, |v, run| {
+        let nreads = count(v, run, &mut total)?;
+        let row = MemOpsRef {
+            start: 0,
+            nreads,
+            nwrites: 0,
+        };
+        push_run(mem, row, run);
+        Ok(())
+    })?;
+    let (mut total, mut start, mut at) = (0usize, 0u32, 0usize);
+    decode_runs(r, n, |v, run| {
+        let nwrites = count(v, run, &mut total)?;
+        for m in &mut mem[at..at + run] {
+            m.start = start;
+            m.nwrites = nwrites;
+            start += u32::from(m.nreads) + u32::from(nwrites);
+        }
+        at += run;
+        Ok(())
+    })?;
+    let total_ops = start as usize;
+
+    let starts = &mut scratch.starts;
+    starts.clear();
+    starts.reserve(total_ops);
+    let mut prev = 0i64;
+    decode_runs(r, total_ops, |v, run| {
+        let delta = unzigzag(v);
+        for _ in 0..run {
+            prev = prev.wrapping_add(delta);
+            starts.push(prev as u64);
+        }
+        Ok(())
+    })?;
+    let arena = &mut cols.arena;
+    arena.clear();
+    arena.reserve(total_ops);
+    decode_runs(r, total_ops, |v, run| {
+        let len = u32::try_from(v).map_err(|_| bad("operand length overflows u32"))?;
+        if len == 0 {
+            return Err(bad("zero-length memory operand"));
+        }
+        for &s in &starts[arena.len()..arena.len() + run] {
+            let op = AddrRange::try_new(Addr::new(s), len)
+                .ok_or_else(|| bad("memory operand wraps the address space"))?;
+            arena.push(op);
+        }
+        Ok(())
+    })?;
 
     if !r.is_exhausted() {
         return Err(bad(format!(
@@ -697,7 +591,7 @@ pub fn decode_segment_masked(
             }) == cols.arena.len(),
         "one entry per row in every column, and every operand in the arena"
     );
-    Ok(stats)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -926,63 +820,6 @@ mod tests {
     fn decode_rejects_oversized_claims() {
         let err = decode_segment(&[], MAX_SEGMENT_INSTRS + 1, 1).unwrap_err();
         assert!(matches!(err, TraceIoError::Format(_)), "{err:?}");
-    }
-
-    #[test]
-    fn masked_decode_keeps_subscribed_columns_and_defaults_the_rest() {
-        let cols = sample_columns(300);
-        let mut buf = Vec::new();
-        encode_segment(&cols, 0, 300, &mut buf, &mut EncodeScratch::default()).unwrap();
-        // One store and scratch serve both decodes, so the narrowed one
-        // must reset every column the full one filled and it skips.
-        let mut back = Columns::default();
-        let mut scratch = DecodeScratch::default();
-
-        // The full mask decodes everything and skips nothing.
-        let fstats =
-            decode_segment_masked(&buf, 300, 4, ColumnMask::ALL, &mut back, &mut scratch).unwrap();
-        assert_columns_eq(&cols, &back, 0);
-        assert_eq!(fstats.skipped_bytes, 0);
-        assert_eq!(fstats.decoded_bytes, buf.len() as u64);
-
-        let mask = ColumnMask::KINDS.union(ColumnMask::TIDS);
-        let stats = decode_segment_masked(&buf, 300, 4, mask, &mut back, &mut scratch).unwrap();
-        assert_eq!(back.len(), 300);
-        assert_eq!(back.arena_len(), 0, "skipped operands leave no arena");
-        for i in 0..300 {
-            assert_eq!(back.kind(i), cols.kind(i), "kind at {i}");
-            assert_eq!(back.tid(i), cols.tid(i));
-            assert_eq!(back.func(i), FuncId(0), "unsubscribed funcs default");
-            assert_eq!(back.pc(i), Pc(0));
-            assert_eq!(back.reg_reads(i), RegSet::from_bits(0));
-            assert!(back.mem_reads(i).is_empty() && back.mem_writes(i).is_empty());
-        }
-        assert!(stats.decoded_bytes > 0 && stats.skipped_bytes > 0);
-        assert_eq!(
-            stats.decoded_bytes + stats.skipped_bytes,
-            buf.len() as u64,
-            "every payload byte is either decoded or skipped"
-        );
-    }
-
-    #[test]
-    fn masked_decode_rejects_truncation_at_every_prefix() {
-        let cols = sample_columns(64);
-        let mut buf = Vec::new();
-        encode_segment(&cols, 0, 64, &mut buf, &mut EncodeScratch::default()).unwrap();
-        for cut in 0..buf.len() {
-            for mask in [ColumnMask::NONE, ColumnMask::TIDS, ColumnMask::OPERANDS] {
-                let res = decode_segment_masked(
-                    &buf[..cut],
-                    64,
-                    4,
-                    mask,
-                    &mut Columns::default(),
-                    &mut DecodeScratch::default(),
-                );
-                assert!(res.is_err(), "prefix {cut} decoded under mask {mask:?}");
-            }
-        }
     }
 
     #[test]

@@ -11,9 +11,7 @@
 //! * [`ColumnSource::stream_range`] / [`ColumnSource::stream_range_rev`]:
 //!   windows that tile `[lo, hi)` exactly, first-to-last or last-to-first,
 //!   indexed by true trace positions. A resident trace serves one window,
-//!   a reader one window per chunk. An empty range yields no window;
-//! * [`ColumnSource::swap_decode_mask`]: which column groups later reads
-//!   must decode. Only a reader decodes, so a resident trace ignores it.
+//!   a reader one window per chunk. An empty range yields no window.
 //!
 //! A resident trace cannot fail (`Error = Infallible`); a reader fails
 //! with [`TraceIoError`](crate::TraceIoError). Resident entry points are
@@ -22,7 +20,6 @@
 
 use std::convert::Infallible;
 
-use crate::analysis::ColumnMask;
 use crate::columns::ColumnCursor;
 use crate::func::FunctionRegistry;
 use crate::thread::ThreadTable;
@@ -85,12 +82,6 @@ pub trait ColumnSource {
         hi: usize,
         f: impl FnMut(&ColumnCursor<'_>),
     ) -> Result<(), Self::Error>;
-
-    /// Sets the column groups later reads must decode and returns the
-    /// previous setting. Columns outside `mask` may read as default
-    /// values until the previous mask is restored (the
-    /// [`crate::TraceAnalysis::columns`] contract).
-    fn swap_decode_mask(&mut self, mask: ColumnMask) -> ColumnMask;
 }
 
 impl ColumnSource for &Trace {
@@ -132,9 +123,5 @@ impl ColumnSource for &Trace {
     ) -> Result<(), Infallible> {
         // One window: its own first and last.
         self.stream_range(lo, hi, f)
-    }
-
-    fn swap_decode_mask(&mut self, _mask: ColumnMask) -> ColumnMask {
-        ColumnMask::ALL
     }
 }

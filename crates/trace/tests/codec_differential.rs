@@ -19,45 +19,70 @@
 //! the byte stream; `reference` keeps the decoder it replaced, which
 //! staged every column in a `Vec<u64>` and built a fresh store per
 //! segment. It keeps the previous `ByteReader::varint`,
-//! `decode_stream` and `decode_segment_masked` verbatim, with the reader
-//! helpers they call. The one change: the reference decoder returns its
-//! nine column vectors, since the raw `Columns` constructor it called is
-//! private to the crate.
+//! `decode_stream`, `skip_stream` and `decode_segment_masked` verbatim,
+//! with the reader helpers they call. Two changes: the reference decoder
+//! returns its nine column vectors, since the raw `Columns` constructor
+//! it called is private to the crate; and the column mask it takes and
+//! the decode accounting it returns are local stand-ins, since the crate
+//! no longer decodes selectively. It runs under the full mask only.
 //!
 //! Both decoders run over the same payloads: random segments (every
 //! instruction kind, multi-byte pc and address deltas, long runs),
 //! re-encoded with boundary and non-canonical varints of up to 10 bytes
-//! and now and then an over-long one of 11 bytes, under every column
-//! mask, at every truncation prefix, and under random byte mutations.
-//! The current decoder refills one store and one scratch throughout, so a
-//! column it forgets to reset shows up as a difference. Both must decode
-//! the same rows with the same `SegmentDecodeStats`, or both must fail
+//! and now and then an over-long one of 11 bytes, at every truncation
+//! prefix, and under random byte mutations. The current decoder refills
+//! one store and one scratch throughout, so a column it forgets to reset
+//! shows up as a difference. Both must decode the same rows, the
+//! reference accounting every payload byte as decoded, or both must fail
 //! with `TraceIoError::Format`.
 //!
 //! The reader case streams a file of 64-row chunks through `TraceReader`,
-//! interleaving forward and reverse sweeps under narrowed and widened
-//! masks, against the resident rows.
+//! interleaving forward and reverse sweeps, against the resident rows.
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
-use wasteprof_trace::segment::{
-    decode_segment_masked, encode_segment, DecodeScratch, EncodeScratch,
-};
+use wasteprof_trace::segment::{decode_segment_into, encode_segment, DecodeScratch, EncodeScratch};
 use wasteprof_trace::{
-    segment_content_hash, Addr, AddrRange, ColumnMask, ColumnSource, Columns, ContentHasher,
-    FuncId, FunctionRegistry, InstrKind, Pc, RegSet, Syscall, ThreadId, ThreadKind, ThreadTable,
+    segment_content_hash, Addr, AddrRange, ColumnSource, Columns, ContentHasher, FuncId,
+    FunctionRegistry, InstrKind, Pc, RegSet, Syscall, ThreadId, ThreadKind, ThreadTable,
     Trace2Writer, TraceIoError, TraceReader,
 };
 
 /// The segment decoder as it was before it decoded into a reused store.
 mod reference {
     use wasteprof_trace::compress::unzigzag;
-    use wasteprof_trace::segment::{SegmentDecodeStats, MAX_SEGMENT_ARENA, MAX_SEGMENT_INSTRS};
-    use wasteprof_trace::{Addr, AddrRange, ColumnMask, MemOpsRef, Syscall, TraceIoError};
+    use wasteprof_trace::segment::{MAX_SEGMENT_ARENA, MAX_SEGMENT_INSTRS};
+    use wasteprof_trace::{Addr, AddrRange, MemOpsRef, Syscall, TraceIoError};
 
     fn bad(msg: impl Into<String>) -> TraceIoError {
         TraceIoError::Format(msg.into())
+    }
+
+    /// Stand-in for the column mask the decoder took: the six segment
+    /// column groups, one bit each.
+    #[derive(Clone, Copy)]
+    pub struct ColumnMask(u8);
+
+    impl ColumnMask {
+        pub const KINDS: ColumnMask = ColumnMask(1 << 0);
+        pub const TIDS: ColumnMask = ColumnMask(1 << 1);
+        pub const FUNCS: ColumnMask = ColumnMask(1 << 2);
+        pub const PCS: ColumnMask = ColumnMask(1 << 3);
+        pub const REGSETS: ColumnMask = ColumnMask(1 << 4);
+        pub const OPERANDS: ColumnMask = ColumnMask(1 << 5);
+        pub const ALL: ColumnMask = ColumnMask(0x3f);
+
+        pub const fn contains(self, other: ColumnMask) -> bool {
+            self.0 & other.0 == other.0
+        }
+    }
+
+    /// Stand-in for the decode accounting the decoder returned.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    pub struct SegmentDecodeStats {
+        pub decoded_bytes: u64,
+        pub skipped_bytes: u64,
     }
 
     /// The nine column vectors of a decoded segment.
@@ -726,25 +751,6 @@ impl Rng {
 /// Symbol-table size of every generated segment.
 const NFUNCS: usize = 40;
 
-/// Every segment column group, one bit each.
-const GROUPS: [ColumnMask; 6] = [
-    ColumnMask::KINDS,
-    ColumnMask::TIDS,
-    ColumnMask::FUNCS,
-    ColumnMask::PCS,
-    ColumnMask::REGSETS,
-    ColumnMask::OPERANDS,
-];
-
-/// The mask made of the groups whose bits are set in `bits`.
-fn mask_of(bits: u64) -> ColumnMask {
-    GROUPS
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| bits >> i & 1 == 1)
-        .fold(ColumnMask::NONE, |m, (_, g)| m.union(*g))
-}
-
 /// A random operand: any start, from small strides to the top of the
 /// address space, and a length that keeps it from wrapping.
 fn operand(rng: &mut Rng, near: u64) -> AddrRange {
@@ -971,26 +977,29 @@ fn reference_hash(d: &reference::Decoded) -> [u64; 2] {
     h.finish(d.kinds.len() as u64)
 }
 
-/// Both decoders on one payload: the same rows and accounting, or both a
-/// format error.
+/// Both decoders on one payload: the same rows, with every payload byte
+/// decoded, or both a format error.
 fn assert_same_decode(
     bytes: &[u8],
     n: usize,
-    mask: ColumnMask,
     store: &mut Columns,
     scratch: &mut DecodeScratch,
     what: &str,
 ) {
-    let want = reference::decode_segment_masked(bytes, n, NFUNCS, mask);
-    let got = decode_segment_masked(bytes, n, NFUNCS, mask, store, scratch);
+    let want = reference::decode_segment_masked(bytes, n, NFUNCS, reference::ColumnMask::ALL);
+    let got = decode_segment_into(bytes, n, NFUNCS, store, scratch);
     match (want, got) {
-        (Ok((d, want_stats)), Ok(got_stats)) => {
+        (Ok((d, stats)), Ok(())) => {
             assert_same_rows(&d, store, what);
-            assert_eq!(want_stats, got_stats, "{what}: decode accounting");
+            let all = reference::SegmentDecodeStats {
+                decoded_bytes: bytes.len() as u64,
+                skipped_bytes: 0,
+            };
+            assert_eq!(stats, all, "{what}: decode accounting");
         }
         (Err(TraceIoError::Format(_)), Err(TraceIoError::Format(_))) => {}
         (want, got) => panic!(
-            "{what} under {mask:?}: reference {:?}, current {:?}",
+            "{what}: reference {:?}, current {:?}",
             want.map(|(_, s)| s),
             got
         ),
@@ -1187,19 +1196,16 @@ proptest! {
             let overlong = repad(&canonical, &mut rng, true);
 
             for (name, bytes) in [("canonical", &canonical), ("padded", &padded), ("overlong", &overlong)] {
-                for bits in 0..64 {
-                    let what = format!("segment {seg} {name}, mask {bits:06b}");
-                    assert_same_decode(bytes, n, mask_of(bits), &mut store, &mut scratch, &what);
-                }
+                let what = format!("segment {seg} {name}");
+                assert_same_decode(bytes, n, &mut store, &mut scratch, &what);
             }
             for cut in 0..padded.len() {
-                let mask = mask_of(rng.below(64));
                 let what = format!("segment {seg} padded, prefix {cut}");
-                assert_same_decode(&padded[..cut], n, mask, &mut store, &mut scratch, &what);
+                assert_same_decode(&padded[..cut], n, &mut store, &mut scratch, &what);
             }
             // A wrong row count, and random byte mutations.
             let what = format!("segment {seg}, {} rows claimed", n + 1);
-            assert_same_decode(&canonical, n + 1, ColumnMask::ALL, &mut store, &mut scratch, &what);
+            assert_same_decode(&canonical, n + 1, &mut store, &mut scratch, &what);
             for m in 0..48 {
                 let mut bytes = if m % 2 == 0 { canonical.clone() } else { padded.clone() };
                 if bytes.is_empty() {
@@ -1213,9 +1219,8 @@ proptest! {
                         _ => bytes[at] ^ 0x80,
                     };
                 }
-                let mask = mask_of(rng.below(64));
                 let what = format!("segment {seg}, mutation {m}");
-                assert_same_decode(&bytes, n, mask, &mut store, &mut scratch, &what);
+                assert_same_decode(&bytes, n, &mut store, &mut scratch, &what);
             }
         }
     }
@@ -1266,7 +1271,7 @@ fn boundary_and_overlong_varints_agree() {
                 bodies[10] = body;
                 let bytes = join(dict_len, &bodies, |len| len);
                 let what = format!("value {v:#x} at {width} bytes, first {first}");
-                assert_same_decode(&bytes, 1, ColumnMask::ALL, &mut store, &mut scratch, &what);
+                assert_same_decode(&bytes, 1, &mut store, &mut scratch, &what);
             }
         }
     }
@@ -1300,11 +1305,9 @@ fn chunked_file(rng: &mut Rng, n: usize) -> (Columns, Vec<u8>) {
     (cols, buf)
 }
 
-/// Forward and reverse sweeps under narrowed and widened masks, over a
-/// file of 64-row chunks and so through every cache path of the reader:
-/// hits, evictions and stale narrower copies. A subscribed column reads
-/// the resident rows; a skipped one reads defaults on a fresh decode, and
-/// on a cache hit whole groups of either, never another chunk's values.
+/// Forward and reverse sweeps over a file of 64-row chunks, and so
+/// through every cache path of the reader: hits and evictions. Every
+/// window reads the resident rows.
 #[test]
 fn reader_sweeps_match_the_resident_rows() {
     let mut rng = Rng(0x5eed_c0de);
@@ -1313,14 +1316,7 @@ fn reader_sweeps_match_the_resident_rows() {
     let mut rd = TraceReader::open(Cursor::new(file)).unwrap();
     assert_eq!(rd.n_chunks(), 24);
     for step in 0..400 {
-        let mask = match rng.below(6) {
-            0 | 1 => ColumnMask::ALL,
-            2 => ColumnMask::NONE,
-            _ => mask_of(rng.below(64)),
-        };
-        rd.swap_decode_mask(mask);
         let (lo, hi) = match rng.below(3) {
-            // One chunk, to check a fresh decode exactly.
             0 => {
                 let c = rng.below(24) as usize;
                 (c * 64, (c * 64 + 64).min(n))
@@ -1331,92 +1327,32 @@ fn reader_sweeps_match_the_resident_rows() {
                 (lo, lo + rng.below((n - lo) as u64 + 1) as usize)
             }
         };
-        let decoded_before = rd.decode_stats().chunks_decoded;
         let mut windows = Vec::new();
         let mut check = |cur: &wasteprof_trace::ColumnCursor<'_>| {
             windows.push((cur.lo(), cur.hi()));
-            let rows = cur.lo()..cur.hi();
-            // Per group: every row real, or every row default.
-            let group =
-                |g: ColumnMask, real: &dyn Fn(usize) -> bool, default: &dyn Fn(usize) -> bool| {
-                    let all_real = rows.clone().all(real);
-                    let all_default = rows.clone().all(default);
-                    if mask.contains(g) {
-                        assert!(
-                            all_real,
-                            "step {step}: subscribed {g:?} differs in {rows:?}"
-                        );
-                    }
-                    assert!(
-                        all_real || all_default,
-                        "step {step}: {g:?} mixes values in {rows:?}"
-                    );
-                    all_default && !all_real
-                };
-            let kinds = group(ColumnMask::KINDS, &|i| cur.kind(i) == cols.kind(i), &|i| {
-                cur.kind(i) == InstrKind::Op
-            });
-            let tids = group(ColumnMask::TIDS, &|i| cur.tid(i) == cols.tid(i), &|i| {
-                cur.tid(i) == ThreadId(0)
-            });
-            let funcs = group(ColumnMask::FUNCS, &|i| cur.func(i) == cols.func(i), &|i| {
-                cur.func(i) == FuncId(0)
-            });
-            let pcs = group(ColumnMask::PCS, &|i| cur.pc(i) == cols.pc(i), &|i| {
-                cur.pc(i) == Pc(0)
-            });
-            let regs = group(
-                ColumnMask::REGSETS,
-                &|i| {
-                    cur.reg_reads(i) == cols.reg_reads(i) && cur.reg_writes(i) == cols.reg_writes(i)
-                },
-                &|i| cur.reg_reads(i) == RegSet::EMPTY && cur.reg_writes(i) == RegSet::EMPTY,
-            );
-            let ops = group(
-                ColumnMask::OPERANDS,
-                &|i| {
-                    cur.mem_reads(i) == cols.mem_reads(i) && cur.mem_writes(i) == cols.mem_writes(i)
-                },
-                &|i| cur.mem_reads(i).is_empty() && cur.mem_writes(i).is_empty(),
-            );
-            [kinds, tids, funcs, pcs, regs, ops]
+            for i in cur.lo()..cur.hi() {
+                assert!(
+                    cur.kind(i) == cols.kind(i)
+                        && cur.tid(i) == cols.tid(i)
+                        && cur.func(i) == cols.func(i)
+                        && cur.pc(i) == cols.pc(i)
+                        && cur.reg_reads(i) == cols.reg_reads(i)
+                        && cur.reg_writes(i) == cols.reg_writes(i)
+                        && cur.mem_reads(i) == cols.mem_reads(i)
+                        && cur.mem_writes(i) == cols.mem_writes(i),
+                    "step {step}: row {i} differs from the resident one"
+                );
+            }
         };
-        let mut defaulted = Vec::new();
         if rng.chance(50) {
-            rd.stream_range(lo, hi, |cur| defaulted.push(check(cur)))
-                .unwrap();
+            rd.stream_range(lo, hi, &mut check).unwrap();
         } else {
-            rd.stream_range_rev(lo, hi, |cur| defaulted.push(check(cur)))
-                .unwrap();
+            rd.stream_range_rev(lo, hi, &mut check).unwrap();
         }
         let mut want: Vec<usize> = (lo..hi).collect();
         let mut got: Vec<usize> = windows.iter().flat_map(|&(a, b)| a..b).collect();
         want.sort_unstable();
         got.sort_unstable();
         assert_eq!(got, want, "step {step}: windows tile the range");
-        // A lone chunk decoded just now was decoded under this mask, so
-        // each skipped group must read as defaults.
-        let fresh = rd.decode_stats().chunks_decoded - decoded_before;
-        if windows.len() == 1 && fresh == 1 && hi > lo {
-            for (g, defaults) in GROUPS.iter().zip(defaulted[0]) {
-                let rows_differ = (lo..hi).any(|i| {
-                    *g == ColumnMask::KINDS && cols.kind(i) != InstrKind::Op
-                        || *g == ColumnMask::TIDS && cols.tid(i) != ThreadId(0)
-                        || *g == ColumnMask::FUNCS && cols.func(i) != FuncId(0)
-                        || *g == ColumnMask::PCS && cols.pc(i) != Pc(0)
-                        || *g == ColumnMask::REGSETS
-                            && (cols.reg_reads(i) != RegSet::EMPTY
-                                || cols.reg_writes(i) != RegSet::EMPTY)
-                        || *g == ColumnMask::OPERANDS
-                            && !(cols.mem_reads(i).is_empty() && cols.mem_writes(i).is_empty())
-                });
-                if !mask.contains(*g) && rows_differ {
-                    assert!(
-                        defaults,
-                        "step {step}: skipped {g:?} of a fresh decode is not default"
-                    );
-                }
-            }
-        }
     }
 }

@@ -9,8 +9,8 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 use wasteprof_trace::{
-    AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnMask, ColumnSource, Instr, Pc, Recorder, Reg,
-    RegSet, Region, Syscall, ThreadKind, Trace, Trace2Writer, TraceAnalysis, TraceReader,
+    AnalysisCtx, AnalysisDriver, ColumnCursor, ColumnSource, Instr, Pc, Recorder, Reg, RegSet,
+    Region, Syscall, ThreadKind, Trace, Trace2Writer, TraceAnalysis, TraceReader,
 };
 
 /// Records a trace from random bytes: ALU ops, memory traffic, branches,
@@ -139,10 +139,6 @@ struct Edges {
 impl TraceAnalysis for Edges {
     fn name(&self) -> &'static str {
         "edges"
-    }
-
-    fn columns(&self) -> ColumnMask {
-        ColumnMask::TIDS
     }
 
     fn begin(&mut self, ctx: &AnalysisCtx<'_>) {

@@ -123,7 +123,7 @@ fn bounded_slice_is_subset_of_full_slice_positions() {
     let bounded = slice(
         &session.trace,
         &fwd,
-        &criteria.truncated(end),
+        &criteria,
         &SliceOptions {
             end: Some(end),
             ..Default::default()
